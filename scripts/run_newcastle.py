@@ -11,6 +11,7 @@ from rothman.inference import (
     ModelSpec,
     common_measure,
     fit,
+    link_for_measure,
     lr_test_interaction,
     measure_for_link,
     profile_ci,
@@ -54,13 +55,7 @@ def main() -> None:
     print()
 
     for measure in Measure:
-        link = {
-            Measure.RISK_DIFFERENCE: LinkFunction.IDENTITY,
-            Measure.RISK_RATIO: LinkFunction.LOG,
-            Measure.ODDS_RATIO: LinkFunction.LOGIT,
-            Measure.CUMULATIVE_HAZARD_RATIO: LinkFunction.CLOGLOG,
-        }[measure]
-        fitted = list(fit(table, ModelSpec(link, interaction=False)).fitted_points)
+        fitted = list(fit(table, ModelSpec(link_for_measure(measure), interaction=False)).fitted_points)
         report = collapsibility_verdict(fitted, measure)
         line = f"{measure.label}: common {report.common_value:.3f}, verdict {report.verdict.value}"
         if report.verdict is Verdict.ATTENUATED_TOWARD_NULL:

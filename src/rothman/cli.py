@@ -58,7 +58,7 @@ def _add_input_options(parser: argparse.ArgumentParser, required: bool = True) -
 def _load_table(args: argparse.Namespace) -> StratifiedTable:
     if args.fixture:
         return newcastle_fixture()
-    return parse_table(Path(args.input).read_text(encoding="utf-8"))
+    return parse_table(Path(args.input).read_text(encoding="utf-8-sig"))
 
 
 def _measure_values(point) -> tuple[dict, dict]:

@@ -391,7 +391,9 @@ class _ProfileInfeasible(Exception):
 
 
 def _profile_feasible_init(table, link, Xr, off):
-    base = _null_init(table, link, Xr.shape[1])
+    # null fit of the full model, with the exposure coefficient (held fixed
+    # through the offset) dropped to match the reduced design Xr
+    base = np.delete(_null_init(table, link, Xr.shape[1] + 1), 1)
     if link is LinkFunction.IDENTITY:
         lo, hi = -float(np.min(off)), 1.0 - float(np.max(off))
         if not lo < hi:

@@ -238,8 +238,9 @@ def _better(value: float, weights: tuple, best: tuple[float, tuple] | None, sign
 
 
 def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> ExtremeResult:
-    """K = 2: golden-section search on the weight of the first point,
-    refined by bisection on the sign of the directional derivative."""
+    """Optimum over one segment, as weights (w, 1 - w) on its two end points:
+    golden-section search on w, refined by bisection on the sign of the
+    directional derivative."""
     p0, p1 = points
 
     def f(w: float) -> float:
@@ -289,71 +290,37 @@ def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> 
     return ExtremeResult(sign * best[0], best[1])
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _extremize_simplex(points: list[RiskPoint], measure: Measure, sign: int) -> ExtremeResult:
-    """K > 2: projected gradient over the simplex, multi-started from every
-    vertex and the centroid, reduced deterministically."""
-    k = len(points)
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
-
-    def f(w: np.ndarray) -> float:
-        return sign * evaluate(measure, RiskPoint(float(w @ xs), float(w @ ys)))
-
-    def grad(w: np.ndarray) -> np.ndarray:
-        gx, gy = gradient(measure, RiskPoint(float(w @ xs), float(w @ ys)))
-        return sign * (gx * xs + gy * ys)
-
-    starts = [np.eye(k)[i] for i in range(k)] + [np.full(k, 1.0 / k)]
-    best: tuple[float, tuple] | None = None
-    for w in starts:
-        w = w.copy()
-        fw = f(w)
-        for _ in range(1000):
-            g = grad(w)
-            step = 1.0
-            improved = False
-            while step > 1e-18:
-                cand = _project_simplex(w - step * g)
-                fc = f(cand)
-                if fc < fw:
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-            moved = float(np.max(np.abs(cand - w)))
-            delta = fw - fc
-            w, fw = cand, fc
-            if moved < 1e-13 and delta < 1e-15:
-                break
-        weights = tuple(float(wi) for wi in w)
-        if _better(fw, weights, best, 1):
-            best = (fw, weights)
-    return ExtremeResult(sign * best[0], best[1])
-
-
 def extremize_standardized(points: list[RiskPoint], measure: Measure, objective: str) -> ExtremeResult:
     """Optimum of the measure over all standardized points of the given
-    stratum points, with a witnessing weight vector."""
+    stratum points, with a witnessing weight vector.
+
+    Every measure is monotone on the unit square with a gradient that never
+    vanishes, so its optima over the hull lie on the hull boundary: each
+    hull edge is searched by _extremize_segment and the best edge wins,
+    ties going to the smallest weight vector. The witness therefore has at
+    most two nonzero weights, on the strata at the ends of one edge. Strata
+    that share a point are represented by the last of them.
+    """
     sign = _check_objective(objective)
     if len(points) < 1:
         raise DomainError("need at least one point")
     for p in points:
         check_domain(measure, p)
-    if len(points) == 1:
-        return ExtremeResult(evaluate(measure, points[0]), (1.0,))
-    if len(points) == 2:
-        return _extremize_segment(points, measure, sign)
-    return _extremize_simplex(points, measure, sign)
+    index = {(p.x, p.y): i for i, p in enumerate(points)}
+    hull = [index[v] for v in _hull_vertices(list(index))]
+    if len(hull) == 1:
+        weights = [0.0] * len(points)
+        weights[hull[0]] = 1.0
+        return ExtremeResult(evaluate(measure, points[hull[0]]), tuple(weights))
+    edges = {tuple(sorted((hull[t], hull[t - 1]))) for t in range(len(hull))}
+    best: tuple[float, tuple] | None = None
+    for i, j in sorted(edges):
+        res = _extremize_segment([points[i], points[j]], measure, sign)
+        weights = [0.0] * len(points)
+        weights[i], weights[j] = res.weights
+        if _better(res.value, tuple(weights), best, sign):
+            best = (res.value, tuple(weights))
+    return ExtremeResult(best[0], best[1])
 
 
 def _evaluate_arrays(measure: Measure, x: np.ndarray, y: np.ndarray) -> np.ndarray:

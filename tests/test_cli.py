@@ -5,6 +5,9 @@ import pytest
 
 from rothman import cli
 from rothman.errors import ConvergenceError
+from rothman.tables import newcastle_fixture, serialize_table
+
+from conftest import synthetic_four_strata
 
 BAD_CSV = "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\nA,5,4,1,10\n"
 
@@ -67,6 +70,18 @@ def test_fit_all_links_json(capsys):
     assert by_link["log"]["interaction"]["p_value"] == pytest.approx(0.010, abs=1e-3)
     assert by_link["cloglog"]["ci"]["upper"] == pytest.approx(1.676, abs=1e-3)
     assert by_link["logit"]["stratum_estimates"]["18-64"] == pytest.approx(1.622, abs=5e-4)
+
+
+def test_fit_all_links_json_four_strata(capsys, tmp_path):
+    path = tmp_path / "four_strata.csv"
+    path.write_text(serialize_table(synthetic_four_strata()))
+    code, out, err = run(capsys, "fit", "--input", str(path), "--link", "all", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert [rep["link"] for rep in doc["fits"]] == ["identity", "log", "logit", "cloglog"]
+    for rep in doc["fits"]:
+        assert rep["interaction"]["df"] == 3
+        assert rep["ci"]["lower"] < rep["common"] < rep["ci"]["upper"]
 
 
 def test_standardize_marginal(capsys):
@@ -169,6 +184,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "measures", "--input", str(path))
     assert code == 3
     assert "cases" in err
+
+
+def test_csv_with_byte_order_mark_and_crlf(capsys, tmp_path):
+    text = serialize_table(newcastle_fixture())
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    excel = tmp_path / "excel.csv"
+    excel.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+    for argv in (("measures",), ("fit", "--link", "logit", "--format", "json")):
+        expected = run(capsys, *argv, "--input", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--input", str(excel)) == expected
 
 
 def test_missing_file_exit_code(capsys):

@@ -181,6 +181,25 @@ def test_profile_ci_brackets_mle_and_hits_quantile(newcastle, link):
         assert lr == pytest.approx(q, abs=1e-6)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_ci_endpoints_hit_quantile_across_k(link, k):
+    from scipy.stats import chi2
+
+    rng = random.Random(600 + k)
+    table = random_table(rng, k=k, interior=True)
+    result = fit(table, ModelSpec(link, interaction=False))
+    ci = profile_ci(table, link, 0.95)
+    assert ci.lower <= common_measure(result) <= ci.upper
+    q = chi2.ppf(0.95, 1)
+    for endpoint, truncated in ((ci.lower, ci.lower_truncated), (ci.upper, ci.upper_truncated)):
+        if truncated:
+            continue
+        b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
+        lr = 2.0 * (result.loglik - profile_loglik(table, link, b1))
+        assert lr == pytest.approx(q, abs=1e-8)
+
+
 def test_profile_ci_truncation_with_empty_exposed_arm():
     table = StratifiedTable(
         (

@@ -239,29 +239,58 @@ def test_extremize_newcastle_minimum_standardized_odds_ratio(newcastle):
     assert res.weights[1] == pytest.approx(0.516, abs=1e-3)
 
 
+def _assert_witness(pts, measure, res):
+    """The weights sum to 1, sit on the two ends of one hull edge (or one
+    vertex), and re-evaluate to the reported value."""
+    assert sum(res.weights) == pytest.approx(1.0, abs=1e-12)
+    support = [i for i, w in enumerate(res.weights) if w != 0.0]
+    verts = standardized_hull(pts).vertices
+    ends = [verts.index(pts[i]) for i in support]
+    assert len(ends) in (1, 2)
+    if len(ends) == 2:
+        assert (ends[0] - ends[1]) % len(verts) in (1, len(verts) - 1)
+    p = RiskPoint(
+        sum(w * q.x for w, q in zip(res.weights, pts)),
+        sum(w * q.y for w, q in zip(res.weights, pts)),
+    )
+    assert evaluate(measure, p) == pytest.approx(res.value, rel=1e-12)
+
+
 def test_extremize_identical_points():
     p = RiskPoint(0.3, 0.4)
-    lo = extremize_standardized([p, p], Measure.ODDS_RATIO, "min")
-    hi = extremize_standardized([p, p], Measure.ODDS_RATIO, "max")
-    assert lo.value == hi.value == pytest.approx(evaluate(Measure.ODDS_RATIO, p))
+    for k in (1, 2, 3):
+        lo = extremize_standardized([p] * k, Measure.ODDS_RATIO, "min")
+        hi = extremize_standardized([p] * k, Measure.ODDS_RATIO, "max")
+        assert lo.value == hi.value == pytest.approx(evaluate(Measure.ODDS_RATIO, p))
+        # ties go to the smallest weight vector: everything on the last stratum
+        assert lo.weights == hi.weights == (0.0,) * (k - 1) + (1.0,)
 
 
 def test_extremize_straight_contour_is_flat():
+    # risk difference contours are straight, so for k > 2 the strata are collinear
     rng = random.Random(5)
-    pts = points_on_contour(rng, Measure.RISK_DIFFERENCE, 0.2, 2)
-    lo = extremize_standardized(pts, Measure.RISK_DIFFERENCE, "min")
-    hi = extremize_standardized(pts, Measure.RISK_DIFFERENCE, "max")
-    assert lo.value == pytest.approx(0.2, abs=1e-12)
-    assert hi.value == pytest.approx(0.2, abs=1e-12)
+    for k in (2, 4):
+        pts = points_on_contour(rng, Measure.RISK_DIFFERENCE, 0.2, k)
+        lo = extremize_standardized(pts, Measure.RISK_DIFFERENCE, "min")
+        hi = extremize_standardized(pts, Measure.RISK_DIFFERENCE, "max")
+        assert lo.value == pytest.approx(0.2, abs=1e-12)
+        assert hi.value == pytest.approx(0.2, abs=1e-12)
 
 
 def test_extremize_monotone_case_picks_endpoint():
     # points on different risk ratio contours: the extreme is a vertex
-    pts = [RiskPoint(0.1, 0.2), RiskPoint(0.4, 0.5)]
-    lo = extremize_standardized(pts, Measure.RISK_RATIO, "min")
-    hi = extremize_standardized(pts, Measure.RISK_RATIO, "max")
-    assert lo.value == pytest.approx(0.5 / 0.4, abs=1e-9)
-    assert hi.value == pytest.approx(2.0, abs=1e-9)
+    a, b = RiskPoint(0.1, 0.2), RiskPoint(0.4, 0.5)
+    for pts in (
+        [a, b],
+        [a, RiskPoint(0.25, 0.35), b],  # collinear: the middle stratum is on the segment
+        [b, a, b, a],  # duplicate strata
+    ):
+        lo = extremize_standardized(pts, Measure.RISK_RATIO, "min")
+        hi = extremize_standardized(pts, Measure.RISK_RATIO, "max")
+        assert lo.value == pytest.approx(0.5 / 0.4, abs=1e-9)
+        assert hi.value == pytest.approx(2.0, abs=1e-9)
+        for res in (lo, hi):
+            _assert_witness(pts, Measure.RISK_RATIO, res)
 
 
 def test_extremize_rejects_out_of_domain_vertex():
@@ -274,16 +303,41 @@ def test_extremize_objective_validation():
         extremize_standardized([RiskPoint(0.2, 0.3)], Measure.ODDS_RATIO, "sup")
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+# K > 4 uses coarse grids: the oracle's cost grows as resolution ** -(K - 1)
+_ORACLE_RESOLUTION = {2: 0.001, 3: 0.001, 4: 0.001, 5: 0.01, 6: 0.025, 7: 0.05, 8: 0.1}
+
+
+@pytest.mark.parametrize("k", sorted(_ORACLE_RESOLUTION))
 def test_extremize_agrees_with_grid_oracle(k):
-    """The optimizer tracks the 0.001-resolution exhaustive grid within 5e-4."""
+    """Every grid point is a feasible weight vector, so the extremizer is at
+    least as extreme as the exhaustive grid; at the 0.001 resolution it also
+    tracks the grid within 5e-4."""
+    resolution = _ORACLE_RESOLUTION[k]
     rng = random.Random(100 + k)
     measure = Measure.ODDS_RATIO if k % 2 == 0 else Measure.CUMULATIVE_HAZARD_RATIO
     pts = points_on_contour(rng, measure, rng.uniform(1.5, 6.0), k, min_sep=0.05)
-    for objective in ("min", "max"):
+    for objective, sign in (("min", 1), ("max", -1)):
         opt = extremize_standardized(pts, measure, objective)
-        grid = grid_extremize(pts, measure, objective, resolution=0.001)
-        assert opt.value == pytest.approx(grid.value, abs=5e-4)
+        grid = grid_extremize(pts, measure, objective, resolution=resolution)
+        assert sign * (opt.value - grid.value) <= 1e-9 * abs(grid.value)
+        if resolution == 0.001:
+            assert opt.value == pytest.approx(grid.value, abs=5e-4)
+        _assert_witness(pts, measure, opt)
+
+
+@pytest.mark.parametrize("measure", [Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])
+def test_extremize_attenuated_extreme_on_outer_chord(measure):
+    """For strata on one curved contour the extreme attenuated toward the
+    null lies on the chord between the outermost strata. Above the null
+    line that chord is the first hull edge, below it the last one."""
+    rng = random.Random(41)
+    for k in range(3, 9):
+        for m, objective in ((rng.uniform(1.5, 6.0), "min"), (rng.uniform(0.2, 0.7), "max")):
+            pts = points_on_contour(rng, measure, m, k, min_sep=0.02)
+            chord = extremize_standardized([pts[0], pts[-1]], measure, objective)
+            res = extremize_standardized(pts, measure, objective)
+            assert res.value == pytest.approx(chord.value, rel=1e-12)
+            assert res.weights == (chord.weights[0],) + (0.0,) * (k - 2) + (chord.weights[1],)
 
 
 def test_collapsibility_verdict_common_risk_difference(newcastle):
