@@ -41,21 +41,22 @@ def main() -> None:
 
     header = f"{'measure':<26} {'18-64':>7} {'65+':>7} {'p':>7} {'common':>7}  95% CI"
     print(header)
+    restricted = {}
     for link in (LinkFunction.IDENTITY, LinkFunction.LOGIT, LinkFunction.LOG, LinkFunction.CLOGLOG):
         measure = measure_for_link(link)
         saturated = fit(table, ModelSpec(link, interaction=True))
         strat = [evaluate(measure, p) for p in saturated.fitted_points]
-        test = lr_test_interaction(table, link)
-        restricted = fit(table, ModelSpec(link, interaction=False))
-        ci = profile_ci(table, link)
+        restricted[link] = fit(table, ModelSpec(link, interaction=False))
+        test = lr_test_interaction(table, link, restricted=restricted[link], saturated=saturated)
+        ci = profile_ci(table, link, restricted=restricted[link])
         print(
             f"{measure.label:<26} {strat[0]:>7.3f} {strat[1]:>7.3f} {test.p_value:>7.3f} "
-            f"{common_measure(restricted):>7.3f}  ({ci.lower:.3f}, {ci.upper:.3f})"
+            f"{common_measure(restricted[link]):>7.3f}  ({ci.lower:.3f}, {ci.upper:.3f})"
         )
     print()
 
     for measure in Measure:
-        fitted = list(fit(table, ModelSpec(link_for_measure(measure), interaction=False)).fitted_points)
+        fitted = list(restricted[link_for_measure(measure)].fitted_points)
         report = collapsibility_verdict(fitted, measure)
         line = f"{measure.label}: common {report.common_value:.3f}, verdict {report.verdict.value}"
         if report.verdict is Verdict.ATTENUATED_TOWARD_NULL:

@@ -113,20 +113,13 @@ def _fit_report(table: StratifiedTable, link: LinkFunction, level: float) -> dic
     measure = measure_for_link(link)
     saturated = fit(table, ModelSpec(link, interaction=True)) if table.k >= 2 else None
     restricted = fit(table, ModelSpec(link, interaction=False))
+    points = (saturated or restricted).fitted_points
+    strata = {s.label: evaluate(measure, p) for s, p in zip(table.strata, points)}
+    lr = None
     if saturated is not None:
-        strata = {
-            s.label: evaluate(measure, p)
-            for s, p in zip(table.strata, saturated.fitted_points)
-        }
-        test = lr_test_interaction(table, link)
+        test = lr_test_interaction(table, link, restricted=restricted, saturated=saturated)
         lr = {"statistic": test.statistic, "df": test.df, "p_value": test.p_value}
-    else:
-        strata = {
-            s.label: evaluate(measure, p)
-            for s, p in zip(table.strata, restricted.fitted_points)
-        }
-        lr = None
-    ci = profile_ci(table, link, level)
+    ci = profile_ci(table, link, level, restricted=restricted)
     return {
         "link": link.value,
         "measure": measure.value,

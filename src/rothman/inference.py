@@ -149,16 +149,22 @@ def design_matrix(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _problem(table: StratifiedTable, spec: ModelSpec):
+    """(link, X, cases, totals): the one place a table and spec become arrays."""
+    cases, totals = cell_counts(table)
+    return spec.link, design_matrix(table, spec), cases, totals
+
+
 def loglik(table: StratifiedTable, probs) -> float:
     """Grouped binomial log-likelihood at per-cell probabilities (binomial
     coefficients omitted). Cell order: exposed then unexposed per stratum."""
-    cases, totals = cell_counts(table)
+    _, _, cases, totals = _problem(table, ModelSpec(LinkFunction.IDENTITY, interaction=False))
     p = np.asarray(probs, dtype=float)
     if p.shape != cases.shape:
         raise DomainError(f"expected {cases.size} cell probabilities, got {p.size}")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("cell probabilities must lie strictly inside (0, 1)")
-    return float(cases @ np.log(p) + (totals - cases) @ np.log1p(-p))
+    return _ll(cases, totals, p)
 
 
 def _ll(cases: np.ndarray, totals: np.ndarray, p: np.ndarray) -> float:
@@ -173,31 +179,29 @@ def _feasible(p: np.ndarray) -> bool:
 
 
 def _score_info(link, X, cases, totals, eta, p):
-    dp = _dinverse(link, eta, p)
+    """Score, Fisher information, and the cell terms v, dp/deta and residual."""
     v = p * (1.0 - p)
-    u = X.T @ ((cases - totals * p) / v * dp)
-    w = totals * dp * dp / v
-    info = X.T @ (w[:, None] * X)
-    return u, info
+    dp = _dinverse(link, eta, p)
+    resid = cases - totals * p
+    u = X.T @ (resid / v * dp)
+    info = X.T @ ((totals * dp * dp / v)[:, None] * X)
+    return u, info, v, dp, resid
 
 
 def score(table: StratifiedTable, spec: ModelSpec, beta) -> np.ndarray:
     """Analytic score (gradient of the log-likelihood) at feasible coefficients."""
-    X = design_matrix(table, spec)
-    cases, totals = cell_counts(table)
+    link, X, cases, totals = _problem(table, spec)
     eta = X @ np.asarray(beta, dtype=float)
-    p = _inverse(spec.link, eta)
+    p = _inverse(link, eta)
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
-    u, _ = _score_info(spec.link, X, cases, totals, eta, p)
-    return u
+    return _score_info(link, X, cases, totals, eta, p)[0]
 
 
 def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
     """Log-likelihood at a coefficient vector; DomainError when infeasible."""
-    X = design_matrix(table, spec)
-    cases, totals = cell_counts(table)
-    p = _inverse(spec.link, X @ np.asarray(beta, dtype=float))
+    link, X, cases, totals = _problem(table, spec)
+    p = _inverse(link, X @ np.asarray(beta, dtype=float))
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
     return _ll(cases, totals, p)
@@ -235,16 +239,13 @@ def _newton(link, X, cases, totals, beta0, offset=None, max_iter=_MAX_ITER):
     converged = False
     stalled = 0
     for _ in range(max_iter):
-        u, info = _score_info(link, X, cases, totals, eta, p)
+        u, info, v, dp, resid = _score_info(link, X, cases, totals, eta, p)
         gnorm = float(np.max(np.abs(u)))
         if gnorm < _GRAD_TOL:
             converged = True
             break
         directions = []
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            v = p * (1.0 - p)
-            dp = _dinverse(link, eta, p)
-            resid = cases - totals * p
             neg_curv = dp * dp * (totals / v + resid * (1.0 - 2.0 * p) / (v * v)) - (
                 resid * _d2inverse(link, eta, p, dp) / v
             )
@@ -275,14 +276,15 @@ def _newton(link, X, cases, totals, beta0, offset=None, max_iter=_MAX_ITER):
         iterations += 1
         dll = best[3] - ll
         beta, eta, p, ll = best
-        if dll < _LL_TOL:
+        # a change of a few ulps is rounding; at |ll| >~ 1e4 one ulp exceeds _LL_TOL
+        if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
             # one more Newton pass after the first stall lets quadratic
             # convergence finish the gradient criterion when the MLE is
             # interior; a second stall means we are as far as we can get
             stalled += 1
             if stalled >= 2:
                 converged = True
-                u, _ = _score_info(link, X, cases, totals, eta, p)
+                u = _score_info(link, X, cases, totals, eta, p)[0]
                 gnorm = float(np.max(np.abs(u)))
                 break
         else:
@@ -330,18 +332,17 @@ def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> F
     """
     if spec.interaction and table.k < 2:
         raise DomainError("an interaction model needs at least two strata")
-    X = design_matrix(table, spec)
-    cases, totals = cell_counts(table)
+    link, X, cases, totals = _problem(table, spec)
     if spec.interaction:
         raw = cases / totals
         if np.all(raw > 0.0) and np.all(raw < 1.0):
-            beta0 = np.linalg.solve(X, _link_of(spec.link, raw))
+            beta0 = np.linalg.solve(X, _link_of(link, raw))
         else:
-            beta0 = np.linalg.solve(X, _link_of(spec.link, _adjusted_cell_probs(cases, totals)))
+            beta0 = np.linalg.solve(X, _link_of(link, _adjusted_cell_probs(cases, totals)))
     else:
-        beta0 = _null_init(table, spec.link, X.shape[1])
+        beta0 = _null_init(table, link, X.shape[1])
     beta, ll, converged, iterations, gnorm, p = _newton(
-        spec.link, X, cases, totals, beta0, max_iter=max_iter
+        link, X, cases, totals, beta0, max_iter=max_iter
     )
     boundary = bool(np.any(p < _BOUNDARY_TOL) or np.any(p > 1.0 - _BOUNDARY_TOL))
     points = tuple(RiskPoint(float(p[2 * j + 1]), float(p[2 * j])) for j in range(table.k))
@@ -375,12 +376,27 @@ class LRTest:
     p_value: float
 
 
-def lr_test_interaction(table: StratifiedTable, link: LinkFunction) -> LRTest:
-    """Likelihood-ratio test of the K-1 exposure-by-stratum interaction terms."""
+def _fit_of(table: StratifiedTable, spec: ModelSpec, given: FitResult | None) -> FitResult:
+    """``given`` when the caller already holds this fit of the table, else a new fit."""
+    if given is None:
+        return fit(table, spec)
+    if given.spec != spec:
+        raise DomainError(f"expected a fit of {spec}, got a fit of {given.spec}")
+    return given
+
+
+def lr_test_interaction(
+    table: StratifiedTable, link: LinkFunction, *,
+    restricted: FitResult | None = None, saturated: FitResult | None = None,
+) -> LRTest:
+    """Likelihood-ratio test of the K-1 exposure-by-stratum interaction terms.
+
+    Fits of this table that the caller already holds may be passed as
+    ``restricted`` and ``saturated``; the missing ones are fitted here."""
     if table.k < 2:
         raise DomainError("interaction test needs at least two strata")
-    restricted = fit(table, ModelSpec(link, interaction=False))
-    saturated = fit(table, ModelSpec(link, interaction=True))
+    restricted = _fit_of(table, ModelSpec(link, interaction=False), restricted)
+    saturated = _fit_of(table, ModelSpec(link, interaction=True), saturated)
     stat = max(0.0, 2.0 * (saturated.loglik - restricted.loglik))
     df = table.k - 1
     return LRTest(stat, df, chi2_sf(stat, df))
@@ -394,18 +410,17 @@ def _profile_feasible_init(table, link, Xr, off):
     # null fit of the full model, with the exposure coefficient (held fixed
     # through the offset) dropped to match the reduced design Xr
     base = np.delete(_null_init(table, link, Xr.shape[1] + 1), 1)
+    centered = np.zeros(Xr.shape[1])
     if link is LinkFunction.IDENTITY:
         lo, hi = -float(np.min(off)), 1.0 - float(np.max(off))
         if not lo < hi:
             raise _ProfileInfeasible
-        centered = np.zeros(Xr.shape[1])
         centered[0] = 0.5 * (lo + hi)
     elif link is LinkFunction.LOG:
-        centered = np.zeros(Xr.shape[1])
         centered[0] = -float(np.max(off)) - 1.0
     else:
-        centered = np.zeros(Xr.shape[1])
-        centered[0] = _link_of(link, np.array([0.5]))[0]
+        # centre the offset's range on probability 0.5
+        centered[0] = _link_of(link, np.array([0.5]))[0] - 0.5 * float(np.min(off) + np.max(off))
     for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.0):
         cand = t * base + (1.0 - t) * centered
         if _feasible(_inverse(link, off + Xr @ cand)):
@@ -418,12 +433,9 @@ def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> flo
     coefficients except the exposure coefficient, held at b1.
 
     Raises DomainError when no coefficients are feasible at this b1."""
-    spec = ModelSpec(link, interaction=False)
-    X = design_matrix(table, spec)
-    expo = X[:, 1]
+    link, X, cases, totals = _problem(table, ModelSpec(link, interaction=False))
     Xr = np.delete(X, 1, axis=1)
-    off = b1 * expo
-    cases, totals = cell_counts(table)
+    off = b1 * X[:, 1]
     try:
         beta0 = _profile_feasible_init(table, link, Xr, off)
     except _ProfileInfeasible:
@@ -450,85 +462,74 @@ _MAX_DOUBLINGS = 60
 _B1_SPAN = 500.0
 
 
-def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) -> ProfileCI:
+def profile_ci(
+    table: StratifiedTable, link: LinkFunction, level: float = 0.95, *,
+    restricted: FitResult | None = None,
+) -> ProfileCI:
     """Endpoints where the profile LR statistic for the exposure coefficient
     crosses the chi-square(1) quantile, found by geometric bracket expansion
     followed by bisection on b1, then mapped to the measure scale.
 
     An endpoint that runs out of feasible b1 (or fails to cross within the
     expansion budget) is truncated at the last reachable value and flagged.
+    A no-interaction fit of this table that the caller already holds may be
+    passed as ``restricted``; otherwise it is fitted here.
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    restricted = fit(table, ModelSpec(link, interaction=False))
+    spec = ModelSpec(link, interaction=False)
+    restricted = _fit_of(table, spec, restricted)
     llmax = restricted.loglik
     b1hat = restricted.coefficients[1]
     q = chi2_quantile(level, 1)
 
-    X = design_matrix(table, ModelSpec(link, interaction=False))
-    cases, totals = cell_counts(table)
+    link, X, cases, totals = _problem(table, spec)
     eta = X @ np.array(restricted.coefficients)
     p = _inverse(link, eta)
-    _, info = _score_info(link, X, cases, totals, eta, p)
+    info = _score_info(link, X, cases, totals, eta, p)[1]
     try:
         se = float(math.sqrt(np.linalg.inv(info)[1, 1]))
     except (np.linalg.LinAlgError, ValueError):
         se = 0.1
     h0 = max(se, 1e-4)
 
-    def excess(b1: float) -> float:
-        return 2.0 * (llmax - profile_loglik(table, link, b1)) - q
+    def side(b1: float) -> int:
+        """-1 inside the interval, +1 past the crossing, 0 where no model is feasible."""
+        try:
+            excess = 2.0 * (llmax - profile_loglik(table, link, b1)) - q
+        except DomainError:
+            return 0
+        return 1 if excess >= 0.0 else -1
 
     cap_lo = min(-_B1_SPAN, b1hat - 1.0)
     cap_hi = max(_B1_SPAN, b1hat + 1.0)
 
     def endpoint(direction: int) -> tuple[float, bool]:
-        inner = b1hat
-        h = h0
-        outer = None
-        truncated = False
+        # an infeasible b1 counts as lying beyond the crossing; the endpoint
+        # is truncated at the last feasible b1 when no crossing is seen
+        inner, h = b1hat, h0
         for _ in range(_MAX_DOUBLINGS):
             trial = min(cap_hi, max(cap_lo, b1hat + direction * h))
             if trial == inner:
                 return inner, True
-            try:
-                v = excess(trial)
-            except DomainError:
-                # feasibility edge: shrink toward the last good point
-                lo_t, hi_t = inner, trial
-                for _ in range(200):
-                    mid = 0.5 * (lo_t + hi_t)
-                    try:
-                        v_mid = excess(mid)
-                    except DomainError:
-                        hi_t = mid
-                        continue
-                    if v_mid >= 0.0:
-                        outer = mid
-                        break
-                    lo_t = inner = mid
-                    if abs(hi_t - lo_t) < 1e-12:
-                        break
-                if outer is None:
-                    return inner, True
-                break
-            if v >= 0.0:
-                outer = trial
+            s = side(trial)
+            if s >= 0:
+                outer, crossed = trial, s > 0
                 break
             inner = trial
             h *= 2.0
-        if outer is None:
+        else:
             return inner, True
-        lo_b, hi_b = inner, outer
         for _ in range(100):
-            if abs(hi_b - lo_b) <= 1e-12:
+            if abs(outer - inner) <= 1e-12:
                 break
-            mid = 0.5 * (lo_b + hi_b)
-            if excess(mid) >= 0.0:
-                hi_b = mid
+            mid = 0.5 * (inner + outer)
+            s = side(mid)
+            if s >= 0:
+                outer, crossed = mid, s > 0
             else:
-                lo_b = mid
-        return 0.5 * (lo_b + hi_b), truncated
+                inner = mid
+        return (0.5 * (inner + outer), False) if crossed else (inner, True)
 
     lo_b1, lo_trunc = endpoint(-1)
     hi_b1, hi_trunc = endpoint(+1)

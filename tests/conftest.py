@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rothman import cli, inference
 from rothman.measures import ContourValue, Measure, contour_y
 from rothman.tables import CellCounts, RiskPoint, StratifiedTable, Stratum, newcastle_fixture
 
@@ -9,6 +10,22 @@ from rothman.tables import CellCounts, RiskPoint, StratifiedTable, Stratum, newc
 @pytest.fixture
 def newcastle() -> StratifiedTable:
     return newcastle_fixture()
+
+
+@pytest.fixture
+def fit_calls(monkeypatch) -> list:
+    """Specs of the fits made through ``rothman.inference.fit``, including the
+    CLI's binding of it and names imported from it after the fixture runs."""
+    calls = []
+    original = inference.fit
+
+    def counted(table, spec, *args, **kwargs):
+        calls.append(spec)
+        return original(table, spec, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit", counted)
+    monkeypatch.setattr(cli, "fit", counted)
+    return calls
 
 
 def random_table(rng: random.Random, k: int = 2, max_total: int = 400, interior: bool = False) -> StratifiedTable:

@@ -84,6 +84,18 @@ def test_fit_all_links_json_four_strata(capsys, tmp_path):
         assert rep["ci"]["lower"] < rep["common"] < rep["ci"]["upper"]
 
 
+def test_fit_all_links_fits_each_model_once(capsys, tmp_path, fit_calls):
+    # per link: the saturated fit (K >= 2) and the no-interaction fit, which
+    # the LR test and the profile CI reuse
+    path = tmp_path / "one.csv"
+    path.write_text("stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\ns1,30,100,20,100\n")
+    for source, fits in ((["--fixture", "newcastle"], 8), (["--input", str(path)], 4)):
+        fit_calls.clear()
+        code, _, err = run(capsys, "fit", *source, "--link", "all", "--format", "json")
+        assert code == 0, err
+        assert len(fit_calls) == len(set(fit_calls)) == fits
+
+
 def test_standardize_marginal(capsys):
     code, out, _ = run(
         capsys, "standardize", "--fixture", "newcastle", "--weights", "marginal", "--format", "json"

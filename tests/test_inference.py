@@ -23,7 +23,14 @@ from rothman.inference import (
     score,
 )
 from rothman.measures import Measure, evaluate, null_value
-from rothman.tables import CellCounts, StratifiedTable, Stratum, newcastle_fixture, stratum_points
+from rothman.tables import (
+    CellCounts,
+    StratifiedTable,
+    Stratum,
+    newcastle_fixture,
+    parse_table,
+    stratum_points,
+)
 
 from conftest import random_table
 
@@ -48,6 +55,15 @@ P_TARGETS = {
     LinkFunction.LOG: 0.010,
     LinkFunction.CLOGLOG: 0.085,
 }
+CSV_HEADER = "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\n"
+# interior, totals up to 16,158: |loglik| is about 2.6e4, where one ulp of
+# the log-likelihood exceeds an absolute 1e-12 stall tolerance
+LARGE_K10_CSV = CSV_HEADER + (
+    "s1,195,2543,309,1647\ns2,1,35,126,3582\ns3,1314,4541,5851,10325\n"
+    "s4,503,16158,3,37\ns5,1695,10986,1018,2654\ns6,512,4778,4,42\n"
+    "s7,32,1786,1,65\ns8,4,20,76,187\ns9,24,121,31,172\ns10,74,490,877,6751\n"
+)
+
 CI_TARGETS = {
     LinkFunction.IDENTITY: (0.013, 0.091),
     LinkFunction.LOGIT: (1.119, 2.125),
@@ -181,13 +197,15 @@ def test_profile_ci_brackets_mle_and_hits_quantile(newcastle, link):
         assert lr == pytest.approx(q, abs=1e-6)
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", [*range(1, 7), "large-10"])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_endpoints_hit_quantile_across_k(link, k):
     from scipy.stats import chi2
 
-    rng = random.Random(600 + k)
-    table = random_table(rng, k=k, interior=True)
+    if k == "large-10":
+        table = parse_table(LARGE_K10_CSV)
+    else:
+        table = random_table(random.Random(600 + k), k=k, interior=True)
     result = fit(table, ModelSpec(link, interaction=False))
     ci = profile_ci(table, link, 0.95)
     assert ci.lower <= common_measure(result) <= ci.upper
@@ -211,6 +229,50 @@ def test_profile_ci_truncation_with_empty_exposed_arm():
     assert ci.lower_truncated
     assert not ci.upper_truncated
     assert ci.lower < ci.upper
+
+
+def test_profile_ci_full_exposed_cell_cloglog():
+    # b1 is large here, so a profile start must centre the offset's range,
+    # not the intercept alone, on probability 0.5 to be feasible
+    from scipy.stats import chi2
+
+    table = parse_table(CSV_HEADER + "s1,334,334,60,2873\n")
+    result = fit(table, ModelSpec(LinkFunction.CLOGLOG, interaction=False))
+    ci = profile_ci(table, LinkFunction.CLOGLOG)
+    assert not ci.lower_truncated
+    assert ci.lower == pytest.approx(228.06, abs=0.01)
+    lr = 2.0 * (result.loglik - profile_loglik(table, LinkFunction.CLOGLOG, math.log(ci.lower)))
+    assert lr == pytest.approx(chi2.ppf(0.95, 1), abs=1e-8)
+    # the exposed risk is 1, so the true upper bound is infinite; the
+    # reported one only has to lie above the estimate
+    assert ci.upper > common_measure(result)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_passed_fits_give_the_same_results(link, k):
+    table = random_table(random.Random(700 + k), k=k, interior=True)
+    restricted = fit(table, ModelSpec(link, interaction=False))
+    assert profile_ci(table, link, 0.9, restricted=restricted) == profile_ci(table, link, 0.9)
+    if k >= 2:
+        saturated = fit(table, ModelSpec(link, interaction=True))
+        passed = lr_test_interaction(table, link, restricted=restricted, saturated=saturated)
+        assert passed == lr_test_interaction(table, link)
+        assert lr_test_interaction(table, link, saturated=saturated) == passed
+
+
+def test_passed_fit_of_another_model_is_rejected(newcastle):
+    logit = LinkFunction.LOGIT
+    restricted = fit(newcastle, ModelSpec(logit, interaction=False))
+    saturated = fit(newcastle, ModelSpec(logit, interaction=True))
+    other_link = fit(newcastle, ModelSpec(LinkFunction.LOG, interaction=False))
+    for passed in (saturated, other_link):
+        with pytest.raises(DomainError):
+            profile_ci(newcastle, logit, restricted=passed)
+        with pytest.raises(DomainError):
+            lr_test_interaction(newcastle, logit, restricted=passed, saturated=saturated)
+    with pytest.raises(DomainError):
+        lr_test_interaction(newcastle, logit, restricted=restricted, saturated=restricted)
 
 
 def test_profile_ci_level_validation(newcastle):

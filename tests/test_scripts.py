@@ -1,0 +1,34 @@
+"""Smoke tests of the scripts in scripts/, run in-process."""
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+RUN_NEWCASTLE_OUTPUT = """\
+stratum-specific and crude risk points
+   18-64: x = 0.12059, y = 0.18199
+     65+: x = 0.85492, y = 0.85714
+   crude: x = 0.31421, y = 0.23883
+
+confounded: yes (crude point 0.0892 from the standardized segment)
+
+measure                      18-64     65+       p  common  95% CI
+risk difference              0.061   0.002   0.300   0.052  (0.013, 0.091)
+odds ratio                   1.622   1.018   0.353   1.537  (1.119, 2.125)
+risk ratio                   1.509   1.003   0.010   1.062  (0.952, 1.166)
+cumulative hazard ratio      1.563   1.008   0.086   1.316  (1.034, 1.676)
+
+risk difference: common 0.052, verdict collapsible-here
+risk ratio: common 1.062, verdict collapsible-here
+odds ratio: common 1.537, verdict attenuated-toward-null, minimum 1.229 at weights (0.484, 0.516)
+cumulative hazard ratio: common 1.316, verdict attenuated-toward-null, minimum 1.168 at weights (0.506, 0.494)
+"""
+
+
+def test_run_newcastle_output_and_fit_count(capsys, fit_calls):
+    runpy.run_path(str(SCRIPTS / "run_newcastle.py"), run_name="__main__")
+    assert capsys.readouterr().out == RUN_NEWCASTLE_OUTPUT
+    # one saturated and one no-interaction fit per link, each made once
+    assert len(fit_calls) == 8
+    assert len(set(fit_calls)) == 8
