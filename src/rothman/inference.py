@@ -15,6 +15,7 @@ coefficient b1 is the common measure on the link scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -149,16 +150,20 @@ def design_matrix(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+@functools.lru_cache(maxsize=32)
 def _problem(table: StratifiedTable, spec: ModelSpec):
-    """(link, X, cases, totals): the one place a table and spec become arrays."""
-    cases, totals = cell_counts(table)
-    return spec.link, design_matrix(table, spec), cases, totals
+    """(X, cases, totals), built once per table and spec; the arrays are
+    shared between calls and so are read-only."""
+    arrays = (design_matrix(table, spec), *cell_counts(table))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def loglik(table: StratifiedTable, probs) -> float:
     """Grouped binomial log-likelihood at per-cell probabilities (binomial
     coefficients omitted). Cell order: exposed then unexposed per stratum."""
-    _, _, cases, totals = _problem(table, ModelSpec(LinkFunction.IDENTITY, interaction=False))
+    cases, totals = cell_counts(table)
     p = np.asarray(probs, dtype=float)
     if p.shape != cases.shape:
         raise DomainError(f"expected {cases.size} cell probabilities, got {p.size}")
@@ -190,18 +195,18 @@ def _score_info(link, X, cases, totals, eta, p):
 
 def score(table: StratifiedTable, spec: ModelSpec, beta) -> np.ndarray:
     """Analytic score (gradient of the log-likelihood) at feasible coefficients."""
-    link, X, cases, totals = _problem(table, spec)
+    X, cases, totals = _problem(table, spec)
     eta = X @ np.asarray(beta, dtype=float)
-    p = _inverse(link, eta)
+    p = _inverse(spec.link, eta)
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
-    return _score_info(link, X, cases, totals, eta, p)[0]
+    return _score_info(spec.link, X, cases, totals, eta, p)[0]
 
 
 def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
     """Log-likelihood at a coefficient vector; DomainError when infeasible."""
-    link, X, cases, totals = _problem(table, spec)
-    p = _inverse(link, X @ np.asarray(beta, dtype=float))
+    X, cases, totals = _problem(table, spec)
+    p = _inverse(spec.link, X @ np.asarray(beta, dtype=float))
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
     return _ll(cases, totals, p)
@@ -332,17 +337,17 @@ def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> F
     """
     if spec.interaction and table.k < 2:
         raise DomainError("an interaction model needs at least two strata")
-    link, X, cases, totals = _problem(table, spec)
+    X, cases, totals = _problem(table, spec)
     if spec.interaction:
         raw = cases / totals
         if np.all(raw > 0.0) and np.all(raw < 1.0):
-            beta0 = np.linalg.solve(X, _link_of(link, raw))
+            beta0 = np.linalg.solve(X, _link_of(spec.link, raw))
         else:
-            beta0 = np.linalg.solve(X, _link_of(link, _adjusted_cell_probs(cases, totals)))
+            beta0 = np.linalg.solve(X, _link_of(spec.link, _adjusted_cell_probs(cases, totals)))
     else:
-        beta0 = _null_init(table, link, X.shape[1])
+        beta0 = _null_init(table, spec.link, X.shape[1])
     beta, ll, converged, iterations, gnorm, p = _newton(
-        link, X, cases, totals, beta0, max_iter=max_iter
+        spec.link, X, cases, totals, beta0, max_iter=max_iter
     )
     boundary = bool(np.any(p < _BOUNDARY_TOL) or np.any(p > 1.0 - _BOUNDARY_TOL))
     points = tuple(RiskPoint(float(p[2 * j + 1]), float(p[2 * j])) for j in range(table.k))
@@ -382,6 +387,10 @@ def _fit_of(table: StratifiedTable, spec: ModelSpec, given: FitResult | None) ->
         return fit(table, spec)
     if given.spec != spec:
         raise DomainError(f"expected a fit of {spec}, got a fit of {given.spec}")
+    # fit() takes its loglik from its coefficients: for this table they agree bit for bit
+    wrong_table = len(given.fitted_points) != table.k
+    if wrong_table or given.loglik != loglik_at(table, spec, given.coefficients):
+        raise DomainError("the fit passed is not a fit of this table")
     return given
 
 
@@ -428,12 +437,31 @@ def _profile_feasible_init(table, link, Xr, off):
     raise _ProfileInfeasible
 
 
+def _runs_off(table: StratifiedTable, restricted: FitResult) -> set[int]:
+    """Directions (+1, -1) in which the logit or cloglog estimate of b1 runs
+    off to infinity: a stratum whose exposed (+1) or unexposed (-1) cell is
+    full and fitted within _BOUNDARY_TOL of 1 while the other cell is not full.
+    p rounds to 1.0 from eta ~ 37 (logit) or ~ 3.6 (cloglog); past that the
+    profile falls for rounding alone and crosses the quantile at a false b1."""
+    if restricted.spec.link not in (LinkFunction.LOGIT, LinkFunction.CLOGLOG):
+        return set()
+    out = set()
+    for s, point in zip(table.strata, restricted.fitted_points):
+        full_exposed = s.exposed.cases == s.exposed.total
+        full_unexposed = s.unexposed.cases == s.unexposed.total
+        if full_exposed and not full_unexposed and point.y > 1.0 - _BOUNDARY_TOL:
+            out.add(1)
+        if full_unexposed and not full_exposed and point.x > 1.0 - _BOUNDARY_TOL:
+            out.add(-1)
+    return out
+
+
 def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> float:
     """Log-likelihood of the no-interaction model maximized over all
     coefficients except the exposure coefficient, held at b1.
 
     Raises DomainError when no coefficients are feasible at this b1."""
-    link, X, cases, totals = _problem(table, ModelSpec(link, interaction=False))
+    X, cases, totals = _problem(table, ModelSpec(link, interaction=False))
     Xr = np.delete(X, 1, axis=1)
     off = b1 * X[:, 1]
     try:
@@ -472,6 +500,8 @@ def profile_ci(
 
     An endpoint that runs out of feasible b1 (or fails to cross within the
     expansion budget) is truncated at the last reachable value and flagged.
+    Under the logit and cloglog links an endpoint toward which b1's estimate
+    runs off to infinity (see _runs_off) is truncated at the estimate.
     A no-interaction fit of this table that the caller already holds may be
     passed as ``restricted``; otherwise it is fitted here.
     """
@@ -483,7 +513,7 @@ def profile_ci(
     b1hat = restricted.coefficients[1]
     q = chi2_quantile(level, 1)
 
-    link, X, cases, totals = _problem(table, spec)
+    X, cases, totals = _problem(table, spec)
     eta = X @ np.array(restricted.coefficients)
     p = _inverse(link, eta)
     info = _score_info(link, X, cases, totals, eta, p)[1]
@@ -492,6 +522,8 @@ def profile_ci(
     except (np.linalg.LinAlgError, ValueError):
         se = 0.1
     h0 = max(se, 1e-4)
+
+    unbounded = _runs_off(table, restricted)
 
     def side(b1: float) -> int:
         """-1 inside the interval, +1 past the crossing, 0 where no model is feasible."""
@@ -507,6 +539,8 @@ def profile_ci(
     def endpoint(direction: int) -> tuple[float, bool]:
         # an infeasible b1 counts as lying beyond the crossing; the endpoint
         # is truncated at the last feasible b1 when no crossing is seen
+        if direction in unbounded:
+            return b1hat, True
         inner, h = b1hat, h0
         for _ in range(_MAX_DOUBLINGS):
             trial = min(cap_hi, max(cap_lo, b1hat + direction * h))

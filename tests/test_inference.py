@@ -231,21 +231,50 @@ def test_profile_ci_truncation_with_empty_exposed_arm():
     assert ci.lower < ci.upper
 
 
-def test_profile_ci_full_exposed_cell_cloglog():
+@pytest.mark.parametrize(
+    "csv, link, lower",
+    [
+        ("s1,334,334,60,2873", LinkFunction.CLOGLOG, 228.06),
+        ("s1,334,334,60,2873", LinkFunction.LOGIT, 8000.12),
+        ("s1,9527,9527,7,21", LinkFunction.CLOGLOG, 13.584),
+        ("s1,9527,9527,7,21", LinkFunction.LOGIT, 8259.74),
+    ],
+)
+def test_profile_ci_full_exposed_cell(csv, link, lower):
     # b1 is large here, so a profile start must centre the offset's range,
     # not the intercept alone, on probability 0.5 to be feasible
     from scipy.stats import chi2
 
-    table = parse_table(CSV_HEADER + "s1,334,334,60,2873\n")
-    result = fit(table, ModelSpec(LinkFunction.CLOGLOG, interaction=False))
-    ci = profile_ci(table, LinkFunction.CLOGLOG)
+    table = parse_table(CSV_HEADER + csv + "\n")
+    result = fit(table, ModelSpec(link, interaction=False))
+    ci = profile_ci(table, link)
     assert not ci.lower_truncated
-    assert ci.lower == pytest.approx(228.06, abs=0.01)
-    lr = 2.0 * (result.loglik - profile_loglik(table, LinkFunction.CLOGLOG, math.log(ci.lower)))
+    assert ci.lower == pytest.approx(lower, abs=0.01)
+    lr = 2.0 * (result.loglik - profile_loglik(table, link, math.log(ci.lower)))
     assert lr == pytest.approx(chi2.ppf(0.95, 1), abs=1e-8)
-    # the exposed risk is 1, so the true upper bound is infinite; the
-    # reported one only has to lie above the estimate
-    assert ci.upper > common_measure(result)
+    # the exposed risk is 1, so b1's estimate runs off to +inf and the true
+    # upper bound is infinite: the upper endpoint stops at the estimate
+    assert ci.upper_truncated
+    assert ci.upper == common_measure(result)
+
+
+def test_profile_ci_full_unexposed_cell_logit():
+    # the mirror image: the lower bound is zero, the upper one finite
+    table = parse_table(CSV_HEADER + "s1,60,2873,334,334\n")
+    result = fit(table, ModelSpec(LinkFunction.LOGIT, interaction=False))
+    ci = profile_ci(table, LinkFunction.LOGIT)
+    assert ci.lower_truncated and ci.lower == common_measure(result)
+    assert not ci.upper_truncated
+    assert ci.upper == pytest.approx(1.0 / 8000.12, rel=1e-5)
+
+
+def test_profile_ci_full_stratum_keeps_a_finite_interval():
+    # both cells of one stratum full: its own coefficient runs off, b1 does not
+    table = parse_table(CSV_HEADER + "s1,30,30,50,50\ns2,40,200,20,200\n")
+    for link in (LinkFunction.LOGIT, LinkFunction.CLOGLOG):
+        ci = profile_ci(table, link)
+        assert not ci.lower_truncated and not ci.upper_truncated
+        assert ci.lower < common_measure(fit(table, ModelSpec(link, False))) < ci.upper
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -273,6 +302,14 @@ def test_passed_fit_of_another_model_is_rejected(newcastle):
             lr_test_interaction(newcastle, logit, restricted=passed, saturated=saturated)
     with pytest.raises(DomainError):
         lr_test_interaction(newcastle, logit, restricted=restricted, saturated=restricted)
+    # a fit of the same model of another table, with the same K and with another K
+    for csv in ("a,10,100,20,100\nb,30,100,10,100\n", "a,10,100,20,100\n"):
+        other = parse_table(CSV_HEADER + csv)
+        other_table = fit(other, ModelSpec(logit, interaction=False))
+        with pytest.raises(DomainError):
+            profile_ci(newcastle, logit, restricted=other_table)
+        with pytest.raises(DomainError):
+            lr_test_interaction(newcastle, logit, restricted=other_table)
 
 
 def test_profile_ci_level_validation(newcastle):
