@@ -488,6 +488,43 @@ _MAX_DOUBLINGS = 60
 # scale is indistinguishable from an unbounded interval, and staying inside
 # the cap keeps cell probabilities in the normal floating-point range
 _B1_SPAN = 500.0
+_B1_TOL = 1e-12  # absolute width on b1 at which an endpoint search stops
+
+
+def _zeroin(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
+    """Brent's method (zeroin) for a root of f bracketed by a and b, where
+    fa < 0 <= fb; an infinite f counts as positive and rules out
+    interpolation, so the step after one is a bisection. Stops when the
+    bracket is narrower than _B1_TOL and returns its end with the smaller
+    |f| and the f at its other end."""
+    # b is the best point so far, c brackets the root with it, a is the previous b
+    c, fc = a, fa
+    step = prev_step = b - a
+    for _ in range(100):
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 0.5 * _B1_TOL + 2.0 * math.ulp(b)  # a step of tol always moves b
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) <= tol:
+            break
+        bisect = True
+        if abs(prev_step) > tol and abs(fb) < abs(fa) and math.isfinite(fa + fc):
+            if a == c:  # secant
+                trial_step = -fb * (b - a) / (fb - fa)
+            else:  # inverse quadratic interpolation
+                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
+                trial_step = -fb * (fc * dc - fa * da) / (da * dc * (fc - fa))
+            if 2.0 * abs(trial_step) < min(abs(prev_step), 3.0 * abs(half) - tol):
+                prev_step, step, bisect = step, trial_step, False
+        if bisect:
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+        if (fb >= 0.0) == (fc >= 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+    return b, fc
 
 
 def profile_ci(
@@ -495,8 +532,13 @@ def profile_ci(
     restricted: FitResult | None = None,
 ) -> ProfileCI:
     """Endpoints where the profile LR statistic for the exposure coefficient
-    crosses the chi-square(1) quantile, found by geometric bracket expansion
-    followed by bisection on b1, then mapped to the measure scale.
+    crosses the chi-square(1) quantile q, mapped to the measure scale.
+
+    Each endpoint is bracketed by geometric expansion from the estimate, then
+    found by Brent's method (zeroin) on the signed root
+    sqrt(2 (l_max - l_p(b1))) - sqrt(q), which is close to linear in b1, to
+    an absolute width of 1e-12 on b1. An infeasible b1 counts as lying
+    beyond the crossing and gets a bisection step.
 
     An endpoint that runs out of feasible b1 (or fails to cross within the
     expansion budget) is truncated at the last reachable value and flagged.
@@ -511,7 +553,7 @@ def profile_ci(
     restricted = _fit_of(table, spec, restricted)
     llmax = restricted.loglik
     b1hat = restricted.coefficients[1]
-    q = chi2_quantile(level, 1)
+    root_q = math.sqrt(chi2_quantile(level, 1))
 
     X, cases, totals = _problem(table, spec)
     eta = X @ np.array(restricted.coefficients)
@@ -525,45 +567,38 @@ def profile_ci(
 
     unbounded = _runs_off(table, restricted)
 
-    def side(b1: float) -> int:
-        """-1 inside the interval, +1 past the crossing, 0 where no model is feasible."""
+    def root(b1: float) -> float:
+        """Signed root less sqrt(q): < 0 inside the interval, >= 0 past the
+        crossing, +inf where no model is feasible. Each profile solve starts
+        cold: a start from the previous b1's coefficients can stall _newton
+        at a lower likelihood on a zero cell and collapse the endpoint."""
         try:
-            excess = 2.0 * (llmax - profile_loglik(table, link, b1)) - q
+            ll = profile_loglik(table, link, b1)
         except DomainError:
-            return 0
-        return 1 if excess >= 0.0 else -1
+            return math.inf
+        return math.sqrt(max(0.0, 2.0 * (llmax - ll))) - root_q
 
     cap_lo = min(-_B1_SPAN, b1hat - 1.0)
     cap_hi = max(_B1_SPAN, b1hat + 1.0)
 
     def endpoint(direction: int) -> tuple[float, bool]:
-        # an infeasible b1 counts as lying beyond the crossing; the endpoint
-        # is truncated at the last feasible b1 when no crossing is seen
+        # the endpoint is truncated at the last feasible b1 when no crossing is seen
         if direction in unbounded:
             return b1hat, True
-        inner, h = b1hat, h0
+        inner, f_inner, h = b1hat, -root_q, h0
         for _ in range(_MAX_DOUBLINGS):
             trial = min(cap_hi, max(cap_lo, b1hat + direction * h))
             if trial == inner:
                 return inner, True
-            s = side(trial)
-            if s >= 0:
-                outer, crossed = trial, s > 0
+            f_trial = root(trial)
+            if f_trial >= 0.0:
                 break
-            inner = trial
+            inner, f_inner = trial, f_trial
             h *= 2.0
         else:
             return inner, True
-        for _ in range(100):
-            if abs(outer - inner) <= 1e-12:
-                break
-            mid = 0.5 * (inner + outer)
-            s = side(mid)
-            if s >= 0:
-                outer, crossed = mid, s > 0
-            else:
-                inner = mid
-        return (0.5 * (inner + outer), False) if crossed else (inner, True)
+        b1, f_other = _zeroin(root, inner, f_inner, trial, f_trial)
+        return b1, math.isinf(f_other)
 
     lo_b1, lo_trunc = endpoint(-1)
     hi_b1, hi_trunc = endpoint(+1)

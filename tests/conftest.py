@@ -28,6 +28,21 @@ def fit_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def profile_loglik_calls(monkeypatch) -> list:
+    """b1 values of the profile solves made through
+    ``rothman.inference.profile_loglik``, which ``profile_ci`` looks up at call time."""
+    calls = []
+    original = inference.profile_loglik
+
+    def counted(table, link, b1):
+        calls.append(b1)
+        return original(table, link, b1)
+
+    monkeypatch.setattr(inference, "profile_loglik", counted)
+    return calls
+
+
 def random_table(rng: random.Random, k: int = 2, max_total: int = 400, interior: bool = False) -> StratifiedTable:
     """Random stratified table; with interior=True every cell has 0 < risk < 1."""
     strata = []

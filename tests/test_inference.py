@@ -197,25 +197,49 @@ def test_profile_ci_brackets_mle_and_hits_quantile(newcastle, link):
         assert lr == pytest.approx(q, abs=1e-6)
 
 
-@pytest.mark.parametrize("k", [*range(1, 7), "large-10"])
-@pytest.mark.parametrize("link", ALL_LINKS)
-def test_profile_ci_endpoints_hit_quantile_across_k(link, k):
+def _interior_table(k: int) -> StratifiedTable:
+    return random_table(random.Random(600 + k), k=k, interior=True)
+
+
+def _assert_endpoints_hit_quantile(table, link, level):
     from scipy.stats import chi2
 
-    if k == "large-10":
-        table = parse_table(LARGE_K10_CSV)
-    else:
-        table = random_table(random.Random(600 + k), k=k, interior=True)
     result = fit(table, ModelSpec(link, interaction=False))
-    ci = profile_ci(table, link, 0.95)
+    ci = profile_ci(table, link, level)
     assert ci.lower <= common_measure(result) <= ci.upper
-    q = chi2.ppf(0.95, 1)
+    q = chi2.ppf(level, 1)
     for endpoint, truncated in ((ci.lower, ci.lower_truncated), (ci.upper, ci.upper_truncated)):
         if truncated:
             continue
         b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
         lr = 2.0 * (result.loglik - profile_loglik(table, link, b1))
         assert lr == pytest.approx(q, abs=1e-8)
+
+
+@pytest.mark.parametrize("k", [*range(1, 7), "large-10"])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_ci_endpoints_hit_quantile_across_k(link, k):
+    table = parse_table(LARGE_K10_CSV) if k == "large-10" else _interior_table(k)
+    _assert_endpoints_hit_quantile(table, link, 0.95)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.99, 0.9999])
+@pytest.mark.parametrize("k", ["newcastle", 4])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_ci_endpoints_hit_quantile_at_other_levels(link, k, level):
+    # the endpoint search's path depends on the quantile, not only its result
+    table = newcastle_fixture() if k == "newcastle" else _interior_table(k)
+    _assert_endpoints_hit_quantile(table, link, level)
+
+
+@pytest.mark.parametrize("k", ["newcastle", *range(1, 7)])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_ci_solves_per_interval(link, k, profile_loglik_calls):
+    # Brent's method on the signed root needs about 12 profile solves per
+    # interval; bisection of b1 to a width of 1e-12 needed about 75
+    table = newcastle_fixture() if k == "newcastle" else _interior_table(k)
+    profile_ci(table, link)
+    assert 0 < len(profile_loglik_calls) <= 20
 
 
 def test_profile_ci_truncation_with_empty_exposed_arm():
@@ -256,6 +280,23 @@ def test_profile_ci_full_exposed_cell(csv, link, lower):
     # upper bound is infinite: the upper endpoint stops at the estimate
     assert ci.upper_truncated
     assert ci.upper == common_measure(result)
+
+
+@pytest.mark.parametrize(
+    "csv, link, upper",
+    [
+        ("s1,0,892,7131,32662", LinkFunction.LOG, 0.009853078546982688),
+        ("s1,0,16484,24,685", LinkFunction.LOG, 0.0034575366642906487),
+        ("s1,0,16484,24,685", LinkFunction.LOGIT, 0.00334593731270474),
+    ],
+)
+def test_profile_ci_zero_exposed_cell_upper_endpoint(csv, link, upper):
+    # each profile solve starts cold; started from the coefficients found at
+    # the previous b1, _newton stalls at a lower likelihood on these tables
+    # and the upper endpoint collapses to about 1e-13
+    ci = profile_ci(parse_table(CSV_HEADER + csv + "\n"), link)
+    assert ci.lower_truncated and not ci.upper_truncated
+    assert ci.upper == pytest.approx(upper, rel=1e-9)
 
 
 def test_profile_ci_full_unexposed_cell_logit():
