@@ -35,8 +35,8 @@ class StandardDistribution:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.weights) < 1:
             raise DomainError("a standard distribution needs at least one weight")
-        if any(w < 0.0 for w in self.weights):
-            raise DomainError(f"weights must be nonnegative, got {self.weights}")
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
+            raise DomainError(f"weights must be finite and nonnegative, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
             raise DomainError(f"weights must sum to 1, got sum = {sum(self.weights)!r}")
 
@@ -238,52 +238,31 @@ def _better(value: float, weights: tuple, best: tuple[float, tuple] | None, sign
 
 
 def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> ExtremeResult:
-    """Optimum over one segment, as weights (w, 1 - w) on its two end points:
-    golden-section search on w, refined by bisection on the sign of the
-    directional derivative."""
+    """Optimum over one segment, as weights (w, 1 - w) on its two end points.
+
+    The candidates are the end points and, when the signed directional
+    derivative is negative at w = 0 and positive at w = 1, its one root,
+    found by bisection on its sign (extremize_standardized says why there
+    is at most one)."""
     p0, p1 = points
 
-    def f(w: float) -> float:
-        return sign * evaluate(measure, _combo(points, (w, 1.0 - w)))
-
     def fprime(w: float) -> float:
-        s = _combo(points, (w, 1.0 - w))
-        gx, gy = gradient(measure, s)
+        gx, gy = gradient(measure, _combo(points, (w, 1.0 - w)))
         return sign * (gx * (p0.x - p1.x) + gy * (p0.y - p1.y))
 
-    # coarse scan guards against landing in the wrong basin before the
-    # golden-section refinement
-    n_scan = 64
-    ws = [i / n_scan for i in range(n_scan + 1)]
-    vals = [f(w) for w in ws]
-    i_best = min(range(len(ws)), key=lambda i: (vals[i], ws[i]))
-    a = ws[max(0, i_best - 1)]
-    b = ws[min(n_scan, i_best + 1)]
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    lo, hi = a, b
-    if lo > 0.0 and hi < 1.0 and fprime(lo) < 0.0 < fprime(hi):
+    candidates = [0.0, 1.0]
+    lo, hi = 0.0, 1.0
+    if fprime(lo) < 0.0 < fprime(hi):
         while hi - lo > 1e-15:
             mid = 0.5 * (lo + hi)
             if fprime(mid) < 0.0:
                 lo = mid
             else:
                 hi = mid
+        candidates.append(0.5 * (lo + hi))
     best: tuple[float, tuple] | None = None
-    for w in (0.0, 1.0, 0.5 * (lo + hi)):
-        value = f(w)
+    for w in candidates:
+        value = sign * evaluate(measure, _combo(points, (w, 1.0 - w)))
         weights = (w, 1.0 - w)
         if _better(value, weights, best, 1):
             best = (value, weights)
@@ -300,6 +279,16 @@ def extremize_standardized(points: list[RiskPoint], measure: Measure, objective:
     ties going to the smallest weight vector. The witness therefore has at
     most two nonzero weights, on the strata at the ends of one edge. Strata
     that share a point are represented by the last of them.
+
+    Along an edge the measure's directional derivative changes sign at most
+    once, so the end points and one bisection on that sign find the edge
+    optimum. RD and RR contours are straight, so both measures are monotone
+    along every segment. OR and CHR contours are concave above the null line
+    y = x and convex below it: {M <= m} is convex for m >= 1 (the region
+    under a concave contour) and {M >= m} is convex for m <= 1 (the region
+    above a convex one). Along a segment M is therefore quasi-convex where
+    M >= 1 and quasi-concave where M <= 1, and a segment that crosses the
+    straight null line, where M = 1, is monotone.
     """
     sign = _check_objective(objective)
     if len(points) < 1:
@@ -347,12 +336,12 @@ def grid_extremize(
     """Brute-force verification oracle: exhaustive search over the lattice of
     weight vectors with the given spacing."""
     sign = _check_objective(objective)
+    if not 0.0 < resolution <= 1.0:
+        raise DomainError(f"resolution must be in (0, 1], got {resolution}")
     for p in points:
         check_domain(measure, p)
     k = len(points)
     n = round(1.0 / resolution)
-    if n < 1:
-        raise DomainError(f"resolution must be in (0, 1], got {resolution}")
     xs = np.array([p.x for p in points])
     ys = np.array([p.y for p in points])
     if k == 1:

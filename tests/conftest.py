@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rothman import cli, inference
+from rothman import cli, inference, standardize
 from rothman.measures import ContourValue, Measure, contour_y
 from rothman.tables import CellCounts, RiskPoint, StratifiedTable, Stratum, newcastle_fixture
 
@@ -40,6 +40,26 @@ def profile_loglik_calls(monkeypatch) -> list:
         return original(table, link, b1)
 
     monkeypatch.setattr(inference, "profile_loglik", counted)
+    return calls
+
+
+@pytest.fixture
+def measure_calls(monkeypatch) -> list:
+    """Names of the measure evaluations standardize makes: each call of its
+    bindings of ``evaluate`` and ``gradient``."""
+    calls = []
+
+    def counting(name):
+        original = getattr(standardize, name)
+
+        def counted(measure, p):
+            calls.append(name)
+            return original(measure, p)
+
+        monkeypatch.setattr(standardize, name, counted)
+
+    counting("evaluate")
+    counting("gradient")
     return calls
 
 

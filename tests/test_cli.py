@@ -118,9 +118,10 @@ def test_standardize_degenerate_weights_is_stratum_report(capsys):
 
 
 def test_standardize_rejects_bad_weights(capsys):
-    code, _, err = run(capsys, "standardize", "--fixture", "newcastle", "--weights", "0.7,0.7")
-    assert code == 3
-    assert "sum to 1" in err
+    for weights, message in (("0.7,0.7", "sum to 1"), ("0.5,nan", "finite and nonnegative")):
+        code, _, err = run(capsys, "standardize", "--fixture", "newcastle", "--weights", weights)
+        assert code == 3
+        assert message in err and "Traceback" not in err
 
 
 def test_collapse_odds_ratio(capsys):
@@ -160,6 +161,16 @@ def test_collapse_grid_oracle(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["grid_oracle"]["min_disagreement"] < 5e-4
+
+
+@pytest.mark.parametrize("resolution", ["0", "nan", "inf", "-0.5", "1.5"])
+def test_collapse_grid_oracle_rejects_bad_resolution(capsys, resolution):
+    code, _, err = run(
+        capsys,
+        "collapse", "--fixture", "newcastle", "--grid-oracle", f"--grid-resolution={resolution}",
+    )
+    assert code == 3
+    assert "resolution must be in (0, 1]" in err and "Traceback" not in err
 
 
 def test_plot_contours_to_file(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rothman import standardize
 from rothman.errors import DomainError, ModificationError
 from rothman.inference import LinkFunction, ModelSpec, fit
 from rothman.measures import Measure, evaluate, is_straight, null_value
@@ -267,14 +268,25 @@ def test_extremize_identical_points():
 
 
 def test_extremize_straight_contour_is_flat():
-    # risk difference contours are straight, so for k > 2 the strata are collinear
+    # risk difference contours are straight, so for k > 2 the strata are
+    # collinear; OR and CHR are identically 1 on the null line, where their
+    # directional derivative is rounding noise
     rng = random.Random(5)
-    for k in (2, 4):
-        pts = points_on_contour(rng, Measure.RISK_DIFFERENCE, 0.2, k)
-        lo = extremize_standardized(pts, Measure.RISK_DIFFERENCE, "min")
-        hi = extremize_standardized(pts, Measure.RISK_DIFFERENCE, "max")
-        assert lo.value == pytest.approx(0.2, abs=1e-12)
-        assert hi.value == pytest.approx(0.2, abs=1e-12)
+    cases = [
+        (Measure.RISK_DIFFERENCE, 0.2, points_on_contour(rng, Measure.RISK_DIFFERENCE, 0.2, k))
+        for k in (2, 4)
+    ]
+    cases += [
+        (measure, 1.0, [RiskPoint(x, x) for x in xs])
+        for measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO)
+        for xs in ((0.1, 0.8), (0.05, 0.3, 0.55, 0.9))
+    ]
+    for measure, value, pts in cases:
+        for objective in ("min", "max"):
+            res = extremize_standardized(pts, measure, objective)
+            assert res.value == pytest.approx(value, abs=1e-12)
+            _assert_witness(pts, measure, res)
+            assert extremize_standardized(pts, measure, objective).weights == res.weights
 
 
 def test_extremize_monotone_case_picks_endpoint():
@@ -307,15 +319,19 @@ def test_extremize_objective_validation():
 _ORACLE_RESOLUTION = {2: 0.001, 3: 0.001, 4: 0.001, 5: 0.01, 6: 0.025, 7: 0.05, 8: 0.1}
 
 
+def _oracle_points(k: int) -> tuple[Measure, list[RiskPoint]]:
+    rng = random.Random(100 + k)
+    measure = Measure.ODDS_RATIO if k % 2 == 0 else Measure.CUMULATIVE_HAZARD_RATIO
+    return measure, points_on_contour(rng, measure, rng.uniform(1.5, 6.0), k, min_sep=0.05)
+
+
 @pytest.mark.parametrize("k", sorted(_ORACLE_RESOLUTION))
 def test_extremize_agrees_with_grid_oracle(k):
     """Every grid point is a feasible weight vector, so the extremizer is at
     least as extreme as the exhaustive grid; at the 0.001 resolution it also
     tracks the grid within 5e-4."""
     resolution = _ORACLE_RESOLUTION[k]
-    rng = random.Random(100 + k)
-    measure = Measure.ODDS_RATIO if k % 2 == 0 else Measure.CUMULATIVE_HAZARD_RATIO
-    pts = points_on_contour(rng, measure, rng.uniform(1.5, 6.0), k, min_sep=0.05)
+    measure, pts = _oracle_points(k)
     for objective, sign in (("min", 1), ("max", -1)):
         opt = extremize_standardized(pts, measure, objective)
         grid = grid_extremize(pts, measure, objective, resolution=resolution)
@@ -323,6 +339,69 @@ def test_extremize_agrees_with_grid_oracle(k):
         if resolution == 0.001:
             assert opt.value == pytest.approx(grid.value, abs=5e-4)
         _assert_witness(pts, measure, opt)
+
+
+def _log_measure_slope(measure: Measure, p0: RiskPoint, p1: RiskPoint):
+    """d/dw of log M at w p0 + (1 - w) p1 for OR and CHR, written out; it has
+    the sign of the directional derivative of M."""
+    dx, dy = p0.x - p1.x, p0.y - p1.y
+
+    def slope(w: float) -> float:
+        x, y = w * p0.x + (1.0 - w) * p1.x, w * p0.y + (1.0 - w) * p1.y
+        if measure is Measure.ODDS_RATIO:
+            return dy / (y * (1.0 - y)) - dx / (x * (1.0 - x))
+        return dx / ((1.0 - x) * math.log1p(-x)) - dy / ((1.0 - y) * math.log1p(-y))
+
+    return slope
+
+
+def _edge_optimum_cases(case: str):
+    if case == "newcastle":
+        fitted = fit(newcastle_fixture(), ModelSpec(LinkFunction.LOGIT, interaction=False)).fitted_points
+        return [(Measure.ODDS_RATIO, list(fitted), "min")]
+    measure = Measure(case)
+    rng = random.Random(29)
+    cases = []
+    for _ in range(10):
+        # the attenuated extreme of two strata on one contour is interior
+        for m, objective in ((rng.uniform(1.2, 8.0), "min"), (rng.uniform(0.1, 0.8), "max")):
+            cases.append((measure, points_on_contour(rng, measure, m, 2, y_cap=1.0 - 1e-3), objective))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["newcastle", Measure.ODDS_RATIO.value, Measure.CUMULATIVE_HAZARD_RATIO.value])
+def test_extremize_edge_optimum_is_the_slope_root(case):
+    """The interior edge optimum sits on the root of the analytic directional
+    derivative, found independently by scipy's brentq."""
+    from scipy.optimize import brentq
+
+    for measure, pts, objective in _edge_optimum_cases(case):
+        res = extremize_standardized(pts, measure, objective)
+        root = brentq(_log_measure_slope(measure, *pts), 0.0, 1.0, xtol=1e-15)
+        assert res.weights[0] == pytest.approx(root, abs=1e-12)
+        assert res.weights[1] == pytest.approx(1.0 - root, abs=1e-12)
+
+
+def test_extremize_segment_work_is_bounded(newcastle, measure_calls, monkeypatch):
+    """The end points and one bisection on the derivative's sign: at most 60
+    measure evaluations and gradients per hull edge."""
+    per_edge = []
+    original = standardize._extremize_segment
+
+    def counted(points, measure, sign):
+        before = len(measure_calls)
+        res = original(points, measure, sign)
+        per_edge.append(len(measure_calls) - before)
+        return res
+
+    monkeypatch.setattr(standardize, "_extremize_segment", counted)
+    fitted = fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=False)).fitted_points
+    inputs = [(Measure.ODDS_RATIO, list(fitted))] + [_oracle_points(k) for k in sorted(_ORACLE_RESOLUTION)]
+    for measure, pts in inputs:
+        for objective in ("min", "max"):
+            extremize_standardized(pts, measure, objective)
+    assert len(per_edge) >= 2 * len(inputs)
+    assert max(per_edge) <= 60
 
 
 @pytest.mark.parametrize("measure", [Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])
