@@ -5,7 +5,11 @@ complementary log-log), each paired with the association measure its
 exposure coefficient estimates. Fitting is Newton ascent on the grouped
 binomial log-likelihood (observed-Hessian direction with a Fisher-scoring
 fallback) under step-halving that keeps every cell probability strictly
-inside (0, 1). Interval estimation is by profile likelihood only.
+inside (0, 1). Interval estimation is by profile likelihood only. With the
+exposure coefficient held fixed each stratum keeps one free coefficient,
+so the profile log-likelihood is a sum of one-dimensional concave
+maximizations, solved stratum by stratum in scalar floats with each cell's
+log-likelihood computed from its linear predictor.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -19,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
 
@@ -222,7 +227,7 @@ def _solve_direction(matrix, u):
     return delta
 
 
-def _newton(link, X, cases, totals, beta0, offset=None, max_iter=_MAX_ITER):
+def _newton(link, X, cases, totals, beta0, max_iter=_MAX_ITER):
     """Newton ascent on the grouped-binomial log-likelihood with step-halving;
     the iterate always keeps every cell probability strictly inside (0, 1).
 
@@ -232,9 +237,8 @@ def _newton(link, X, cases, totals, beta0, offset=None, max_iter=_MAX_ITER):
     scoring direction, which is always an ascent direction.
 
     Returns (beta, loglik, converged, iterations, gradient_norm, p)."""
-    off = np.zeros(len(cases)) if offset is None else offset
     beta = np.asarray(beta0, dtype=float).copy()
-    eta = off + X @ beta
+    eta = X @ beta
     p = _inverse(link, eta)
     if not _feasible(p):
         raise DomainError("infeasible starting coefficients")
@@ -265,7 +269,7 @@ def _newton(link, X, cases, totals, beta0, offset=None, max_iter=_MAX_ITER):
             step = 1.0
             while step >= 2.0**-60:
                 cand = beta + step * delta
-                eta_c = off + X @ cand
+                eta_c = X @ cand
                 p_c = _inverse(link, eta_c)
                 if _feasible(p_c):
                     ll_c = _ll(cases, totals, p_c)
@@ -411,32 +415,6 @@ def lr_test_interaction(
     return LRTest(stat, df, chi2_sf(stat, df))
 
 
-class _ProfileInfeasible(Exception):
-    pass
-
-
-def _profile_feasible_init(table, link, Xr, off):
-    # null fit of the full model, with the exposure coefficient (held fixed
-    # through the offset) dropped to match the reduced design Xr
-    base = np.delete(_null_init(table, link, Xr.shape[1] + 1), 1)
-    centered = np.zeros(Xr.shape[1])
-    if link is LinkFunction.IDENTITY:
-        lo, hi = -float(np.min(off)), 1.0 - float(np.max(off))
-        if not lo < hi:
-            raise _ProfileInfeasible
-        centered[0] = 0.5 * (lo + hi)
-    elif link is LinkFunction.LOG:
-        centered[0] = -float(np.max(off)) - 1.0
-    else:
-        # centre the offset's range on probability 0.5
-        centered[0] = _link_of(link, np.array([0.5]))[0] - 0.5 * float(np.min(off) + np.max(off))
-    for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.0):
-        cand = t * base + (1.0 - t) * centered
-        if _feasible(_inverse(link, off + Xr @ cand)):
-            return cand
-    raise _ProfileInfeasible
-
-
 def _runs_off(table: StratifiedTable, restricted: FitResult) -> set[int]:
     """Directions (+1, -1) in which the logit or cloglog estimate of b1 runs
     off to infinity: a stratum whose exposed (+1) or unexposed (-1) cell is
@@ -456,20 +434,193 @@ def _runs_off(table: StratifiedTable, restricted: FitResult) -> set[int]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# profile likelihood, one stratum at a time
+# ---------------------------------------------------------------------------
+#
+# With b1 held fixed, stratum j keeps one free coordinate: the linear
+# predictor a of its unexposed cell, whose exposed cell then has a + b1.
+# Each cell's log-likelihood is concave in its eta, so each stratum's is
+# concave in a and the profile is a sum of K one-dimensional maximizations.
+# A cell function returns the log-likelihood of y cases and f non-cases and
+# its first two derivatives in eta, computed from eta rather than from a
+# rounded p; a term whose count is zero is left out (0 log 0 = 0).
+
+
+def _identity_cell(y, f, eta):
+    l = d = h = 0.0
+    if y:
+        if eta <= 0.0:
+            return -math.inf, math.inf, -math.inf
+        l, d, h = y * math.log(eta), y / eta, -y / (eta * eta)
+    if f:
+        if eta >= 1.0:
+            return -math.inf, -math.inf, -math.inf
+        r = 1.0 - eta
+        l += f * math.log1p(-eta)
+        d -= f / r
+        h -= f / (r * r)
+    return l, d, h
+
+
+def _log_cell(y, f, eta):
+    # log p = eta, log(1 - p) = log(-expm1(eta))
+    l, d, h = y * eta, float(y), 0.0
+    if f:
+        if eta >= 0.0:
+            return -math.inf, -math.inf, -math.inf
+        p, q = math.exp(eta), -math.expm1(eta)
+        l += f * math.log(q)
+        d -= f * p / q
+        h -= f * p / (q * q)
+    return l, d, h
+
+
+def _logit_cell(y, f, eta):
+    # log p = -softplus(-eta), log(1 - p) = -softplus(eta)
+    z = math.exp(-abs(eta))
+    s = math.log1p(z)
+    p, q = 1.0 / (1.0 + z), z / (1.0 + z)
+    if eta < 0.0:
+        p, q = q, p
+    l = -(y * (max(-eta, 0.0) + s) + f * (max(eta, 0.0) + s))
+    return l, y * q - f * p, -(y + f) * p * q
+
+
+def _cloglog_cell(y, f, eta):
+    # with t = e^eta: log(1 - p) = -t and log p = log(-expm1(-t))
+    t = math.exp(min(eta, 709.0))  # e^709 is near the largest float
+    l = d = h = -f * t
+    if y:
+        if t < 1e-150:  # p = t (1 - t/2 + ...), so log p = eta to within t/2
+            l += y * eta
+            d += y
+        else:
+            p = -math.expm1(-t)
+            g = t * math.exp(-t) / p  # d log p / d eta = t / expm1(t)
+            # p - t, by its series where the subtraction would cancel
+            pt = p - t if t > 1e-4 else -t * t * (0.5 - t * (1.0 / 6.0 - t / 24.0))
+            l += y * math.log(p)
+            d += y * g
+            h += y * g * pt / p
+    return l, d, h
+
+
+_CELL = {
+    LinkFunction.IDENTITY: _identity_cell,
+    LinkFunction.LOG: _log_cell,
+    LinkFunction.LOGIT: _logit_cell,
+    LinkFunction.CLOGLOG: _cloglog_cell,
+}
+_LINK_SCALAR = {
+    LinkFunction.IDENTITY: lambda p: p,
+    LinkFunction.LOG: math.log,
+    LinkFunction.LOGIT: lambda p: math.log(p) - math.log1p(-p),
+    LinkFunction.CLOGLOG: lambda p: math.log(-math.log1p(-p)),
+}
+_A_TOL = 2e-15  # relative step on a at which a stratum's solve stops
+
+
+@functools.lru_cache(maxsize=32)
+def _profile_strata(table: StratifiedTable, link: LinkFunction):
+    """Per stratum, (y0, f0, e0, y1, f1, e1, w): cases, non-cases and the
+    link of the adjusted empirical risk of its unexposed (0) and exposed (1)
+    cells, and the exposed cell's share w of the stratum total."""
+    to_eta = _LINK_SCALAR[link]
+    out = []
+    for s in table.strata:
+        stratum = []
+        for c in (s.unexposed, s.exposed):
+            delta = 0.5 / (c.total + 1.0)
+            p = min(1.0 - delta, max(delta, c.cases / c.total))
+            stratum += [c.cases, c.total - c.cases, to_eta(p)]
+        out.append((*stratum, s.exposed.total / (s.exposed.total + s.unexposed.total)))
+    return tuple(out)
+
+
+def _stratum_max(cell, stratum, b1, lo, hi):
+    """Supremum over a in (lo, hi) of the concave stratum log-likelihood
+    l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1).
+
+    When l' does not point into the bracket at an end (or its limit at an
+    infinite end), that end's limit is returned. Otherwise the root of l'
+    lies between the two cells' own maximizers, e0 and e1 - b1 (-inf for a
+    zero cell, +inf for a full one), and Newton's method on l' runs inside
+    that bracket, narrowed by every evaluation. It starts from the mean of
+    the targets e0 and e1 - b1, each clipped into the bracket, weighted by
+    the cell totals. The first step is at most 1 and each later one at most
+    twice the last; a Newton step over 3/4 of the one before, in the same
+    direction, is raised to that limit. A step bisects the bracket when it
+    would leave it, or when the last step crossed the root and less than
+    halved |l'|. Stops when a step is below _A_TOL * max(1, |a|)."""
+    y0, f0, e0, y1, f1, e1, w = stratum
+    for end, inward in ((lo, 1.0), (hi, -1.0)):
+        if math.isinf(end):
+            # a -> -inf sends every p to 0 and a -> +inf every p to 1
+            if not (y0 + y1 if end < 0.0 else f0 + f1):
+                return 0.0
+        else:
+            # end + b1 is exact at the end where the exposed p is 0 or 1
+            l0, d0, _ = cell(y0, f0, end)
+            l1, d1, _ = cell(y1, f1, end + b1)
+            if inward * (d0 + d1) <= 0.0:
+                return l0 + l1
+    e1 -= b1
+    t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
+    t1 = e1 if y1 and f1 else math.copysign(math.inf, y1 - 0.5)
+    lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
+    a = (1.0 - w) * min(max(e0, lo), hi) + w * min(max(e1, lo), hi)
+    move = newton_old = d_old = math.inf
+    for _ in range(_MAX_ITER):
+        l0, d0, h0 = cell(y0, f0, a)
+        l1, d1, h1 = cell(y1, f1, a + b1)
+        d, h = d0 + d1, h0 + h1
+        if d > 0.0:
+            lo = a
+        elif d < 0.0:
+            hi = a
+        else:
+            return l0 + l1
+        newton = step = -d / h if h < 0.0 else math.copysign(math.inf, d)
+        tol = _A_TOL * max(1.0, abs(a))
+        if abs(newton) <= tol:
+            return l0 + l1
+        limit = 1.0 if math.isinf(move) else 2.0 * abs(move)
+        if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
+            step = math.copysign(limit, d)
+        if not lo < a + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
+            step = 0.5 * (lo + hi) - a
+            if abs(step) <= tol:
+                return l0 + l1
+        move, newton_old, d_old = step, newton, d
+        a += step
+    raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
+
+
 def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> float:
     """Log-likelihood of the no-interaction model maximized over all
     coefficients except the exposure coefficient, held at b1.
 
+    The maximum is the sum over strata of one concave maximization each in
+    the stratum's unexposed linear predictor a, over its exact feasible
+    bracket: (max(0, -b1), min(1, 1 - b1)) under the identity link,
+    (-inf, min(0, -b1)) under the log link, and all of R otherwise. Each
+    starts from the stratum's data, not from a solve at another b1, so the
+    profile is a function of b1 alone (see _stratum_max).
+
     Raises DomainError when no coefficients are feasible at this b1."""
-    X, cases, totals = _problem(table, ModelSpec(link, interaction=False))
-    Xr = np.delete(X, 1, axis=1)
-    off = b1 * X[:, 1]
-    try:
-        beta0 = _profile_feasible_init(table, link, Xr, off)
-    except _ProfileInfeasible:
-        raise DomainError(f"no feasible model with exposure coefficient {b1}") from None
-    _, ll, *_ = _newton(link, Xr, cases, totals, beta0, offset=off)
-    return ll
+    lo, hi = -math.inf, math.inf
+    if link is LinkFunction.IDENTITY:
+        lo, hi = max(0.0, -b1), min(1.0, 1.0 - b1)
+        if not lo < hi:
+            raise DomainError(f"no feasible model with exposure coefficient {b1}")
+    elif link is LinkFunction.LOG:
+        hi = min(0.0, -b1)
+    cell = _CELL[link]
+    total = 0.0
+    for stratum in _profile_strata(table, link):
+        total += _stratum_max(cell, stratum, b1, lo, hi)
+    return total
 
 
 @dataclass(frozen=True)
@@ -569,9 +720,10 @@ def profile_ci(
 
     def root(b1: float) -> float:
         """Signed root less sqrt(q): < 0 inside the interval, >= 0 past the
-        crossing, +inf where no model is feasible. Each profile solve starts
-        cold: a start from the previous b1's coefficients can stall _newton
-        at a lower likelihood on a zero cell and collapse the endpoint."""
+        crossing, +inf where no model is feasible. Profile solves start
+        from the data, not from the previous b1's solution, so the root is
+        a function of b1 alone and does not depend on the order in which
+        the search visits b1."""
         try:
             ll = profile_loglik(table, link, b1)
         except DomainError:
@@ -658,12 +810,16 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _check_df(df) -> None:
+    if not isinstance(df, int) or isinstance(df, bool) or df < 1:
+        raise DomainError(f"df must be a positive integer, got {df!r}")
+
+
 def chi2_sf(x: float, df: int) -> float:
     """Upper-tail probability of the chi-square distribution."""
     if x < 0.0:
         raise DomainError(f"chi-square statistic must be >= 0, got {x}")
-    if not isinstance(df, int) or isinstance(df, bool) or df < 1:
-        raise DomainError(f"df must be a positive integer, got {df!r}")
+    _check_df(df)
     if x == 0.0:
         return 1.0
     a = 0.5 * df
@@ -674,9 +830,15 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 def chi2_quantile(level: float, df: int) -> float:
-    """The x with chi2_sf(x, df) = 1 - level, by bisection on the tail."""
+    """The x with chi2_sf(x, df) = 1 - level. For df = 1 this is the square
+    of the standard normal quantile at (1 - level) / 2, taken in the lower
+    tail, which (1 + level) / 2 would round near level 1; other df bisect
+    on the tail."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
+    _check_df(df)
+    if df == 1:
+        return NormalDist().inv_cdf(0.5 * (1.0 - level)) ** 2
     target = 1.0 - level
     hi = 1.0
     while chi2_sf(hi, df) > target:

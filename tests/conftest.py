@@ -44,6 +44,32 @@ def profile_loglik_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
+def stratum_evaluations(monkeypatch) -> list:
+    """Per stratum solve of ``rothman.inference.profile_loglik``, how often
+    it evaluates the stratum log-likelihood: calls of its link's cell
+    function (one per cell and evaluation) made in ``_stratum_max``, over 2."""
+    calls = []
+    cell_calls = [0]
+
+    for link, cell in list(inference._CELL.items()):
+        def counted_cell(y, f, eta, cell=cell):
+            cell_calls[0] += 1
+            return cell(y, f, eta)
+
+        monkeypatch.setitem(inference._CELL, link, counted_cell)
+    original = inference._stratum_max
+
+    def counted(*args):
+        before = cell_calls[0]
+        out = original(*args)
+        calls.append((cell_calls[0] - before) / 2)
+        return out
+
+    monkeypatch.setattr(inference, "_stratum_max", counted)
+    return calls
+
+
+@pytest.fixture
 def measure_calls(monkeypatch) -> list:
     """Names of the measure evaluations standardize makes: each call of its
     bindings of ``evaluate`` and ``gradient``."""

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,7 +33,7 @@ from rothman.tables import (
     stratum_points,
 )
 
-from conftest import random_table
+from conftest import random_table, synthetic_four_strata
 
 ALL_LINKS = list(LinkFunction)
 
@@ -63,6 +64,20 @@ LARGE_K10_CSV = CSV_HEADER + (
     "s4,503,16158,3,37\ns5,1695,10986,1018,2654\ns6,512,4778,4,42\n"
     "s7,32,1786,1,65\ns8,4,20,76,187\ns9,24,121,31,172\ns10,74,490,877,6751\n"
 )
+
+# both cells of s1 full: under cloglog s1 carries no information on b1
+FULL_STRATUM_CSV = CSV_HEADER + "s1,30,30,50,50\ns2,40,200,20,200\n"
+# a full unexposed cell beside an exposed cell with one case
+FULL_UNEXPOSED_K2_CSV = CSV_HEADER + "s1,1,34,35726,35726\ns2,1,129,62,1197\n"
+# K = 10 with a full cell, from a benchmark plan
+FULL_CELL_K10_CSV = CSV_HEADER + (
+    "s1,503,5249,10359,10359\ns2,3,116,172,8620\ns3,2869,4439,23,44\n"
+    "s4,170,7797,7,543\ns5,6559,10401,13,25\ns6,61,141,8062,20129\n"
+    "s7,3,419,111,5965\ns8,11200,47506,25,103\ns9,83,2151,1,27\n"
+    "s10,770,5550,21,219\n"
+)
+# under cloglog the 0.9999 upper endpoint lies near 29426, far past the estimate
+ONE_CASE_K1_CSV = CSV_HEADER + "s1,1,23,1,86\n"
 
 CI_TARGETS = {
     LinkFunction.IDENTITY: (0.013, 0.091),
@@ -201,6 +216,89 @@ def _interior_table(k: int) -> StratifiedTable:
     return random_table(random.Random(600 + k), k=k, interior=True)
 
 
+NAMED_TABLES = {
+    "large-10": LARGE_K10_CSV,
+    "full-stratum": FULL_STRATUM_CSV,
+    "full-unexposed-2": FULL_UNEXPOSED_K2_CSV,
+    "full-cell-10": FULL_CELL_K10_CSV,
+    "one-case-1": ONE_CASE_K1_CSV,
+}
+
+
+def _table(k) -> StratifiedTable:
+    """An interior table with K = k strata, or a named one."""
+    if k == "newcastle":
+        return newcastle_fixture()
+    if k == "four-strata":
+        return synthetic_four_strata()
+    return parse_table(NAMED_TABLES[k]) if isinstance(k, str) else _interior_table(k)
+
+
+# --- per-stratum profile oracle: scipy's bounded scalar minimizer on each
+# stratum's log-likelihood, written from p in 40-digit mpmath
+
+_ORACLE_SPAN = 60.0  # stands in for the infinite maximizer of a zero or full cell
+
+
+def _oracle_cell(link, cases, noncases, eta):
+    eta = mpmath.mpf(eta)
+    if link is LinkFunction.IDENTITY:
+        p, q = eta, 1 - eta
+    elif link is LinkFunction.LOG:
+        p, q = mpmath.exp(eta), -mpmath.expm1(eta)
+    elif link is LinkFunction.LOGIT:
+        p, q = 1 / (1 + mpmath.exp(-eta)), 1 / (1 + mpmath.exp(eta))
+    else:
+        p, q = -mpmath.expm1(-mpmath.exp(eta)), mpmath.exp(-mpmath.exp(eta))
+    total = mpmath.mpf(0)
+    for count, prob in ((cases, p), (noncases, q)):
+        if count:
+            total += count * (mpmath.log(prob) if prob > 0 else -mpmath.inf)
+    return total
+
+
+def _oracle_target(link, cell) -> float:
+    """The cell's own maximizing eta."""
+    if cell.cases in (0, cell.total):
+        return math.copysign(_ORACLE_SPAN, cell.cases - 0.5)
+    p = cell.cases / cell.total
+    if link is LinkFunction.IDENTITY:
+        return p
+    if link is LinkFunction.LOG:
+        return math.log(p)
+    if link is LinkFunction.LOGIT:
+        return math.log(p / (1.0 - p))
+    return math.log(-math.log1p(-p))
+
+
+def _oracle_profile_loglik(table, link, b1) -> float:
+    """Each stratum's maximum lies between its two cells' own maximizers,
+    clipped into the feasible range of its unexposed eta."""
+    from scipy.optimize import minimize_scalar
+
+    with mpmath.workdps(40):
+        total = []
+        for s in table.strata:
+            def ll(a, s=s):
+                unexposed = _oracle_cell(link, s.unexposed.cases, s.unexposed.total - s.unexposed.cases, a)
+                exposed = _oracle_cell(link, s.exposed.cases, s.exposed.total - s.exposed.cases, a + b1)
+                return float(unexposed + exposed)
+
+            feasible_lo, feasible_hi = -math.inf, math.inf
+            if link is LinkFunction.IDENTITY:
+                feasible_lo, feasible_hi = max(0.0, -b1), min(1.0, 1.0 - b1)
+            elif link is LinkFunction.LOG:
+                feasible_hi = min(0.0, -b1)
+            targets = sorted((_oracle_target(link, s.unexposed), _oracle_target(link, s.exposed) - b1))
+            lo, hi = (min(max(t, feasible_lo), feasible_hi) for t in targets)
+            best = max(ll(lo), ll(hi))
+            if lo < hi:
+                res = minimize_scalar(lambda a: -ll(a), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+                best = max(best, -res.fun)
+            total.append(best)
+    return math.fsum(total)
+
+
 def _assert_endpoints_hit_quantile(table, link, level):
     from scipy.stats import chi2
 
@@ -212,24 +310,23 @@ def _assert_endpoints_hit_quantile(table, link, level):
         if truncated:
             continue
         b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
-        lr = 2.0 * (result.loglik - profile_loglik(table, link, b1))
-        assert lr == pytest.approx(q, abs=1e-8)
+        for profile in (profile_loglik, _oracle_profile_loglik):
+            lr = 2.0 * (result.loglik - profile(table, link, b1))
+            assert lr == pytest.approx(q, abs=1e-8)
 
 
-@pytest.mark.parametrize("k", [*range(1, 7), "large-10"])
+@pytest.mark.parametrize("k", [*range(1, 7), "large-10", "full-stratum", "full-unexposed-2"])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_endpoints_hit_quantile_across_k(link, k):
-    table = parse_table(LARGE_K10_CSV) if k == "large-10" else _interior_table(k)
-    _assert_endpoints_hit_quantile(table, link, 0.95)
+    _assert_endpoints_hit_quantile(_table(k), link, 0.95)
 
 
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.99, 0.9999])
-@pytest.mark.parametrize("k", ["newcastle", 4])
+@pytest.mark.parametrize("k", ["newcastle", 4, "one-case-1"])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_endpoints_hit_quantile_at_other_levels(link, k, level):
     # the endpoint search's path depends on the quantile, not only its result
-    table = newcastle_fixture() if k == "newcastle" else _interior_table(k)
-    _assert_endpoints_hit_quantile(table, link, level)
+    _assert_endpoints_hit_quantile(_table(k), link, level)
 
 
 @pytest.mark.parametrize("k", ["newcastle", *range(1, 7)])
@@ -237,9 +334,77 @@ def test_profile_ci_endpoints_hit_quantile_at_other_levels(link, k, level):
 def test_profile_ci_solves_per_interval(link, k, profile_loglik_calls):
     # Brent's method on the signed root needs about 12 profile solves per
     # interval; bisection of b1 to a width of 1e-12 needed about 75
-    table = newcastle_fixture() if k == "newcastle" else _interior_table(k)
-    profile_ci(table, link)
+    profile_ci(_table(k), link)
     assert 0 < len(profile_loglik_calls) <= 20
+
+
+def _b1_inside_and_outside(table, link, restricted):
+    """The estimate, the 0.95 profile-CI endpoints and b1 between and beyond
+    them, on the link scale; under the identity link only feasible ones."""
+    ci = profile_ci(table, link, restricted=restricted)
+    to_b1 = (lambda v: v) if link is LinkFunction.IDENTITY else math.log
+    lo, hi, b1hat = to_b1(ci.lower), to_b1(ci.upper), restricted.coefficients[1]
+    b1s = [b1hat, lo, hi, 0.5 * (lo + b1hat), lo - (hi - lo), hi + (hi - lo)]
+    return [b1 for b1 in b1s if link is not LinkFunction.IDENTITY or abs(b1) < 1.0]
+
+
+ORACLE_TABLES = ["newcastle", "four-strata", *range(1, 9), "full-cell-10"]
+
+
+@pytest.mark.parametrize("k", ORACLE_TABLES)
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_loglik_matches_stratum_oracle(link, k):
+    table = _table(k)
+    b1s = _b1_inside_and_outside(table, link, fit(table, ModelSpec(link, interaction=False)))
+    if k == "full-cell-10":
+        # where a whole-model Newton ascent ran out of iterations
+        b1s += {LinkFunction.LOG: [-0.70609805], LinkFunction.CLOGLOG: [-2.53356689]}.get(link, [])
+    for b1 in b1s:
+        expected = _oracle_profile_loglik(table, link, b1)
+        assert profile_loglik(table, link, b1) == pytest.approx(expected, rel=1e-10)
+    if link is LinkFunction.IDENTITY:
+        with pytest.raises(DomainError):
+            profile_loglik(table, link, 1.0)
+
+
+@pytest.mark.parametrize("k", ORACLE_TABLES)
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_loglik_is_a_supremum(link, k):
+    # no feasible coefficients with exposure coefficient b1 do better
+    table = _table(k)
+    spec = ModelSpec(link, interaction=False)
+    restricted = fit(table, spec)
+    rng = random.Random(17)
+    checked = 0
+    for b1 in _b1_inside_and_outside(table, link, restricted):
+        ll = profile_loglik(table, link, b1)
+        for i in range(6):
+            beta = [b + (rng.gauss(0.0, 0.05) if i else 0.0) for b in restricted.coefficients]
+            beta[1] = b1
+            try:
+                at = loglik_at(table, spec, beta)
+            except DomainError:
+                continue
+            assert ll >= at - 4.0 * math.ulp(at)
+            checked += 1
+    assert checked > 0
+
+
+BOUNDARY_CELL_CSVS = [
+    "s1,334,334,60,2873", "s1,9527,9527,7,21", "s1,60,2873,334,334",
+    "s1,0,892,7131,32662", "s1,0,16484,24,685",
+]
+
+
+@pytest.mark.parametrize("k", ["newcastle", *range(1, 7), *BOUNDARY_CELL_CSVS])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_solve_evaluations_per_stratum(link, k, stratum_evaluations):
+    # each stratum's profile solve is a bracketed Newton iteration from the
+    # stratum's data; the count includes the identity and log bracket-end checks
+    table = parse_table(CSV_HEADER + k + "\n") if k in BOUNDARY_CELL_CSVS else _table(k)
+    profile_ci(table, link)
+    assert max(stratum_evaluations) <= 24
+    assert sum(stratum_evaluations) / len(stratum_evaluations) <= 8.0
 
 
 def test_profile_ci_truncation_with_empty_exposed_arm():
@@ -265,8 +430,8 @@ def test_profile_ci_truncation_with_empty_exposed_arm():
     ],
 )
 def test_profile_ci_full_exposed_cell(csv, link, lower):
-    # b1 is large here, so a profile start must centre the offset's range,
-    # not the intercept alone, on probability 0.5 to be feasible
+    # b1 is large here, where a start from the full model's coefficients is
+    # infeasible; each stratum's profile solve starts from its own data
     from scipy.stats import chi2
 
     table = parse_table(CSV_HEADER + csv + "\n")
@@ -291,9 +456,10 @@ def test_profile_ci_full_exposed_cell(csv, link, lower):
     ],
 )
 def test_profile_ci_zero_exposed_cell_upper_endpoint(csv, link, upper):
-    # each profile solve starts cold; started from the coefficients found at
-    # the previous b1, _newton stalls at a lower likelihood on these tables
-    # and the upper endpoint collapses to about 1e-13
+    # each profile solve starts from the data, not from the solve at the
+    # previous b1, so the profile is a function of b1 alone; on these tables
+    # a whole-model Newton ascent warm-started from the previous b1 stalled
+    # at a lower likelihood and the upper endpoint collapsed to about 1e-13
     ci = profile_ci(parse_table(CSV_HEADER + csv + "\n"), link)
     assert ci.lower_truncated and not ci.upper_truncated
     assert ci.upper == pytest.approx(upper, rel=1e-9)
@@ -311,11 +477,18 @@ def test_profile_ci_full_unexposed_cell_logit():
 
 def test_profile_ci_full_stratum_keeps_a_finite_interval():
     # both cells of one stratum full: its own coefficient runs off, b1 does not
-    table = parse_table(CSV_HEADER + "s1,30,30,50,50\ns2,40,200,20,200\n")
+    table = parse_table(FULL_STRATUM_CSV)
+    s2_alone = parse_table(CSV_HEADER + "s2,40,200,20,200\n")
     for link in (LinkFunction.LOGIT, LinkFunction.CLOGLOG):
         ci = profile_ci(table, link)
         assert not ci.lower_truncated and not ci.upper_truncated
         assert ci.lower < common_measure(fit(table, ModelSpec(link, False))) < ci.upper
+        # s1 fits its full cells at every b1, so the interval is that of s2
+        # alone; the restricted fit leaves s1 about 1e-6 below its supremum,
+        # which widens the interval by about 1e-7 relative
+        alone = profile_ci(s2_alone, link)
+        assert ci.lower == pytest.approx(alone.lower, rel=1e-6)
+        assert ci.upper == pytest.approx(alone.upper, rel=1e-6)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -492,6 +665,13 @@ def test_chi2_sf_validation():
         chi2_sf(-0.1, 1)
     with pytest.raises(DomainError):
         chi2_sf(1.0, 0)
+
+
+@pytest.mark.parametrize("level", [1e-6, 0.5, 0.95, 0.9999, 1 - 1e-9])
+def test_chi2_quantile_df1_matches_scipy(level):
+    from scipy.stats import chi2
+
+    assert chi2_quantile(level, 1) == pytest.approx(chi2.ppf(level, 1), rel=1e-9, abs=0.0)
 
 
 def test_chi2_quantile_df1():
