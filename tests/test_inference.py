@@ -453,16 +453,23 @@ def test_profile_ci_full_exposed_cell(csv, link, lower):
         ("s1,0,892,7131,32662", LinkFunction.LOG, 0.009853078546982688),
         ("s1,0,16484,24,685", LinkFunction.LOG, 0.0034575366642906487),
         ("s1,0,16484,24,685", LinkFunction.LOGIT, 0.00334593731270474),
+        ("s1,0,4382,9954,17259", LinkFunction.LOG, 0.000759861374037768),
+        ("s1,0,4382,9954,17259", LinkFunction.LOGIT, 0.0003218181559121522),
+        ("s1,0,4382,9954,17259", LinkFunction.CLOGLOG, 0.0005098632360001575),
     ],
 )
 def test_profile_ci_zero_exposed_cell_upper_endpoint(csv, link, upper):
     # each profile solve starts from the data, not from the solve at the
-    # previous b1, so the profile is a function of b1 alone; on these tables
-    # a whole-model Newton ascent warm-started from the previous b1 stalled
-    # at a lower likelihood and the upper endpoint collapsed to about 1e-13
+    # previous b1, so the profile is a function of b1 alone; on the first
+    # three tables a whole-model Newton ascent warm-started from the previous
+    # b1 stalled at a lower likelihood and the upper endpoint collapsed to
+    # about 1e-13
     ci = profile_ci(parse_table(CSV_HEADER + csv + "\n"), link)
     assert ci.lower_truncated and not ci.upper_truncated
     assert ci.upper == pytest.approx(upper, rel=1e-9)
+    # the profile rises toward b1 = -inf, so the lower search runs to the
+    # expansion cap without a (false) crossing on the way
+    assert ci.lower == math.exp(-500.0)
 
 
 def test_profile_ci_full_unexposed_cell_logit():
