@@ -5,11 +5,13 @@ complementary log-log), each paired with the association measure its
 exposure coefficient estimates. Fitting is Newton ascent on the grouped
 binomial log-likelihood (observed-Hessian direction with a Fisher-scoring
 fallback) under step-halving that keeps every cell probability strictly
-inside (0, 1). Interval estimation is by profile likelihood only. With the
-exposure coefficient held fixed each stratum keeps one free coefficient,
-so the profile log-likelihood is a sum of one-dimensional concave
-maximizations, solved stratum by stratum in scalar floats with each cell's
-log-likelihood computed from its linear predictor.
+inside (0, 1); the last eight fits are memoized, so the LR test, the
+profile CI and the figures reuse a table's fits instead of refitting it.
+Interval estimation is by profile likelihood only. With the exposure
+coefficient held fixed each stratum keeps one free coefficient, so the
+profile log-likelihood is a sum of one-dimensional concave maximizations,
+solved stratum by stratum in scalar floats with each cell's log-likelihood
+computed from its linear predictor.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -185,7 +187,8 @@ _P_FLOOR = 1e-300  # subnormal probabilities break Fisher scoring arithmetic
 
 
 def _feasible(p: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(p)) and np.all(p > _P_FLOOR) and np.all(p < 1.0))
+    # NaN fails both comparisons and +-inf one of them
+    return bool(p.min() > _P_FLOOR and p.max() < 1.0)
 
 
 def _score_info(link, X, cases, totals, eta, p):
@@ -335,10 +338,23 @@ def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> F
 
     Saturated fits (interaction) start from the closed form, the link applied
     to empirical risks, and get a Newton polish; restricted fits start from
-    the closed-form null fit. Raises ConvergenceError when neither the
-    gradient criterion (max-norm < 1e-10) nor the log-likelihood criterion
-    (change < 1e-12) is met within max_iter iterations.
+    the closed-form null fit. Newton stops when the gradient max-norm falls
+    below 1e-10, when no feasible ascent step is left, or after two
+    successive log-likelihood changes below max(1e-12, 8 ulp(loglik));
+    raises ConvergenceError when none of these happens within max_iter
+    iterations.
+
+    Fits are memoized: equal tables, specs and max_iter return the same
+    FitResult object, and the last 8 fits (one table's four links times
+    two models) are kept. A fit that raises is not kept.
     """
+    # a plain function over the memo, not a decorated one: bench/spans.py
+    # traces only plain functions, and its fit counters read calls of fit
+    return _fit(table, spec, max_iter)
+
+
+@functools.lru_cache(maxsize=8)
+def _fit(table: StratifiedTable, spec: ModelSpec, max_iter: int) -> FitResult:
     if spec.interaction and table.k < 2:
         raise DomainError("an interaction model needs at least two strata")
     X, cases, totals = _problem(table, spec)

@@ -251,9 +251,15 @@ _MEASURE_ORDER = (
 )
 
 
-def _dedup_levels(values, tol: float = 1e-9) -> list[float]:
+def _dedup_levels(measure: Measure, points, tol: float = 1e-9) -> list[float]:
+    """The measure's distinct values at the points, in order; a point where
+    the measure is undefined (a zero or full cell) gives no level."""
     out: list[float] = []
-    for v in values:
+    for p in points:
+        try:
+            v = evaluate(measure, p)
+        except DomainError:
+            continue
         if all(abs(v - u) > tol for u in out):
             out.append(v)
     return out
@@ -271,14 +277,15 @@ def analysis_panel(
     title: str | None = None,
 ) -> PanelSpec:
     """One panel with observed stratum points, their measure contours
-    (dashed), and the no-interaction fit's common contour (solid) with
-    fitted points (open circles)."""
+    (dashed; none for a stratum where the measure is undefined), and the
+    no-interaction fit's common contour (solid) with fitted points (open
+    circles)."""
     link = link_for_measure(measure)
     observed = stratum_points(table)
     contours: list[ContourLine] = []
     if include_null:
         contours.append(contour_line(measure, null_value(measure), solid=True))
-    for level in _dedup_levels(evaluate(measure, p) for p in observed):
+    for level in _dedup_levels(measure, observed):
         contours.append(ContourLine(level=level, solid=False, label=f"{level:.3f}"))
     glyphs = [GlyphPoint(p, Glyph.FILLED) for p in observed]
     segment = None
@@ -377,7 +384,7 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
     unexposed_w = [w / sum(unexposed_w) for w in unexposed_w]
 
     def panel(points: list[RiskPoint], confounded: bool, title: str) -> PanelSpec:
-        levels = _dedup_levels(evaluate(Measure.RISK_RATIO, p) for p in points)
+        levels = _dedup_levels(Measure.RISK_RATIO, points)
         if confounded:
             cross = _exposure_specific_crude(points, exposed_w, unexposed_w)
         else:

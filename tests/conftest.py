@@ -29,6 +29,23 @@ def fit_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
+def newton_calls(monkeypatch) -> list:
+    """Specs of the Newton solves ``rothman.inference.fit`` runs, which it
+    looks up at call time; the fit memo starts empty, so every fit not
+    repeated inside the test runs one."""
+    inference._fit.cache_clear()
+    calls = []
+    original = inference._newton
+
+    def counted(link, X, *args, **kwargs):
+        calls.append((link, X.shape[1]))
+        return original(link, X, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "_newton", counted)
+    return calls
+
+
+@pytest.fixture
 def profile_loglik_calls(monkeypatch) -> list:
     """b1 values of the profile solves made through
     ``rothman.inference.profile_loglik``, which ``profile_ci`` looks up at call time."""

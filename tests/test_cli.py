@@ -188,6 +188,17 @@ def test_plot_noncollapsible_stdout(capsys):
     assert "1.537" in out
 
 
+def test_plot_modification_with_a_full_cell(capsys, tmp_path):
+    path = tmp_path / "full.csv"
+    path.write_text(
+        "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\n"
+        "s1,1634,2106,15,20\ns2,304,895,3042,3042\ns3,443,1597,96,1173\n"
+    )
+    code, out, err = run(capsys, "plot", "modification", "--input", str(path))
+    assert code == 0, err
+    ET.fromstring(out)
+
+
 def test_plot_unknown_figure_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["plot", "nosuchfigure", "--fixture", "newcastle"])

@@ -1,9 +1,13 @@
+import itertools
 import math
 import random
+import types
+import warnings
 
 import numpy as np
 import pytest
 
+from rothman import inference, render
 from rothman.errors import ConvergenceError, DomainError
 from rothman.inference import (
     LinkFunction,
@@ -505,10 +509,13 @@ def test_profile_ci_full_stratum_keeps_a_finite_interval():
 def test_passed_fits_give_the_same_results(link, k):
     table = random_table(random.Random(700 + k), k=k, interior=True)
     restricted = fit(table, ModelSpec(link, interaction=False))
+    saturated = fit(table, ModelSpec(link, interaction=True)) if k >= 2 else None
+    # the calls without passed fits make fresh ones, not hits in fit's memo
+    inference._fit.cache_clear()
     assert profile_ci(table, link, 0.9, restricted=restricted) == profile_ci(table, link, 0.9)
     if k >= 2:
-        saturated = fit(table, ModelSpec(link, interaction=True))
         passed = lr_test_interaction(table, link, restricted=restricted, saturated=saturated)
+        inference._fit.cache_clear()
         assert passed == lr_test_interaction(table, link)
         assert lr_test_interaction(table, link, saturated=saturated) == passed
 
@@ -547,6 +554,87 @@ def test_fit_convergence_error_carries_last_iterate(newcastle):
     assert err.iterations == 1
     assert err.coefficients is not None
     assert math.isfinite(err.loglik)
+
+
+def _fit_link_all(table):
+    # the library path of `rothman fit --link all`, without passing fits along
+    for link in ALL_LINKS:
+        if table.k >= 2:
+            fit(table, ModelSpec(link, interaction=True))
+        fit(table, ModelSpec(link, interaction=False))
+        if table.k >= 2:
+            lr_test_interaction(table, link)
+        profile_ci(table, link)
+
+
+@pytest.mark.parametrize("k, solves", [("newcastle", 8), ("four-strata", 8), (1, 4)])
+def test_fit_link_all_library_path_solves_each_fit_once(k, solves, newton_calls):
+    _fit_link_all(_table(k))
+    assert len(newton_calls) == len(set(newton_calls)) == solves
+
+
+def test_restricted_fits_and_figures_solve_each_fit_once(newton_calls):
+    table = newcastle_fixture()
+    for link in ALL_LINKS:
+        fit(table, ModelSpec(link, interaction=False))
+    for name, figure in render.FIGURES.items():
+        render.render_svg(figure(table))
+    assert len(newton_calls) == 4
+
+
+def test_equal_tables_share_one_fit(newton_calls):
+    csv = CSV_HEADER + "a,10,100,20,100\nb,30,100,10,100\n"
+    first, second = parse_table(csv), parse_table(csv)
+    assert first is not second
+    spec = ModelSpec(LinkFunction.LOGIT, interaction=False)
+    assert fit(first, spec) is fit(second, spec)
+    assert len(newton_calls) == 1
+
+
+def test_failed_fit_is_not_kept(newcastle, newton_calls):
+    spec = ModelSpec(LinkFunction.LOGIT, interaction=False)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            fit(newcastle, spec, max_iter=1)
+    assert len(newton_calls) == 2
+    assert fit(newcastle, spec).converged
+    assert len(newton_calls) == 3
+
+
+def test_fit_is_a_plain_function():
+    # bench/spans.py traces only plain functions: a decorated fit would drop
+    # out of the benchmark's fit counts and timings
+    assert isinstance(inference.fit, types.FunctionType)
+
+
+def _feasible_reference(p):
+    return bool(np.all(np.isfinite(p)) and np.all(p > inference._P_FLOOR) and np.all(p < 1.0))
+
+
+FEASIBLE_PROBES = [math.nan, math.inf, -math.inf, 0.0, 1e-300, 5e-324, 1.0 - 2.0**-53, 1.0, 0.5]
+
+
+@pytest.mark.parametrize("v", FEASIBLE_PROBES)
+def test_feasible_matches_three_way_check(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cells in [(v,), *itertools.product(FEASIBLE_PROBES, [v])]:
+            p = np.array(cells)
+            assert inference._feasible(p) is _feasible_reference(p), cells
+
+
+@pytest.mark.parametrize("csv", ["newcastle", *BOUNDARY_CELL_CSVS, "s1,0,10,0,10\ns2,3,10,5,10"])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_newton_raises_no_runtime_warning(link, csv):
+    table = newcastle_fixture() if csv == "newcastle" else parse_table(CSV_HEADER + csv + "\n")
+    inference._fit.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for interaction in (False, True)[: table.k]:
+            try:
+                fit(table, ModelSpec(link, interaction))
+            except ConvergenceError:
+                pass
 
 
 def test_boundary_warning_on_zero_cell():

@@ -7,6 +7,7 @@ from rothman.errors import DomainError
 from rothman.measures import ContourValue, Measure, contour_y, evaluate, in_domain
 from rothman.render import (
     CELL,
+    FIGURES,
     MARGIN,
     PANEL_SIZE,
     ContourLine,
@@ -25,7 +26,7 @@ from rothman.render import (
     render_svg,
 )
 from rothman.inference import LinkFunction
-from rothman.tables import RiskPoint, newcastle_fixture
+from rothman.tables import RiskPoint, newcastle_fixture, parse_table, stratum_points
 
 from conftest import synthetic_four_strata
 
@@ -200,6 +201,44 @@ def test_modconf_four_titled_panels():
     svg = render_svg(spec)
     for title in titles:
         assert title in svg
+
+
+CSV_HEADER = "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\n"
+# s2's unexposed cell is full: the odds ratio and hazard ratio are undefined there
+FULL_UNEXPOSED_K3 = parse_table(
+    CSV_HEADER + "s1,1634,2106,15,20\ns2,304,895,3042,3042\ns3,443,1597,96,1173\n"
+)
+# A's unexposed cell is zero: the risk ratio is undefined there
+ZERO_UNEXPOSED_K2 = parse_table(CSV_HEADER + "A,3,10,0,10\nB,5,12,2,12\n")
+
+
+def _stratum_levels(measure, points):
+    return sorted(round(evaluate(measure, p), 3) for p in points if in_domain(measure, p))
+
+
+@pytest.mark.parametrize("name", [n for n in FIGURES if n != "modconf"])
+def test_figures_render_a_table_with_a_full_cell(name):
+    render_svg(FIGURES[name](FULL_UNEXPOSED_K3))
+
+
+def test_boundary_stratum_keeps_its_point_and_loses_its_contour():
+    observed = stratum_points(FULL_UNEXPOSED_K3)
+    for panel in figure_modification(FULL_UNEXPOSED_K3).panels:
+        filled = [p.point for p in panel.points if p.glyph is Glyph.FILLED]
+        dashed = [round(c.level, 3) for c in panel.contours if not c.solid]
+        assert filled == observed
+        assert sorted(dashed) == _stratum_levels(panel.measure, observed)
+    assert not in_domain(Measure.ODDS_RATIO, observed[1])
+
+
+def test_modconf_renders_with_a_zero_unexposed_cell():
+    spec = figure_modconf(ZERO_UNEXPOSED_K2)
+    render_svg(spec)
+    observed = stratum_points(ZERO_UNEXPOSED_K2)
+    assert not in_domain(Measure.RISK_RATIO, observed[0])
+    for panel in spec.panels[2:]:
+        assert [p.point for p in panel.points if p.glyph is Glyph.FILLED] == observed
+        assert sorted(round(c.level, 3) for c in panel.contours) == _stratum_levels(Measure.RISK_RATIO, observed)
 
 
 def test_contour_line_defaults():
