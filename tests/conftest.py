@@ -29,20 +29,12 @@ def fit_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
-def newton_calls(monkeypatch) -> list:
-    """Specs of the Newton solves ``rothman.inference.fit`` runs, which it
-    looks up at call time; the fit memo starts empty, so every fit not
-    repeated inside the test runs one."""
+def computed_fits():
+    """A function that returns how many fits ``rothman.inference.fit`` has
+    computed rather than taken from its memo. The memo starts empty, so
+    every fit not repeated inside the test counts once."""
     inference._fit.cache_clear()
-    calls = []
-    original = inference._newton
-
-    def counted(link, X, *args, **kwargs):
-        calls.append((link, X.shape[1]))
-        return original(link, X, *args, **kwargs)
-
-    monkeypatch.setattr(inference, "_newton", counted)
-    return calls
+    return lambda: inference._fit.cache_info().misses
 
 
 @pytest.fixture

@@ -81,6 +81,12 @@ FULL_CELL_K10_CSV = CSV_HEADER + (
 )
 # under cloglog the 0.9999 upper endpoint lies near 29426, far past the estimate
 ONE_CASE_K1_CSV = CSV_HEADER + "s1,1,23,1,86\n"
+# from benchmark plans, restricted MLEs with a cell at p = 0 or 1: s3's
+# exposed p is 0 under identity, and s2's unexposed p is 1 under log; the
+# K = 4 table has a full unexposed cell beside three interior strata
+ZERO_EXPOSED_K3_CSV = CSV_HEADER + "s1,4980,79356,7008,25122\ns2,1,23,5689,62751\ns3,0,946,230,1964\n"
+FULL_UNEXPOSED_LOG_K2_CSV = CSV_HEADER + "s1,541,2338,4,22\ns2,2,32,13128,13128\n"
+FULL_UNEXPOSED_K4_CSV = CSV_HEADER + "s1,11,79,5315,23553\ns2,3259,5326,143,276\ns3,21,583,7529,7529\ns4,2,44,164,8207\n"
 
 CI_TARGETS = {
     LinkFunction.IDENTITY: (0.013, 0.091),
@@ -137,6 +143,40 @@ def test_saturated_fit_reproduces_empirical_points(newcastle, link):
     for fitted, observed in zip(result.fitted_points, stratum_points(newcastle)):
         assert fitted.x == pytest.approx(observed.x, abs=1e-8)
         assert fitted.y == pytest.approx(observed.y, abs=1e-8)
+
+
+def _saturated_loglik(table) -> float:
+    """sum of y log(y/n) + (n - y) log(1 - y/n) over cells, 0 log 0 = 0"""
+    terms = []
+    for s in table.strata:
+        for c in (s.exposed, s.unexposed):
+            if c.cases:
+                terms.append(c.cases * math.log(c.cases / c.total))
+            if c.cases < c.total:
+                terms.append((c.total - c.cases) * math.log1p(-c.cases / c.total))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("k", ["newcastle", "four-strata", *range(2, 11)])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_saturated_fit_is_closed_form(link, k):
+    table = _table(k)
+    result = fit(table, ModelSpec(link, interaction=True))
+    expected = _saturated_loglik(table)
+    assert abs(result.loglik - expected) <= 8 * math.ulp(expected)
+    assert result.iterations == 0 and result.gradient_norm == 0.0
+
+
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_saturated_fit_flags_empty_cells_under_every_link(link):
+    table = parse_table(CSV_HEADER + "s1,0,10,0,10\ns2,3,10,5,10\n")
+    result = fit(table, ModelSpec(link, interaction=True))
+    assert result.boundary_warning
+    empty = result.fitted_points[0]
+    assert empty.x == pytest.approx(1e-13, rel=1e-3) and empty.y == pytest.approx(1e-13, rel=1e-3)
+    # coefficients relative to s1's eta near -30 round s2's p in the 15th digit
+    other = result.fitted_points[1]
+    assert other.x == pytest.approx(0.5, abs=1e-14) and other.y == pytest.approx(0.3, abs=1e-14)
 
 
 @pytest.mark.parametrize("link", ALL_LINKS)
@@ -225,6 +265,9 @@ NAMED_TABLES = {
     "full-unexposed-2": FULL_UNEXPOSED_K2_CSV,
     "full-cell-10": FULL_CELL_K10_CSV,
     "one-case-1": ONE_CASE_K1_CSV,
+    "zero-exposed-3": ZERO_EXPOSED_K3_CSV,
+    "full-unexposed-log-2": FULL_UNEXPOSED_LOG_K2_CSV,
+    "full-unexposed-4": FULL_UNEXPOSED_K4_CSV,
 }
 
 
@@ -312,16 +355,22 @@ def _assert_endpoints_hit_quantile(table, link, level):
     ci = profile_ci(table, link, level)
     assert ci.lower <= common_measure(result) <= ci.upper
     q = chi2.ppf(level, 1)
+    b1hat = result.coefficients[1]
     for endpoint, truncated in ((ci.lower, ci.lower_truncated), (ci.upper, ci.upper_truncated)):
         if truncated:
             continue
         b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
         for profile in (profile_loglik, _oracle_profile_loglik):
-            lr = 2.0 * (result.loglik - profile(table, link, b1))
+            # the LR statistic runs from the profile at the estimate, where a
+            # stratum whose two cells are both full counts its supremum, 0
+            lr = 2.0 * (profile(table, link, b1hat) - profile(table, link, b1))
             assert lr == pytest.approx(q, abs=1e-8)
 
 
-@pytest.mark.parametrize("k", [*range(1, 7), "large-10", "full-stratum", "full-unexposed-2"])
+@pytest.mark.parametrize("k", [
+    *range(1, 7), "large-10", "full-stratum", "full-unexposed-2",
+    "zero-exposed-3", "full-unexposed-log-2", "full-unexposed-4",
+])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_endpoints_hit_quantile_across_k(link, k):
     _assert_endpoints_hit_quantile(_table(k), link, 0.95)
@@ -496,12 +545,36 @@ def test_profile_ci_full_stratum_keeps_a_finite_interval():
         ci = profile_ci(table, link)
         assert not ci.lower_truncated and not ci.upper_truncated
         assert ci.lower < common_measure(fit(table, ModelSpec(link, False))) < ci.upper
-        # s1 fits its full cells at every b1, so the interval is that of s2
-        # alone; the cloglog restricted fit leaves s1 1e-6 below its
-        # supremum, which widens that interval by about 1.5e-7 relative
+        # s1 fits its full cells at every b1, so the interval is that of s2 alone
         alone = profile_ci(s2_alone, link)
-        assert ci.lower == pytest.approx(alone.lower, rel=1e-6)
-        assert ci.upper == pytest.approx(alone.upper, rel=1e-6)
+        assert ci.lower == pytest.approx(alone.lower, abs=1e-9)
+        assert ci.upper == pytest.approx(alone.upper, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "csv, link, b1, ll",
+    [
+        (ZERO_EXPOSED_K3_CSV, LinkFunction.IDENTITY, -0.1141840, -54148.39433),
+        (FULL_UNEXPOSED_LOG_K2_CSV, LinkFunction.LOG, -0.9022103, -1299.357561),
+    ],
+)
+def test_restricted_fit_with_a_cell_at_its_bound_is_the_profile_maximum(csv, link, b1, ll):
+    # the maximum puts one cell on its bound: p = 0 (identity) or p = 1 (log)
+    from scipy.optimize import minimize_scalar
+
+    table = parse_table(csv)
+    result = fit(table, ModelSpec(link, interaction=False))
+    oracle = minimize_scalar(
+        lambda b: -profile_loglik(table, link, b), bounds=(-0.999, 0.999) if link is LinkFunction.IDENTITY
+        else (-10.0, 10.0), method="bounded", options={"xatol": 1e-12},
+    )
+    assert oracle.x == pytest.approx(b1, abs=1e-7) and -oracle.fun == pytest.approx(ll, abs=1e-5)
+    assert result.coefficients[1] == pytest.approx(oracle.x, abs=1e-6)
+    assert result.loglik == pytest.approx(-oracle.fun, rel=1e-10)
+    # the cell at its bound is reported 1e-13 inside it
+    assert result.boundary_warning
+    p = [v for point in result.fitted_points for v in (point.x, point.y)]
+    assert min(min(p), 1.0 - max(p)) == pytest.approx(1e-13, rel=1e-3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -568,37 +641,58 @@ def _fit_link_all(table):
 
 
 @pytest.mark.parametrize("k, solves", [("newcastle", 8), ("four-strata", 8), (1, 4)])
-def test_fit_link_all_library_path_solves_each_fit_once(k, solves, newton_calls):
+def test_fit_link_all_library_path_solves_each_fit_once(k, solves, computed_fits):
     _fit_link_all(_table(k))
-    assert len(newton_calls) == len(set(newton_calls)) == solves
+    assert computed_fits() == solves
 
 
-def test_restricted_fits_and_figures_solve_each_fit_once(newton_calls):
+def test_restricted_fits_and_figures_solve_each_fit_once(computed_fits):
     table = newcastle_fixture()
     for link in ALL_LINKS:
         fit(table, ModelSpec(link, interaction=False))
     for name, figure in render.FIGURES.items():
         render.render_svg(figure(table))
-    assert len(newton_calls) == 4
+    assert computed_fits() == 4
 
 
-def test_equal_tables_share_one_fit(newton_calls):
+def test_equal_tables_share_one_fit(computed_fits):
     csv = CSV_HEADER + "a,10,100,20,100\nb,30,100,10,100\n"
     first, second = parse_table(csv), parse_table(csv)
     assert first is not second
     spec = ModelSpec(LinkFunction.LOGIT, interaction=False)
     assert fit(first, spec) is fit(second, spec)
-    assert len(newton_calls) == 1
+    assert computed_fits() == 1
 
 
-def test_failed_fit_is_not_kept(newcastle, newton_calls):
+def test_failed_fit_is_not_kept(newcastle, computed_fits):
     spec = ModelSpec(LinkFunction.LOGIT, interaction=False)
     for _ in range(2):
         with pytest.raises(ConvergenceError):
             fit(newcastle, spec, max_iter=1)
-    assert len(newton_calls) == 2
+    assert computed_fits() == 2
     assert fit(newcastle, spec).converged
-    assert len(newton_calls) == 3
+    assert computed_fits() == 3
+
+
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_restricted_fit_runs_the_traced_solver_once(newcastle, link, monkeypatch):
+    # bench/spans.py wraps inference._newton, which fit looks up at call
+    # time, and adds up result[3] as the solver's iterations
+    results = []
+    original = inference._newton
+
+    def traced(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(inference, "_newton", traced)
+    inference._fit.cache_clear()
+    restricted = fit(newcastle, ModelSpec(link, interaction=False))
+    assert len(results) == 1
+    assert results[0][3] == restricted.iterations >= 1
+    # the saturated fit is closed form
+    fit(newcastle, ModelSpec(link, interaction=True))
+    assert len(results) == 1
 
 
 def test_fit_is_a_plain_function():
