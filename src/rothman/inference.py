@@ -2,17 +2,21 @@
 
 One model family, four link functions (identity, log, logit,
 complementary log-log), each paired with the association measure its
-exposure coefficient estimates. Everything rests on one fact: with the
-exposure coefficient b1 held fixed, each stratum keeps one free
-coefficient and its log-likelihood is concave in it, so the profile
-log-likelihood lp(b1) is a sum of one-dimensional concave maximizations,
-solved stratum by stratum in scalar floats with each cell's
-log-likelihood computed from its linear predictor, and lp is concave in
-b1. The restricted (no-interaction) fit is the maximum of lp, the
-saturated fit is the empirical risks in closed form, and the LR test and
-the profile-likelihood CI read lp. The last eight fits are memoized, so
-the LR test, the profile CI and the figures reuse a table's fits instead
-of refitting it.
+exposure coefficient estimates. The saturated (interaction) fit is the
+empirical risks in closed form. The restricted (no-interaction) fit is
+Newton ascent on the grouped binomial log-likelihood (observed-Hessian
+direction with a Fisher-scoring fallback) under step-halving that keeps
+every cell probability strictly inside (0, 1); where that ascent ends
+short of its gradient test, the maximum of the profile log-likelihood of
+the exposure coefficient replaces it when higher. The last eight fits are
+memoized, so the LR test, the profile CI and the figures reuse a table's
+fits instead of refitting it.
+Interval estimation is by profile likelihood only. With the exposure
+coefficient b1 held fixed each stratum keeps one free coefficient and its
+log-likelihood is concave in it, so the profile log-likelihood lp(b1) is a
+sum of one-dimensional concave maximizations, solved stratum by stratum in
+scalar floats with each cell's log-likelihood computed from its linear
+predictor, and lp is concave in b1.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -34,10 +38,13 @@ from .errors import ConvergenceError, DomainError
 from .measures import Measure
 from .tables import RiskPoint, StratifiedTable
 
+_GRAD_TOL = 1e-10
+_LL_TOL = 1e-12
 _BOUNDARY_TOL = 1e-12
-# a maximum that sends a cell's probability to 0 or 1 is reported with that
-# cell at _EPS or 1 - _EPS: inside (0, 1), where measures are defined, and
-# within _BOUNDARY_TOL of the bound, so boundary_warning flags it
+# a saturated or profile-maximum fit whose maximum sends a cell's
+# probability to 0 or 1 reports that cell at _EPS or 1 - _EPS: inside
+# (0, 1), where measures are defined, and within _BOUNDARY_TOL of the
+# bound, so boundary_warning flags it
 _EPS = 1e-13
 _MAX_ITER = 200
 
@@ -80,6 +87,39 @@ def _inverse(link: LinkFunction, eta: np.ndarray) -> np.ndarray:
             out[~pos] = ex / (1.0 + ex)
             return out
         return -np.expm1(-np.exp(eta))
+
+
+def _dinverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    if link is LinkFunction.IDENTITY:
+        return np.ones_like(eta)
+    if link is LinkFunction.LOG:
+        return p.copy()
+    if link is LinkFunction.LOGIT:
+        return p * (1.0 - p)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(eta - np.exp(eta))
+
+
+def _d2inverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    if link is LinkFunction.IDENTITY:
+        return np.zeros_like(eta)
+    if link is LinkFunction.LOG:
+        return p.copy()
+    if link is LinkFunction.LOGIT:
+        return dp * (1.0 - 2.0 * p)
+    with np.errstate(over="ignore", under="ignore"):
+        return dp * (1.0 - np.exp(eta))
+
+
+def _link_of(link: LinkFunction, p: np.ndarray) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if link is LinkFunction.IDENTITY:
+        return p.copy()
+    if link is LinkFunction.LOG:
+        return np.log(p)
+    if link is LinkFunction.LOGIT:
+        return np.log(p / (1.0 - p))
+    return np.log(-np.log1p(-p))
 
 
 @dataclass(frozen=True)
@@ -128,12 +168,13 @@ def design_matrix(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _design(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
-    """The design matrix, built once per table and spec; it is shared
-    between calls and so is read-only."""
-    X = design_matrix(table, spec)
-    X.flags.writeable = False
-    return X
+def _problem(table: StratifiedTable, spec: ModelSpec):
+    """(X, cases, totals), built once per table and spec; the arrays are
+    shared between calls and so are read-only."""
+    arrays = (design_matrix(table, spec), *cell_counts(table))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def loglik(table: StratifiedTable, probs) -> float:
@@ -145,13 +186,15 @@ def loglik(table: StratifiedTable, probs) -> float:
         raise DomainError(f"expected {cases.size} cell probabilities, got {p.size}")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("cell probabilities must lie strictly inside (0, 1)")
+    return _ll(cases, totals, p)
+
+
+def _ll(cases: np.ndarray, totals: np.ndarray, p: np.ndarray) -> float:
+    # from p, for loglik and the Newton ascent, whose iterates depend on these bits
     return float(cases @ np.log(p) + (totals - cases) @ np.log1p(-p))
 
 
-# loglik_at and score refuse coefficients that put a cell probability at or
-# below this, where exp(eta) and its kin near the subnormal range and p
-# loses its digits. Fitted cells never come below _EPS.
-_P_FLOOR = 1e-300
+_P_FLOOR = 1e-300  # subnormal probabilities break Fisher scoring arithmetic
 
 
 def _feasible(p: np.ndarray) -> bool:
@@ -159,55 +202,177 @@ def _feasible(p: np.ndarray) -> bool:
     return bool(p.min() > _P_FLOOR and p.max() < 1.0)
 
 
-def _cells_at(table: StratifiedTable, spec: ModelSpec, beta) -> list:
-    """Per stratum, (l, l', l'') in eta of its unexposed and exposed cells at
-    coefficients, from eta as the profile computes them (log p of a p
-    rounded near 1 would lose digits); DomainError when infeasible."""
-    eta = _design(table, spec) @ np.asarray(beta, dtype=float)
-    if not _feasible(_inverse(spec.link, eta)):
-        raise DomainError("coefficients give cell probabilities outside (0, 1)")
-    cell = _CELL[spec.link]
-    eta = eta.tolist()
-    return [
-        (cell(y0, f0, eta[2 * j + 1]), cell(y1, f1, eta[2 * j]))
-        for j, (y0, f0, _, y1, f1, _, _) in enumerate(_profile_strata(table, spec.link))
-    ]
+def _score_info(link, X, cases, totals, eta, p):
+    """Score, Fisher information, and the cell terms v, dp/deta and residual."""
+    v = p * (1.0 - p)
+    dp = _dinverse(link, eta, p)
+    resid = cases - totals * p
+    u = X.T @ (resid / v * dp)
+    info = X.T @ ((totals * dp * dp / v)[:, None] * X)
+    return u, info, v, dp, resid
 
 
 def score(table: StratifiedTable, spec: ModelSpec, beta) -> np.ndarray:
     """Analytic score (gradient of the log-likelihood) at feasible coefficients."""
-    d = [c[1] for unexposed, exposed in _cells_at(table, spec, beta) for c in (exposed, unexposed)]
-    return _design(table, spec).T @ np.array(d)
+    X, cases, totals = _problem(table, spec)
+    eta = X @ np.asarray(beta, dtype=float)
+    p = _inverse(spec.link, eta)
+    if not _feasible(p):
+        raise DomainError("coefficients give cell probabilities outside (0, 1)")
+    return _score_info(spec.link, X, cases, totals, eta, p)[0]
 
 
 def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
-    """Log-likelihood at a coefficient vector, summed stratum by stratum as
-    profile_loglik sums it; DomainError when infeasible."""
-    ll = 0.0
-    for unexposed, exposed in _cells_at(table, spec, beta):
-        ll += unexposed[0] + exposed[0]
-    return ll
+    """Log-likelihood at a coefficient vector, with log p and log(1 - p)
+    computed from eta as the profile's cell functions compute them (log p
+    of a p rounded near 1 would lose digits); DomainError when infeasible."""
+    X, cases, totals = _problem(table, spec)
+    eta = X @ np.asarray(beta, dtype=float)
+    if not _feasible(_inverse(spec.link, eta)):
+        raise DomainError("coefficients give cell probabilities outside (0, 1)")
+    link = spec.link
+    if link is LinkFunction.IDENTITY:
+        log_p, log_q = np.log(eta), np.log1p(-eta)
+    elif link is LinkFunction.LOG:
+        log_p, log_q = eta, np.log(-np.expm1(eta))
+    elif link is LinkFunction.LOGIT:
+        log_p, log_q = -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
+    else:
+        t = np.exp(eta)
+        log_p, log_q = np.log(-np.expm1(-t)), -t
+    return float(cases @ log_p + (totals - cases) @ log_q)
+
+
+def _solve_direction(matrix, u):
+    try:
+        delta = np.linalg.solve(matrix, u)
+    except np.linalg.LinAlgError:
+        delta = np.linalg.lstsq(matrix, u, rcond=None)[0]
+    if not np.all(np.isfinite(delta)):
+        delta = np.linalg.lstsq(matrix, u, rcond=None)[0]
+    return delta
+
+
+def _newton(link, X, cases, totals, beta0, max_iter=_MAX_ITER):
+    """Newton ascent on the grouped-binomial log-likelihood with step-halving;
+    the iterate always keeps every cell probability strictly inside (0, 1).
+
+    Each iteration tries the observed-Hessian Newton direction first
+    (quadratic near the optimum, and free of the slow two-cycles Fisher
+    scoring shows for non-canonical links) and falls back to the Fisher
+    scoring direction, which is always an ascent direction.
+
+    Returns (beta, loglik, converged, iterations, gradient_norm, p)."""
+    beta = np.asarray(beta0, dtype=float).copy()
+    eta = X @ beta
+    p = _inverse(link, eta)
+    if not _feasible(p):
+        raise DomainError("infeasible starting coefficients")
+    ll = _ll(cases, totals, p)
+    gnorm = math.inf
+    iterations = 0
+    converged = False
+    stalled = 0
+    for _ in range(max_iter):
+        u, info, v, dp, resid = _score_info(link, X, cases, totals, eta, p)
+        gnorm = float(np.max(np.abs(u)))
+        if gnorm < _GRAD_TOL:
+            converged = True
+            break
+        directions = []
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            neg_curv = dp * dp * (totals / v + resid * (1.0 - 2.0 * p) / (v * v)) - (
+                resid * _d2inverse(link, eta, p, dp) / v
+            )
+        if np.all(np.isfinite(neg_curv)):
+            newton_delta = _solve_direction(X.T @ (neg_curv[:, None] * X), u)
+            if np.all(np.isfinite(newton_delta)) and float(u @ newton_delta) > 0.0:
+                directions.append(newton_delta)
+        directions.append(_solve_direction(info, u))
+        slack = 32.0 * np.finfo(float).eps * (1.0 + abs(ll))
+        best = None
+        for delta in directions:
+            step = 1.0
+            while step >= 2.0**-60:
+                cand = beta + step * delta
+                eta_c = X @ cand
+                p_c = _inverse(link, eta_c)
+                if _feasible(p_c):
+                    ll_c = _ll(cases, totals, p_c)
+                    if ll_c >= ll - slack:
+                        if best is None or ll_c > best[3]:
+                            best = (cand, eta_c, p_c, ll_c)
+                        break
+                step *= 0.5
+        if best is None:
+            # no feasible ascent step left: log-likelihood change is zero
+            converged = True
+            break
+        iterations += 1
+        dll = best[3] - ll
+        beta, eta, p, ll = best
+        # a change of a few ulps is rounding; at |ll| >~ 1e4 one ulp exceeds _LL_TOL
+        if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
+            # one more Newton pass after the first stall lets quadratic
+            # convergence finish the gradient criterion when the MLE is
+            # interior; a second stall means we are as far as we can get
+            stalled += 1
+            if stalled >= 2:
+                converged = True
+                u = _score_info(link, X, cases, totals, eta, p)[0]
+                gnorm = float(np.max(np.abs(u)))
+                break
+        else:
+            stalled = 0
+    if not converged:
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations (gradient max-norm {gnorm:.3e})",
+            coefficients=tuple(beta),
+            loglik=ll,
+            iterations=iterations,
+        )
+    return beta, ll, converged, iterations, gnorm, p
+
+
+def _null_init(table: StratifiedTable, link: LinkFunction, n_params: int) -> np.ndarray:
+    """Closed-form fit of the exposure-free model (one pooled probability per
+    stratum), used as the starting point for restricted fits."""
+    pooled = []
+    for s in table.strata:
+        tot = s.exposed.total + s.unexposed.total
+        p = (s.exposed.cases + s.unexposed.cases) / tot
+        delta = 0.5 / (tot + 1.0)
+        pooled.append(min(1.0 - delta, max(delta, p)))
+    etas = _link_of(link, np.array(pooled))
+    beta = np.zeros(n_params)
+    beta[0] = etas[0]
+    beta[2 : 2 + table.k - 1] = etas[1:] - etas[0]
+    return beta
 
 
 def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> FitResult:
     """Maximum-likelihood fit of the binomial GLM.
 
-    The saturated fit (interaction) is the empirical risks, in closed form.
-    The restricted fit maximizes the concave profile log-likelihood lp(b1)
-    of the exposure coefficient by safeguarded Newton steps on lp' (see
-    _newton), stopping when a step on b1 falls below 2e-15 max(1, |b1|);
-    after max_iter steps it raises ConvergenceError with the last iterate.
-    ``iterations`` counts the steps and ``gradient_norm`` is |lp'| at the
-    estimate (both 0 for the saturated fit).
+    The saturated fit (interaction) is the empirical risks, in closed form
+    (``iterations`` and ``gradient_norm`` 0). The restricted fit is Newton
+    ascent (see _newton) from the closed-form null fit; it stops when the
+    gradient max-norm falls below 1e-10, when no feasible ascent step is
+    left, or after two successive log-likelihood changes below
+    max(1e-12, 8 ulp(loglik)). When it ends other than by the gradient
+    test (short of a maximum on the identity or log link's constraint
+    p >= 0 or p <= 1, toward which step-halving creeps, or out of
+    iterations), the maximum of the profile log-likelihood lp(b1) is
+    sought from its b1 (see _profile_max) and taken where its loglik is
+    higher, or where the ascent ran out of iterations; ``iterations`` then
+    counts its steps on b1 and ``gradient_norm`` is |lp'| at the estimate.
+    ConvergenceError, carrying the Newton ascent's last iterate, is raised
+    only when neither converges within max_iter iterations.
 
-    Boundary rule: a maximum at a cell probability of 0 or 1 (a zero or
-    full cell, or an estimate of b1 that runs off to infinity) is reported
-    with the cell at 1e-13 or 1 - 1e-13 (for a stratum whose cells are both
-    empty or both full, the nearer one), and ``boundary_warning`` flags any
-    fitted probability within 1e-12 of 0 or 1. ``loglik``, at the reported
-    coefficients, then lies below the supremum (by about n 1e-13 a cell,
-    more for a full stratum under cloglog), so the LR test and the profile
-    CI take the restricted maximum from lp.
+    Boundary rule for the closed form and the profile maximum: a maximum at
+    a cell probability of 0 or 1 (a zero or full cell, or a bound of the
+    link) is reported with the cell at 1e-13 or 1 - 1e-13, and
+    ``boundary_warning`` flags any fitted probability within 1e-12 of 0 or
+    1. ``loglik`` is the log-likelihood at the reported coefficients.
 
     Fits are memoized: equal tables, specs and max_iter return the same
     FitResult object, and the last 8 fits (one table's four links times
@@ -218,42 +383,51 @@ def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> F
     return _fit(table, spec, max_iter)
 
 
+def _reference_coded(a, b) -> np.ndarray:
+    """Coefficients from each stratum's unexposed eta a_j and exposure
+    effect b_j (one b for the no-interaction model)."""
+    return np.array([a[0], b[0], *(aj - a[0] for aj in a[1:]), *(bj - b[0] for bj in b[1:])])
+
+
 @functools.lru_cache(maxsize=8)
 def _fit(table: StratifiedTable, spec: ModelSpec, max_iter: int) -> FitResult:
     link = spec.link
-    strata = _profile_strata(table, link)
-    # per stratum, the unexposed cell's eta a and the exposure effect b
+    X, cases, totals = _problem(table, spec)
     if spec.interaction:
         if table.k < 2:
             raise DomainError("an interaction model needs at least two strata")
         to_eta = _LINK_SCALAR[link]
-        eta = [
-            [to_eta(min(1.0 - _EPS, max(_EPS, y / (y + f)))) for y, f in ((y0, f0), (y1, f1))]
-            for y0, f0, _, y1, f1, _, _ in strata
-        ]
-        a, b = [u for u, _ in eta], [e - u for u, e in eta]
-        gnorm, iterations, converged = 0.0, 0, True
+        eta = [to_eta(min(1.0 - _EPS, max(_EPS, y / n))) for y, n in zip(cases.tolist(), totals.tolist())]
+        beta = _reference_coded(eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])])
+        iterations, gnorm = 0, 0.0
     else:
-        b1, a, gnorm, iterations, converged = _newton(link, strata, max_iter)
-        b = [b1]
-    beta = [a[0], b[0], *(aj - a[0] for aj in a[1:]), *(bj - b[0] for bj in b[1:])]
-    ll = loglik_at(table, spec, beta)
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (|dl/db1| {gnorm:.3e})",
-            coefficients=tuple(beta),
-            loglik=ll,
-            iterations=iterations,
-        )
-    p = _inverse(link, _design(table, spec) @ np.array(beta))
+        failed = None
+        try:
+            beta, _, _, iterations, gnorm, _ = _newton(
+                link, X, cases, totals, _null_init(table, link, X.shape[1]), max_iter=max_iter
+            )
+        except ConvergenceError as err:
+            failed, beta, gnorm = err, np.array(err.coefficients), math.inf
+        if gnorm >= _GRAD_TOL:
+            # the ascent ended short of its gradient test, as it does against
+            # a constraint it creeps toward: the profile maximum from its b1
+            strata = _profile_strata(table, link)
+            b1, a, slope, steps, converged = _profile_max(link, strata, beta[1], max_iter)
+            candidate = _reference_coded(a, [b1])
+            higher = failed is not None or loglik_at(table, spec, candidate) > loglik_at(table, spec, beta)
+            if converged and higher:
+                beta, iterations, gnorm = candidate, steps, slope
+            elif failed is not None:
+                raise failed
+    p = _inverse(link, X @ beta)
     boundary = bool(np.any(p < _BOUNDARY_TOL) or np.any(p > 1.0 - _BOUNDARY_TOL))
     points = tuple(RiskPoint(float(p[2 * j + 1]), float(p[2 * j])) for j in range(table.k))
     return FitResult(
         spec=spec,
         coefficients=tuple(float(b) for b in beta),
-        loglik=ll,
+        loglik=loglik_at(table, spec, beta),
         fitted_points=points,
-        converged=converged,
+        converged=True,
         iterations=iterations,
         boundary_warning=boundary,
         gradient_norm=gnorm,
@@ -297,17 +471,13 @@ def lr_test_interaction(
 ) -> LRTest:
     """Likelihood-ratio test of the K-1 exposure-by-stratum interaction terms.
 
-    The statistic is twice the saturated fit's loglik less the profile
-    log-likelihood at the restricted fit's estimate of b1. Fits of this
-    table that the caller already holds may be passed as ``restricted`` and
-    ``saturated``; the missing ones are fitted here."""
+    Fits of this table that the caller already holds may be passed as
+    ``restricted`` and ``saturated``; the missing ones are fitted here."""
     if table.k < 2:
         raise DomainError("interaction test needs at least two strata")
     restricted = _fit_of(table, ModelSpec(link, interaction=False), restricted)
     saturated = _fit_of(table, ModelSpec(link, interaction=True), saturated)
-    # the restricted maximum from the profile (see the boundary rule of fit)
-    ll_restricted = profile_loglik(table, link, restricted.coefficients[1])
-    stat = max(0.0, 2.0 * (saturated.loglik - ll_restricted))
+    stat = max(0.0, 2.0 * (saturated.loglik - restricted.loglik))
     df = table.k - 1
     return LRTest(stat, df, chi2_sf(stat, df))
 
@@ -437,45 +607,6 @@ def _profile_strata(table: StratifiedTable, link: LinkFunction):
     return tuple(out)
 
 
-def _ascend(evaluate, x, lo, hi, max_iter):
-    """Maximum over (lo, hi) of a concave function whose derivative and
-    second derivative lead evaluate(x), by Newton's method from x. Each
-    evaluation narrows the bracket by the derivative's sign. The first step
-    is at most 1 and each later one at most twice the last; a Newton step
-    over 3/4 of the one before, in the same direction, is raised to that
-    limit. A step bisects the bracket when it would leave it, or when the
-    last step crossed the root and less than halved the derivative. Stops
-    when the derivative is 0 or a step is below _A_TOL * max(1, |x|).
-    Returns (x, evaluate(x), evaluations, converged) at the last x."""
-    move = newton_old = d_old = math.inf
-    n = 0
-    while True:
-        n += 1
-        out = evaluate(x)
-        d, h = out[0], out[1]
-        if d > 0.0:
-            lo = x
-        elif d < 0.0:
-            hi = x
-        else:
-            return x, out, n, True
-        newton = step = -d / h if h < 0.0 else math.copysign(math.inf, d)
-        tol = _A_TOL * max(1.0, abs(x))
-        if abs(newton) <= tol:
-            return x, out, n, True
-        limit = 1.0 if math.isinf(move) else 2.0 * abs(move)
-        if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
-            step = math.copysign(limit, d)
-        if not lo < x + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
-            step = 0.5 * (lo + hi) - x
-            if abs(step) <= tol:
-                return x, out, n, True
-        if n >= max_iter:
-            return x, out, n, False
-        move, newton_old, d_old = step, newton, d
-        x += step
-
-
 def _stratum_max(cell, stratum, b1, lo, hi):
     """Supremum over a in (lo, hi) of the concave stratum log-likelihood
     l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), and the a where it is
@@ -484,9 +615,14 @@ def _stratum_max(cell, stratum, b1, lo, hi):
     When l' does not point into the bracket at an end (or its limit at an
     infinite end), that end and its limit are returned. Otherwise the root
     of l' lies between the two cells' own maximizers, e0 and e1 - b1 (-inf
-    for a zero cell, +inf for a full one), and _ascend runs inside that
-    bracket from the mean of e0 and e1 - b1, each clipped into it,
-    weighted by the cell totals."""
+    for a zero cell, +inf for a full one), and Newton's method on l' runs
+    inside that bracket, narrowed by every evaluation. It starts from the
+    mean of the targets e0 and e1 - b1, each clipped into the bracket,
+    weighted by the cell totals. The first step is at most 1 and each
+    later one at most twice the last; a Newton step over 3/4 of the one
+    before, in the same direction, is raised to that limit. A step bisects
+    the bracket when it would leave it, or when the last step crossed the
+    root and less than halved |l'|. Stops when a step is below _A_TOL * max(1, |a|)."""
     y0, f0, e0, y1, f1, e1, w = stratum
     for end, inward in ((lo, 1.0), (hi, -1.0)):
         if math.isinf(end):
@@ -503,17 +639,32 @@ def _stratum_max(cell, stratum, b1, lo, hi):
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
     t1 = e1 if y1 and f1 else math.copysign(math.inf, y1 - 0.5)
     lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
-
-    def evaluate(a):
+    a = (1.0 - w) * min(max(e0, lo), hi) + w * min(max(e1, lo), hi)
+    move = newton_old = d_old = math.inf
+    for _ in range(_MAX_ITER):
         l0, d0, h0 = cell(y0, f0, a)
         l1, d1, h1 = cell(y1, f1, a + b1)
-        return d0 + d1, h0 + h1, l0 + l1
-
-    a = (1.0 - w) * min(max(e0, lo), hi) + w * min(max(e1, lo), hi)
-    a, (_, _, l), _, converged = _ascend(evaluate, a, lo, hi, _MAX_ITER)
-    if not converged:
-        raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
-    return l, a
+        d, h = d0 + d1, h0 + h1
+        if d > 0.0:
+            lo = a
+        elif d < 0.0:
+            hi = a
+        else:
+            return l0 + l1, a
+        newton = step = -d / h if h < 0.0 else math.copysign(math.inf, d)
+        tol = _A_TOL * max(1.0, abs(a))
+        if abs(newton) <= tol:
+            return l0 + l1, a
+        limit = 1.0 if math.isinf(move) else 2.0 * abs(move)
+        if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
+            step = math.copysign(limit, d)
+        if not lo < a + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
+            step = 0.5 * (lo + hi) - a
+            if abs(step) <= tol:
+                return l0 + l1, a
+        move, newton_old, d_old = step, newton, d
+        a += step
+    raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
 
 
 def _bracket(link: LinkFunction, b1: float) -> tuple[float, float]:
@@ -548,9 +699,9 @@ def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> flo
 
 
 def _profile_slope(link: LinkFunction, strata, b1: float):
-    """(lp', lp'', a, lp) at b1: lp as profile_loglik sums it, and the a and
-    derivatives in b1 of the strata's maxima with both cells' p kept in
-    [_EPS, 1 - _EPS] (the boundary rule, see fit). A stratum's likelihood is
+    """(lp', lp'', a) at b1: the derivatives in b1 of the sum of the strata's
+    maxima with both cells' p kept in [_EPS, 1 - _EPS] (the boundary rule,
+    see fit), and the a where each is reached. A stratum's likelihood is
     concave in a, so that maximum is its maximizer clipped into the range.
     A stratum whose supremum lies at a = -inf or +inf (both cells empty or
     both full, under a link that lets them reach 0 or 1 together) has that
@@ -559,12 +710,11 @@ def _profile_slope(link: LinkFunction, strata, b1: float):
     e_lo, e_hi = _EDGES[link]
     a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     cell = _CELL[link]
-    total = d = h = 0.0
+    d = h = 0.0
     a = []
     for stratum in strata:
         y0, f0, _, y1, f1, _, _ = stratum
-        l, a_max = _stratum_max(cell, stratum, b1, lo, hi)
-        total += l
+        a_max = _stratum_max(cell, stratum, b1, lo, hi)[1]
         aj = min(max(a_max, a_lo), a_hi)
         if not math.isinf(a_max):
             _, d0, h0 = cell(y0, f0, aj)
@@ -582,21 +732,38 @@ def _profile_slope(link: LinkFunction, strata, b1: float):
             d += s * d0 + (1.0 + s) * d1
             h += s * s * h0 + (1.0 + s) ** 2 * h1
         a.append(aj)
-    return d, h, a, total
+    return d, h, a
 
 
-def _newton(link: LinkFunction, strata, max_iter: int):
-    """The restricted fit: _ascend on _profile_slope over the b1 at which a
-    stratum's two cells can keep p in [_EPS, 1 - _EPS], from the mean of
-    the strata's e1 - e0 weighted by n0 n1 / (n0 + n1).
+def _profile_max(link: LinkFunction, strata, b1: float, max_iter: int):
+    """The maximum of the concave lp over the b1 at which a stratum's two
+    cells can keep p in [_EPS, 1 - _EPS], by Newton's method on lp' from b1.
+    Each evaluation narrows the bracket by the sign of lp'; a step bisects
+    it when the Newton step would leave it, or when the last step crossed
+    the root and less than halved |lp'|. Stops when lp' is 0 or a step is
+    below 2e-15 max(1, |b1|); a maximum at an end of the range (an estimate
+    that runs off) is reached within that step of it.
     Returns (b1, a, |lp'(b1)|, steps, converged)."""
-    weights = [(y0 + f0) * (y1 + f1) / (y0 + f0 + y1 + f1) for y0, f0, _, y1, f1, _, _ in strata]
-    start = sum(wt * (s[5] - s[2]) for wt, s in zip(weights, strata)) / sum(weights)
     e_lo, e_hi = _EDGES[link]
-    b1, (d, _, a, _), steps, converged = _ascend(
-        lambda b1: _profile_slope(link, strata, b1), start, e_lo - e_hi, e_hi - e_lo, max_iter
-    )
-    return b1, a, abs(d), steps, converged
+    lo, hi = e_lo - e_hi, e_hi - e_lo
+    b1 = min(max(b1, lo), hi)
+    d_old = 0.0
+    for steps in range(1, max_iter + 1):
+        d, h, a = _profile_slope(link, strata, b1)
+        if d > 0.0:
+            lo = b1
+        elif d < 0.0:
+            hi = b1
+        else:
+            return b1, a, 0.0, steps, True
+        step = -d / h if h < 0.0 else math.inf
+        if not lo < b1 + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
+            step = 0.5 * (lo + hi) - b1
+        if abs(step) <= _A_TOL * max(1.0, abs(b1)):
+            return b1, a, abs(d), steps, True
+        b1 += step
+        d_old = d
+    return b1, a, abs(d), max_iter, False
 
 
 @dataclass(frozen=True)
@@ -664,9 +831,8 @@ def profile_ci(
     Each endpoint is bracketed by geometric expansion from the estimate, then
     found by Brent's method (zeroin) on the signed root
     sqrt(2 (l_max - l_p(b1))) - sqrt(q), which is close to linear in b1, to
-    an absolute width of 1e-12 on b1, where l_max is l_p at the fit's
-    estimate of b1. An infeasible b1 counts as lying beyond the crossing
-    and gets a bisection step.
+    an absolute width of 1e-12 on b1. An infeasible b1 counts as lying
+    beyond the crossing and gets a bisection step.
 
     An endpoint that runs out of feasible b1 (or fails to cross within the
     expansion budget) is truncated at the last reachable value and flagged.
@@ -679,11 +845,19 @@ def profile_ci(
         raise DomainError(f"level must be in (0, 1), got {level}")
     spec = ModelSpec(link, interaction=False)
     restricted = _fit_of(table, spec, restricted)
+    llmax = restricted.loglik
     b1hat = restricted.coefficients[1]
     root_q = math.sqrt(chi2_quantile(level, 1))
-    # the expansion's first step is one standard error, (-lp'')^(-1/2)
-    _, curvature, _, llmax = _profile_slope(link, _profile_strata(table, link), b1hat)
-    h0 = max((-curvature) ** -0.5 if curvature < 0.0 else 0.1, 1e-4)
+
+    X, cases, totals = _problem(table, spec)
+    eta = X @ np.array(restricted.coefficients)
+    p = _inverse(link, eta)
+    info = _score_info(link, X, cases, totals, eta, p)[1]
+    try:
+        se = float(math.sqrt(np.linalg.inv(info)[1, 1]))
+    except (np.linalg.LinAlgError, ValueError):
+        se = 0.1
+    h0 = max(se, 1e-4)
 
     unbounded = _runs_off(table, restricted)
 
