@@ -67,6 +67,7 @@ from .inference import (
     measure_for_link,
     profile_ci,
     profile_loglik,
+    profile_loglik_slope,
     score,
 )
 from .render import (

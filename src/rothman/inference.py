@@ -16,7 +16,8 @@ coefficient b1 held fixed each stratum keeps one free coefficient and its
 log-likelihood is concave in it, so the profile log-likelihood lp(b1) is a
 sum of one-dimensional concave maximizations, solved stratum by stratum in
 scalar floats with each cell's log-likelihood computed from its linear
-predictor, and lp is concave in b1.
+predictor, and lp is concave in b1. Each solve also gives its maximum's
+derivative in b1, so the CI endpoints are found by Newton's method.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -609,9 +610,12 @@ def _profile_strata(table: StratifiedTable, link: LinkFunction):
 
 def _stratum_max(cell, stratum, b1, lo, hi):
     """Supremum over a in (lo, hi) of the concave stratum log-likelihood
-    l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), and the a where it is
-    reached: (l, a).
+    l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), the a where it is
+    reached, and the supremum's derivative in b1: (l, a, dl/db1).
 
+    By the envelope theorem it is the exposed cell's dl/deta at an interior
+    maximum or a fixed end, minus the unexposed cell's at an end that moves
+    with b1 (a = -b1 or 1 - b1, the exposed p at 0 or 1), 0 at an infinite end.
     When l' does not point into the bracket at an end (or its limit at an
     infinite end), that end and its limit are returned. Otherwise the root
     of l' lies between the two cells' own maximizers, e0 and e1 - b1 (-inf
@@ -628,13 +632,13 @@ def _stratum_max(cell, stratum, b1, lo, hi):
         if math.isinf(end):
             # a -> -inf sends every p to 0 and a -> +inf every p to 1
             if not (y0 + y1 if end < 0.0 else f0 + f1):
-                return 0.0, end
+                return 0.0, end, 0.0
         else:
             # end + b1 is exact at the end where the exposed p is 0 or 1
             l0, d0, _ = cell(y0, f0, end)
             l1, d1, _ = cell(y1, f1, end + b1)
             if inward * (d0 + d1) <= 0.0:
-                return l0 + l1, end
+                return l0 + l1, end, (-d0 if end + b1 in (0.0, 1.0) else d1)
     e1 -= b1
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
     t1 = e1 if y1 and f1 else math.copysign(math.inf, y1 - 0.5)
@@ -650,18 +654,18 @@ def _stratum_max(cell, stratum, b1, lo, hi):
         elif d < 0.0:
             hi = a
         else:
-            return l0 + l1, a
+            return l0 + l1, a, d1
         newton = step = -d / h if h < 0.0 else math.copysign(math.inf, d)
         tol = _A_TOL * max(1.0, abs(a))
         if abs(newton) <= tol:
-            return l0 + l1, a
+            return l0 + l1, a, d1
         limit = 1.0 if math.isinf(move) else 2.0 * abs(move)
         if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
             step = math.copysign(limit, d)
         if not lo < a + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
             step = 0.5 * (lo + hi) - a
             if abs(step) <= tol:
-                return l0 + l1, a
+                return l0 + l1, a, d1
         move, newton_old, d_old = step, newton, d
         a += step
     raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
@@ -679,6 +683,20 @@ def _bracket(link: LinkFunction, b1: float) -> tuple[float, float]:
     return -math.inf, (min(0.0, -b1) if link is LinkFunction.LOG else math.inf)
 
 
+def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float]:
+    """(lp(b1), lp'(b1)): the profile log-likelihood (see profile_loglik) and
+    the sum of the derivatives in b1 of the strata's maxima (see _stratum_max).
+    Raises DomainError when no coefficients are feasible at this b1."""
+    lo, hi = _bracket(link, b1)
+    cell = _CELL[link]
+    total = slope = 0.0
+    for stratum in _profile_strata(table, link):
+        l, _, d = _stratum_max(cell, stratum, b1, lo, hi)
+        total += l
+        slope += d
+    return total, slope
+
+
 def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> float:
     """Log-likelihood of the no-interaction model maximized over all
     coefficients except the exposure coefficient, held at b1.
@@ -690,12 +708,7 @@ def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> flo
     _stratum_max).
 
     Raises DomainError when no coefficients are feasible at this b1."""
-    lo, hi = _bracket(link, b1)
-    cell = _CELL[link]
-    total = 0.0
-    for stratum in _profile_strata(table, link):
-        total += _stratum_max(cell, stratum, b1, lo, hi)[0]
-    return total
+    return profile_loglik_slope(table, link, b1)[0]
 
 
 def _profile_slope(link: LinkFunction, strata, b1: float):
@@ -735,35 +748,66 @@ def _profile_slope(link: LinkFunction, strata, b1: float):
     return d, h, a
 
 
+def _newton_root(func, x: float, lo: float, hi: float, tol, max_iter: int, capped: bool = False):
+    """A root of func, increasing on the bracket (lo, hi), by Newton's
+    method from x in it. func(x) returns (v, v', extra); v = +inf marks an
+    x beyond func's domain, which counts as lying above the root.
+
+    Each evaluation narrows the bracket by the sign of v. A step that would
+    leave the bracket bisects it, as does one after a step that crossed the
+    root and less than halved |v|. When capped, hi is a cap, not a point
+    known to lie above the root: until one is seen, such a step doubles x's
+    distance from the first lo instead, up to the cap. Stops when v is 0 or
+    a step is at most tol(x).
+
+    Returns (root, extra, steps, stop), extra from the last x evaluated.
+    stop is "root" (root is that x plus its step), "edge" (no root lies
+    below the cap and in func's domain: root is the cap, or the last x
+    below the root within 2 tol(x) of one beyond the domain) or "limit"
+    (max_iter steps taken; root is the last x)."""
+    origin = lo
+    beyond = False
+    v_old = 0.0
+    for steps in range(1, max_iter + 1):
+        v, dv, extra = func(x)
+        if v < 0.0:
+            lo = x
+        elif v > 0.0:
+            hi, capped, beyond = x, False, math.isinf(v)
+        else:
+            return x, extra, steps, "root"
+        step = -v / dv if dv > 0.0 else math.copysign(math.inf, -v)
+        bad = not lo < x + step < hi or (v * v_old < 0.0 and abs(v) > 0.5 * abs(v_old))
+        if bad and abs(step) > tol(x):
+            step = (min(2.0 * x - origin, hi) if capped else 0.5 * (lo + hi)) - x
+        if abs(step) <= tol(x):
+            if lo == hi:
+                return x, extra, steps, "edge"
+            if beyond and hi - lo <= 2.0 * tol(x):
+                return lo, extra, steps, "edge"
+            return x + step, extra, steps, "root"
+        x += step
+        v_old = v
+    return x, extra, max_iter, "limit"
+
+
 def _profile_max(link: LinkFunction, strata, b1: float, max_iter: int):
     """The maximum of the concave lp over the b1 at which a stratum's two
-    cells can keep p in [_EPS, 1 - _EPS], by Newton's method on lp' from b1.
-    Each evaluation narrows the bracket by the sign of lp'; a step bisects
-    it when the Newton step would leave it, or when the last step crossed
-    the root and less than halved |lp'|. Stops when lp' is 0 or a step is
-    below 2e-15 max(1, |b1|); a maximum at an end of the range (an estimate
-    that runs off) is reached within that step of it.
-    Returns (b1, a, |lp'(b1)|, steps, converged)."""
+    cells can keep p in [_EPS, 1 - _EPS]: the root of -lp' by _newton_root
+    from b1, to a step of 2e-15 max(1, |b1|). A maximum at an end of the
+    range (an estimate that runs off) is reached within that step of it.
+    Returns (b1, a, |lp'(b1)|, steps, converged) at the last b1 evaluated."""
     e_lo, e_hi = _EDGES[link]
     lo, hi = e_lo - e_hi, e_hi - e_lo
-    b1 = min(max(b1, lo), hi)
-    d_old = 0.0
-    for steps in range(1, max_iter + 1):
+
+    def slope(b1: float):
         d, h, a = _profile_slope(link, strata, b1)
-        if d > 0.0:
-            lo = b1
-        elif d < 0.0:
-            hi = b1
-        else:
-            return b1, a, 0.0, steps, True
-        step = -d / h if h < 0.0 else math.inf
-        if not lo < b1 + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
-            step = 0.5 * (lo + hi) - b1
-        if abs(step) <= _A_TOL * max(1.0, abs(b1)):
-            return b1, a, abs(d), steps, True
-        b1 += step
-        d_old = d
-    return b1, a, abs(d), max_iter, False
+        return -d, -h, (b1, a, abs(d))
+
+    _, (b1, a, gnorm), steps, stop = _newton_root(
+        slope, min(max(b1, lo), hi), lo, hi, lambda b: _A_TOL * max(1.0, abs(b)), max_iter
+    )
+    return b1, a, gnorm, steps, stop != "limit"
 
 
 @dataclass(frozen=True)
@@ -777,48 +821,11 @@ class ProfileCI:
     upper_truncated: bool = False
 
 
-_MAX_DOUBLINGS = 60
-# expansion cap on the link scale: a crossing beyond exp(+-500) on a ratio
+# cap on b1's distance from 0: a crossing beyond exp(+-500) on a ratio
 # scale is indistinguishable from an unbounded interval, and staying inside
 # the cap keeps cell probabilities in the normal floating-point range
 _B1_SPAN = 500.0
-_B1_TOL = 1e-12  # absolute width on b1 at which an endpoint search stops
-
-
-def _zeroin(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
-    """Brent's method (zeroin) for a root of f bracketed by a and b, where
-    fa < 0 <= fb; an infinite f counts as positive and rules out
-    interpolation, so the step after one is a bisection. Stops when the
-    bracket is narrower than _B1_TOL and returns its end with the smaller
-    |f| and the f at its other end."""
-    # b is the best point so far, c brackets the root with it, a is the previous b
-    c, fc = a, fa
-    step = prev_step = b - a
-    for _ in range(100):
-        if abs(fc) < abs(fb):
-            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        tol = 0.5 * _B1_TOL + 2.0 * math.ulp(b)  # a step of tol always moves b
-        half = 0.5 * (c - b)
-        if fb == 0.0 or abs(half) <= tol:
-            break
-        bisect = True
-        if abs(prev_step) > tol and abs(fb) < abs(fa) and math.isfinite(fa + fc):
-            if a == c:  # secant
-                trial_step = -fb * (b - a) / (fb - fa)
-            else:  # inverse quadratic interpolation
-                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
-                trial_step = -fb * (fc * dc - fa * da) / (da * dc * (fc - fa))
-            if 2.0 * abs(trial_step) < min(abs(prev_step), 3.0 * abs(half) - tol):
-                prev_step, step, bisect = step, trial_step, False
-        if bisect:
-            prev_step = step = half
-        a, fa = b, fb
-        b += step if abs(step) > tol else math.copysign(tol, half)
-        fb = f(b)
-        if (fb >= 0.0) == (fc >= 0.0):
-            c, fc = a, fa
-            step = prev_step = b - a
-    return b, fc
+_B1_TOL = 1e-12  # an endpoint search stops at a step of _B1_TOL / 2 + 2 ulp(b1)
 
 
 def profile_ci(
@@ -828,72 +835,62 @@ def profile_ci(
     """Endpoints where the profile LR statistic for the exposure coefficient
     crosses the chi-square(1) quantile q, mapped to the measure scale.
 
-    Each endpoint is bracketed by geometric expansion from the estimate, then
-    found by Brent's method (zeroin) on the signed root
-    sqrt(2 (l_max - l_p(b1))) - sqrt(q), which is close to linear in b1, to
-    an absolute width of 1e-12 on b1. An infeasible b1 counts as lying
-    beyond the crossing and gets a bisection step.
+    Each endpoint is the root of the signed root f(b1) = r - sqrt(q), with
+    r = sqrt(2 (l_max - lp(b1))), close to linear in b1, by safeguarded
+    Newton's method (see _newton_root) with f' = -lp'(b1) / r, lp' coming
+    with lp from each profile solve (profile_loglik_slope). The search
+    starts at the Wald point b1hat +- sqrt(q / -lp''(b1hat)), lp'' summed
+    over the strata at their fitted coefficients, but no farther from b1hat
+    than the bound on |b1| of _profile_max's range. Until it has seen a b1
+    past the crossing, a step that would leave the range between the
+    estimate and the cap (+-500, or the estimate +-1) doubles the distance
+    from the estimate. It stops when a step is at most 5e-13 plus 2 ulp of
+    b1 and returns b1 plus that step. An infeasible b1 counts as past the
+    crossing.
 
-    An endpoint that runs out of feasible b1 (or fails to cross within the
-    expansion budget) is truncated at the last reachable value and flagged.
-    Under the logit and cloglog links an endpoint toward which b1's estimate
-    runs off to infinity (see _runs_off) is truncated at the estimate.
+    An endpoint that runs out of feasible b1, or does not cross before the
+    cap, is truncated at the last reachable value and flagged. Under the
+    logit and cloglog links an endpoint toward which b1's estimate runs off
+    to infinity (see _runs_off) is truncated at the estimate.
     A no-interaction fit of this table that the caller already holds may be
     passed as ``restricted``; otherwise it is fitted here.
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    spec = ModelSpec(link, interaction=False)
-    restricted = _fit_of(table, spec, restricted)
-    llmax = restricted.loglik
-    b1hat = restricted.coefficients[1]
-    root_q = math.sqrt(chi2_quantile(level, 1))
-
-    X, cases, totals = _problem(table, spec)
-    eta = X @ np.array(restricted.coefficients)
-    p = _inverse(link, eta)
-    info = _score_info(link, X, cases, totals, eta, p)[1]
-    try:
-        se = float(math.sqrt(np.linalg.inv(info)[1, 1]))
-    except (np.linalg.LinAlgError, ValueError):
-        se = 0.1
-    h0 = max(se, 1e-4)
-
+    restricted = _fit_of(table, ModelSpec(link, interaction=False), restricted)
+    c, cell, curvature = restricted.coefficients, _CELL[link], 0.0
+    b1hat, root_q = c[1], math.sqrt(chi2_quantile(level, 1))
+    # lp'' at the estimate: each stratum's h0 h1 / (h0 + h1) (see _profile_slope)
+    for j, (y0, f0, _, y1, f1, _, _) in enumerate(_profile_strata(table, link)):
+        a = c[0] + (c[1 + j] if j else 0.0)
+        h0, h1 = cell(y0, f0, a)[2], cell(y1, f1, a + b1hat)[2]
+        if h0 + h1 < 0.0:
+            curvature += h0 * h1 / (h0 + h1)
+    e_lo, e_hi = _EDGES[link]
+    wald = min(root_q / math.sqrt(-curvature), e_hi - e_lo) if 0.0 < -curvature < math.inf else 0.1
     unbounded = _runs_off(table, restricted)
 
-    def root(b1: float) -> float:
-        """Signed root less sqrt(q): < 0 inside the interval, >= 0 past the
-        crossing, +inf where no model is feasible. Profile solves start
-        from the data, not from the previous b1's solution, so the root is
-        a function of b1 alone and does not depend on the order in which
-        the search visits b1."""
-        try:
-            ll = profile_loglik(table, link, b1)
-        except DomainError:
-            return math.inf
-        return math.sqrt(max(0.0, 2.0 * (llmax - ll))) - root_q
-
-    cap_lo = min(-_B1_SPAN, b1hat - 1.0)
-    cap_hi = max(_B1_SPAN, b1hat + 1.0)
-
     def endpoint(direction: int) -> tuple[float, bool]:
-        # the endpoint is truncated at the last feasible b1 when no crossing is seen
         if direction in unbounded:
             return b1hat, True
-        inner, f_inner, h = b1hat, -root_q, h0
-        for _ in range(_MAX_DOUBLINGS):
-            trial = min(cap_hi, max(cap_lo, b1hat + direction * h))
-            if trial == inner:
-                return inner, True
-            f_trial = root(trial)
-            if f_trial >= 0.0:
-                break
-            inner, f_inner = trial, f_trial
-            h *= 2.0
-        else:
-            return inner, True
-        b1, f_other = _zeroin(root, inner, f_inner, trial, f_trial)
-        return b1, math.isinf(f_other)
+
+        def root(x: float):
+            # f and f' in x = direction * b1, +inf where no model is feasible;
+            # profile solves start from the data, so f depends on b1 alone
+            try:
+                ll, slope = profile_loglik_slope(table, link, direction * x)
+            except DomainError:
+                return math.inf, math.nan, None
+            r = math.sqrt(max(0.0, 2.0 * (restricted.loglik - ll)))
+            return r - root_q, (-direction * slope / r if r else math.nan), None
+
+        x = direction * b1hat
+        cap = max(_B1_SPAN, x + 1.0)
+        x, _, _, stop = _newton_root(
+            root, min(x + max(wald, _B1_TOL), cap), x, cap,
+            lambda x: 0.5 * _B1_TOL + 2.0 * math.ulp(x), _MAX_ITER, capped=True,
+        )
+        return direction * x, stop == "edge"
 
     lo_b1, lo_trunc = endpoint(-1)
     hi_b1, hi_trunc = endpoint(+1)

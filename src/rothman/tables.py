@@ -60,6 +60,15 @@ class StratifiedTable:
         if len(set(labels)) != len(labels):
             dup = next(lab for lab in labels if labels.count(lab) > 1)
             raise DomainError(f"duplicate stratum label {dup!r}")
+        # tables key the fit and profile memos: hash the nested strata once
+        object.__setattr__(self, "_hash", hash(self.strata))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled table hashes as its own process does
+        return type(self), (self.strata,)
 
     @property
     def k(self) -> int:

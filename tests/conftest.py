@@ -40,21 +40,22 @@ def computed_fits():
 @pytest.fixture
 def profile_loglik_calls(monkeypatch) -> list:
     """b1 values of the profile solves made through
-    ``rothman.inference.profile_loglik``, which ``profile_ci`` looks up at call time."""
+    ``rothman.inference.profile_loglik_slope``, which ``profile_ci`` looks
+    up at call time."""
     calls = []
-    original = inference.profile_loglik
+    original = inference.profile_loglik_slope
 
     def counted(table, link, b1):
         calls.append(b1)
         return original(table, link, b1)
 
-    monkeypatch.setattr(inference, "profile_loglik", counted)
+    monkeypatch.setattr(inference, "profile_loglik_slope", counted)
     return calls
 
 
 @pytest.fixture
 def stratum_evaluations(monkeypatch) -> list:
-    """Per stratum solve of ``rothman.inference.profile_loglik``, how often
+    """Per stratum solve of ``rothman.inference.profile_loglik_slope``, how often
     it evaluates the stratum log-likelihood: calls of its link's cell
     function (one per cell and evaluation) made in ``_stratum_max``, over 2."""
     calls = []

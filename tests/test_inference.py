@@ -24,6 +24,7 @@ from rothman.inference import (
     measure_for_link,
     profile_ci,
     profile_loglik,
+    profile_loglik_slope,
     score,
 )
 from rothman.measures import Measure, evaluate, null_value
@@ -388,10 +389,40 @@ def test_profile_ci_endpoints_hit_quantile_at_other_levels(link, k, level):
 @pytest.mark.parametrize("k", ["newcastle", *range(1, 7)])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_solves_per_interval(link, k, profile_loglik_calls):
-    # Brent's method on the signed root needs about 12 profile solves per
-    # interval; bisection of b1 to a width of 1e-12 needed about 75
+    # Newton's method on the signed root from the Wald points needs about 7
+    # profile solves per interval; Brent's method after a geometric
+    # expansion needed about 12, and bisection to a width of 1e-12 about 75
     profile_ci(_table(k), link)
-    assert 0 < len(profile_loglik_calls) <= 20
+    assert 0 < len(profile_loglik_calls) <= 10
+
+
+@pytest.mark.parametrize("k", ["newcastle", 3, "full-unexposed-2", "zero-exposed-3"])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_ci_solves_only_through_profile_loglik_slope(link, k, monkeypatch):
+    # bench/spans.py counts the spans of inference.profile_loglik_slope under
+    # each CI as its profile solves: every stratum solve profile_ci makes,
+    # once its fit is made, runs inside a call of that module attribute
+    table = _table(k)
+    fit(table, ModelSpec(link, interaction=False))
+    inside, outside, depth = [0], [0], [0]
+    original_slope, original_max = inference.profile_loglik_slope, inference._stratum_max
+
+    def traced(*args):
+        depth[0] += 1
+        try:
+            return original_slope(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted(*args):
+        (inside if depth[0] else outside)[0] += 1
+        return original_max(*args)
+
+    monkeypatch.setattr(inference, "profile_loglik_slope", traced)
+    monkeypatch.setattr(inference, "_stratum_max", counted)
+    profile_ci(table, link)
+    assert inside[0] > 0
+    assert outside[0] == 0
 
 
 def _b1_inside_and_outside(table, link, restricted):
@@ -421,6 +452,28 @@ def test_profile_loglik_matches_stratum_oracle(link, k):
     if link is LinkFunction.IDENTITY:
         with pytest.raises(DomainError):
             profile_loglik(table, link, 1.0)
+
+
+@pytest.mark.parametrize("k", ORACLE_TABLES + ["full-stratum", "full-unexposed-2", "zero-exposed-3"])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_loglik_slope_is_the_derivative(link, k):
+    # lp' from each stratum's solve against a central difference of lp,
+    # at the estimate, the CI endpoints and b1 between and beyond them
+    table = _table(k)
+    for b1 in _b1_inside_and_outside(table, link, fit(table, ModelSpec(link, interaction=False))):
+        h = 1e-6 * max(1.0, abs(b1))
+        if link is LinkFunction.IDENTITY and not abs(b1) + h < 1.0:
+            continue
+        if link in (LinkFunction.IDENTITY, LinkFunction.LOG) and abs(b1) < h:
+            # at b1 = 0 a bracket end of a switches between fixed and moving,
+            # so a stratum at that end gives lp a kink (full-stratum's log
+            # estimate sits on it)
+            continue
+        ll, slope = profile_loglik_slope(table, link, b1)
+        assert ll == profile_loglik(table, link, b1)
+        difference = (profile_loglik(table, link, b1 + h) - profile_loglik(table, link, b1 - h)) / (2.0 * h)
+        # the difference carries rounding of about ulp(lp) / h
+        assert slope == pytest.approx(difference, rel=1e-6, abs=64.0 * math.ulp(ll) / h)
 
 
 @pytest.mark.parametrize("k", ORACLE_TABLES)
@@ -666,6 +719,7 @@ def test_equal_tables_share_one_fit(computed_fits):
     csv = CSV_HEADER + "a,10,100,20,100\nb,30,100,10,100\n"
     first, second = parse_table(csv), parse_table(csv)
     assert first is not second
+    assert hash(first) == hash(second)
     spec = ModelSpec(LinkFunction.LOGIT, interaction=False)
     assert fit(first, spec) is fit(second, spec)
     assert computed_fits() == 1

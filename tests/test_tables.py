@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -186,3 +189,28 @@ def test_stratum_order_preserved():
     strata = tuple(Stratum(lab, CellCounts(1, 10), CellCounts(2, 10)) for lab in labels)
     table = parse_table(serialize_table(StratifiedTable(strata)))
     assert [s.label for s in table.strata] == labels
+
+
+def test_table_hash_is_set_once_and_equality_and_repr_are_the_fields():
+    def build(label="a"):
+        return StratifiedTable((
+            Stratum(label, exposed=CellCounts(10, 100), unexposed=CellCounts(20, 100)),
+            Stratum("b", exposed=CellCounts(30, 100), unexposed=CellCounts(10, 100)),
+        ))
+
+    first, second = build(), build()
+    assert first == second and hash(first) == hash(second) == hash(first.strata)
+    assert repr(first) == f"StratifiedTable(strata={first.strata!r})"
+    assert build("c") != first
+
+
+def test_unpickled_table_hashes_as_one_built_in_its_process():
+    # the hash is set once from strings, whose hashes differ between processes
+    def run(seed, code, data=b""):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True).stdout
+
+    prelude = "import pickle, sys; from rothman.tables import newcastle_fixture; "
+    data = run("1", prelude + "sys.stdout.buffer.write(pickle.dumps(newcastle_fixture()))")
+    check = "t = pickle.loads(sys.stdin.buffer.read()); print(t == newcastle_fixture() and hash(t) == hash(newcastle_fixture()))"
+    assert run("2", prelude + check, data).strip() == b"True"
