@@ -3,21 +3,24 @@
 One model family, four link functions (identity, log, logit,
 complementary log-log), each paired with the association measure its
 exposure coefficient estimates. The saturated (interaction) fit is the
-empirical risks in closed form. The restricted (no-interaction) fit is
-Newton ascent on the grouped binomial log-likelihood (observed-Hessian
-direction with a Fisher-scoring fallback) under step-halving that keeps
-every cell probability strictly inside (0, 1); where that ascent ends
-short of its gradient test, the maximum of the profile log-likelihood of
-the exposure coefficient replaces it when higher. The last eight fits are
-memoized, so the LR test, the profile CI and the figures reuse a table's
-fits instead of refitting it.
-Interval estimation is by profile likelihood only. With the exposure
-coefficient b1 held fixed each stratum keeps one free coefficient and its
-log-likelihood is concave in it, so the profile log-likelihood lp(b1) is a
-sum of one-dimensional concave maximizations, solved stratum by stratum in
-scalar floats with each cell's log-likelihood computed from its linear
-predictor, and lp is concave in b1. Each solve also gives its maximum's
-derivative in b1, so the CI endpoints are found by Newton's method.
+empirical risks, and its log-likelihood their closed-form supremum. The
+restricted (no-interaction) fit is Newton ascent on the grouped binomial
+log-likelihood (observed-Hessian direction with a Fisher-scoring
+fallback) under step-halving that keeps every cell probability strictly
+inside (0, 1); where that ascent ends short of its gradient test, the
+maximum of the profile log-likelihood of the exposure coefficient
+replaces it. The last eight fits are memoized, so the LR test, the
+profile CI and the figures reuse a table's fits instead of refitting it.
+With the exposure coefficient b1 held fixed each stratum keeps one free
+coefficient and its log-likelihood is concave in it, so the profile
+log-likelihood lp(b1) is a sum of one-dimensional concave maximizations,
+solved stratum by stratum in scalar floats with each cell's
+log-likelihood computed from its linear predictor, and lp is concave in
+b1. Each solve also gives its maximum's first two derivatives in b1. One
+function, profile_loglik_slope, returns lp, lp' and lp''; the fit's
+profile maximum and the profile CI, whose endpoints are found by Newton's
+method, both work through it. Interval estimation is by profile
+likelihood only.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -134,6 +137,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A maximum-likelihood fit (see fit). ``loglik`` is the log-likelihood
+    the fit reaches: the supremum over the model for the saturated fit and
+    for a restricted fit taken from the profile maximum, and the
+    log-likelihood at ``coefficients`` for one taken from the Newton
+    ascent. ``fitted_points`` are the cell probabilities, as (unexposed,
+    exposed) risk points per stratum, with the boundary rule of fit."""
+
     spec: ModelSpec
     coefficients: tuple[float, ...]
     loglik: float
@@ -355,25 +365,29 @@ def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> F
     """Maximum-likelihood fit of the binomial GLM.
 
     The saturated fit (interaction) is the empirical risks, in closed form
-    (``iterations`` and ``gradient_norm`` 0). The restricted fit is Newton
-    ascent (see _newton) from the closed-form null fit; it stops when the
-    gradient max-norm falls below 1e-10, when no feasible ascent step is
-    left, or after two successive log-likelihood changes below
-    max(1e-12, 8 ulp(loglik)). When it ends other than by the gradient
-    test (short of a maximum on the identity or log link's constraint
-    p >= 0 or p <= 1, toward which step-halving creeps, or out of
-    iterations), the maximum of the profile log-likelihood lp(b1) is
-    sought from its b1 (see _profile_max) and taken where its loglik is
-    higher, or where the ascent ran out of iterations; ``iterations`` then
-    counts its steps on b1 and ``gradient_norm`` is |lp'| at the estimate.
-    ConvergenceError, carrying the Newton ascent's last iterate, is raised
-    only when neither converges within max_iter iterations.
+    (``iterations`` and ``gradient_norm`` 0), and its ``loglik`` is
+    sum y log(y/n) + (n - y) log(1 - y/n) over the cells, with 0 log 0 = 0.
+    The restricted fit is Newton ascent (see _newton) from the closed-form
+    null fit; it stops when the gradient max-norm falls below 1e-10, when
+    no feasible ascent step is left, or after two successive
+    log-likelihood changes below max(1e-12, 8 ulp(loglik)), and its
+    ``loglik`` is the log-likelihood at its coefficients. When it ends
+    other than by the gradient test (short of a maximum on the identity or
+    log link's constraint p >= 0 or p <= 1, toward which step-halving
+    creeps, or out of iterations), the maximum of the profile
+    log-likelihood lp(b1) is sought from its b1 (see _profile_max) and,
+    when found within max_iter steps, taken: ``loglik`` is then lp at the
+    estimate, ``iterations`` counts the steps on b1 and ``gradient_norm``
+    is |lp'| at the estimate. ConvergenceError, carrying the Newton
+    ascent's last iterate, is raised only when neither converges within
+    max_iter iterations.
 
     Boundary rule for the closed form and the profile maximum: a maximum at
     a cell probability of 0 or 1 (a zero or full cell, or a bound of the
     link) is reported with the cell at 1e-13 or 1 - 1e-13, and
     ``boundary_warning`` flags any fitted probability within 1e-12 of 0 or
-    1. ``loglik`` is the log-likelihood at the reported coefficients.
+    1. The rule applies to the reported coefficients and fitted points
+    only; ``loglik`` stays the supremum.
 
     Fits are memoized: equal tables, specs and max_iter return the same
     FitResult object, and the last 8 fits (one table's four links times
@@ -390,49 +404,58 @@ def _reference_coded(a, b) -> np.ndarray:
     return np.array([a[0], b[0], *(aj - a[0] for aj in a[1:]), *(bj - b[0] for bj in b[1:])])
 
 
-@functools.lru_cache(maxsize=8)
-def _fit(table: StratifiedTable, spec: ModelSpec, max_iter: int) -> FitResult:
-    link = spec.link
-    X, cases, totals = _problem(table, spec)
-    if spec.interaction:
-        if table.k < 2:
-            raise DomainError("an interaction model needs at least two strata")
-        to_eta = _LINK_SCALAR[link]
-        eta = [to_eta(min(1.0 - _EPS, max(_EPS, y / n))) for y, n in zip(cases.tolist(), totals.tolist())]
-        beta = _reference_coded(eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])])
-        iterations, gnorm = 0, 0.0
-    else:
-        failed = None
-        try:
-            beta, _, _, iterations, gnorm, _ = _newton(
-                link, X, cases, totals, _null_init(table, link, X.shape[1]), max_iter=max_iter
-            )
-        except ConvergenceError as err:
-            failed, beta, gnorm = err, np.array(err.coefficients), math.inf
-        if gnorm >= _GRAD_TOL:
-            # the ascent ended short of its gradient test, as it does against
-            # a constraint it creeps toward: the profile maximum from its b1
-            strata = _profile_strata(table, link)
-            b1, a, slope, steps, converged = _profile_max(link, strata, beta[1], max_iter)
-            candidate = _reference_coded(a, [b1])
-            higher = failed is not None or loglik_at(table, spec, candidate) > loglik_at(table, spec, beta)
-            if converged and higher:
-                beta, iterations, gnorm = candidate, steps, slope
-            elif failed is not None:
-                raise failed
-    p = _inverse(link, X @ beta)
-    boundary = bool(np.any(p < _BOUNDARY_TOL) or np.any(p > 1.0 - _BOUNDARY_TOL))
-    points = tuple(RiskPoint(float(p[2 * j + 1]), float(p[2 * j])) for j in range(table.k))
+def _result(spec: ModelSpec, beta, loglik: float, p, iterations: int, gnorm: float) -> FitResult:
+    """The FitResult of coefficients beta with cell probabilities p (cell order)."""
     return FitResult(
         spec=spec,
         coefficients=tuple(float(b) for b in beta),
-        loglik=loglik_at(table, spec, beta),
-        fitted_points=points,
+        loglik=loglik,
+        fitted_points=tuple(RiskPoint(float(p[j + 1]), float(p[j])) for j in range(0, len(p), 2)),
         converged=True,
         iterations=iterations,
-        boundary_warning=boundary,
+        boundary_warning=bool(min(p) < _BOUNDARY_TOL or max(p) > 1.0 - _BOUNDARY_TOL),
         gradient_norm=gnorm,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _fit(table: StratifiedTable, spec: ModelSpec, max_iter: int) -> FitResult:
+    link = spec.link
+    if spec.interaction:
+        if table.k < 2:
+            raise DomainError("an interaction model needs at least two strata")
+        p, terms = [], []
+        for s in table.strata:
+            for c in (s.exposed, s.unexposed):
+                risk = c.cases / c.total
+                if c.cases:
+                    terms.append(c.cases * math.log(risk))
+                if c.cases < c.total:
+                    terms.append((c.total - c.cases) * math.log1p(-risk))
+                p.append(min(1.0 - _EPS, max(_EPS, risk)))
+        eta = [_LINK_SCALAR[link](v) for v in p]
+        beta = _reference_coded(eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])])
+        return _result(spec, beta, math.fsum(terms), p, 0, 0.0)
+    X, cases, totals = _problem(table, spec)
+    failed = None
+    try:
+        beta, _, _, iterations, gnorm, _ = _newton(
+            link, X, cases, totals, _null_init(table, link, X.shape[1]), max_iter=max_iter
+        )
+    except ConvergenceError as err:
+        failed, beta, gnorm = err, np.array(err.coefficients), math.inf
+    if gnorm >= _GRAD_TOL:
+        # the ascent ended short of its gradient test, as it does against
+        # a constraint it creeps toward: the profile maximum from its b1
+        found = _profile_max(table, link, float(beta[1]), max_iter)
+        if found is not None:
+            b1, ll, a, gnorm, iterations = found
+            beta = _reference_coded(a, [b1])
+            p = np.clip(_inverse(link, X @ beta), _EPS, 1.0 - _EPS)
+            return _result(spec, beta, ll, p, iterations, gnorm)
+        if failed is not None:
+            raise failed
+    return _result(spec, beta, loglik_at(table, spec, beta), _inverse(link, X @ beta), iterations, gnorm)
 
 
 def common_measure(result: FitResult) -> float:
@@ -459,9 +482,8 @@ def _fit_of(table: StratifiedTable, spec: ModelSpec, given: FitResult | None) ->
         return fit(table, spec)
     if given.spec != spec:
         raise DomainError(f"expected a fit of {spec}, got a fit of {given.spec}")
-    # fit() takes its loglik from its coefficients: for this table they agree bit for bit
-    wrong_table = len(given.fitted_points) != table.k
-    if wrong_table or given.loglik != loglik_at(table, spec, given.coefficients):
+    # the memo behind fit, called directly: checking a fit is not asking for one
+    if given != _fit(table, spec, _MAX_ITER):
         raise DomainError("the fit passed is not a fit of this table")
     return given
 
@@ -611,11 +633,16 @@ def _profile_strata(table: StratifiedTable, link: LinkFunction):
 def _stratum_max(cell, stratum, b1, lo, hi):
     """Supremum over a in (lo, hi) of the concave stratum log-likelihood
     l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), the a where it is
-    reached, and the supremum's derivative in b1: (l, a, dl/db1).
+    reached, and the supremum's first two derivatives in b1:
+    (l, a, dl/db1, d2l/db1^2).
 
-    By the envelope theorem it is the exposed cell's dl/deta at an interior
-    maximum or a fixed end, minus the unexposed cell's at an end that moves
-    with b1 (a = -b1 or 1 - b1, the exposed p at 0 or 1), 0 at an infinite end.
+    By the envelope theorem the first is the exposed cell's dl/deta at an
+    interior maximum or a fixed end, minus the unexposed cell's at an end
+    that moves with b1 (a = -b1 or 1 - b1, the exposed p at 0 or 1), 0 at an
+    infinite end. The second is h0 h1 / (h0 + h1), the cells' d2l/deta2, at
+    an interior maximum (a moves with b1 at the rate -h1 / (h0 + h1)), the h
+    of the cell whose eta moves with b1 at a constraint end, and 0 at an
+    infinite end.
     When l' does not point into the bracket at an end (or its limit at an
     infinite end), that end and its limit are returned. Otherwise the root
     of l' lies between the two cells' own maximizers, e0 and e1 - b1 (-inf
@@ -632,13 +659,13 @@ def _stratum_max(cell, stratum, b1, lo, hi):
         if math.isinf(end):
             # a -> -inf sends every p to 0 and a -> +inf every p to 1
             if not (y0 + y1 if end < 0.0 else f0 + f1):
-                return 0.0, end, 0.0
+                return 0.0, end, 0.0, 0.0
         else:
             # end + b1 is exact at the end where the exposed p is 0 or 1
-            l0, d0, _ = cell(y0, f0, end)
-            l1, d1, _ = cell(y1, f1, end + b1)
+            l0, d0, h0 = cell(y0, f0, end)
+            l1, d1, h1 = cell(y1, f1, end + b1)
             if inward * (d0 + d1) <= 0.0:
-                return l0 + l1, end, (-d0 if end + b1 in (0.0, 1.0) else d1)
+                return (l0 + l1, end, -d0, h0) if end + b1 in (0.0, 1.0) else (l0 + l1, end, d1, h1)
     e1 -= b1
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
     t1 = e1 if y1 and f1 else math.copysign(math.inf, y1 - 0.5)
@@ -654,21 +681,23 @@ def _stratum_max(cell, stratum, b1, lo, hi):
         elif d < 0.0:
             hi = a
         else:
-            return l0 + l1, a, d1
+            break
         newton = step = -d / h if h < 0.0 else math.copysign(math.inf, d)
         tol = _A_TOL * max(1.0, abs(a))
         if abs(newton) <= tol:
-            return l0 + l1, a, d1
+            break
         limit = 1.0 if math.isinf(move) else 2.0 * abs(move)
         if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
             step = math.copysign(limit, d)
         if not lo < a + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
             step = 0.5 * (lo + hi) - a
             if abs(step) <= tol:
-                return l0 + l1, a, d1
+                break
         move, newton_old, d_old = step, newton, d
         a += step
-    raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
+    else:
+        raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
+    return l0 + l1, a, d1, (h0 * h1 / h if h < 0.0 else 0.0)
 
 
 def _bracket(link: LinkFunction, b1: float) -> tuple[float, float]:
@@ -683,18 +712,21 @@ def _bracket(link: LinkFunction, b1: float) -> tuple[float, float]:
     return -math.inf, (min(0.0, -b1) if link is LinkFunction.LOG else math.inf)
 
 
-def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float]:
-    """(lp(b1), lp'(b1)): the profile log-likelihood (see profile_loglik) and
-    the sum of the derivatives in b1 of the strata's maxima (see _stratum_max).
+def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float, float]:
+    """(lp(b1), lp'(b1), lp''(b1)): the profile log-likelihood (see
+    profile_loglik) and the sums of the first and second derivatives in b1
+    of the strata's maxima (see _stratum_max). The fit's profile maximum,
+    the profile CI and profile_loglik all evaluate lp through this function.
     Raises DomainError when no coefficients are feasible at this b1."""
     lo, hi = _bracket(link, b1)
     cell = _CELL[link]
-    total = slope = 0.0
+    total = slope = curvature = 0.0
     for stratum in _profile_strata(table, link):
-        l, _, d = _stratum_max(cell, stratum, b1, lo, hi)
+        l, _, d, h = _stratum_max(cell, stratum, b1, lo, hi)
         total += l
         slope += d
-    return total, slope
+        curvature += h
+    return total, slope, curvature
 
 
 def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> float:
@@ -711,47 +743,9 @@ def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> flo
     return profile_loglik_slope(table, link, b1)[0]
 
 
-def _profile_slope(link: LinkFunction, strata, b1: float):
-    """(lp', lp'', a) at b1: the derivatives in b1 of the sum of the strata's
-    maxima with both cells' p kept in [_EPS, 1 - _EPS] (the boundary rule,
-    see fit), and the a where each is reached. A stratum's likelihood is
-    concave in a, so that maximum is its maximizer clipped into the range.
-    A stratum whose supremum lies at a = -inf or +inf (both cells empty or
-    both full, under a link that lets them reach 0 or 1 together) has that
-    supremum, 0, at every b1: it adds nothing to the derivatives."""
-    lo, hi = _bracket(link, b1)
-    e_lo, e_hi = _EDGES[link]
-    a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
-    cell = _CELL[link]
-    d = h = 0.0
-    a = []
-    for stratum in strata:
-        y0, f0, _, y1, f1, _, _ = stratum
-        a_max = _stratum_max(cell, stratum, b1, lo, hi)[1]
-        aj = min(max(a_max, a_lo), a_hi)
-        if not math.isinf(a_max):
-            _, d0, h0 = cell(y0, f0, aj)
-            _, d1, h1 = cell(y1, f1, aj + b1)
-            # the maximum is l0(a) + l1(a + b1), where a moves with b1 at the rate s
-            if (aj == a_lo and b1 < 0.0) or (aj == a_hi and b1 > 0.0):
-                s = -1.0  # the exposed cell holds a at an end of the range
-            elif aj == a_lo or aj == a_hi:
-                s = 0.0  # the unexposed cell does
-            else:
-                s = -h1 / (h0 + h1)
-                # the solve stops within rounding of the root of l0' + l1'; one
-                # more Newton step on it, to first order, gives a and lp' there
-                aj -= (d0 + d1) / (h0 + h1)
-            d += s * d0 + (1.0 + s) * d1
-            h += s * s * h0 + (1.0 + s) ** 2 * h1
-        a.append(aj)
-    return d, h, a
-
-
 def _newton_root(func, x: float, lo: float, hi: float, tol, max_iter: int, capped: bool = False):
     """A root of func, increasing on the bracket (lo, hi), by Newton's
-    method from x in it. func(x) returns (v, v', extra); v = +inf marks an
-    x beyond func's domain, which counts as lying above the root.
+    method from x in it. func(x) returns (v, v', extra).
 
     Each evaluation narrows the bracket by the sign of v. A step that would
     leave the bracket bisects it, as does one after a step that crossed the
@@ -761,19 +755,17 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, max_iter: int, cappe
     a step is at most tol(x).
 
     Returns (root, extra, steps, stop), extra from the last x evaluated.
-    stop is "root" (root is that x plus its step), "edge" (no root lies
-    below the cap and in func's domain: root is the cap, or the last x
-    below the root within 2 tol(x) of one beyond the domain) or "limit"
-    (max_iter steps taken; root is the last x)."""
+    stop is "root" (root is that x plus its step), "edge" (v has one sign
+    up to an end of the bracket, and root is that end) or "limit" (max_iter
+    steps taken; root is the last x)."""
     origin = lo
-    beyond = False
     v_old = 0.0
     for steps in range(1, max_iter + 1):
         v, dv, extra = func(x)
         if v < 0.0:
             lo = x
         elif v > 0.0:
-            hi, capped, beyond = x, False, math.isinf(v)
+            hi, capped = x, False
         else:
             return x, extra, steps, "root"
         step = -v / dv if dv > 0.0 else math.copysign(math.inf, -v)
@@ -781,33 +773,40 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, max_iter: int, cappe
         if bad and abs(step) > tol(x):
             step = (min(2.0 * x - origin, hi) if capped else 0.5 * (lo + hi)) - x
         if abs(step) <= tol(x):
-            if lo == hi:
-                return x, extra, steps, "edge"
-            if beyond and hi - lo <= 2.0 * tol(x):
-                return lo, extra, steps, "edge"
-            return x + step, extra, steps, "root"
+            return (x, extra, steps, "edge") if lo == hi else (x + step, extra, steps, "root")
         x += step
         v_old = v
     return x, extra, max_iter, "limit"
 
 
-def _profile_max(link: LinkFunction, strata, b1: float, max_iter: int):
-    """The maximum of the concave lp over the b1 at which a stratum's two
-    cells can keep p in [_EPS, 1 - _EPS]: the root of -lp' by _newton_root
-    from b1, to a step of 2e-15 max(1, |b1|). A maximum at an end of the
-    range (an estimate that runs off) is reached within that step of it.
-    Returns (b1, a, |lp'(b1)|, steps, converged) at the last b1 evaluated."""
+def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float, max_iter: int):
+    """The maximum of the concave lp over |b1| <= e_hi - e_lo, the b1 at
+    which a stratum's two cells can keep p in [_EPS, 1 - _EPS]: the root of
+    -lp' by _newton_root from b1, to a step of 2e-15 max(1, |b1|). A
+    maximum at an end of the range (an estimate that runs off) is reached
+    within that step of it.
+
+    Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, or
+    None when max_iter steps end short. a holds each stratum's maximizer
+    clipped into the range that keeps both its cells' p in [_EPS, 1 - _EPS]
+    (the boundary rule, see fit)."""
     e_lo, e_hi = _EDGES[link]
-    lo, hi = e_lo - e_hi, e_hi - e_lo
+    bound = e_hi - e_lo
 
     def slope(b1: float):
-        d, h, a = _profile_slope(link, strata, b1)
-        return -d, -h, (b1, a, abs(d))
+        ll, d, h = profile_loglik_slope(table, link, b1)
+        return -d, -h, (b1, ll, abs(d))
 
-    _, (b1, a, gnorm), steps, stop = _newton_root(
-        slope, min(max(b1, lo), hi), lo, hi, lambda b: _A_TOL * max(1.0, abs(b)), max_iter
+    _, (b1, ll, gnorm), steps, stop = _newton_root(
+        slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b)), max_iter
     )
-    return b1, a, gnorm, steps, stop != "limit"
+    if stop == "limit":
+        return None
+    lo, hi = _bracket(link, b1)
+    a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
+    cell = _CELL[link]
+    a = [min(max(_stratum_max(cell, s, b1, lo, hi)[1], a_lo), a_hi) for s in _profile_strata(table, link)]
+    return b1, ll, a, gnorm, steps
 
 
 @dataclass(frozen=True)
@@ -835,39 +834,36 @@ def profile_ci(
     """Endpoints where the profile LR statistic for the exposure coefficient
     crosses the chi-square(1) quantile q, mapped to the measure scale.
 
-    Each endpoint is the root of the signed root f(b1) = r - sqrt(q), with
+    One profile solve at the estimate b1hat gives l_max = lp(b1hat) and
+    lp''(b1hat), and both endpoint searches share it. Each endpoint is the
+    root of the signed root f(b1) = r - sqrt(q), with
     r = sqrt(2 (l_max - lp(b1))), close to linear in b1, by safeguarded
-    Newton's method (see _newton_root) with f' = -lp'(b1) / r, lp' coming
-    with lp from each profile solve (profile_loglik_slope). The search
-    starts at the Wald point b1hat +- sqrt(q / -lp''(b1hat)), lp'' summed
-    over the strata at their fitted coefficients, but no farther from b1hat
-    than the bound on |b1| of _profile_max's range. Until it has seen a b1
-    past the crossing, a step that would leave the range between the
-    estimate and the cap (+-500, or the estimate +-1) doubles the distance
-    from the estimate. It stops when a step is at most 5e-13 plus 2 ulp of
-    b1 and returns b1 plus that step. An infeasible b1 counts as past the
-    crossing.
+    Newton's method (see _newton_root) with f' = -lp'(b1) / r, lp and lp'
+    coming from each profile solve (profile_loglik_slope). The search
+    starts at the Wald point b1hat +- sqrt(q / -lp''(b1hat)), but no farther
+    from b1hat than the bound on |b1| of _profile_max's range. Until it has
+    seen a b1 past the crossing, a step that would leave the range between
+    the estimate and the cap doubles the distance from the estimate. The
+    cap is that same bound under the identity link, whose feasible b1 are
+    |b1| < 1, and +-500 (or the estimate +-1) under the others. It stops
+    when a step is at most 5e-13 plus 2 ulp of b1 and returns b1 plus that
+    step.
 
-    An endpoint that runs out of feasible b1, or does not cross before the
-    cap, is truncated at the last reachable value and flagged. Under the
-    logit and cloglog links an endpoint toward which b1's estimate runs off
-    to infinity (see _runs_off) is truncated at the estimate.
+    An endpoint that does not cross before the cap is truncated at the cap
+    and flagged. Under the logit and cloglog links an endpoint toward which
+    b1's estimate runs off to infinity (see _runs_off) is truncated at the
+    estimate.
     A no-interaction fit of this table that the caller already holds may be
     passed as ``restricted``; otherwise it is fitted here.
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
     restricted = _fit_of(table, ModelSpec(link, interaction=False), restricted)
-    c, cell, curvature = restricted.coefficients, _CELL[link], 0.0
-    b1hat, root_q = c[1], math.sqrt(chi2_quantile(level, 1))
-    # lp'' at the estimate: each stratum's h0 h1 / (h0 + h1) (see _profile_slope)
-    for j, (y0, f0, _, y1, f1, _, _) in enumerate(_profile_strata(table, link)):
-        a = c[0] + (c[1 + j] if j else 0.0)
-        h0, h1 = cell(y0, f0, a)[2], cell(y1, f1, a + b1hat)[2]
-        if h0 + h1 < 0.0:
-            curvature += h0 * h1 / (h0 + h1)
+    b1hat, root_q = restricted.coefficients[1], math.sqrt(chi2_quantile(level, 1))
+    l_max, _, curvature = profile_loglik_slope(table, link, b1hat)
     e_lo, e_hi = _EDGES[link]
-    wald = min(root_q / math.sqrt(-curvature), e_hi - e_lo) if 0.0 < -curvature < math.inf else 0.1
+    bound = e_hi - e_lo
+    wald = min(root_q / math.sqrt(-curvature), bound) if 0.0 < -curvature < math.inf else 0.1
     unbounded = _runs_off(table, restricted)
 
     def endpoint(direction: int) -> tuple[float, bool]:
@@ -875,17 +871,14 @@ def profile_ci(
             return b1hat, True
 
         def root(x: float):
-            # f and f' in x = direction * b1, +inf where no model is feasible;
-            # profile solves start from the data, so f depends on b1 alone
-            try:
-                ll, slope = profile_loglik_slope(table, link, direction * x)
-            except DomainError:
-                return math.inf, math.nan, None
-            r = math.sqrt(max(0.0, 2.0 * (restricted.loglik - ll)))
+            # f and f' in x = direction * b1; profile solves start from the
+            # data, so f depends on b1 alone
+            ll, slope, _ = profile_loglik_slope(table, link, direction * x)
+            r = math.sqrt(max(0.0, 2.0 * (l_max - ll)))
             return r - root_q, (-direction * slope / r if r else math.nan), None
 
         x = direction * b1hat
-        cap = max(_B1_SPAN, x + 1.0)
+        cap = max(bound, x) if link is LinkFunction.IDENTITY else max(_B1_SPAN, x + 1.0)
         x, _, _, stop = _newton_root(
             root, min(x + max(wald, _B1_TOL), cap), x, cap,
             lambda x: 0.5 * _B1_TOL + 2.0 * math.ulp(x), _MAX_ITER, capped=True,
@@ -905,49 +898,8 @@ def profile_ci(
 
 
 # ---------------------------------------------------------------------------
-# chi-square upper tail via the regularized incomplete gamma function
+# chi-square upper tail in closed form for integer df
 # ---------------------------------------------------------------------------
-
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 500
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # lower regularized gamma by power series, for x < a + 1
-    term = 1.0 / a
-    total = term
-    n = 0
-    while n < _GAMMA_MAX_ITER:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # upper regularized gamma by Lentz continued fraction, for x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def _check_df(df) -> None:
@@ -956,17 +908,25 @@ def _check_df(df) -> None:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
+    """Upper-tail probability of the chi-square distribution.
+
+    With z = x / 2 the tail is Q(df / 2, z), and Q(a + 1, z) = Q(a, z) +
+    z^a e^-z / Gamma(a + 1) (Abramowitz & Stegun 26.4.4-26.4.5): for even df
+    the sum of those terms from a = 0, for odd df erfc(sqrt(z)) plus the sum
+    from a = 1/2. Each term is exp of its logarithm, so the tail stays
+    exact where e^-z alone would underflow."""
     if x < 0.0:
         raise DomainError(f"chi-square statistic must be >= 0, got {x}")
     _check_df(df)
     if x == 0.0:
         return 1.0
-    a = 0.5 * df
     z = 0.5 * x
-    if z < a + 1.0:
-        return 1.0 - _gamma_p_series(a, z)
-    return _gamma_q_contfrac(a, z)
+    log_z, odd = math.log(z), df % 2
+    terms = [math.erfc(math.sqrt(z))] if odd else []
+    for i in range(df // 2):
+        a = i + 0.5 * odd
+        terms.append(math.exp(a * log_z - z - math.lgamma(a + 1.0)))
+    return math.fsum(terms)
 
 
 def chi2_quantile(level: float, df: int) -> float:

@@ -30,6 +30,7 @@ from rothman.inference import (
 from rothman.measures import Measure, evaluate, null_value
 from rothman.tables import (
     CellCounts,
+    RiskPoint,
     StratifiedTable,
     Stratum,
     newcastle_fixture,
@@ -177,11 +178,10 @@ def test_saturated_fit_flags_empty_cells_under_every_link(link):
     table = parse_table(CSV_HEADER + "s1,0,10,0,10\ns2,3,10,5,10\n")
     result = fit(table, ModelSpec(link, interaction=True))
     assert result.boundary_warning
-    empty = result.fitted_points[0]
-    assert empty.x == pytest.approx(1e-13, rel=1e-3) and empty.y == pytest.approx(1e-13, rel=1e-3)
-    # coefficients relative to s1's eta near -30 round s2's p in the 15th digit
-    other = result.fitted_points[1]
-    assert other.x == pytest.approx(0.5, abs=1e-14) and other.y == pytest.approx(0.3, abs=1e-14)
+    # the fitted points are the clipped empirical risks themselves, not
+    # probabilities recomputed from coefficients relative to s1's eta near -30
+    assert result.fitted_points == (RiskPoint(1e-13, 1e-13), RiskPoint(0.5, 0.3))
+    assert result.loglik == _saturated_loglik(table)
 
 
 @pytest.mark.parametrize("link", ALL_LINKS)
@@ -276,12 +276,21 @@ NAMED_TABLES = {
 }
 
 
+# K = 1 with an empty or full cell
+BOUNDARY_CELL_CSVS = [
+    "s1,334,334,60,2873", "s1,9527,9527,7,21", "s1,60,2873,334,334",
+    "s1,0,892,7131,32662", "s1,0,16484,24,685",
+]
+
+
 def _table(k) -> StratifiedTable:
-    """An interior table with K = k strata, or a named one."""
+    """An interior table with K = k strata, a named one or a boundary-cell one."""
     if k == "newcastle":
         return newcastle_fixture()
     if k == "four-strata":
         return synthetic_four_strata()
+    if k in BOUNDARY_CELL_CSVS:
+        return parse_table(CSV_HEADER + k + "\n")
     return parse_table(NAMED_TABLES[k]) if isinstance(k, str) else _interior_table(k)
 
 
@@ -454,11 +463,13 @@ def test_profile_loglik_matches_stratum_oracle(link, k):
             profile_loglik(table, link, 1.0)
 
 
-@pytest.mark.parametrize("k", ORACLE_TABLES + ["full-stratum", "full-unexposed-2", "zero-exposed-3"])
+@pytest.mark.parametrize(
+    "k", ORACLE_TABLES + ["large-10", "full-stratum", "full-unexposed-2", "zero-exposed-3", *BOUNDARY_CELL_CSVS]
+)
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_loglik_slope_is_the_derivative(link, k):
-    # lp' from each stratum's solve against a central difference of lp,
-    # at the estimate, the CI endpoints and b1 between and beyond them
+    # lp' and lp'' from each stratum's solve against central differences of
+    # lp and lp', at the estimate, the CI endpoints and b1 between and beyond them
     table = _table(k)
     for b1 in _b1_inside_and_outside(table, link, fit(table, ModelSpec(link, interaction=False))):
         h = 1e-6 * max(1.0, abs(b1))
@@ -469,11 +480,14 @@ def test_profile_loglik_slope_is_the_derivative(link, k):
             # so a stratum at that end gives lp a kink (full-stratum's log
             # estimate sits on it)
             continue
-        ll, slope = profile_loglik_slope(table, link, b1)
+        ll, slope, curvature = profile_loglik_slope(table, link, b1)
         assert ll == profile_loglik(table, link, b1)
-        difference = (profile_loglik(table, link, b1 + h) - profile_loglik(table, link, b1 - h)) / (2.0 * h)
-        # the difference carries rounding of about ulp(lp) / h
+        up, down = profile_loglik_slope(table, link, b1 + h), profile_loglik_slope(table, link, b1 - h)
+        # each difference carries rounding of about ulp(lp) / h or ulp(lp') / h
+        difference = (up[0] - down[0]) / (2.0 * h)
         assert slope == pytest.approx(difference, rel=1e-6, abs=64.0 * math.ulp(ll) / h)
+        difference = (up[1] - down[1]) / (2.0 * h)
+        assert curvature == pytest.approx(difference, rel=1e-6, abs=64.0 * math.ulp(max(abs(up[1]), 1.0)) / h)
 
 
 @pytest.mark.parametrize("k", ORACLE_TABLES)
@@ -499,21 +513,31 @@ def test_profile_loglik_is_a_supremum(link, k):
     assert checked > 0
 
 
-BOUNDARY_CELL_CSVS = [
-    "s1,334,334,60,2873", "s1,9527,9527,7,21", "s1,60,2873,334,334",
-    "s1,0,892,7131,32662", "s1,0,16484,24,685",
-]
-
-
 @pytest.mark.parametrize("k", ["newcastle", *range(1, 7), *BOUNDARY_CELL_CSVS])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_solve_evaluations_per_stratum(link, k, stratum_evaluations):
     # each stratum's profile solve is a bracketed Newton iteration from the
     # stratum's data; the count includes the identity and log bracket-end checks
-    table = parse_table(CSV_HEADER + k + "\n") if k in BOUNDARY_CELL_CSVS else _table(k)
+    table = _table(k)
     profile_ci(table, link)
     assert max(stratum_evaluations) <= 24
     assert sum(stratum_evaluations) / len(stratum_evaluations) <= 8.0
+    # the work of the whole interval: a search that needs fewer solves may
+    # make each one longer, which raises the mean above while this falls
+    assert sum(stratum_evaluations) <= 80 * table.k
+
+
+@pytest.mark.parametrize("csv", ["s1,334,334,60,2873", "s1,60,2873,334,334"])
+def test_identity_ci_search_stays_inside_the_feasible_range(csv, profile_loglik_calls):
+    # the identity link's feasible b1 are |b1| < 1: the endpoint searches are
+    # capped there and evaluate no infeasible b1 on the way to a crossing
+    # near -1 or 1
+    table = _table(csv)
+    fit(table, ModelSpec(LinkFunction.IDENTITY, interaction=False))
+    profile_loglik_calls.clear()
+    profile_ci(table, LinkFunction.IDENTITY)
+    assert 0 < len(profile_loglik_calls) <= 10
+    assert max(abs(b1) for b1 in profile_loglik_calls) < 1.0
 
 
 def test_profile_ci_truncation_with_empty_exposed_arm():
@@ -600,11 +624,11 @@ def test_profile_ci_full_stratum_keeps_a_finite_interval():
         assert not ci.lower_truncated and not ci.upper_truncated
         assert ci.lower < common_measure(fit(table, ModelSpec(link, False))) < ci.upper
         # s1 fits its full cells at every b1, so the interval is that of s2
-        # alone; the cloglog restricted fit leaves s1 1e-6 below its
-        # supremum, which widens that interval by about 1.5e-7 relative
+        # alone: the LR statistic is taken from lp at the estimate, where
+        # s1 is at its supremum
         alone = profile_ci(s2_alone, link)
-        assert ci.lower == pytest.approx(alone.lower, rel=1e-6)
-        assert ci.upper == pytest.approx(alone.upper, rel=1e-6)
+        assert ci.lower == pytest.approx(alone.lower, rel=1e-10)
+        assert ci.upper == pytest.approx(alone.upper, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -635,6 +659,28 @@ def test_restricted_fit_with_a_cell_at_its_bound_is_the_profile_maximum(csv, lin
     assert result.boundary_warning
     p = [v for point in result.fitted_points for v in (point.x, point.y)]
     assert min(min(p), 1.0 - max(p)) == pytest.approx(1e-13, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "csv", [ZERO_EXPOSED_K2_CSV, ZERO_EXPOSED_LARGE_K2_CSV, ZERO_EXPOSED_K3_CSV, FULL_UNEXPOSED_LOG_K2_CSV],
+    ids=["zero-exposed-2", "zero-exposed-large-2", "zero-exposed-3", "full-unexposed-log-2"],
+)
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_lr_statistic_is_the_difference_of_suprema(link, csv):
+    # each table has an empty or full cell: the saturated fit's loglik is the
+    # closed-form supremum, not the loglik with that cell reported 1e-13
+    # inside its bound (n 1e-13 lower), and a restricted fit with a cell at
+    # a bound has lp at its estimate as its loglik
+    from scipy.optimize import minimize_scalar
+
+    table = parse_table(csv)
+    oracle = minimize_scalar(
+        lambda b: -profile_loglik(table, link, b), bounds=(-0.999, 0.999) if link is LinkFunction.IDENTITY
+        else (-10.0, 10.0), method="bounded", options={"xatol": 1e-12},
+    )
+    saturated = _saturated_loglik(table)
+    expected = 2.0 * (saturated + oracle.fun)
+    assert lr_test_interaction(table, link).statistic == pytest.approx(expected, rel=0.0, abs=1e-14 * abs(saturated))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -917,6 +963,16 @@ def test_chi2_sf_validation():
         chi2_sf(-0.1, 1)
     with pytest.raises(DomainError):
         chi2_sf(1.0, 0)
+
+
+@pytest.mark.parametrize("df", range(1, 201))
+def test_chi2_sf_matches_scipy(df):
+    from scipy.stats import chi2
+
+    for x in np.logspace(-5.0, math.log10(5e3), 60):
+        expected = chi2.sf(x, df)
+        if expected > 1e-300:
+            assert chi2_sf(float(x), df) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("level", [1e-6, 0.5, 0.95, 0.9999, 1 - 1e-9])
