@@ -75,7 +75,6 @@ from .render import (
     Glyph,
     GlyphPoint,
     PanelSpec,
-    diagram_from_analysis,
     figure_contours,
     render_svg,
 )

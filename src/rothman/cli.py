@@ -58,20 +58,31 @@ def _add_input_options(parser: argparse.ArgumentParser, required: bool = True) -
 def _load_table(args: argparse.Namespace) -> StratifiedTable:
     if args.fixture:
         return newcastle_fixture()
-    return parse_table(Path(args.input).read_text(encoding="utf-8-sig"))
+    try:
+        text = Path(args.input).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise TableParseError(
+            f"{args.input} is not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
+    return parse_table(text)
+
+
+def _evaluate_all(items) -> tuple[dict, dict]:
+    """Each (key, measure, point) evaluated; undefined ones map to None with a reason."""
+    values: dict[str, float | None] = {}
+    reasons: dict[str, str] = {}
+    for key, m, point in items:
+        try:
+            values[key] = evaluate(m, point)
+        except DomainError as e:
+            values[key] = None
+            reasons[key] = str(e)
+    return values, reasons
 
 
 def _measure_values(point) -> tuple[dict, dict]:
-    """All four measures at a point; undefined ones map to None with a reason."""
-    values: dict[str, float | None] = {}
-    reasons: dict[str, str] = {}
-    for m in Measure:
-        try:
-            values[m.value] = evaluate(m, point)
-        except DomainError as e:
-            values[m.value] = None
-            reasons[m.value] = str(e)
-    return values, reasons
+    """All four measures at a point."""
+    return _evaluate_all((m.value, m, point) for m in Measure)
 
 
 def cmd_measures(args: argparse.Namespace) -> int:
@@ -113,8 +124,9 @@ def _fit_report(table: StratifiedTable, link: LinkFunction, level: float) -> dic
     measure = measure_for_link(link)
     saturated = fit(table, ModelSpec(link, interaction=True)) if table.k >= 2 else None
     restricted = fit(table, ModelSpec(link, interaction=False))
-    points = (saturated or restricted).fitted_points
-    strata = {s.label: evaluate(measure, p) for s, p in zip(table.strata, points)}
+    strata, undefined = _evaluate_all(
+        (s.label, measure, p) for s, p in zip(table.strata, stratum_points(table))
+    )
     lr = None
     if saturated is not None:
         test = lr_test_interaction(table, link, restricted=restricted, saturated=saturated)
@@ -124,6 +136,7 @@ def _fit_report(table: StratifiedTable, link: LinkFunction, level: float) -> dic
         "link": link.value,
         "measure": measure.value,
         "stratum_estimates": strata,
+        "undefined": undefined,
         "interaction": lr,
         "common": common_measure(restricted),
         "ci": {
@@ -146,7 +159,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for rep in reports:
         measure = _MEASURES[rep["measure"]]
         print(f"measure: {measure.label} ({rep['link']} link)")
-        strata = "  ".join(f"{lab}: {_fmt(v)}" for lab, v in rep["stratum_estimates"].items())
+        strata = "  ".join(
+            f"{lab}: {'undefined' if v is None else _fmt(v)}"
+            for lab, v in rep["stratum_estimates"].items()
+        )
         print(f"  stratum estimates: {strata}")
         if rep["interaction"] is not None:
             lr = rep["interaction"]
@@ -190,7 +206,7 @@ def cmd_standardize(args: argparse.Namespace) -> int:
         "standardized_risk_exposed": point.y,
         "measures": values,
         "undefined": reasons,
-        "is_hull_vertex": hull.is_vertex(point, tol=1e-9),
+        "is_hull_vertex": hull.is_vertex(point),
     }
     if args.format == "json":
         print(json.dumps(report, indent=2))

@@ -14,8 +14,8 @@ from enum import Enum
 from .errors import DomainError
 from .measures import Measure, ContourValue, contour_polyline, evaluate, null_value
 from .standardize import StandardizedHull, standardized_hull, marginal_distribution
-from .tables import RiskPoint, StratifiedTable, crude_point, stratum_points
-from .inference import LinkFunction, ModelSpec, common_measure, fit, measure_for_link, link_for_measure
+from .tables import RiskPoint, StratifiedTable, stratum_points
+from .inference import LinkFunction, ModelSpec, common_measure, fit, link_for_measure
 
 # --- fixed geometry and style table -----------------------------------------
 PANEL_SIZE = 480.0          # plot viewport, user units
@@ -40,6 +40,8 @@ CROSS_ARM = 6.0
 TICK_LEN = 6.0
 HULL_FILL = "#d3d3d3"
 COORD_DECIMALS = 10
+X_LABEL = "risk in unexposed"
+Y_LABEL = "risk in exposed"
 # -----------------------------------------------------------------------------
 
 
@@ -64,9 +66,7 @@ class ContourLine:
     label: str
 
 
-def contour_line(measure: Measure, level: float, solid: bool | None = None) -> ContourLine:
-    if solid is None:
-        solid = level == null_value(measure)
+def contour_line(level: float, solid: bool) -> ContourLine:
     return ContourLine(level=level, solid=solid, label=f"{level:g}")
 
 
@@ -78,8 +78,6 @@ class PanelSpec:
     points: tuple[GlyphPoint, ...] = ()
     segment: tuple[RiskPoint, RiskPoint] | None = None
     hull: StandardizedHull | None = None
-    x_label: str = "risk in unexposed"
-    y_label: str = "risk in exposed"
 
 
 @dataclass(frozen=True)
@@ -99,20 +97,8 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-class _Panel:
-    def __init__(self, ox: float, oy: float):
-        self.ox = ox
-        self.oy = oy
-
-    def x(self, x: float) -> float:
-        return self.ox + PANEL_SIZE * x
-
-    def y(self, y: float) -> float:
-        return self.oy + PANEL_SIZE * (1.0 - y)
-
-
 def _emit_contour(
-    out: list[str], panel: _Panel, measure: Measure, line: ContourLine, index: int
+    out: list[str], ox: float, oy: float, measure: Measure, line: ContourLine, index: int
 ) -> None:
     pts = contour_polyline(ContourValue(measure, line.level), CONTOUR_SAMPLES)
     if measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO):
@@ -124,11 +110,14 @@ def _emit_contour(
     if len(pts) == 1:
         p = pts[0]
         out.append(
-            f'<circle cx="{_fmt(panel.x(p.x))}" cy="{_fmt(panel.y(p.y))}" r="2" fill="black"/>'
+            f'<circle cx="{_fmt(ox + PANEL_SIZE * p.x)}" cy="{_fmt(oy + PANEL_SIZE * (1.0 - p.y))}" '
+            f'r="2" fill="black"/>'
         )
         anchor = p
     else:
-        coords = " ".join(f"{_fmt(panel.x(p.x))},{_fmt(panel.y(p.y))}" for p in pts)
+        coords = " ".join(
+            f"{_fmt(ox + PANEL_SIZE * p.x)},{_fmt(oy + PANEL_SIZE * (1.0 - p.y))}" for p in pts
+        )
         dash = "" if line.solid else f' stroke-dasharray="{DASH_PATTERN}"'
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="black" '
@@ -137,13 +126,14 @@ def _emit_contour(
         fraction = LABEL_ANCHORS[index % len(LABEL_ANCHORS)]
         anchor = pts[round(fraction * (len(pts) - 1))]
     out.append(
-        f'<text x="{_fmt(panel.x(anchor.x) - 4.0)}" y="{_fmt(panel.y(anchor.y) - 6.0)}" '
+        f'<text x="{_fmt(ox + PANEL_SIZE * anchor.x - 4.0)}" '
+        f'y="{_fmt(oy + PANEL_SIZE * (1.0 - anchor.y) - 6.0)}" '
         f'font-size="{FONT_SIZE}" text-anchor="end">{_esc(line.label)}</text>'
     )
 
 
-def _emit_glyph(out: list[str], panel: _Panel, gp: GlyphPoint) -> None:
-    cx, cy = panel.x(gp.point.x), panel.y(gp.point.y)
+def _emit_glyph(out: list[str], ox: float, oy: float, gp: GlyphPoint) -> None:
+    cx, cy = ox + PANEL_SIZE * gp.point.x, oy + PANEL_SIZE * (1.0 - gp.point.y)
     if gp.glyph is Glyph.FILLED:
         out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{POINT_RADIUS}" fill="black"/>')
     elif gp.glyph is Glyph.OPEN:
@@ -160,30 +150,30 @@ def _emit_glyph(out: list[str], panel: _Panel, gp: GlyphPoint) -> None:
 
 
 def _emit_panel(out: list[str], spec: PanelSpec, ox: float, oy: float) -> None:
-    panel = _Panel(ox, oy)
     out.append(f'<g class="panel panel-{spec.measure.value}">')
     if spec.hull is not None and len(spec.hull.vertices) >= 3:
         coords = " ".join(
-            f"{_fmt(panel.x(v.x))},{_fmt(panel.y(v.y))}" for v in spec.hull.vertices
+            f"{_fmt(ox + PANEL_SIZE * v.x)},{_fmt(oy + PANEL_SIZE * (1.0 - v.y))}"
+            for v in spec.hull.vertices
         )
         out.append(f'<polygon points="{coords}" fill="{HULL_FILL}" stroke="none"/>')
     for i, line in enumerate(spec.contours):
-        _emit_contour(out, panel, spec.measure, line, i)
+        _emit_contour(out, ox, oy, spec.measure, line, i)
     if spec.segment is not None:
         a, b = spec.segment
         out.append(
-            f'<line x1="{_fmt(panel.x(a.x))}" y1="{_fmt(panel.y(a.y))}" '
-            f'x2="{_fmt(panel.x(b.x))}" y2="{_fmt(panel.y(b.y))}" '
+            f'<line x1="{_fmt(ox + PANEL_SIZE * a.x)}" y1="{_fmt(oy + PANEL_SIZE * (1.0 - a.y))}" '
+            f'x2="{_fmt(ox + PANEL_SIZE * b.x)}" y2="{_fmt(oy + PANEL_SIZE * (1.0 - b.y))}" '
             f'stroke="black" stroke-width="{SEGMENT_WIDTH}"/>'
         )
     for gp in spec.points:
-        _emit_glyph(out, panel, gp)
+        _emit_glyph(out, ox, oy, gp)
     out.append(
         f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" width="{_fmt(PANEL_SIZE)}" '
         f'height="{_fmt(PANEL_SIZE)}" fill="none" stroke="black" stroke-width="{FRAME_WIDTH}"/>'
     )
     for t in (0.0, 0.5, 1.0):
-        tx, ty = panel.x(t), panel.y(t)
+        tx, ty = ox + PANEL_SIZE * t, oy + PANEL_SIZE * (1.0 - t)
         bottom = oy + PANEL_SIZE
         out.append(
             f'<line x1="{_fmt(tx)}" y1="{_fmt(bottom)}" x2="{_fmt(tx)}" '
@@ -204,12 +194,12 @@ def _emit_panel(out: list[str], spec: PanelSpec, ox: float, oy: float) -> None:
     cx = ox + PANEL_SIZE / 2.0
     out.append(
         f'<text x="{_fmt(cx)}" y="{_fmt(oy + PANEL_SIZE + 44.0)}" font-size="{FONT_SIZE}" '
-        f'text-anchor="middle">{_esc(spec.x_label)}</text>'
+        f'text-anchor="middle">{X_LABEL}</text>'
     )
     cy = oy + PANEL_SIZE / 2.0
     out.append(
         f'<text x="{_fmt(ox - 40.0)}" y="{_fmt(cy)}" font-size="{FONT_SIZE}" text-anchor="middle" '
-        f'transform="rotate(-90 {_fmt(ox - 40.0)} {_fmt(cy)})">{_esc(spec.y_label)}</text>'
+        f'transform="rotate(-90 {_fmt(ox - 40.0)} {_fmt(cy)})">{Y_LABEL}</text>'
     )
     if spec.title:
         out.append(
@@ -251,7 +241,10 @@ _MEASURE_ORDER = (
 )
 
 
-def _dedup_levels(measure: Measure, points, tol: float = 1e-9) -> list[float]:
+_LEVEL_TOL = 1e-9  # stratum values closer than this share one contour
+
+
+def _dedup_levels(measure: Measure, points) -> list[float]:
     """The measure's distinct values at the points, in order; a point where
     the measure is undefined (a zero or full cell) gives no level."""
     out: list[float] = []
@@ -260,98 +253,39 @@ def _dedup_levels(measure: Measure, points, tol: float = 1e-9) -> list[float]:
             v = evaluate(measure, p)
         except DomainError:
             continue
-        if all(abs(v - u) > tol for u in out):
+        if all(abs(v - u) > _LEVEL_TOL for u in out):
             out.append(v)
     return out
 
 
-def analysis_panel(
-    table: StratifiedTable,
-    measure: Measure,
-    *,
-    include_fitted: bool = True,
-    include_crude: bool = False,
-    include_segment: bool = False,
-    include_hull: bool = False,
-    include_null: bool = False,
-    title: str | None = None,
-) -> PanelSpec:
+def analysis_panel(table: StratifiedTable, measure: Measure) -> PanelSpec:
     """One panel with observed stratum points, their measure contours
-    (dashed; none for a stratum where the measure is undefined), and the
-    no-interaction fit's common contour (solid) with fitted points (open
-    circles)."""
-    link = link_for_measure(measure)
+    (dashed; none for a stratum where the measure is undefined), and, for
+    two or more strata, the no-interaction fit's common contour (solid) with
+    fitted points (open circles)."""
     observed = stratum_points(table)
-    contours: list[ContourLine] = []
-    if include_null:
-        contours.append(contour_line(measure, null_value(measure), solid=True))
-    for level in _dedup_levels(measure, observed):
-        contours.append(ContourLine(level=level, solid=False, label=f"{level:.3f}"))
+    contours = [
+        ContourLine(lv, solid=False, label=f"{lv:.3f}") for lv in _dedup_levels(measure, observed)
+    ]
     glyphs = [GlyphPoint(p, Glyph.FILLED) for p in observed]
-    segment = None
-    hull = None
     if table.k >= 2:
-        restricted = fit(table, ModelSpec(link, interaction=False))
+        restricted = fit(table, ModelSpec(link_for_measure(measure), interaction=False))
         common = common_measure(restricted)
         contours.append(ContourLine(level=common, solid=True, label=f"{common:.3f}"))
-        if include_fitted:
-            glyphs += [GlyphPoint(p, Glyph.OPEN) for p in restricted.fitted_points]
-        if include_segment and table.k == 2:
-            segment = (observed[0], observed[1])
-        if include_hull:
-            hull = standardized_hull(observed)
-    if include_crude:
-        glyphs.append(GlyphPoint(crude_point(table), Glyph.CROSS))
-    return PanelSpec(
-        measure=measure,
-        title=measure.label if title is None else title,
-        contours=tuple(contours),
-        points=tuple(glyphs),
-        segment=segment,
-        hull=hull,
-    )
-
-
-def diagram_from_analysis(
-    table: StratifiedTable,
-    link: LinkFunction,
-    *,
-    include_fitted: bool = True,
-    include_crude: bool = False,
-    include_segment: bool = False,
-    include_hull: bool = False,
-    include_null: bool = False,
-) -> DiagramSpec:
-    """Single-panel diagram for one link/measure pair."""
-    return DiagramSpec(
-        (
-            analysis_panel(
-                table,
-                measure_for_link(link),
-                include_fitted=include_fitted,
-                include_crude=include_crude,
-                include_segment=include_segment,
-                include_hull=include_hull,
-                include_null=include_null,
-            ),
-        )
-    )
+        glyphs += [GlyphPoint(p, Glyph.OPEN) for p in restricted.fitted_points]
+    return PanelSpec(measure=measure, title=measure.label, contours=tuple(contours), points=tuple(glyphs))
 
 
 DEFAULT_RD_LEVELS = (-0.5, -0.25, 0.25, 0.5)
 DEFAULT_RATIO_LEVELS = (0.25, 0.5, 2.0, 4.0)
 
 
-def figure_contours(
-    rd_levels: tuple[float, ...] = DEFAULT_RD_LEVELS,
-    ratio_levels: tuple[float, ...] = DEFAULT_RATIO_LEVELS,
-) -> DiagramSpec:
+def figure_contours() -> DiagramSpec:
     """Four generic panels of contour lines, one per measure, null line solid."""
     panels = []
     for measure in _MEASURE_ORDER:
-        levels = rd_levels if measure is Measure.RISK_DIFFERENCE else ratio_levels
-        contours = [contour_line(measure, null_value(measure), solid=True)]
-        contours += [contour_line(measure, lv, solid=False) for lv in levels]
+        levels = DEFAULT_RD_LEVELS if measure is Measure.RISK_DIFFERENCE else DEFAULT_RATIO_LEVELS
+        contours = [contour_line(null_value(measure), True)] + [contour_line(lv, False) for lv in levels]
         panels.append(PanelSpec(measure=measure, title=measure.label, contours=tuple(contours)))
     return DiagramSpec(tuple(panels))
 
@@ -383,15 +317,10 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
     exposed_w = [w / sum(exposed_w) for w in exposed_w]
     unexposed_w = [w / sum(unexposed_w) for w in unexposed_w]
 
-    def panel(points: list[RiskPoint], confounded: bool, title: str) -> PanelSpec:
+    def panel(points: list[RiskPoint], weights: tuple, title: str) -> PanelSpec:
+        # weights: (exposed, unexposed) standard distributions of the cross
         levels = _dedup_levels(Measure.RISK_RATIO, points)
-        if confounded:
-            cross = _exposure_specific_crude(points, exposed_w, unexposed_w)
-        else:
-            cross = RiskPoint(
-                sum(w * p.x for w, p in zip(marginal, points)),
-                sum(w * p.y for w, p in zip(marginal, points)),
-            )
+        cross = _exposure_specific_crude(points, *weights)
         return PanelSpec(
             measure=Measure.RISK_RATIO,
             title=title,
@@ -404,10 +333,10 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
 
     return DiagramSpec(
         (
-            panel(fitted, False, "no confounding, no modification"),
-            panel(fitted, True, "confounding, no modification"),
-            panel(observed, False, "no confounding, modification"),
-            panel(observed, True, "confounding, modification"),
+            panel(fitted, (marginal, marginal), "no confounding, no modification"),
+            panel(fitted, (exposed_w, unexposed_w), "confounding, no modification"),
+            panel(observed, (marginal, marginal), "no confounding, modification"),
+            panel(observed, (exposed_w, unexposed_w), "confounding, modification"),
         )
     )
 
@@ -420,7 +349,7 @@ def _common_fit_panel(
     fitted = list(restricted.fitted_points)
     common = common_measure(restricted)
     contours = (
-        contour_line(measure, null_value(measure), solid=True),
+        contour_line(null_value(measure), True),
         ContourLine(level=common, solid=False, label=f"{common:.3f}"),
     )
     hull = standardized_hull(fitted) if shade_hull else None

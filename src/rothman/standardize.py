@@ -23,6 +23,11 @@ from .tables import RiskPoint, StratifiedTable, exact_risk
 _WEIGHT_SUM_TOL = 1e-12
 _VALUE_TIE_TOL = 1e-12
 _COMMON_VALUE_TOL = 1e-9
+# a crude point this far or less from the hull reads as unconfounded
+_CONFOUNDING_TOL = 1e-9
+_VERTEX_TOL = 1e-9
+# the grid oracle's largest weight array, in entries (80 MB of float64)
+GRID_MAX_ENTRIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,11 @@ class StandardizedHull:
 
     vertices: tuple[RiskPoint, ...]
 
-    def is_vertex(self, p: RiskPoint, tol: float = 1e-12) -> bool:
-        return any(abs(v.x - p.x) <= tol and abs(v.y - p.y) <= tol for v in self.vertices)
+    def is_vertex(self, p: RiskPoint) -> bool:
+        """Whether p is within 1e-9 of a vertex in each coordinate."""
+        return any(
+            abs(v.x - p.x) <= _VERTEX_TOL and abs(v.y - p.y) <= _VERTEX_TOL for v in self.vertices
+        )
 
 
 def standardized_hull(points: list[RiskPoint]) -> StandardizedHull:
@@ -176,7 +184,7 @@ class ConfoundingResult:
     distance: float
 
 
-def is_confounded(table: StratifiedTable, tol: float = 1e-9) -> ConfoundingResult:
+def is_confounded(table: StratifiedTable) -> ConfoundingResult:
     """Whether the crude point lies off the hull of the stratum points.
 
     Membership is decided in exact rational arithmetic on the counts, so a
@@ -185,8 +193,6 @@ def is_confounded(table: StratifiedTable, tol: float = 1e-9) -> ConfoundingResul
     """
     if table.k < 2:
         raise DomainError("confounding analysis needs at least two strata")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     exact_pts = [(exact_risk(s.unexposed), exact_risk(s.exposed)) for s in table.strata]
     crude = (
         Fraction(sum(s.unexposed.cases for s in table.strata), sum(s.unexposed.total for s in table.strata)),
@@ -196,7 +202,7 @@ def is_confounded(table: StratifiedTable, tol: float = 1e-9) -> ConfoundingResul
         return ConfoundingResult(False, 0.0)
     float_hull = standardized_hull([RiskPoint(float(x), float(y)) for x, y in exact_pts])
     dist = distance_to_hull(RiskPoint(float(crude[0]), float(crude[1])), float_hull)
-    return ConfoundingResult(dist > tol, dist)
+    return ConfoundingResult(dist > _CONFOUNDING_TOL, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +340,29 @@ def grid_extremize(
     points: list[RiskPoint], measure: Measure, objective: str, resolution: float = 0.001
 ) -> ExtremeResult:
     """Brute-force verification oracle: exhaustive search over the lattice of
-    weight vectors with the given spacing."""
+    weight vectors with the given spacing, 1/n.
+
+    Its largest array has n + 1 entries at K = 2 and (n + 1)(n + 2)/2 (the
+    pairs scanned for the last three strata) at K >= 3; a resolution that
+    makes it exceed GRID_MAX_ENTRIES raises DomainError before any of it is
+    allocated."""
     sign = _check_objective(objective)
     if not 0.0 < resolution <= 1.0:
         raise DomainError(f"resolution must be in (0, 1], got {resolution}")
     for p in points:
         check_domain(measure, p)
     k = len(points)
-    n = round(1.0 / resolution)
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
     if k == 1:
         return ExtremeResult(evaluate(measure, points[0]), (1.0,))
+    steps = 1.0 / resolution  # inf for a subnormal resolution
+    n = round(steps) if steps < GRID_MAX_ENTRIES else steps
+    if (n + 1 if k == 2 else (n + 1) * (n + 2) / 2) > GRID_MAX_ENTRIES:
+        raise DomainError(
+            f"grid resolution {resolution:g} is too fine for {k} strata: the oracle "
+            f"would need an array of more than {GRID_MAX_ENTRIES} entries"
+        )
+    xs = np.array([p.x for p in points])
+    ys = np.array([p.y for p in points])
 
     best: tuple[float, tuple] | None = None
 

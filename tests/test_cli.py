@@ -17,6 +17,13 @@ ZERO_X_CSV = (
     "B,5,12,2,12\n"
 )
 
+# zero cells in both arms: RR, OR and CHR are 0 at s1 and undefined at s2
+ZERO_CELLS_CSV = (
+    "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\n"
+    "s1,0,50,5,60\n"
+    "s2,3,40,0,30\n"
+)
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -173,6 +180,15 @@ def test_collapse_grid_oracle_rejects_bad_resolution(capsys, resolution):
     assert "resolution must be in (0, 1]" in err and "Traceback" not in err
 
 
+def test_collapse_grid_oracle_rejects_a_lattice_over_the_bound(capsys):
+    code, _, err = run(
+        capsys,
+        "collapse", "--fixture", "newcastle", "--grid-oracle", "--grid-resolution", "1e-300",
+    )
+    assert code == 3
+    assert "too fine" in err and "Traceback" not in err
+
+
 def test_plot_contours_to_file(capsys, tmp_path):
     out_path = tmp_path / "contours.svg"
     code, _, _ = run(capsys, "plot", "contours", "-o", str(out_path))
@@ -251,3 +267,30 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "fit", "--fixture", "newcastle")
     _, second, _ = run(capsys, "fit", "--fixture", "newcastle")
     assert first == second
+
+
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(ZERO_X_CSV.encode() + b"\xff\xfe,1,2,1,2\n")
+    code, out, err = run(capsys, "measures", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("parse error:") and "UTF-8" in err
+
+
+def test_fit_stratum_estimates_are_the_observed_measures(capsys, tmp_path):
+    """Stratum estimates are the measures at the stratum points, not at the
+    saturated fit's points clipped off the zero cells."""
+    path = tmp_path / "zero.csv"
+    path.write_text(ZERO_CELLS_CSV)
+    code, out, _ = run(capsys, "fit", "--input", str(path), "--format", "json")
+    assert code == 0
+    fits = {rep["link"]: rep for rep in json.loads(out)["fits"]}
+    assert fits["identity"]["stratum_estimates"] == {"s1": -5 / 60, "s2": 3 / 40}
+    assert fits["identity"]["undefined"] == {}
+    for link in ("log", "logit", "cloglog"):
+        assert fits[link]["stratum_estimates"] == {"s1": 0.0, "s2": None}
+        assert list(fits[link]["undefined"]) == ["s2"]
+    code, out, _ = run(capsys, "fit", "--input", str(path), "--link", "logit")
+    assert code == 0
+    assert "stratum estimates: s1: 0.000  s2: undefined" in out

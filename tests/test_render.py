@@ -15,8 +15,6 @@ from rothman.render import (
     Glyph,
     GlyphPoint,
     PanelSpec,
-    contour_line,
-    diagram_from_analysis,
     figure_collapsible,
     figure_contours,
     figure_hull,
@@ -25,7 +23,6 @@ from rothman.render import (
     figure_noncollapsible,
     render_svg,
 )
-from rothman.inference import LinkFunction
 from rothman.tables import RiskPoint, newcastle_fixture, parse_table, stratum_points
 
 from conftest import synthetic_four_strata
@@ -149,9 +146,10 @@ def test_segment_tracks_straight_contour_within_half_unit():
         assert gap_user_units <= 0.5
 
 
-def test_diagram_from_analysis_composition():
-    spec = diagram_from_analysis(newcastle_fixture(), LinkFunction.LOGIT)
-    (panel,) = spec.panels
+def test_modification_odds_ratio_panel_composition():
+    (panel,) = [
+        p for p in figure_modification(newcastle_fixture()).panels if p.measure is Measure.ODDS_RATIO
+    ]
     filled = [p for p in panel.points if p.glyph is Glyph.FILLED]
     open_ = [p for p in panel.points if p.glyph is Glyph.OPEN]
     assert len(filled) == 2
@@ -161,28 +159,18 @@ def test_diagram_from_analysis_composition():
     assert sorted(round(c.level, 3) for c in dashed) == [1.018, 1.622]
     assert len(solid) == 1
     assert round(solid[0].level, 3) == 1.537
+    assert panel.hull is None and panel.segment is None
 
 
-def test_diagram_from_analysis_crude_glyph():
-    spec = diagram_from_analysis(
-        newcastle_fixture(), LinkFunction.LOGIT, include_crude=True
-    )
-    (panel,) = spec.panels
-    crosses = [p for p in panel.points if p.glyph is Glyph.CROSS]
-    assert len(crosses) == 1
-    assert crosses[0].point.x == pytest.approx(0.31421, abs=1e-5)
-    assert crosses[0].point.y == pytest.approx(0.23883, abs=1e-5)
-
-
-def test_diagram_from_analysis_single_stratum():
+def test_modification_single_stratum_draws_no_fit():
     from rothman.tables import CellCounts, StratifiedTable, Stratum
 
     table = StratifiedTable((Stratum("only", CellCounts(5, 20), CellCounts(3, 30)),))
-    spec = diagram_from_analysis(table, LinkFunction.LOGIT, include_hull=True)
-    (panel,) = spec.panels
-    assert len([p for p in panel.points if p.glyph is Glyph.FILLED]) == 1
-    assert panel.hull is None
-    assert panel.segment is None
+    for panel in figure_modification(table).panels:
+        assert [p.glyph for p in panel.points] == [Glyph.FILLED]
+        assert [c.solid for c in panel.contours] == [False]
+        assert panel.hull is None
+        assert panel.segment is None
 
 
 def test_hull_figure_shades_polygon_for_four_strata():
@@ -241,15 +229,9 @@ def test_modconf_renders_with_a_zero_unexposed_cell():
         assert sorted(round(c.level, 3) for c in panel.contours) == _stratum_levels(Measure.RISK_RATIO, observed)
 
 
-def test_contour_line_defaults():
-    line = contour_line(Measure.ODDS_RATIO, 1.0)
-    assert line.solid
-    assert line.label == "1"
-    assert not contour_line(Measure.ODDS_RATIO, 2.0).solid
-
-
 # Golden files: sha256 of the figures of the Newcastle and four-stratum
-# tables, as the benchmark's reference answers record them. Any change to
+# tables, as the benchmark's reference answers record them, then of a K = 1
+# table, a K = 2 table with zero cells and a K = 3 table. Any change to
 # geometry, the fits drawn or the style table must be deliberate and update them.
 FIGURE_SHA256 = {
     ("newcastle", "contours"): "95844e6a8f55f4bf9d39c81373fe64a4032db7c7f1bfa8916472b628850e9451",
@@ -262,6 +244,26 @@ FIGURE_SHA256 = {
     ("four", "collapsible"): "3bdd777d7abeda2e655ab7aa38a92472de340cd6342cd91b0a2fa544a62bc1cd",
     ("four", "noncollapsible"): "09d183d492edfd11a943a7d24f5bdb9cfd798ab7d24f93bff552730ff541e38a",
     ("four", "hull"): "b75ea848ff336a5ab4d7c4acfd1c1bcd5b14e4096d6ff2ffd23f15d67aaf8586",
+    ("k1", "modification"): "aaab922119ad0c82c9328f01c2fdbf2b6f720cb51ec96eb7f3682d047c626516",
+    ("k1", "collapsible"): "1ff82bdc7a20690fd7a2d0b6be6948a076618368ed1ac53d0d435a20514a257e",
+    ("k1", "noncollapsible"): "b652aec4d817744ff05f2bd9d73a858435771654c81bae43151dc210e4064c2f",
+    ("k1", "hull"): "29909b2a9b62554f2674cf07fdb55b325f5e50663a22b50bd846f9e26060d9f7",
+    ("zero", "modification"): "b3589a48548535e0713e737c8361eceb0229a638c2a573fb3aee107502c46ddf",
+    ("zero", "modconf"): "37a967de243e861ef9ca17c802dade3441a537ae169eb6ef58ff06967831fbec",
+    ("zero", "collapsible"): "1c5f7e69b93eed07970236cb691f989faaec058dba9f95428ebee827f60b4a0a",
+    ("zero", "noncollapsible"): "e09e542487e4a103464c436a3466b9871ad7dbff9c36bb8dd5169ccfba96b583",
+    ("zero", "hull"): "e3f799c0c1051d0e2dc40219548afba31006b6671c5e636ec9083c681c1e5536",
+    ("k3", "modification"): "3686a4e40447544a2d651eab641dcd6405d9acbeca88400c0da83080a5973960",
+    ("k3", "collapsible"): "7542863656b3ceade07304208854b4e1525f7c9514939bfd04ce57986139cbc9",
+    ("k3", "noncollapsible"): "9a080c164b3275ecc336c6e9424059f3d419aa38b8c0a9935815d5a741a20589",
+    ("k3", "hull"): "2bef2c6442f9ca55a173d2a1f225ef2b392947e0baa195607d2293ff932dd2f8",
+}
+GOLDEN_TABLES = {
+    "newcastle": newcastle_fixture,
+    "four": synthetic_four_strata,
+    "k1": lambda: parse_table(CSV_HEADER + "s1,5,50,5,60\n"),
+    "zero": lambda: parse_table(CSV_HEADER + "s1,0,50,5,60\ns2,3,40,0,30\n"),
+    "k3": lambda: parse_table(CSV_HEADER + "a,31,412,19,377\nb,63,245,52,270\nc,42,49,165,193\n"),
 }
 
 
@@ -271,8 +273,11 @@ def test_figures_golden_hash(table, name):
     # common contour at 10 decimals: a few tens of ulps on its b1 flip them
     import hashlib
 
-    if name == "contours":
-        figure = figure_contours()
-    else:
-        figure = FIGURES[name](newcastle_fixture() if table == "newcastle" else synthetic_four_strata())
+    figure = figure_contours() if name == "contours" else FIGURES[name](GOLDEN_TABLES[table]())
     assert hashlib.sha256(render_svg(figure).encode()).hexdigest() == FIGURE_SHA256[(table, name)]
+
+
+@pytest.mark.parametrize("table", ["k1", "k3"])
+def test_modconf_needs_exactly_two_strata(table):
+    with pytest.raises(DomainError):
+        figure_modconf(GOLDEN_TABLES[table]())

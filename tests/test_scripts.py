@@ -1,7 +1,11 @@
 """Smoke tests of the scripts in scripts/, run in-process."""
 
+import hashlib
 import runpy
+import sys
 from pathlib import Path
+
+from test_render import FIGURE_SHA256
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,3 +36,21 @@ def test_run_newcastle_output_and_fit_count(capsys, fit_calls):
     # one saturated and one no-interaction fit per link, each made once
     assert len(fit_calls) == 8
     assert len(set(fit_calls)) == 8
+
+
+MAKE_FIGURES_DIGESTS = {
+    "fig1_contours.svg": FIGURE_SHA256[("newcastle", "contours")],
+    "fig2_modification.svg": FIGURE_SHA256[("newcastle", "modification")],
+    "fig3_modconf.svg": FIGURE_SHA256[("newcastle", "modconf")],
+    "fig4_collapsible.svg": FIGURE_SHA256[("newcastle", "collapsible")],
+    "fig5_noncollapsible.svg": FIGURE_SHA256[("newcastle", "noncollapsible")],
+    "fig6_hull.svg": FIGURE_SHA256[("four", "hull")],
+}
+
+
+def test_make_figures_writes_the_golden_figures(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["make_figures.py", str(tmp_path)])
+    runpy.run_path(str(SCRIPTS / "make_figures.py"), run_name="__main__")
+    assert capsys.readouterr().out.count("wrote ") == 6
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == MAKE_FIGURES_DIGESTS

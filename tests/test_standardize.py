@@ -341,6 +341,27 @@ def test_extremize_agrees_with_grid_oracle(k):
         _assert_witness(pts, measure, opt)
 
 
+def _no_arrays(*args, **kwargs):
+    raise AssertionError("the grid oracle allocated an array")
+
+
+@pytest.mark.parametrize(
+    "pts, resolution",
+    [
+        # 1e300 + 1 entries at K = 2
+        ([RiskPoint(0.2, 0.3), RiskPoint(0.5, 0.7)], 1e-300),
+        # n = 4471 gives 4472 * 4473 / 2 = 10 001 628 pairs at K = 3
+        ([RiskPoint(0.2, 0.3), RiskPoint(0.5, 0.7), RiskPoint(0.4, 0.6)], 1 / 4471),
+    ],
+    ids=["k2", "k3"],
+)
+def test_grid_oracle_refuses_a_lattice_over_the_bound(pts, resolution, monkeypatch):
+    for name in ("array", "arange", "repeat", "concatenate"):
+        monkeypatch.setattr(standardize.np, name, _no_arrays)
+    with pytest.raises(DomainError, match="too fine"):
+        grid_extremize(pts, Measure.ODDS_RATIO, "min", resolution)
+
+
 def _log_measure_slope(measure: Measure, p0: RiskPoint, p1: RiskPoint):
     """d/dw of log M at w p0 + (1 - w) p1 for OR and CHR, written out; it has
     the sign of the directional derivative of M."""
