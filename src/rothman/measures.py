@@ -138,10 +138,14 @@ def contour_y(c: ContourValue, x: float) -> float:
         else:
             y = 1.0 if m > 0.0 else 0.0
     if y < -1e-15 or y > 1.0 + 1e-15:
-        raise ContourRangeError(
-            f"{c.measure.label} contour m = {m} leaves the unit square at x = {x} (y = {y})"
-        )
+        raise _range_error(c, x, y)
     return min(1.0, max(0.0, y))
+
+
+def _range_error(c: ContourValue, x: float, y: float) -> ContourRangeError:
+    return ContourRangeError(
+        f"{c.measure.label} contour m = {c.m} leaves the unit square at x = {x} (y = {y})"
+    )
 
 
 def valid_x_interval(c: ContourValue) -> tuple[float, float] | None:
@@ -164,11 +168,12 @@ def valid_x_interval(c: ContourValue) -> tuple[float, float] | None:
     return (lo, hi)
 
 
-def contour_polyline(c: ContourValue, n: int) -> list[RiskPoint]:
-    """n points along the contour, x equally spaced over valid_x_interval.
+def _contour_xy(c: ContourValue, n: int) -> list[tuple[float, float]]:
+    """contour_polyline's vertices as (x, y) tuples.
 
-    Degenerate single-point intervals yield one point; an empty interval
-    yields an empty list.
+    Each y is contour_y's, operation for operation, with its range check
+    and clamp; the arithmetic runs as one comprehension per measure rather
+    than as a call per vertex.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
@@ -177,10 +182,34 @@ def contour_polyline(c: ContourValue, n: int) -> list[RiskPoint]:
         return []
     lo, hi = interval
     if hi - lo == 0.0:
-        return [RiskPoint(lo, contour_y(c, lo))]
-    step = (hi - lo) / (n - 1)
-    xs = [lo + i * step for i in range(n - 1)] + [hi]
-    return [RiskPoint(x, contour_y(c, x)) for x in xs]
+        xs = [lo]
+    else:
+        step = (hi - lo) / (n - 1)
+        xs = [lo + i * step for i in range(n - 1)] + [hi]
+    m = c.m
+    if c.measure is Measure.RISK_DIFFERENCE:
+        ys = [x + m for x in xs]
+    elif c.measure is Measure.RISK_RATIO:
+        ys = [m * x for x in xs]
+    elif c.measure is Measure.ODDS_RATIO:
+        ys = [m * x / d if (d := 1.0 - x + m * x) != 0.0 else 0.0 for x in xs]
+    else:
+        top = 1.0 if m > 0.0 else 0.0
+        ys = [-math.expm1(m * math.log1p(-x)) if x < 1.0 else top for x in xs]
+    for x, y in zip(xs, ys):
+        if y < -1e-15 or y > 1.0 + 1e-15:
+            raise _range_error(c, x, y)
+    # the clamp is the identity on (0, 1), so only other values pay for it
+    return [(x, y if 0.0 < y < 1.0 else min(1.0, max(0.0, y))) for x, y in zip(xs, ys)]
+
+
+def contour_polyline(c: ContourValue, n: int) -> list[RiskPoint]:
+    """n points along the contour, x equally spaced over valid_x_interval.
+
+    Degenerate single-point intervals yield one point; an empty interval
+    yields an empty list.
+    """
+    return [RiskPoint(x, y) for x, y in _contour_xy(c, n)]
 
 
 def is_straight(measure: Measure) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .measures import Measure, ContourValue, contour_polyline, evaluate, null_value
+from .measures import Measure, ContourValue, _contour_xy, evaluate, null_value
 from .standardize import StandardizedHull, standardized_hull, marginal_distribution
 from .tables import RiskPoint, StratifiedTable, stratum_points
 from .inference import LinkFunction, ModelSpec, common_measure, fit, link_for_measure
@@ -89,8 +89,14 @@ class DiagramSpec:
             raise DomainError("a diagram needs at least one panel")
 
 
+# every coordinate goes through these, built once: an f-string with a nested
+# precision would parse its format spec again on each call
+_F = f"%.{COORD_DECIMALS}f"
+_PAIR = _F + "," + _F
+
+
 def _fmt(v: float) -> str:
-    return f"{v:.{COORD_DECIMALS}f}"
+    return _F % v
 
 
 def _esc(text: str) -> str:
@@ -100,24 +106,21 @@ def _esc(text: str) -> str:
 def _emit_contour(
     out: list[str], ox: float, oy: float, measure: Measure, line: ContourLine, index: int
 ) -> None:
-    pts = contour_polyline(ContourValue(measure, line.level), CONTOUR_SAMPLES)
+    pts = _contour_xy(ContourValue(measure, line.level), CONTOUR_SAMPLES)
     if measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO):
-        kept = [p for p in pts if p.y <= 1.0 - TOP_EDGE_INSET or p.y == 1.0]
+        kept = [p for p in pts if p[1] <= 1.0 - TOP_EDGE_INSET or p[1] == 1.0]
         if len(kept) >= 2:
             pts = kept
     if not pts:
         return
     if len(pts) == 1:
-        p = pts[0]
+        x, y = anchor = pts[0]
         out.append(
-            f'<circle cx="{_fmt(ox + PANEL_SIZE * p.x)}" cy="{_fmt(oy + PANEL_SIZE * (1.0 - p.y))}" '
+            f'<circle cx="{_fmt(ox + PANEL_SIZE * x)}" cy="{_fmt(oy + PANEL_SIZE * (1.0 - y))}" '
             f'r="2" fill="black"/>'
         )
-        anchor = p
     else:
-        coords = " ".join(
-            f"{_fmt(ox + PANEL_SIZE * p.x)},{_fmt(oy + PANEL_SIZE * (1.0 - p.y))}" for p in pts
-        )
+        coords = " ".join([_PAIR % (ox + PANEL_SIZE * x, oy + PANEL_SIZE * (1.0 - y)) for x, y in pts])
         dash = "" if line.solid else f' stroke-dasharray="{DASH_PATTERN}"'
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="black" '
@@ -125,9 +128,10 @@ def _emit_contour(
         )
         fraction = LABEL_ANCHORS[index % len(LABEL_ANCHORS)]
         anchor = pts[round(fraction * (len(pts) - 1))]
+    x, y = anchor
     out.append(
-        f'<text x="{_fmt(ox + PANEL_SIZE * anchor.x - 4.0)}" '
-        f'y="{_fmt(oy + PANEL_SIZE * (1.0 - anchor.y) - 6.0)}" '
+        f'<text x="{_fmt(ox + PANEL_SIZE * x - 4.0)}" '
+        f'y="{_fmt(oy + PANEL_SIZE * (1.0 - y) - 6.0)}" '
         f'font-size="{FONT_SIZE}" text-anchor="end">{_esc(line.label)}</text>'
     )
 
@@ -153,8 +157,7 @@ def _emit_panel(out: list[str], spec: PanelSpec, ox: float, oy: float) -> None:
     out.append(f'<g class="panel panel-{spec.measure.value}">')
     if spec.hull is not None and len(spec.hull.vertices) >= 3:
         coords = " ".join(
-            f"{_fmt(ox + PANEL_SIZE * v.x)},{_fmt(oy + PANEL_SIZE * (1.0 - v.y))}"
-            for v in spec.hull.vertices
+            _PAIR % (ox + PANEL_SIZE * v.x, oy + PANEL_SIZE * (1.0 - v.y)) for v in spec.hull.vertices
         )
         out.append(f'<polygon points="{coords}" fill="{HULL_FILL}" stroke="none"/>')
     for i, line in enumerate(spec.contours):

@@ -28,6 +28,9 @@ _CONFOUNDING_TOL = 1e-9
 _VERTEX_TOL = 1e-9
 # the grid oracle's largest weight array, in entries (80 MB of float64)
 GRID_MAX_ENTRIES = 10**7
+# the most weight vectors the grid oracle scans: the largest lattice the
+# tests scan, K = 4 at 0.001, has 1.7e8 and takes 3-5 s on one Xeon core
+GRID_MAX_POINTS = 10**9
 
 
 @dataclass(frozen=True)
@@ -336,6 +339,23 @@ def _composition_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, s - a
 
 
+def _heads(xs, ys, depth: int, stop: int, budget: int, head: tuple, head_x, head_y):
+    """(budget left, head, head_x, head_y) for every split of at most budget
+    lattice steps over the weights depth, ..., stop - 1, in lexicographic
+    order of head; head_x and head_y accumulate head's weighted sums.
+
+    It lives at module level: a nested function that calls itself through
+    its closure is a reference cycle, which would keep the oracle's arrays
+    alive until the cyclic GC runs."""
+    if depth == stop:
+        yield budget, head, head_x, head_y
+        return
+    for i in range(budget + 1):
+        yield from _heads(
+            xs, ys, depth + 1, stop, budget - i, head + (i,), head_x + i * xs[depth], head_y + i * ys[depth]
+        )
+
+
 def grid_extremize(
     points: list[RiskPoint], measure: Measure, objective: str, resolution: float = 0.001
 ) -> ExtremeResult:
@@ -343,9 +363,10 @@ def grid_extremize(
     weight vectors with the given spacing, 1/n.
 
     Its largest array has n + 1 entries at K = 2 and (n + 1)(n + 2)/2 (the
-    pairs scanned for the last three strata) at K >= 3; a resolution that
-    makes it exceed GRID_MAX_ENTRIES raises DomainError before any of it is
-    allocated."""
+    pairs scanned for the last three strata) at K >= 3, and it scans
+    C(n + K - 1, K - 1) weight vectors; a resolution that makes the first
+    exceed GRID_MAX_ENTRIES or the second GRID_MAX_POINTS raises DomainError
+    before any array is allocated."""
     sign = _check_objective(objective)
     if not 0.0 < resolution <= 1.0:
         raise DomainError(f"resolution must be in (0, 1], got {resolution}")
@@ -361,29 +382,27 @@ def grid_extremize(
             f"grid resolution {resolution:g} is too fine for {k} strata: the oracle "
             f"would need an array of more than {GRID_MAX_ENTRIES} entries"
         )
+    # n is a finite integer here, so math.comb is exact
+    if math.comb(n + k - 1, k - 1) > GRID_MAX_POINTS:
+        raise DomainError(
+            f"grid resolution {resolution:g} is too fine for {k} strata: the oracle "
+            f"would scan more than {GRID_MAX_POINTS} weight vectors"
+        )
     xs = np.array([p.x for p in points])
     ys = np.array([p.y for p in points])
-
-    best: tuple[float, tuple] | None = None
-
-    def consider(values: np.ndarray, weight_cols: list[np.ndarray]):
-        nonlocal best
-        i = int(np.argmin(sign * values))
-        w = tuple(float(col[i]) / n for col in weight_cols)
-        if _better(float(values[i]), w, best, sign):
-            best = (float(values[i]), w)
 
     if k == 2:
         a = np.arange(n + 1)
         sx = (a * xs[0] + (n - a) * xs[1]) / n
         sy = (a * ys[0] + (n - a) * ys[1]) / n
-        consider(_evaluate_arrays(measure, sx, sy), [a, n - a])
-        return ExtremeResult(best[0], best[1])
+        values = _evaluate_arrays(measure, sx, sy)
+        i = int(np.argmin(sign * values))
+        return ExtremeResult(float(values[i]), (float(a[i]) / n, float(n - a[i]) / n))
 
     pair_a, pair_b = _composition_pairs(n)
     prefix = (np.arange(n + 1) + 1) * (np.arange(n + 1) + 2) // 2
-
-    def scan_triple(budget: int, head: tuple[int, ...], head_x: float, head_y: float):
+    best: tuple[float, tuple] | None = None
+    for budget, head, head_x, head_y in _heads(xs, ys, 0, k - 3, n, (), 0.0, 0.0):
         m = prefix[budget]
         a, b = pair_a[:m], pair_b[:m]
         c = budget - a - b
@@ -392,18 +411,8 @@ def grid_extremize(
         values = _evaluate_arrays(measure, sx, sy)
         i = int(np.argmin(sign * values))
         w = tuple(h / n for h in head) + (float(a[i]) / n, float(b[i]) / n, float(c[i]) / n)
-        nonlocal best
         if _better(float(values[i]), w, best, sign):
             best = (float(values[i]), w)
-
-    def recurse(depth: int, budget: int, head: tuple[int, ...], head_x: float, head_y: float):
-        if depth == k - 3:
-            scan_triple(budget, head, head_x, head_y)
-            return
-        for i in range(budget + 1):
-            recurse(depth + 1, budget - i, head + (i,), head_x + i * xs[depth], head_y + i * ys[depth])
-
-    recurse(0, n, (), 0.0, 0.0)
     return ExtremeResult(best[0], best[1])
 
 

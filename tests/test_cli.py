@@ -189,6 +189,18 @@ def test_collapse_grid_oracle_rejects_a_lattice_over_the_bound(capsys):
     assert "too fine" in err and "Traceback" not in err
 
 
+def test_collapse_grid_oracle_refuses_a_k5_lattice_at_the_default_resolution(capsys, tmp_path):
+    # C(1004, 4) = 4.2e10 weight vectors at 0.001: hours of scanning
+    path = tmp_path / "k5.csv"
+    path.write_text(
+        "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\n"
+        "a,31,412,19,377\nb,44,310,33,335\nc,63,245,52,270\nd,42,49,165,193\ne,20,100,10,100\n"
+    )
+    code, _, err = run(capsys, "collapse", "--input", str(path), "--grid-oracle")
+    assert code == 3
+    assert "weight vectors" in err and "Traceback" not in err
+
+
 def test_plot_contours_to_file(capsys, tmp_path):
     out_path = tmp_path / "contours.svg"
     code, _, _ = run(capsys, "plot", "contours", "-o", str(out_path))

@@ -117,6 +117,44 @@ def test_polyline_needs_two_samples():
         contour_polyline(ContourValue(Measure.RISK_RATIO, 2.0), 1)
 
 
+SAMPLER_LEVELS = [
+    # interior levels and the null level
+    (Measure.RISK_DIFFERENCE, 0.1),
+    (Measure.RISK_DIFFERENCE, 0.0),
+    (Measure.RISK_RATIO, 1.5),
+    (Measure.RISK_RATIO, 1.0),
+    (Measure.ODDS_RATIO, 1.537),
+    (Measure.ODDS_RATIO, 1.0),
+    (Measure.CUMULATIVE_HAZARD_RATIO, 1.316),
+    (Measure.CUMULATIVE_HAZARD_RATIO, 1.0),
+    # contours that meet the frame
+    (Measure.RISK_DIFFERENCE, 0.25),
+    (Measure.RISK_DIFFERENCE, -0.25),
+    (Measure.RISK_RATIO, 4.0),
+    (Measure.RISK_RATIO, 0.5),
+    # single-point intervals
+    (Measure.RISK_DIFFERENCE, 1.0),
+    (Measure.RISK_DIFFERENCE, -1.0),
+    # tops inside the renderer's TOP_EDGE_INSET of y = 1, and the zero level
+    (Measure.ODDS_RATIO, 4.0),
+    (Measure.ODDS_RATIO, 50.0),
+    (Measure.ODDS_RATIO, 0.0),
+    (Measure.CUMULATIVE_HAZARD_RATIO, 4.0),
+    (Measure.CUMULATIVE_HAZARD_RATIO, 0.25),
+    (Measure.CUMULATIVE_HAZARD_RATIO, 0.0),
+]
+
+
+@pytest.mark.parametrize("measure, m", SAMPLER_LEVELS)
+def test_polyline_vertices_are_contour_y_exactly(measure, m):
+    c = ContourValue(measure, m)
+    lo, hi = valid_x_interval(c)
+    step = (hi - lo) / 200
+    xs = [lo] if lo == hi else [lo + i * step for i in range(200)] + [hi]
+    pts = contour_polyline(c, 201)
+    assert [(p.x, p.y) for p in pts] == [(x, contour_y(c, x)) for x in xs]
+
+
 def test_valid_x_interval():
     assert valid_x_interval(ContourValue(Measure.RISK_DIFFERENCE, 0.25)) == (0.0, 0.75)
     assert valid_x_interval(ContourValue(Measure.RISK_DIFFERENCE, -0.25)) == (0.25, 1.0)

@@ -1,9 +1,11 @@
+import hashlib
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from rothman.errors import DomainError
+from rothman.errors import DomainError, RothmanError
 from rothman.measures import ContourValue, Measure, contour_y, evaluate, in_domain
 from rothman.render import (
     CELL,
@@ -23,9 +25,17 @@ from rothman.render import (
     figure_noncollapsible,
     render_svg,
 )
-from rothman.tables import RiskPoint, newcastle_fixture, parse_table, stratum_points
+from rothman.tables import (
+    CellCounts,
+    RiskPoint,
+    StratifiedTable,
+    Stratum,
+    newcastle_fixture,
+    parse_table,
+    stratum_points,
+)
 
-from conftest import synthetic_four_strata
+from conftest import random_table, synthetic_four_strata
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -271,8 +281,6 @@ GOLDEN_TABLES = {
 def test_figures_golden_hash(table, name):
     # the modification and collapsible figures print the restricted fit's
     # common contour at 10 decimals: a few tens of ulps on its b1 flip them
-    import hashlib
-
     figure = figure_contours() if name == "contours" else FIGURES[name](GOLDEN_TABLES[table]())
     assert hashlib.sha256(render_svg(figure).encode()).hexdigest() == FIGURE_SHA256[(table, name)]
 
@@ -281,3 +289,37 @@ def test_figures_golden_hash(table, name):
 def test_modconf_needs_exactly_two_strata(table):
     with pytest.raises(DomainError):
         figure_modconf(GOLDEN_TABLES[table]())
+
+
+def _sweep_tables() -> list[StratifiedTable]:
+    """Thirty seeded tables, K = 1 to 10 three times over: interior-sized
+    cells, cells of at most six subjects (often zero or full), and a first
+    stratum whose two cells are both full."""
+    rng = random.Random(1313)
+    tables = []
+    for i in range(30):
+        k, kind = 1 + i % 10, i // 10
+        table = random_table(rng, k, max_total=400 if kind == 0 else 6)
+        if kind == 2:
+            full = Stratum("s0", exposed=CellCounts(30, 30), unexposed=CellCounts(50, 50))
+            table = StratifiedTable((full,) + table.strata[1:])
+        tables.append(table)
+    return tables
+
+
+# sha256 over every figure of the sweep tables, or the repr of the error
+# it raises: contour sampling, formatting and the fits drawn must not move
+# a byte of any of them
+SWEEP_SHA256 = "f94de9f8897741a37aa7c88dfafc04975003d063cddc932d75ce8cb9aac11da2"
+
+
+def test_figures_sweep_digest():
+    digest = hashlib.sha256()
+    for table in _sweep_tables():
+        for name, figure in FIGURES.items():
+            try:
+                out = render_svg(figure(table))
+            except RothmanError as exc:
+                out = repr(exc)
+            digest.update(f"{name}\0{out}\0".encode())
+    assert digest.hexdigest() == SWEEP_SHA256

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -352,14 +354,38 @@ def _no_arrays(*args, **kwargs):
         ([RiskPoint(0.2, 0.3), RiskPoint(0.5, 0.7)], 1e-300),
         # n = 4471 gives 4472 * 4473 / 2 = 10 001 628 pairs at K = 3
         ([RiskPoint(0.2, 0.3), RiskPoint(0.5, 0.7), RiskPoint(0.4, 0.6)], 1 / 4471),
+        # 501 501 pairs at K = 5, under the entry bound, but C(1004, 4) = 4.2e10
+        # weight vectors to scan
+        ([RiskPoint(0.1 + 0.15 * i, 0.2 + 0.15 * i) for i in range(5)], 0.001),
+        # an infinite n at K = 5: the entry bound refuses it before the count
+        ([RiskPoint(0.1 + 0.15 * i, 0.2 + 0.15 * i) for i in range(5)], 1e-300),
     ],
-    ids=["k2", "k3"],
+    ids=["k2", "k3", "k5-points", "k5-entries"],
 )
 def test_grid_oracle_refuses_a_lattice_over_the_bound(pts, resolution, monkeypatch):
     for name in ("array", "arange", "repeat", "concatenate"):
         monkeypatch.setattr(standardize.np, name, _no_arrays)
     with pytest.raises(DomainError, match="too fine"):
         grid_extremize(pts, Measure.ODDS_RATIO, "min", resolution)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_grid_oracle_frees_its_lattice_without_the_cyclic_gc(k):
+    """Reference counting alone frees the oracle's arrays: at 1/300 the two
+    pair arrays hold 727 KB, and none of it may outlive the call. What may
+    stay is Python's freelist of small tuples (14 KB of heads at K = 4)."""
+    measure, pts = _oracle_points(k)
+    grid_extremize(pts, measure, "min", 1 / 300)  # numpy's first-call allocations
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid_extremize(pts, measure, "min", 1 / 300)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < 64 * 1024
 
 
 def _log_measure_slope(measure: Measure, p0: RiskPoint, p1: RiskPoint):
