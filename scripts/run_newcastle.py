@@ -47,8 +47,8 @@ def main() -> None:
         saturated = fit(table, ModelSpec(link, interaction=True))
         strat = [evaluate(measure, p) for p in saturated.fitted_points]
         restricted[link] = fit(table, ModelSpec(link, interaction=False))
-        test = lr_test_interaction(table, link, restricted=restricted[link], saturated=saturated)
-        ci = profile_ci(table, link, restricted=restricted[link])
+        test = lr_test_interaction(table, link)
+        ci = profile_ci(table, link)
         print(
             f"{measure.label:<26} {strat[0]:>7.3f} {strat[1]:>7.3f} {test.p_value:>7.3f} "
             f"{common_measure(restricted[link]):>7.3f}  ({ci.lower:.3f}, {ci.upper:.3f})"

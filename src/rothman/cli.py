@@ -122,16 +122,15 @@ def cmd_measures(args: argparse.Namespace) -> int:
 
 def _fit_report(table: StratifiedTable, link: LinkFunction, level: float) -> dict:
     measure = measure_for_link(link)
-    saturated = fit(table, ModelSpec(link, interaction=True)) if table.k >= 2 else None
     restricted = fit(table, ModelSpec(link, interaction=False))
     strata, undefined = _evaluate_all(
         (s.label, measure, p) for s, p in zip(table.strata, stratum_points(table))
     )
     lr = None
-    if saturated is not None:
-        test = lr_test_interaction(table, link, restricted=restricted, saturated=saturated)
+    if table.k >= 2:
+        test = lr_test_interaction(table, link)
         lr = {"statistic": test.statistic, "df": test.df, "p_value": test.p_value}
-    ci = profile_ci(table, link, level, restricted=restricted)
+    ci = profile_ci(table, link, level)
     return {
         "link": link.value,
         "measure": measure.value,

@@ -148,7 +148,6 @@ class FitResult:
     coefficients: tuple[float, ...]
     loglik: float
     fitted_points: tuple[RiskPoint, ...]
-    converged: bool
     iterations: int
     boundary_warning: bool
     gradient_norm: float
@@ -361,7 +360,7 @@ def _null_init(table: StratifiedTable, link: LinkFunction, n_params: int) -> np.
     return beta
 
 
-def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> FitResult:
+def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     """Maximum-likelihood fit of the binomial GLM.
 
     The saturated fit (interaction) is the empirical risks, in closed form
@@ -376,11 +375,11 @@ def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> F
     log link's constraint p >= 0 or p <= 1, toward which step-halving
     creeps, or out of iterations), the maximum of the profile
     log-likelihood lp(b1) is sought from its b1 (see _profile_max) and,
-    when found within max_iter steps, taken: ``loglik`` is then lp at the
+    when found within 200 steps, taken: ``loglik`` is then lp at the
     estimate, ``iterations`` counts the steps on b1 and ``gradient_norm``
     is |lp'| at the estimate. ConvergenceError, carrying the Newton
     ascent's last iterate, is raised only when neither converges within
-    max_iter iterations.
+    200 iterations.
 
     Boundary rule for the closed form and the profile maximum: a maximum at
     a cell probability of 0 or 1 (a zero or full cell, or a bound of the
@@ -389,13 +388,14 @@ def fit(table: StratifiedTable, spec: ModelSpec, max_iter: int = _MAX_ITER) -> F
     1. The rule applies to the reported coefficients and fitted points
     only; ``loglik`` stays the supremum.
 
-    Fits are memoized: equal tables, specs and max_iter return the same
-    FitResult object, and the last 8 fits (one table's four links times
-    two models) are kept. A fit that raises is not kept.
+    Fits are memoized: equal tables and specs return the same FitResult
+    object, and the last 8 fits (one table's four links times two models)
+    are kept. A fit that raises is not kept. The memo is the only way fits
+    are shared: the LR test, the profile CI and the figures each call fit.
     """
     # a plain function over the memo, not a decorated one: bench/spans.py
     # traces only plain functions, and its fit counters read calls of fit
-    return _fit(table, spec, max_iter)
+    return _fit(table, spec)
 
 
 def _reference_coded(a, b) -> np.ndarray:
@@ -411,7 +411,6 @@ def _result(spec: ModelSpec, beta, loglik: float, p, iterations: int, gnorm: flo
         coefficients=tuple(float(b) for b in beta),
         loglik=loglik,
         fitted_points=tuple(RiskPoint(float(p[j + 1]), float(p[j])) for j in range(0, len(p), 2)),
-        converged=True,
         iterations=iterations,
         boundary_warning=bool(min(p) < _BOUNDARY_TOL or max(p) > 1.0 - _BOUNDARY_TOL),
         gradient_norm=gnorm,
@@ -419,7 +418,7 @@ def _result(spec: ModelSpec, beta, loglik: float, p, iterations: int, gnorm: flo
 
 
 @functools.lru_cache(maxsize=8)
-def _fit(table: StratifiedTable, spec: ModelSpec, max_iter: int) -> FitResult:
+def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     link = spec.link
     if spec.interaction:
         if table.k < 2:
@@ -439,15 +438,13 @@ def _fit(table: StratifiedTable, spec: ModelSpec, max_iter: int) -> FitResult:
     X, cases, totals = _problem(table, spec)
     failed = None
     try:
-        beta, _, _, iterations, gnorm, _ = _newton(
-            link, X, cases, totals, _null_init(table, link, X.shape[1]), max_iter=max_iter
-        )
+        beta, _, _, iterations, gnorm, _ = _newton(link, X, cases, totals, _null_init(table, link, X.shape[1]))
     except ConvergenceError as err:
         failed, beta, gnorm = err, np.array(err.coefficients), math.inf
     if gnorm >= _GRAD_TOL:
         # the ascent ended short of its gradient test, as it does against
         # a constraint it creeps toward: the profile maximum from its b1
-        found = _profile_max(table, link, float(beta[1]), max_iter)
+        found = _profile_max(table, link, float(beta[1]))
         if found is not None:
             b1, ll, a, gnorm, iterations = found
             beta = _reference_coded(a, [b1])
@@ -459,12 +456,10 @@ def _fit(table: StratifiedTable, spec: ModelSpec, max_iter: int) -> FitResult:
 
 
 def common_measure(result: FitResult) -> float:
-    """The common association measure implied by a converged no-interaction
-    fit: b1 for the identity link, exp(b1) otherwise."""
+    """The common association measure implied by a no-interaction fit: b1
+    for the identity link, exp(b1) otherwise."""
     if result.spec.interaction:
         raise ValueError("common_measure requires a no-interaction fit")
-    if not result.converged:
-        raise ValueError("common_measure requires a converged fit")
     b1 = result.coefficients[1]
     return b1 if result.spec.link is LinkFunction.IDENTITY else math.exp(b1)
 
@@ -476,30 +471,13 @@ class LRTest:
     p_value: float
 
 
-def _fit_of(table: StratifiedTable, spec: ModelSpec, given: FitResult | None) -> FitResult:
-    """``given`` when the caller already holds this fit of the table, else a new fit."""
-    if given is None:
-        return fit(table, spec)
-    if given.spec != spec:
-        raise DomainError(f"expected a fit of {spec}, got a fit of {given.spec}")
-    # the memo behind fit, called directly: checking a fit is not asking for one
-    if given != _fit(table, spec, _MAX_ITER):
-        raise DomainError("the fit passed is not a fit of this table")
-    return given
-
-
-def lr_test_interaction(
-    table: StratifiedTable, link: LinkFunction, *,
-    restricted: FitResult | None = None, saturated: FitResult | None = None,
-) -> LRTest:
-    """Likelihood-ratio test of the K-1 exposure-by-stratum interaction terms.
-
-    Fits of this table that the caller already holds may be passed as
-    ``restricted`` and ``saturated``; the missing ones are fitted here."""
+def lr_test_interaction(table: StratifiedTable, link: LinkFunction) -> LRTest:
+    """Likelihood-ratio test of the K-1 exposure-by-stratum interaction
+    terms, from the table's two fits (see fit, whose memo shares them)."""
     if table.k < 2:
         raise DomainError("interaction test needs at least two strata")
-    restricted = _fit_of(table, ModelSpec(link, interaction=False), restricted)
-    saturated = _fit_of(table, ModelSpec(link, interaction=True), saturated)
+    restricted = fit(table, ModelSpec(link, interaction=False))
+    saturated = fit(table, ModelSpec(link, interaction=True))
     stat = max(0.0, 2.0 * (saturated.loglik - restricted.loglik))
     df = table.k - 1
     return LRTest(stat, df, chi2_sf(stat, df))
@@ -743,7 +721,7 @@ def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> flo
     return profile_loglik_slope(table, link, b1)[0]
 
 
-def _newton_root(func, x: float, lo: float, hi: float, tol, max_iter: int, capped: bool = False):
+def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False):
     """A root of func, increasing on the bracket (lo, hi), by Newton's
     method from x in it. func(x) returns (v, v', extra).
 
@@ -756,11 +734,11 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, max_iter: int, cappe
 
     Returns (root, extra, steps, stop), extra from the last x evaluated.
     stop is "root" (root is that x plus its step), "edge" (v has one sign
-    up to an end of the bracket, and root is that end) or "limit" (max_iter
+    up to an end of the bracket, and root is that end) or "limit" (_MAX_ITER
     steps taken; root is the last x)."""
     origin = lo
     v_old = 0.0
-    for steps in range(1, max_iter + 1):
+    for steps in range(1, _MAX_ITER + 1):
         v, dv, extra = func(x)
         if v < 0.0:
             lo = x
@@ -776,10 +754,10 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, max_iter: int, cappe
             return (x, extra, steps, "edge") if lo == hi else (x + step, extra, steps, "root")
         x += step
         v_old = v
-    return x, extra, max_iter, "limit"
+    return x, extra, _MAX_ITER, "limit"
 
 
-def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float, max_iter: int):
+def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
     """The maximum of the concave lp over |b1| <= e_hi - e_lo, the b1 at
     which a stratum's two cells can keep p in [_EPS, 1 - _EPS]: the root of
     -lp' by _newton_root from b1, to a step of 2e-15 max(1, |b1|). A
@@ -787,7 +765,7 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float, max_iter
     within that step of it.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, or
-    None when max_iter steps end short. a holds each stratum's maximizer
+    None when _MAX_ITER steps end short. a holds each stratum's maximizer
     clipped into the range that keeps both its cells' p in [_EPS, 1 - _EPS]
     (the boundary rule, see fit)."""
     e_lo, e_hi = _EDGES[link]
@@ -798,7 +776,7 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float, max_iter
         return -d, -h, (b1, ll, abs(d))
 
     _, (b1, ll, gnorm), steps, stop = _newton_root(
-        slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b)), max_iter
+        slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b))
     )
     if stop == "limit":
         return None
@@ -827,10 +805,7 @@ _B1_SPAN = 500.0
 _B1_TOL = 1e-12  # an endpoint search stops at a step of _B1_TOL / 2 + 2 ulp(b1)
 
 
-def profile_ci(
-    table: StratifiedTable, link: LinkFunction, level: float = 0.95, *,
-    restricted: FitResult | None = None,
-) -> ProfileCI:
+def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) -> ProfileCI:
     """Endpoints where the profile LR statistic for the exposure coefficient
     crosses the chi-square(1) quantile q, mapped to the measure scale.
 
@@ -852,13 +827,12 @@ def profile_ci(
     An endpoint that does not cross before the cap is truncated at the cap
     and flagged. Under the logit and cloglog links an endpoint toward which
     b1's estimate runs off to infinity (see _runs_off) is truncated at the
-    estimate.
-    A no-interaction fit of this table that the caller already holds may be
-    passed as ``restricted``; otherwise it is fitted here.
+    estimate. The estimate comes from the no-interaction fit (see fit,
+    whose memo shares it).
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    restricted = _fit_of(table, ModelSpec(link, interaction=False), restricted)
+    restricted = fit(table, ModelSpec(link, interaction=False))
     b1hat, root_q = restricted.coefficients[1], math.sqrt(chi2_quantile(level, 1))
     l_max, _, curvature = profile_loglik_slope(table, link, b1hat)
     e_lo, e_hi = _EDGES[link]
@@ -881,7 +855,7 @@ def profile_ci(
         cap = max(bound, x) if link is LinkFunction.IDENTITY else max(_B1_SPAN, x + 1.0)
         x, _, _, stop = _newton_root(
             root, min(x + max(wald, _B1_TOL), cap), x, cap,
-            lambda x: 0.5 * _B1_TOL + 2.0 * math.ulp(x), _MAX_ITER, capped=True,
+            lambda x: 0.5 * _B1_TOL + 2.0 * math.ulp(x), capped=True,
         )
         return direction * x, stop == "edge"
 
@@ -914,12 +888,14 @@ def chi2_sf(x: float, df: int) -> float:
     z^a e^-z / Gamma(a + 1) (Abramowitz & Stegun 26.4.4-26.4.5): for even df
     the sum of those terms from a = 0, for odd df erfc(sqrt(z)) plus the sum
     from a = 1/2. Each term is exp of its logarithm, so the tail stays
-    exact where e^-z alone would underflow."""
-    if x < 0.0:
+    exact where e^-z alone would underflow. The tail is 0 at x = inf."""
+    if not x >= 0.0:  # NaN fails it too
         raise DomainError(f"chi-square statistic must be >= 0, got {x}")
     _check_df(df)
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     z = 0.5 * x
     log_z, odd = math.log(z), df % 2
     terms = [math.erfc(math.sqrt(z))] if odd else []

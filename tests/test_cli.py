@@ -1,7 +1,10 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rothman import cli
 from rothman.errors import ConvergenceError
@@ -91,16 +94,17 @@ def test_fit_all_links_json_four_strata(capsys, tmp_path):
         assert rep["ci"]["lower"] < rep["common"] < rep["ci"]["upper"]
 
 
-def test_fit_all_links_fits_each_model_once(capsys, tmp_path, fit_calls):
+def test_fit_all_links_fits_each_model_once(capsys, tmp_path, fit_calls, computed_fits):
     # per link: the saturated fit (K >= 2) and the no-interaction fit, which
-    # the LR test and the profile CI reuse
+    # the LR test and the profile CI take from fit's memo
     path = tmp_path / "one.csv"
     path.write_text("stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\ns1,30,100,20,100\n")
     for source, fits in ((["--fixture", "newcastle"], 8), (["--input", str(path)], 4)):
         fit_calls.clear()
+        before = computed_fits()
         code, _, err = run(capsys, "fit", *source, "--link", "all", "--format", "json")
         assert code == 0, err
-        assert len(fit_calls) == len(set(fit_calls)) == fits
+        assert computed_fits() - before == len(set(fit_calls)) == fits
 
 
 def test_standardize_marginal(capsys):
@@ -306,3 +310,99 @@ def test_fit_stratum_estimates_are_the_observed_measures(capsys, tmp_path):
     code, out, _ = run(capsys, "fit", "--input", str(path), "--link", "logit")
     assert code == 0
     assert "stratum estimates: s1: 0.000  s2: undefined" in out
+
+
+# --- the exit-code and JSON contract on generated input ----------------------
+
+HEADER = "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total"
+VALID_LEVELS = ["0.95", "0.5", "1e-300", "0.999999999"]
+LEVELS = VALID_LEVELS + ["1", "0", "-0.5", "1.5", "nan", "inf", "x"]
+RESOLUTION_EDGES = ["0", "-0.1", "1.5", "nan", "inf", "1e-300", "5e-324", "1e-12", "x"]
+
+
+def _finest_grid(k: int) -> int:
+    """The largest n whose lattice of C(n + K - 1, K - 1) weight vectors the
+    test lets the grid oracle scan: 10^6 up to K = 4, 10^4 beyond, where the
+    oracle's loop over the first K - 3 weights costs microseconds a vector."""
+    budget = 10**6 if k <= 4 else 10**4
+    n = 1
+    while k > 1 and math.comb(n + k, k - 1) <= budget:
+        n += 1
+    return n
+
+
+@st.composite
+def _cells(draw, interior):
+    """(total, cases); with interior, 0 < cases < total."""
+    least = 2 if interior else 1
+    total = draw(st.one_of(st.integers(least, 50), st.integers(least, 10**9)))
+    cases = [1, total - 1, draw(st.integers(1, total - 1))] if interior else [0, total, draw(st.integers(0, total))]
+    return total, draw(st.sampled_from(cases))
+
+
+@st.composite
+def _csv(draw):
+    """(CSV bytes, K, whether it is a well-formed table, whether every cell
+    is interior), with BOM, CRLF, quoted labels and trailing commas."""
+    k = draw(st.integers(1, 12))
+    cells = _cells(draw(st.booleans()))
+    rows = [(draw(cells), draw(cells)) for _ in range(k)]
+    labels = [draw(st.sampled_from([f"s{i}", f'"s{i}"', f"s{i} <&>", f"stratum é{i}"])) for i in range(k)]
+    malformed = draw(st.sampled_from([None] * 4 + ["trailing comma", "quoted comma"]))
+    lines = [HEADER] + [
+        f"{label},{ec},{et},{uc},{ut}" for label, ((et, ec), (ut, uc)) in zip(labels, rows)
+    ]
+    if malformed == "trailing comma":
+        lines[-1] += ","
+    elif malformed == "quoted comma":
+        lines[-1] = '"a,b"' + lines[-1][lines[-1].index(","):]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ("\ufeff" if draw(st.booleans()) else "") + newline.join(lines) + newline
+    interior = all(0 < cases < total for row in rows for total, cases in row)
+    return text.encode("utf-8"), k, malformed is None, interior
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+def _call(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # argparse refusing a flag
+        code = e.code
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3, 4), (argv, code)
+    if code == 0 and "json" in argv:
+        json.loads(out, parse_constant=_reject_constant)
+    return code
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv=_csv(), data=st.data())
+def test_cli_contract_on_generated_input(capsys, tmp_path, csv, data):
+    raw, k, well_formed, interior = csv
+    path = tmp_path / "table.csv"
+    path.write_bytes(raw)
+    source = ["--input", str(path)]
+    fmt = ["--format", data.draw(st.sampled_from(["text", "json"]))]
+    level = data.draw(st.sampled_from(LEVELS))
+    code = _call(capsys, ["fit", *source, "--link", "all", "--level", level, *fmt])
+    if well_formed and interior and level in VALID_LEVELS:
+        assert code == 0
+    weights = data.draw(st.one_of(
+        st.sampled_from(["marginal", "uniform", "", "x", "nan", "inf", "-1", "1,0", ",".join(["1"] * k)]),
+        st.integers(0, k - 1).map(lambda i: ",".join("1" if j == i else "0" for j in range(k))),
+        st.lists(st.sampled_from(["0", "1", "0.5", "1e-300", "-0.5"]), min_size=k, max_size=k).map(",".join),
+    ))
+    _call(capsys, ["standardize", *source, "--weights", weights, *fmt])
+    _call(capsys, ["measures", *source, *fmt])
+    measure = data.draw(st.sampled_from(["rd", "rr", "or", "chr"]))
+    resolution = data.draw(st.one_of(
+        st.sampled_from(RESOLUTION_EDGES), st.floats(1.0 / _finest_grid(k), 1.0).map(repr)
+    ))
+    _call(capsys, ["collapse", *source, "--measure", measure, "--grid-oracle", "--grid-resolution", resolution, *fmt])
+    for figure in sorted(cli.FIGURES):
+        code = _call(capsys, ["plot", figure, *source])
+        if well_formed and interior and not (figure == "modconf" and k != 2):
+            assert code == 0, figure

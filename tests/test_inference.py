@@ -145,7 +145,6 @@ def test_loglik_rejects_boundary_probabilities(newcastle):
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_saturated_fit_reproduces_empirical_points(newcastle, link):
     result = fit(newcastle, ModelSpec(link, interaction=True))
-    assert result.converged
     for fitted, observed in zip(result.fitted_points, stratum_points(newcastle)):
         assert fitted.x == pytest.approx(observed.x, abs=1e-8)
         assert fitted.y == pytest.approx(observed.y, abs=1e-8)
@@ -199,7 +198,7 @@ def test_common_estimates_match_reference(newcastle, link):
     assert round(common_measure(result), 3) == COMMON_TARGETS[link]
 
 
-def test_common_measure_requires_restricted_converged_fit(newcastle):
+def test_common_measure_requires_restricted_fit(newcastle):
     saturated = fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=True))
     with pytest.raises(ValueError):
         common_measure(saturated)
@@ -437,7 +436,7 @@ def test_profile_ci_solves_only_through_profile_loglik_slope(link, k, monkeypatc
 def _b1_inside_and_outside(table, link, restricted):
     """The estimate, the 0.95 profile-CI endpoints and b1 between and beyond
     them, on the link scale; under the identity link only feasible ones."""
-    ci = profile_ci(table, link, restricted=restricted)
+    ci = profile_ci(table, link)
     to_b1 = (lambda v: v) if link is LinkFunction.IDENTITY else math.log
     lo, hi, b1hat = to_b1(ci.lower), to_b1(ci.upper), restricted.coefficients[1]
     b1s = [b1hat, lo, hi, 0.5 * (lo + b1hat), lo - (hi - lo), hi + (hi - lo)]
@@ -683,52 +682,23 @@ def test_lr_statistic_is_the_difference_of_suprema(link, csv):
     assert lr_test_interaction(table, link).statistic == pytest.approx(expected, rel=0.0, abs=1e-14 * abs(saturated))
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
-@pytest.mark.parametrize("link", ALL_LINKS)
-def test_passed_fits_give_the_same_results(link, k):
-    table = random_table(random.Random(700 + k), k=k, interior=True)
-    restricted = fit(table, ModelSpec(link, interaction=False))
-    saturated = fit(table, ModelSpec(link, interaction=True)) if k >= 2 else None
-    # the calls without passed fits make fresh ones, not hits in fit's memo
-    inference._fit.cache_clear()
-    assert profile_ci(table, link, 0.9, restricted=restricted) == profile_ci(table, link, 0.9)
-    if k >= 2:
-        passed = lr_test_interaction(table, link, restricted=restricted, saturated=saturated)
-        inference._fit.cache_clear()
-        assert passed == lr_test_interaction(table, link)
-        assert lr_test_interaction(table, link, saturated=saturated) == passed
-
-
-def test_passed_fit_of_another_model_is_rejected(newcastle):
-    logit = LinkFunction.LOGIT
-    restricted = fit(newcastle, ModelSpec(logit, interaction=False))
-    saturated = fit(newcastle, ModelSpec(logit, interaction=True))
-    other_link = fit(newcastle, ModelSpec(LinkFunction.LOG, interaction=False))
-    for passed in (saturated, other_link):
-        with pytest.raises(DomainError):
-            profile_ci(newcastle, logit, restricted=passed)
-        with pytest.raises(DomainError):
-            lr_test_interaction(newcastle, logit, restricted=passed, saturated=saturated)
-    with pytest.raises(DomainError):
-        lr_test_interaction(newcastle, logit, restricted=restricted, saturated=restricted)
-    # a fit of the same model of another table, with the same K and with another K
-    for csv in ("a,10,100,20,100\nb,30,100,10,100\n", "a,10,100,20,100\n"):
-        other = parse_table(CSV_HEADER + csv)
-        other_table = fit(other, ModelSpec(logit, interaction=False))
-        with pytest.raises(DomainError):
-            profile_ci(newcastle, logit, restricted=other_table)
-        with pytest.raises(DomainError):
-            lr_test_interaction(newcastle, logit, restricted=other_table)
-
-
 def test_profile_ci_level_validation(newcastle):
     with pytest.raises(DomainError):
         profile_ci(newcastle, LinkFunction.LOGIT, level=1.0)
 
 
-def test_fit_convergence_error_carries_last_iterate(newcastle):
+def _fits_fail(monkeypatch):
+    # a one-iteration ascent and no profile maximum: fit raises the
+    # ascent's ConvergenceError (_MAX_ITER stays: the profile solves read it)
+    newton = inference._newton
+    monkeypatch.setattr(inference, "_newton", lambda *args: newton(*args, max_iter=1))
+    monkeypatch.setattr(inference, "_profile_max", lambda *args: None)
+
+
+def test_fit_convergence_error_carries_last_iterate(newcastle, computed_fits, monkeypatch):
+    _fits_fail(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
-        fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=False), max_iter=1)
+        fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=False))
     err = exc.value
     assert err.iterations == 1
     assert err.coefficients is not None
@@ -771,13 +741,15 @@ def test_equal_tables_share_one_fit(computed_fits):
     assert computed_fits() == 1
 
 
-def test_failed_fit_is_not_kept(newcastle, computed_fits):
+def test_failed_fit_is_not_kept(newcastle, computed_fits, monkeypatch):
     spec = ModelSpec(LinkFunction.LOGIT, interaction=False)
-    for _ in range(2):
-        with pytest.raises(ConvergenceError):
-            fit(newcastle, spec, max_iter=1)
+    with monkeypatch.context() as patched:
+        _fits_fail(patched)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                fit(newcastle, spec)
     assert computed_fits() == 2
-    assert fit(newcastle, spec).converged
+    assert fit(newcastle, spec).gradient_norm < 1e-10
     assert computed_fits() == 3
 
 
@@ -959,10 +931,18 @@ def test_chi2_sf_recursion_over_df():
 
 
 def test_chi2_sf_validation():
-    with pytest.raises(DomainError):
-        chi2_sf(-0.1, 1)
+    for x in (-0.1, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            chi2_sf(x, 1)
     with pytest.raises(DomainError):
         chi2_sf(1.0, 0)
+
+
+@pytest.mark.parametrize("df", range(1, 7))
+def test_chi2_sf_at_infinity_matches_scipy(df):
+    from scipy.stats import chi2
+
+    assert chi2_sf(math.inf, df) == chi2.sf(math.inf, df) == 0.0
 
 
 @pytest.mark.parametrize("df", range(1, 201))

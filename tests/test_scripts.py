@@ -1,13 +1,16 @@
-"""Smoke tests of the scripts in scripts/, run in-process."""
+"""Smoke tests of the scripts in scripts/ and of README's library example,
+run in-process."""
 
 import hashlib
+import re
 import runpy
 import sys
 from pathlib import Path
 
 from test_render import FIGURE_SHA256
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 RUN_NEWCASTLE_OUTPUT = """\
 stratum-specific and crude risk points
@@ -30,12 +33,11 @@ cumulative hazard ratio: common 1.316, verdict attenuated-toward-null, minimum 1
 """
 
 
-def test_run_newcastle_output_and_fit_count(capsys, fit_calls):
+def test_run_newcastle_output_and_fit_count(capsys, fit_calls, computed_fits):
     runpy.run_path(str(SCRIPTS / "run_newcastle.py"), run_name="__main__")
     assert capsys.readouterr().out == RUN_NEWCASTLE_OUTPUT
-    # one saturated and one no-interaction fit per link, each made once
-    assert len(fit_calls) == 8
-    assert len(set(fit_calls)) == 8
+    # one saturated and one no-interaction fit per link, each computed once
+    assert computed_fits() == len(set(fit_calls)) == 8
 
 
 MAKE_FIGURES_DIGESTS = {
@@ -54,3 +56,18 @@ def test_make_figures_writes_the_golden_figures(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("wrote ") == 6
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == MAKE_FIGURES_DIGESTS
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    number = re.compile(r"-?\d+\.\d+")
+    for code, out in zip(prints, printed):
+        values = [float(v) for v in number.findall(out)]
+        # each number a comment gives is a printed value, rounded to its digits
+        for claim in number.findall(code.partition("#")[2]):
+            digits = len(claim.partition(".")[2])
+            assert float(claim) in [round(v, digits) for v in values], (code, out)
