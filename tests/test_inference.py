@@ -722,6 +722,28 @@ def test_fit_link_all_library_path_solves_each_fit_once(k, solves, computed_fits
     assert computed_fits() == len(set(fit_calls)) == solves
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_lr_test_and_ci_take_their_fits_from_the_memo(link, k, computed_fits):
+    table = random_table(random.Random(700 + k), k=k, interior=True)
+    # cold: the CI computes the no-interaction fit, the LR test the saturated one
+    cold_ci = profile_ci(table, link, 0.9)
+    cold_test = lr_test_interaction(table, link) if k >= 2 else None
+    solves = 2 if k >= 2 else 1
+    assert computed_fits() == solves
+    # warm: the same results from the fits fit returns, and no new solve
+    restricted = fit(table, ModelSpec(link, interaction=False))
+    ci = profile_ci(table, link, 0.9)
+    assert ci == cold_ci
+    assert ci.lower <= common_measure(restricted) <= ci.upper
+    if k >= 2:
+        saturated = fit(table, ModelSpec(link, interaction=True))
+        test = lr_test_interaction(table, link)
+        assert test == cold_test
+        assert test.statistic == max(0.0, 2.0 * (saturated.loglik - restricted.loglik))
+    assert computed_fits() == solves
+
+
 def test_restricted_fits_and_figures_solve_each_fit_once(computed_fits):
     table = newcastle_fixture()
     for link in ALL_LINKS:
