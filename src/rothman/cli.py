@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConvergenceError, DomainError, RothmanError, TableParseError
+from .errors import ConvergenceError, DomainError, TableParseError
 from .measures import Measure, evaluate
 from .inference import (
     LinkFunction,
@@ -111,8 +111,8 @@ def cmd_measures(args: argparse.Namespace) -> int:
         print(f"{r['label']:<{width}}  {r['x']:>7.3f} {r['y']:>7.3f}  " + " ".join(cells))
     for note in notes:
         print(note)
-    conf = is_confounded(table) if table.k >= 2 else None
-    if conf is not None:
+    if table.k >= 2:
+        conf = is_confounded(table)
         print(
             f"confounded: {'yes' if conf.confounded else 'no'} "
             f"(crude point is {conf.distance:.3f} from the standardized hull)"
@@ -347,9 +347,6 @@ def main(argv=None) -> int:
         return 4
     except DomainError as e:
         print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except RothmanError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 3
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -43,6 +43,8 @@ class ContourValue:
     m: float
 
     def __post_init__(self):
+        if not math.isfinite(self.m):
+            raise DomainError(f"{self.measure.label} level must be finite, got {self.m}")
         if self.measure is Measure.RISK_DIFFERENCE:
             if not -1.0 <= self.m <= 1.0:
                 raise DomainError(f"risk difference level must be in [-1, 1], got {self.m}")
@@ -106,7 +108,8 @@ def gradient(measure: Measure, p: RiskPoint) -> tuple[float, float]:
         return (-y / (x * x), 1.0 / x)
     if measure is Measure.ODDS_RATIO:
         v = (y / (1.0 - y)) / (x / (1.0 - x))
-        return (-v / (x * (1.0 - x)), v / (y * (1.0 - y)))
+        # at y = 0, v / y is 0 / 0; the limit is 1 / odds(x)
+        return (-v / (x * (1.0 - x)), v / (y * (1.0 - y)) if y > 0.0 else (1.0 - x) / x)
     lx = math.log1p(-x)
     return (math.log1p(-y) / ((1.0 - x) * lx * lx), -1.0 / ((1.0 - y) * lx))
 
@@ -148,24 +151,20 @@ def _range_error(c: ContourValue, x: float, y: float) -> ContourRangeError:
     )
 
 
-def valid_x_interval(c: ContourValue) -> tuple[float, float] | None:
+def valid_x_interval(c: ContourValue) -> tuple[float, float]:
     """Maximal closed sub-interval of [0, 1] on which contour_y stays in [0, 1].
 
-    None when the contour never enters the square (not reachable for levels
-    satisfying the ContourValue invariants, but kept for totality).
+    Never empty for a level ContourValue admits; a single point for the
+    risk difference at m = -1 or 1.
     """
     m = c.m
     if c.measure is Measure.RISK_DIFFERENCE:
-        lo, hi = (0.0, 1.0 - m) if m >= 0.0 else (-m, 1.0)
-    elif c.measure is Measure.RISK_RATIO:
-        lo, hi = 0.0, (1.0 if m <= 1.0 else 1.0 / m)
-    else:
-        # odds ratio and cumulative hazard ratio contours stay inside the
-        # square for every m >= 0
-        lo, hi = 0.0, 1.0
-    if lo > hi:
-        return None
-    return (lo, hi)
+        return (0.0, 1.0 - m) if m >= 0.0 else (-m, 1.0)
+    if c.measure is Measure.RISK_RATIO:
+        return (0.0, 1.0 if m <= 1.0 else 1.0 / m)
+    # odds ratio and cumulative hazard ratio contours stay inside the
+    # square for every m >= 0
+    return (0.0, 1.0)
 
 
 def _contour_xy(c: ContourValue, n: int) -> list[tuple[float, float]]:
@@ -177,10 +176,7 @@ def _contour_xy(c: ContourValue, n: int) -> list[tuple[float, float]]:
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    interval = valid_x_interval(c)
-    if interval is None:
-        return []
-    lo, hi = interval
+    lo, hi = valid_x_interval(c)
     if hi - lo == 0.0:
         xs = [lo]
     else:
@@ -206,8 +202,7 @@ def _contour_xy(c: ContourValue, n: int) -> list[tuple[float, float]]:
 def contour_polyline(c: ContourValue, n: int) -> list[RiskPoint]:
     """n points along the contour, x equally spaced over valid_x_interval.
 
-    Degenerate single-point intervals yield one point; an empty interval
-    yields an empty list.
+    Degenerate single-point intervals yield one point.
     """
     return [RiskPoint(x, y) for x, y in _contour_xy(c, n)]
 

@@ -111,8 +111,6 @@ def _emit_contour(
         kept = [p for p in pts if p[1] <= 1.0 - TOP_EDGE_INSET or p[1] == 1.0]
         if len(kept) >= 2:
             pts = kept
-    if not pts:
-        return
     if len(pts) == 1:
         x, y = anchor = pts[0]
         out.append(
@@ -236,14 +234,6 @@ def render_svg(spec: DiagramSpec) -> str:
 # assembling diagrams from analysis results
 # ---------------------------------------------------------------------------
 
-_MEASURE_ORDER = (
-    Measure.RISK_DIFFERENCE,
-    Measure.RISK_RATIO,
-    Measure.ODDS_RATIO,
-    Measure.CUMULATIVE_HAZARD_RATIO,
-)
-
-
 _LEVEL_TOL = 1e-9  # stratum values closer than this share one contour
 
 
@@ -286,7 +276,7 @@ DEFAULT_RATIO_LEVELS = (0.25, 0.5, 2.0, 4.0)
 def figure_contours() -> DiagramSpec:
     """Four generic panels of contour lines, one per measure, null line solid."""
     panels = []
-    for measure in _MEASURE_ORDER:
+    for measure in Measure:
         levels = DEFAULT_RD_LEVELS if measure is Measure.RISK_DIFFERENCE else DEFAULT_RATIO_LEVELS
         contours = [contour_line(null_value(measure), True)] + [contour_line(lv, False) for lv in levels]
         panels.append(PanelSpec(measure=measure, title=measure.label, contours=tuple(contours)))
@@ -296,7 +286,7 @@ def figure_contours() -> DiagramSpec:
 def figure_modification(table: StratifiedTable) -> DiagramSpec:
     """Observed vs fitted points with stratum and common contours, one panel
     per measure."""
-    return DiagramSpec(tuple(analysis_panel(table, m) for m in _MEASURE_ORDER))
+    return DiagramSpec(tuple(analysis_panel(table, m) for m in Measure))
 
 
 def _exposure_specific_crude(points, exposed_weights, unexposed_weights) -> RiskPoint:

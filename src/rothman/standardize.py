@@ -31,6 +31,10 @@ GRID_MAX_ENTRIES = 10**7
 # the most weight vectors the grid oracle scans: the largest lattice the
 # tests scan, K = 4 at 0.001, has 1.7e8 and takes 3-5 s on one Xeon core
 GRID_MAX_POINTS = 10**9
+# the most passes of the loop over the first K - 3 weights: each pass scans
+# the last three in 30-50 us on one Xeon core (K = 5-12), so 10^6 passes
+# take under a minute
+_GRID_MAX_HEADS = 10**6
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,6 @@ def _hull_vertices(points):
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all input points collinear reduce to a 2-point chain
-        hull = [pts[0], pts[-1]]
     start = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
     return hull[start:] + hull[:start]
 
@@ -169,10 +171,8 @@ def point_segment_distance(p: RiskPoint, a: RiskPoint, b: RiskPoint) -> float:
 def distance_to_hull(p: RiskPoint, hull: StandardizedHull) -> float:
     """Euclidean distance to the hull; 0 when the point is inside or on it."""
     verts = hull.vertices
-    if len(verts) == 1:
-        return math.hypot(p.x - verts[0].x, p.y - verts[0].y)
-    if len(verts) == 2:
-        return point_segment_distance(p, verts[0], verts[1])
+    if len(verts) <= 2:
+        return point_segment_distance(p, verts[0], verts[-1])
     if _hull_contains([(v.x, v.y) for v in verts], (p.x, p.y)):
         return 0.0
     return min(
@@ -284,10 +284,11 @@ def extremize_standardized(points: list[RiskPoint], measure: Measure, objective:
 
     Every measure is monotone on the unit square with a gradient that never
     vanishes, so its optima over the hull lie on the hull boundary: each
-    hull edge is searched by _extremize_segment and the best edge wins,
-    ties going to the smallest weight vector. The witness therefore has at
-    most two nonzero weights, on the strata at the ends of one edge. Strata
-    that share a point are represented by the last of them.
+    hull edge is searched by _extremize_segment (a one-point hull is one
+    zero-length edge) and the best edge wins, ties going to the smallest
+    weight vector. The witness therefore has at most two nonzero weights,
+    on the strata at the ends of one edge. Strata that share a point are
+    represented by the last of them.
 
     Along an edge the measure's directional derivative changes sign at most
     once, so the end points and one bisection on that sign find the edge
@@ -306,10 +307,6 @@ def extremize_standardized(points: list[RiskPoint], measure: Measure, objective:
         check_domain(measure, p)
     index = {(p.x, p.y): i for i, p in enumerate(points)}
     hull = [index[v] for v in _hull_vertices(list(index))]
-    if len(hull) == 1:
-        weights = [0.0] * len(points)
-        weights[hull[0]] = 1.0
-        return ExtremeResult(evaluate(measure, points[hull[0]]), tuple(weights))
     edges = {tuple(sorted((hull[t], hull[t - 1]))) for t in range(len(hull))}
     best: tuple[float, tuple] | None = None
     for i, j in sorted(edges):
@@ -364,9 +361,10 @@ def grid_extremize(
 
     Its largest array has n + 1 entries at K = 2 and (n + 1)(n + 2)/2 (the
     pairs scanned for the last three strata) at K >= 3, and it scans
-    C(n + K - 1, K - 1) weight vectors; a resolution that makes the first
-    exceed GRID_MAX_ENTRIES or the second GRID_MAX_POINTS raises DomainError
-    before any array is allocated."""
+    C(n + K - 1, K - 1) weight vectors in C(n + K - 3, K - 3) passes of its
+    loop over the first K - 3 weights; a resolution that makes the first
+    exceed GRID_MAX_ENTRIES, the second GRID_MAX_POINTS or the third
+    _GRID_MAX_HEADS raises DomainError before any array is allocated."""
     sign = _check_objective(objective)
     if not 0.0 < resolution <= 1.0:
         raise DomainError(f"resolution must be in (0, 1], got {resolution}")
@@ -387,6 +385,11 @@ def grid_extremize(
         raise DomainError(
             f"grid resolution {resolution:g} is too fine for {k} strata: the oracle "
             f"would scan more than {GRID_MAX_POINTS} weight vectors"
+        )
+    if k >= 3 and math.comb(n + k - 3, k - 3) > _GRID_MAX_HEADS:
+        raise DomainError(
+            f"grid resolution {resolution:g} is too fine for {k} strata: the oracle "
+            f"would loop over the first {k - 3} weights more than {_GRID_MAX_HEADS} times"
         )
     xs = np.array([p.x for p in points])
     ys = np.array([p.y for p in points])

@@ -118,6 +118,39 @@ def test_standardize_marginal(capsys):
     assert not doc["is_hull_vertex"]
 
 
+def test_standardize_uniform(capsys):
+    code, out, _ = run(capsys, "standardize", "--fixture", "newcastle", "--weights", "uniform")
+    assert code == 0
+    assert out == (
+        "weights: 0.5, 0.5\n"
+        "standardized risk, unexposed (x): 0.488\n"
+        "standardized risk, exposed   (y): 0.520\n"
+        "  risk difference: 0.032\n"
+        "  risk ratio: 1.065\n"
+        "  odds ratio: 1.136\n"
+        "  cumulative hazard ratio: 1.096\n"
+        "hull vertex: no\n"
+    )
+    code, out, _ = run(
+        capsys, "standardize", "--fixture", "newcastle", "--weights", "uniform", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    # the mean of the two stratum risks in each arm
+    x, y = (65 / 539 + 165 / 193) / 2, (97 / 533 + 42 / 49) / 2
+    assert doc["weights"] == [0.5, 0.5]
+    assert doc["standardized_risk_unexposed"] == pytest.approx(x, rel=1e-15)
+    assert doc["standardized_risk_exposed"] == pytest.approx(y, rel=1e-15)
+    assert doc["measures"] == pytest.approx({
+        "rd": y - x,
+        "rr": y / x,
+        "or": (y / (1 - y)) / (x / (1 - x)),
+        "chr": math.log1p(-y) / math.log1p(-x),
+    }, rel=1e-12)
+    assert doc["undefined"] == {}
+    assert doc["is_hull_vertex"] is False
+
+
 def test_standardize_degenerate_weights_is_stratum_report(capsys):
     code, out, _ = run(
         capsys, "standardize", "--fixture", "newcastle", "--weights", "1,0", "--format", "json"
@@ -342,8 +375,8 @@ def _cells(draw, interior):
 
 @st.composite
 def _csv(draw):
-    """(CSV bytes, K, whether it is a well-formed table, whether every cell
-    is interior), with BOM, CRLF, quoted labels and trailing commas."""
+    """(CSV bytes, K, whether it is a well-formed table), with BOM, CRLF,
+    quoted labels, trailing commas, and zero and full cells."""
     k = draw(st.integers(1, 12))
     cells = _cells(draw(st.booleans()))
     rows = [(draw(cells), draw(cells)) for _ in range(k)]
@@ -358,8 +391,7 @@ def _csv(draw):
         lines[-1] = '"a,b"' + lines[-1][lines[-1].index(","):]
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = ("\ufeff" if draw(st.booleans()) else "") + newline.join(lines) + newline
-    interior = all(0 < cases < total for row in rows for total, cases in row)
-    return text.encode("utf-8"), k, malformed is None, interior
+    return text.encode("utf-8"), k, malformed is None
 
 
 def _reject_constant(name):
@@ -381,14 +413,14 @@ def _call(capsys, argv):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(csv=_csv(), data=st.data())
 def test_cli_contract_on_generated_input(capsys, tmp_path, csv, data):
-    raw, k, well_formed, interior = csv
+    raw, k, well_formed = csv
     path = tmp_path / "table.csv"
     path.write_bytes(raw)
     source = ["--input", str(path)]
     fmt = ["--format", data.draw(st.sampled_from(["text", "json"]))]
     level = data.draw(st.sampled_from(LEVELS))
     code = _call(capsys, ["fit", *source, "--link", "all", "--level", level, *fmt])
-    if well_formed and interior and level in VALID_LEVELS:
+    if well_formed and level in VALID_LEVELS:
         assert code == 0
     weights = data.draw(st.one_of(
         st.sampled_from(["marginal", "uniform", "", "x", "nan", "inf", "-1", "1,0", ",".join(["1"] * k)]),
@@ -404,5 +436,5 @@ def test_cli_contract_on_generated_input(capsys, tmp_path, csv, data):
     _call(capsys, ["collapse", *source, "--measure", measure, "--grid-oracle", "--grid-resolution", resolution, *fmt])
     for figure in sorted(cli.FIGURES):
         code = _call(capsys, ["plot", figure, *source])
-        if well_formed and interior and not (figure == "modconf" and k != 2):
+        if well_formed and not (figure == "modconf" and k != 2):
             assert code == 0, figure

@@ -11,6 +11,7 @@ from rothman.measures import (
     contour_polyline,
     contour_y,
     evaluate,
+    gradient,
     is_straight,
     is_straight_at,
     null_value,
@@ -72,6 +73,24 @@ def test_contour_value_level_ranges():
         ContourValue(Measure.RISK_RATIO, -0.1)
     ContourValue(Measure.RISK_DIFFERENCE, -1.0)
     ContourValue(Measure.ODDS_RATIO, 0.0)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("measure", list(Measure))
+def test_contour_value_rejects_non_finite_levels(measure, m):
+    # a NaN level passes a sign test, and contour_y's clamp would turn its
+    # NaN ordinates into 0
+    with pytest.raises(DomainError, match="finite"):
+        ContourValue(measure, m)
+
+
+def test_odds_ratio_gradient_at_zero_exposed_risk():
+    # d OR / dy = ((1 - x) / x) / (1 - y)^2, which the v / y form leaves as 0 / 0
+    for x in (0.1, 0.3, 0.9):
+        assert gradient(Measure.ODDS_RATIO, RiskPoint(x, 0.0)) == (-0.0, (1.0 - x) / x)
+        h = 1e-7
+        slope = evaluate(Measure.ODDS_RATIO, RiskPoint(x, h)) / h
+        assert gradient(Measure.ODDS_RATIO, RiskPoint(x, 0.0))[1] == pytest.approx(slope, rel=1e-6)
 
 
 def test_contour_y_closed_forms():

@@ -161,6 +161,13 @@ def test_point_segment_distance_oracle():
     # beyond the endpoint the distance is to the endpoint, not the line
     assert point_segment_distance(RiskPoint(0.9, 0.3), a, b) == pytest.approx(math.hypot(0.4, 0.3))
     assert point_segment_distance(RiskPoint(0.3, 0.0), a, b) == 0.0
+    # a zero-length segment is its one point
+    assert point_segment_distance(RiskPoint(0.3, 0.4), a, a) == math.hypot(0.3, 0.4)
+    # so a one-point hull measures to that point
+    hull = standardized_hull([RiskPoint(0.2, 0.3)] * 2)
+    assert hull.vertices == (RiskPoint(0.2, 0.3),)
+    assert distance_to_hull(RiskPoint(0.5, 0.7), hull) == math.hypot(0.5 - 0.2, 0.7 - 0.3)
+    assert distance_to_hull(RiskPoint(0.2, 0.3), hull) == 0.0
 
 
 def test_newcastle_is_confounded(newcastle):
@@ -259,14 +266,30 @@ def _assert_witness(pts, measure, res):
     assert evaluate(measure, p) == pytest.approx(res.value, rel=1e-12)
 
 
-def test_extremize_identical_points():
-    p = RiskPoint(0.3, 0.4)
-    for k in (1, 2, 3):
-        lo = extremize_standardized([p] * k, Measure.ODDS_RATIO, "min")
-        hi = extremize_standardized([p] * k, Measure.ODDS_RATIO, "max")
-        assert lo.value == hi.value == pytest.approx(evaluate(Measure.ODDS_RATIO, p))
-        # ties go to the smallest weight vector: everything on the last stratum
-        assert lo.weights == hi.weights == (0.0,) * (k - 1) + (1.0,)
+@pytest.mark.parametrize("measure", list(Measure))
+def test_extremize_identical_points(measure):
+    # the hull is one point, searched as the zero-length edge from it to itself
+    for p in (RiskPoint(0.3, 0.4), RiskPoint(0.3, 0.0)):
+        for k in (1, 2, 3):
+            lo = extremize_standardized([p] * k, measure, "min")
+            hi = extremize_standardized([p] * k, measure, "max")
+            assert lo.value == hi.value == evaluate(measure, p)
+            # ties go to the smallest weight vector: everything on the last stratum
+            assert lo.weights == hi.weights == (0.0,) * (k - 1) + (1.0,)
+
+
+def test_extremize_odds_ratio_with_zero_exposed_risk():
+    # stratum points on y = 0, where the odds ratio is 0 and its gradient
+    # needs its limit form
+    for pts in (
+        [RiskPoint(0.3, 0.0), RiskPoint(0.5, 0.2)],
+        [RiskPoint(0.3, 0.0), RiskPoint(0.5, 0.0), RiskPoint(0.4, 0.3)],
+    ):
+        for objective in ("min", "max"):
+            opt = extremize_standardized(pts, Measure.ODDS_RATIO, objective)
+            grid = grid_extremize(pts, Measure.ODDS_RATIO, objective, resolution=0.01)
+            assert opt.value == pytest.approx(grid.value, abs=1e-12)
+            _assert_witness(pts, Measure.ODDS_RATIO, opt)
 
 
 def test_extremize_straight_contour_is_flat():
@@ -359,8 +382,12 @@ def _no_arrays(*args, **kwargs):
         ([RiskPoint(0.1 + 0.15 * i, 0.2 + 0.15 * i) for i in range(5)], 0.001),
         # an infinite n at K = 5: the entry bound refuses it before the count
         ([RiskPoint(0.1 + 0.15 * i, 0.2 + 0.15 * i) for i in range(5)], 1e-300),
+        # n = 25 at K = 12: 351 pairs and C(36, 11) = 6.0e8 weight vectors are
+        # under both bounds, but the loop over the first nine weights would
+        # take C(34, 9) = 5.2e7 passes
+        ([RiskPoint(0.05 + 0.07 * i, 0.1 + 0.07 * i) for i in range(12)], 0.04),
     ],
-    ids=["k2", "k3", "k5-points", "k5-entries"],
+    ids=["k2", "k3", "k5-points", "k5-entries", "k12-heads"],
 )
 def test_grid_oracle_refuses_a_lattice_over_the_bound(pts, resolution, monkeypatch):
     for name in ("array", "arange", "repeat", "concatenate"):
