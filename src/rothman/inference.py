@@ -16,11 +16,18 @@ coefficient and its log-likelihood is concave in it, so the profile
 log-likelihood lp(b1) is a sum of one-dimensional concave maximizations,
 solved stratum by stratum in scalar floats with each cell's
 log-likelihood computed from its linear predictor, and lp is concave in
-b1. Each solve also gives its maximum's first two derivatives in b1. One
-function, profile_loglik_slope, returns lp, lp' and lp''; the fit's
-profile maximum and the profile CI, whose endpoints are found by Newton's
-method, both work through it. Interval estimation is by profile
-likelihood only.
+b1. Under the identity, log and logit links a stratum's maximizer is a
+root in closed form: the restricted maximum-likelihood risks under a
+common risk difference (a cubic) and a common risk ratio (a quadratic)
+of Miettinen & Nurminen 1985 (Stat Med 4:213-226), and the fitted count
+under a common odds ratio (a quadratic; Breslow & Day 1980, IARC Sci Publ
+32). A safeguarded Newton iteration starts from that root and stops at
+its first evaluation; under cloglog it starts from the stratum's data.
+Each solve also gives its maximum's first two derivatives in b1, the
+first from the cell whose curvature is the smaller. One function,
+profile_loglik_slope, returns lp, lp' and lp''; the fit's profile maximum
+and the profile CI, whose endpoints are found by Newton's method, both
+work through it. Interval estimation is by profile likelihood only.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -591,6 +598,83 @@ _A_TOL = 2e-15  # relative step at which a one-dimensional solve stops
 _EDGES = {link: (f(_EPS), f(1.0 - _EPS)) for link, f in _LINK_SCALAR.items()}
 
 
+# Closed-form roots of a stratum's l'(a), the restricted maximum-likelihood
+# risks under a common risk difference and risk ratio (Miettinen & Nurminen
+# 1985, Stat Med 4:213-226) and the fitted count under a common odds ratio
+# (Breslow & Day 1980, IARC Sci Publ 32). Each takes the stratum's counts
+# and b1 and returns a (nan where the form has no usable root), which
+# _stratum_max starts from only inside its bracket. The quadratics are
+# solved for u = e^eta of the cell whose eta is the larger, so
+# c = e^-|b1| <= 1 cannot overflow.
+
+
+def _identity_root(y0, f0, y1, f1, b1):
+    # a (1 - a)(a + b1)(1 - a - b1) l'(a) is the cubic
+    # n (a^3 + 3 b a^2 + 3 c a) + y0 b1 (1 - b1), whose middle root is the
+    # feasible one, here in Miettinen & Nurminen's trigonometric form
+    n0, s = y0 + f0, y0 + y1
+    n = n0 + y1 + f1
+    b = (b1 * (n0 + n) - n - s) / (3.0 * n)
+    c = (b1 * (b1 * n0 - n - 2.0 * y0) + s) / (3.0 * n)
+    v = b * b * b - 1.5 * b * c + y0 * b1 * (1.0 - b1) / (2.0 * n)
+    u = math.copysign(math.sqrt(max(b * b - c, 0.0)), v)
+    cube = u * u * u
+    w = (math.pi + math.acos(max(-1.0, min(1.0, v / cube)) if cube else 0.0)) / 3.0
+    a = 2.0 * u * math.cos(w) - b
+    lo, hi = _bracket(LinkFunction.IDENTITY, b1)
+    if not lo < a < hi:
+        return a
+    # the trigonometric form loses digits where two roots lie close (a zero
+    # count's root on a bracket end, rare events at small |b1|): one Newton
+    # step on l'(a), the sum of count / (a - pole) over the nonzero counts
+    d = h = 0.0
+    for count, pole in ((y0, 0.0), (f0, 1.0), (y1, -b1), (f1, 1.0 - b1)):
+        if count:
+            t = 1.0 / (a - pole)
+            d += count * t
+            h -= count * t * t
+    return a - d / h
+
+
+def _log_root(y0, f0, y1, f1, b1):
+    # the smaller root of c n u^2 - (p + c q) u + s = 0, with the
+    # discriminant (p + c q)^2 - 4 c n s written as (p - c q)^2 + 4 c f0 f1
+    if b1 > 0.0:
+        y0, f0, y1, f1 = y1, f1, y0, f0
+    s, c = y0 + y1, math.exp(-abs(b1))
+    p, q = s + f0, s + f1
+    u = 2.0 * s / (p + c * q + math.sqrt((p - c * q) ** 2 + 4.0 * c * f0 * f1))
+    return _log_unexposed(u, c, b1)
+
+
+def _logit_root(y0, f0, y1, f1, b1):
+    # the positive root of c f u^2 + b u - s = 0, from the formula whose
+    # terms do not cancel for the sign of b
+    if b1 > 0.0:
+        y0, f0, y1, f1 = y1, f1, y0, f0
+    s, f, c = y0 + y1, f0 + f1, math.exp(-abs(b1))
+    if not c:
+        return math.nan
+    b = (f0 - y1) + c * (f1 - y0)
+    r = math.sqrt(b * b + 4.0 * c * f * s)
+    return _log_unexposed(2.0 * s / (b + r) if b >= 0.0 else (r - b) / (2.0 * c * f), c, b1)
+
+
+def _log_unexposed(u, c, b1):
+    # a = log(c u) when u is the exposed cell's e^eta: log(u) - b1 would lose
+    # the digits of b1 that a does not carry
+    u = c * u if b1 > 0.0 else u
+    return math.log(u) if 0.0 < u < math.inf else math.nan
+
+
+# keyed by link: the cell functions in _CELL may be wrapped (tests count their calls)
+_ROOT = {
+    LinkFunction.IDENTITY: _identity_root,
+    LinkFunction.LOG: _log_root,
+    LinkFunction.LOGIT: _logit_root,
+}
+
+
 @functools.lru_cache(maxsize=32)
 def _profile_strata(table: StratifiedTable, link: LinkFunction):
     """Per stratum, (y0, f0, e0, y1, f1, e1, w): cases, non-cases and the
@@ -608,30 +692,36 @@ def _profile_strata(table: StratifiedTable, link: LinkFunction):
     return tuple(out)
 
 
-def _stratum_max(cell, stratum, b1, lo, hi):
+def _stratum_max(cell, root, stratum, b1, lo, hi):
     """Supremum over a in (lo, hi) of the concave stratum log-likelihood
     l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), the a where it is
     reached, and the supremum's first two derivatives in b1:
     (l, a, dl/db1, d2l/db1^2).
 
-    By the envelope theorem the first is the exposed cell's dl/deta at an
-    interior maximum or a fixed end, minus the unexposed cell's at an end
-    that moves with b1 (a = -b1 or 1 - b1, the exposed p at 0 or 1), 0 at an
-    infinite end. The second is h0 h1 / (h0 + h1), the cells' d2l/deta2, at
-    an interior maximum (a moves with b1 at the rate -h1 / (h0 + h1)), the h
-    of the cell whose eta moves with b1 at a constraint end, and 0 at an
-    infinite end.
+    By the envelope theorem the first is the exposed cell's dl/deta at a
+    fixed end, minus the unexposed cell's at an end that moves with b1
+    (a = -b1 or 1 - b1, the exposed p at 0 or 1), 0 at an infinite end. At
+    an interior maximum the two are equal, d1 = -d0, and it is taken from
+    the cell whose h, its d2l/deta2, is the smaller in magnitude: an error
+    in a moves that cell's derivative least (at a p rounded next to 0 or 1
+    the other cell's can be all rounding). The second is h0 h1 / (h0 + h1)
+    at an interior maximum (a moves with b1 at the rate -h1 / (h0 + h1)),
+    the h of the cell whose eta moves with b1 at a constraint end, and 0 at
+    an infinite end.
     When l' does not point into the bracket at an end (or its limit at an
     infinite end), that end and its limit are returned. Otherwise the root
     of l' lies between the two cells' own maximizers, e0 and e1 - b1 (-inf
     for a zero cell, +inf for a full one), and Newton's method on l' runs
     inside that bracket, narrowed by every evaluation. It starts from the
-    mean of the targets e0 and e1 - b1, each clipped into the bracket,
-    weighted by the cell totals. The first step is at most 1 and each
-    later one at most twice the last; a Newton step over 3/4 of the one
-    before, in the same direction, is raised to that limit. A step bisects
-    the bracket when it would leave it, or when the last step crossed the
-    root and less than halved |l'|. Stops when a step is below _A_TOL * max(1, |a|)."""
+    root(y0, f0, y1, f1, b1) in closed form (see _ROOT), at which its first
+    evaluation meets the stop test as a rule; where root is None (cloglog)
+    or its value is not inside the bracket, from the mean of the targets e0
+    and e1 - b1, each clipped into the bracket, weighted by the cell
+    totals. The first step is at most 1 and each later one at most twice
+    the last; a Newton step over 3/4 of the one before, in the same
+    direction, is raised to that limit. A step bisects the bracket when it
+    would leave it, or when the last step crossed the root and less than
+    halved |l'|. Stops when a step is below _A_TOL * max(1, |a|)."""
     y0, f0, e0, y1, f1, e1, w = stratum
     for end, inward in ((lo, 1.0), (hi, -1.0)):
         if math.isinf(end):
@@ -648,7 +738,9 @@ def _stratum_max(cell, stratum, b1, lo, hi):
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
     t1 = e1 if y1 and f1 else math.copysign(math.inf, y1 - 0.5)
     lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
-    a = (1.0 - w) * min(max(e0, lo), hi) + w * min(max(e1, lo), hi)
+    a = root(y0, f0, y1, f1, b1) if root else math.nan
+    if not lo < a < hi:
+        a = (1.0 - w) * min(max(e0, lo), hi) + w * min(max(e1, lo), hi)
     move = newton_old = d_old = math.inf
     for _ in range(_MAX_ITER):
         l0, d0, h0 = cell(y0, f0, a)
@@ -675,7 +767,7 @@ def _stratum_max(cell, stratum, b1, lo, hi):
         a += step
     else:
         raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
-    return l0 + l1, a, d1, (h0 * h1 / h if h < 0.0 else 0.0)
+    return l0 + l1, a, (d1 if h1 >= h0 else -d0), (h0 * h1 / h if h < 0.0 else 0.0)
 
 
 def _bracket(link: LinkFunction, b1: float) -> tuple[float, float]:
@@ -697,10 +789,10 @@ def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) 
     the profile CI and profile_loglik all evaluate lp through this function.
     Raises DomainError when no coefficients are feasible at this b1."""
     lo, hi = _bracket(link, b1)
-    cell = _CELL[link]
+    cell, root = _CELL[link], _ROOT.get(link)
     total = slope = curvature = 0.0
     for stratum in _profile_strata(table, link):
-        l, _, d, h = _stratum_max(cell, stratum, b1, lo, hi)
+        l, _, d, h = _stratum_max(cell, root, stratum, b1, lo, hi)
         total += l
         slope += d
         curvature += h
@@ -757,11 +849,25 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False
     return x, extra, _MAX_ITER, "limit"
 
 
+def _run_off(table: StratifiedTable, link: LinkFunction) -> int:
+    """+1 or -1 when, under the logit or cloglog link, lp rises to its
+    supremum as b1 goes to that infinity and not the other: every stratum
+    has f1 = 0 or y0 = 0 (+1), or y1 = 0 or f0 = 0 (-1), the quasi-complete
+    separation of Albert & Anderson 1984 (Biometrika 71:1-10); else 0."""
+    if link not in (LinkFunction.LOGIT, LinkFunction.CLOGLOG):
+        return 0
+    strata = _profile_strata(table, link)
+    up = all(not (f1 and y0) for y0, _, _, _, f1, _, _ in strata)
+    down = all(not (y1 and f0) for _, f0, _, y1, _, _, _ in strata)
+    return up - down
+
+
 def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
     """The maximum of the concave lp over |b1| <= e_hi - e_lo, the b1 at
-    which a stratum's two cells can keep p in [_EPS, 1 - _EPS]: the root of
-    -lp' by _newton_root from b1, to a step of 2e-15 max(1, |b1|). A
-    maximum at an end of the range (an estimate that runs off) is reached
+    which a stratum's two cells can keep p in [_EPS, 1 - _EPS]: the end of
+    the range toward which the estimate runs off (see _run_off), in one
+    solve, or else the root of -lp' by _newton_root from b1, to a step of
+    2e-15 max(1, |b1|). Any other maximum at an end of the range is reached
     within that step of it.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, or
@@ -775,15 +881,20 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
         ll, d, h = profile_loglik_slope(table, link, b1)
         return -d, -h, (b1, ll, abs(d))
 
-    _, (b1, ll, gnorm), steps, stop = _newton_root(
-        slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b))
-    )
-    if stop == "limit":
-        return None
+    direction = _run_off(table, link)
+    if direction:
+        _, _, (b1, ll, gnorm) = slope(direction * bound)
+        steps = 1
+    else:
+        _, (b1, ll, gnorm), steps, stop = _newton_root(
+            slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b))
+        )
+        if stop == "limit":
+            return None
     lo, hi = _bracket(link, b1)
     a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
-    cell = _CELL[link]
-    a = [min(max(_stratum_max(cell, s, b1, lo, hi)[1], a_lo), a_hi) for s in _profile_strata(table, link)]
+    cell, root = _CELL[link], _ROOT.get(link)
+    a = [min(max(_stratum_max(cell, root, s, b1, lo, hi)[1], a_lo), a_hi) for s in _profile_strata(table, link)]
     return b1, ll, a, gnorm, steps
 
 

@@ -105,13 +105,17 @@ def gradient(measure: Measure, p: RiskPoint) -> tuple[float, float]:
     if measure is Measure.RISK_DIFFERENCE:
         return (-1.0, 1.0)
     if measure is Measure.RISK_RATIO:
-        return (-y / (x * x), 1.0 / x)
+        # below x ~ 1.6e-162 x * x underflows to 0, where -y / x^2 tends to -inf
+        xx = x * x
+        return (-y / xx if xx else (-math.inf if y else -0.0), 1.0 / x)
     if measure is Measure.ODDS_RATIO:
         v = (y / (1.0 - y)) / (x / (1.0 - x))
         # at y = 0, v / y is 0 / 0; the limit is 1 / odds(x)
         return (-v / (x * (1.0 - x)), v / (y * (1.0 - y)) if y > 0.0 else (1.0 - x) / x)
     lx = math.log1p(-x)
-    return (math.log1p(-y) / ((1.0 - x) * lx * lx), -1.0 / ((1.0 - y) * lx))
+    # as for the risk ratio, lx * lx underflows to 0 below x ~ 1.6e-162
+    d = (1.0 - x) * lx * lx
+    return (math.log1p(-y) / d if d else (-math.inf if y else 0.0), -1.0 / ((1.0 - y) * lx))
 
 
 def null_value(measure: Measure) -> float:

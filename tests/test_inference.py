@@ -332,19 +332,27 @@ def _oracle_target(link, cell) -> float:
     return math.log(-math.log1p(-p))
 
 
-def _oracle_profile_loglik(table, link, b1) -> float:
+def _oracle_profile_loglik(table, link, b1, polish=False) -> float:
     """Each stratum's maximum lies between its two cells' own maximizers,
-    clipped into the feasible range of its unexposed eta."""
+    clipped into the feasible range of its unexposed eta.
+
+    The bounded search's step tolerance grows as sqrt(eps) |a|, and it
+    cannot resolve a maximum next to a pole of l'. With polish, Newton steps
+    on the 40-digit log-likelihood (mpmath's numerical derivatives), halved
+    back into the range when they would leave it, refine its maximizer, and
+    the largest value seen counts."""
     import mpmath
     from scipy.optimize import minimize_scalar
 
     with mpmath.workdps(40):
         total = []
         for s in table.strata:
-            def ll(a, s=s):
+            def ll_mp(a, s=s):
                 unexposed = _oracle_cell(link, s.unexposed.cases, s.unexposed.total - s.unexposed.cases, a)
-                exposed = _oracle_cell(link, s.exposed.cases, s.exposed.total - s.exposed.cases, a + b1)
-                return float(unexposed + exposed)
+                return unexposed + _oracle_cell(link, s.exposed.cases, s.exposed.total - s.exposed.cases, a + b1)
+
+            def ll(a, ll_mp=ll_mp):
+                return float(ll_mp(a))
 
             feasible_lo, feasible_hi = -math.inf, math.inf
             if link is LinkFunction.IDENTITY:
@@ -357,6 +365,16 @@ def _oracle_profile_loglik(table, link, b1) -> float:
             if lo < hi:
                 res = minimize_scalar(lambda a: -ll(a), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
                 best = max(best, -res.fun)
+                a = mpmath.mpf(res.x)
+                for _ in range(8 if polish else 0):
+                    _, slope, curvature = mpmath.diffs(ll_mp, a, 2)
+                    if not curvature < 0:
+                        break
+                    step = a - slope / curvature
+                    a, last = (step if lo < step < hi else (a + (lo if step <= lo else hi)) / 2), a
+                    best = max(best, ll(a))
+                    if abs(a - last) <= 1e-25 * max(1, abs(a)):
+                        break
             total.append(best)
     return math.fsum(total)
 
@@ -526,6 +544,53 @@ def test_profile_solve_evaluations_per_stratum(link, k, stratum_evaluations):
     assert sum(stratum_evaluations) <= 80 * table.k
 
 
+CLOSED_FORM_LINKS = [LinkFunction.IDENTITY, LinkFunction.LOG, LinkFunction.LOGIT]
+
+
+def _b1_across_the_range(link):
+    """b1 from end to end of _profile_max's range |b1| <= e_hi - e_lo, and
+    under the log and logit links at its ends and out to the CI search's cap
+    of +-500. Under the identity link b1 stays 1e-3 inside the range: as
+    |b1| -> 1 the exposed cell's 1 - p is left to the last bits of a + b1."""
+    e_lo, e_hi = inference._EDGES[link]
+    bound = e_hi - e_lo
+    b1s = [s * bound * f for s in (-1.0, 1.0) for f in (1.0 - 1e-3, 0.5, 1e-3)] + [0.0]
+    if link is not LinkFunction.IDENTITY:
+        b1s += [s * b for s in (-1.0, 1.0) for b in (bound, 500.0)]
+    return b1s
+
+
+@pytest.mark.parametrize(
+    "k", [*range(1, 7), "full-stratum", "full-unexposed-2", "zero-exposed-3", *BOUNDARY_CELL_CSVS]
+)
+@pytest.mark.parametrize("link", CLOSED_FORM_LINKS)
+def test_closed_form_solves_match_stratum_oracle(link, k):
+    # each stratum solve starts from the closed-form root of l'(a): the
+    # profile must match the per-stratum mpmath oracle across the whole range
+    # of b1, at zero and full cells as well as interior ones
+    table = _table(k)
+    for b1 in _b1_across_the_range(link):
+        assert profile_loglik(table, link, b1) == pytest.approx(
+            _oracle_profile_loglik(table, link, b1, polish=True), rel=1.3e-14, abs=0.0
+        )
+
+
+@pytest.mark.parametrize(
+    "k", ["newcastle", *range(1, 7), "full-unexposed-2", "zero-exposed-3", *BOUNDARY_CELL_CSVS]
+)
+@pytest.mark.parametrize("link", CLOSED_FORM_LINKS)
+def test_closed_form_solves_take_one_evaluation(link, k, stratum_evaluations):
+    # at the closed-form root the loop's first evaluation passes its stop
+    # test: one evaluation after the identity link's two bracket-end checks
+    # and the log link's one (a solve that ends at a bracket end takes fewer)
+    profile_ci(_table(k), link)
+    assert stratum_evaluations
+    if link is LinkFunction.LOGIT:
+        assert set(stratum_evaluations) == {1.0}
+    else:
+        assert max(stratum_evaluations) <= 1 + {LinkFunction.IDENTITY: 2, LinkFunction.LOG: 1}[link]
+
+
 @pytest.mark.parametrize("csv", ["s1,334,334,60,2873", "s1,60,2873,334,334"])
 def test_identity_ci_search_stays_inside_the_feasible_range(csv, profile_loglik_calls):
     # the identity link's feasible b1 are |b1| < 1: the endpoint searches are
@@ -658,6 +723,52 @@ def test_restricted_fit_with_a_cell_at_its_bound_is_the_profile_maximum(csv, lin
     assert result.boundary_warning
     p = [v for point in result.fitted_points for v in (point.x, point.y)]
     assert min(min(p), 1.0 - max(p)) == pytest.approx(1e-13, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "csv, link",
+    [
+        ("s0,1,1000000000,9,10\ns1,7,10,999999999,1000000000", LinkFunction.IDENTITY),
+        ("a,2,100,46823601,46823602", LinkFunction.LOGIT),
+        ("a,906039261,906039263,70,100", LinkFunction.IDENTITY),
+    ],
+)
+def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
+    # cells within about 1e-7 of 0 or 1 at totals of 1e8-1e9: a slope of lp
+    # taken from the cell whose 1 - p is resolved to one ulp was quantized,
+    # and the profile maximum stopped short of the maximum or crawled on the
+    # noise (the estimates are near -0.6, -21.554 and 0.3)
+    table = parse_table(CSV_HEADER + csv + "\n")
+    result = fit(table, ModelSpec(link, interaction=False))
+    half = 999 if link is LinkFunction.IDENTITY else 30000
+    grid = max(profile_loglik(table, link, 0.001 * i) for i in range(-half, half + 1))
+    assert result.loglik >= grid - 1e-9 * abs(grid)
+
+
+@pytest.mark.parametrize(
+    "csv, link",
+    [
+        ("s1,30,30,5,50\ns2,12,40,0,60", LinkFunction.CLOGLOG),
+        ("s1,0,30,5,50\ns2,12,40,60,60", LinkFunction.CLOGLOG),
+        ("s1,38112,38112,18525,33010", LinkFunction.CLOGLOG),
+        ("s1,534627371,534627372,293059,293059\ns2,33,140,210549238,210549238\ns3,399814164,552569048,3,3",
+         LinkFunction.CLOGLOG),
+        ("s1,534627371,534627372,293059,293059\ns2,33,140,210549238,210549238\ns3,399814164,552569048,3,3",
+         LinkFunction.LOGIT),
+        ("s1,30,30,50,50\ns2,0,1,1,2", LinkFunction.LOGIT),
+    ],
+)
+def test_profile_maximum_of_a_run_off_is_the_end_of_its_range(csv, link):
+    # every stratum has f1 = 0 or y0 = 0 (the first and third tables), or
+    # y1 = 0 or f0 = 0 (the others): lp rises to its supremum, the saturated
+    # loglik, as b1 runs off, and the profile maximum takes the end of its
+    # range in one solve instead of crawling toward it on Newton steps
+    table = parse_table(CSV_HEADER + csv + "\n")
+    result = fit(table, ModelSpec(link, interaction=False))
+    e_lo, e_hi = inference._EDGES[link]
+    assert abs(result.coefficients[1]) == e_hi - e_lo
+    assert result.iterations == 1
+    assert result.loglik == pytest.approx(_saturated_loglik(table), rel=1e-12)
 
 
 @pytest.mark.parametrize(

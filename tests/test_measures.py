@@ -93,6 +93,18 @@ def test_odds_ratio_gradient_at_zero_exposed_risk():
         assert gradient(Measure.ODDS_RATIO, RiskPoint(x, 0.0))[1] == pytest.approx(slope, rel=1e-6)
 
 
+@pytest.mark.parametrize("measure", [Measure.RISK_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])
+def test_ratio_gradient_where_the_square_of_x_underflows(measure):
+    # below x ~ 1.6e-162, x * x (RR) and log(1 - x)^2 (CHR) are 0: d/dx takes
+    # its limit, -inf for y > 0 and 0 at y = 0, and d/dy stays finite
+    for y, limit in ((0.5, -math.inf), (0.0, 0.0)):
+        dx, dy = gradient(measure, RiskPoint(1e-170, y))
+        assert dx == limit and math.isfinite(dy) and dy > 0.0
+    # just above the underflow the quotient itself is returned
+    dx, _ = gradient(measure, RiskPoint(1e-150, 0.5))
+    assert dx == pytest.approx(-0.5e300 if measure is Measure.RISK_RATIO else math.log(0.5) * 1e300, rel=1e-12)
+
+
 def test_contour_y_closed_forms():
     assert contour_y(ContourValue(Measure.RISK_DIFFERENCE, 0.2), 0.3) == pytest.approx(0.5, abs=1e-15)
     assert contour_y(ContourValue(Measure.ODDS_RATIO, 1.0), 0.37) == pytest.approx(0.37, abs=1e-15)

@@ -628,3 +628,15 @@ def test_confounding_and_modification_are_independent(newcastle):
 
 def test_uniform_distribution():
     assert uniform_distribution(4).weights == (0.25, 0.25, 0.25, 0.25)
+
+
+@pytest.mark.parametrize("measure", [Measure.RISK_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])
+def test_extremize_a_point_whose_gradient_underflows(measure):
+    # the one-point hull is the zero-length edge (0, 0), searched with the
+    # measure's gradient, whose d/dx is the -inf limit at so small an x
+    point = RiskPoint(1e-170, 0.5)
+    for objective in ("min", "max"):
+        result = extremize_standardized([point], measure, objective)
+        assert result.weights == (1.0,)
+        assert result.value == evaluate(measure, point)
+
