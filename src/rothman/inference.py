@@ -21,8 +21,9 @@ root in closed form: the restricted maximum-likelihood risks under a
 common risk difference (a cubic) and a common risk ratio (a quadratic)
 of Miettinen & Nurminen 1985 (Stat Med 4:213-226), and the fitted count
 under a common odds ratio (a quadratic; Breslow & Day 1980, IARC Sci Publ
-32). A safeguarded Newton iteration starts from that root and stops at
-its first evaluation; under cloglog it starts from the stratum's data.
+32). A safeguarded Newton iteration starts from that root and as a rule
+stops at its first evaluation; under cloglog it starts from the stratum's
+data.
 Each solve also gives its maximum's first two derivatives in b1, the
 first from the cell whose curvature is the smaller. One function,
 profile_loglik_slope, returns lp, lp' and lp''; the fit's profile maximum
@@ -611,7 +612,9 @@ _EDGES = {link: (f(_EPS), f(1.0 - _EPS)) for link, f in _LINK_SCALAR.items()}
 def _identity_root(y0, f0, y1, f1, b1):
     # a (1 - a)(a + b1)(1 - a - b1) l'(a) is the cubic
     # n (a^3 + 3 b a^2 + 3 c a) + y0 b1 (1 - b1), whose middle root is the
-    # feasible one, here in Miettinen & Nurminen's trigonometric form
+    # feasible one, here in Miettinen & Nurminen's trigonometric form; where
+    # two roots lie close (a zero count's root on a bracket end, rare events
+    # at small |b1|) it loses digits, and _stratum_max takes one more step
     n0, s = y0 + f0, y0 + y1
     n = n0 + y1 + f1
     b = (b1 * (n0 + n) - n - s) / (3.0 * n)
@@ -620,20 +623,7 @@ def _identity_root(y0, f0, y1, f1, b1):
     u = math.copysign(math.sqrt(max(b * b - c, 0.0)), v)
     cube = u * u * u
     w = (math.pi + math.acos(max(-1.0, min(1.0, v / cube)) if cube else 0.0)) / 3.0
-    a = 2.0 * u * math.cos(w) - b
-    lo, hi = _bracket(LinkFunction.IDENTITY, b1)
-    if not lo < a < hi:
-        return a
-    # the trigonometric form loses digits where two roots lie close (a zero
-    # count's root on a bracket end, rare events at small |b1|): one Newton
-    # step on l'(a), the sum of count / (a - pole) over the nonzero counts
-    d = h = 0.0
-    for count, pole in ((y0, 0.0), (f0, 1.0), (y1, -b1), (f1, 1.0 - b1)):
-        if count:
-            t = 1.0 / (a - pole)
-            d += count * t
-            h -= count * t * t
-    return a - d / h
+    return 2.0 * u * math.cos(w) - b
 
 
 def _log_root(y0, f0, y1, f1, b1):
@@ -873,7 +863,10 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, or
     None when _MAX_ITER steps end short. a holds each stratum's maximizer
     clipped into the range that keeps both its cells' p in [_EPS, 1 - _EPS]
-    (the boundary rule, see fit)."""
+    (the boundary rule, see fit). At a run-off end that range is the one
+    point that puts both cells at their bounds, so a is clipped only into
+    the range that keeps one cell's p in [_EPS, 1 - _EPS]: the cell that
+    does not run off keeps its maximizer, and fit clips the other's p."""
     e_lo, e_hi = _EDGES[link]
     bound = e_hi - e_lo
 
@@ -885,14 +878,15 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
     if direction:
         _, _, (b1, ll, gnorm) = slope(direction * bound)
         steps = 1
+        a_lo, a_hi = e_lo - max(0.0, b1), e_hi - min(0.0, b1)
     else:
         _, (b1, ll, gnorm), steps, stop = _newton_root(
             slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b))
         )
         if stop == "limit":
             return None
+        a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     lo, hi = _bracket(link, b1)
-    a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     cell, root = _CELL[link], _ROOT.get(link)
     a = [min(max(_stratum_max(cell, root, s, b1, lo, hi)[1], a_lo), a_hi) for s in _profile_strata(table, link)]
     return b1, ll, a, gnorm, steps
