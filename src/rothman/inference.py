@@ -3,8 +3,12 @@
 One model family, four link functions (identity, log, logit,
 complementary log-log), each paired with the association measure its
 exposure coefficient estimates. The saturated (interaction) fit is the
-empirical risks, and its log-likelihood their closed-form supremum. The
-restricted (no-interaction) fit is Newton ascent on the grouped binomial
+empirical risks, and its log-likelihood their closed-form supremum. So is
+the restricted (no-interaction) fit wherever that model reaches the
+empirical risks: with one stratum, and where under the logit or cloglog
+link the exposure coefficient runs off to infinity. Run-offs are decided
+once, from the counts (_run_off), for the fit and the profile CI alike.
+Any other restricted fit is Newton ascent on the grouped binomial
 log-likelihood (observed-Hessian direction with a Fisher-scoring
 fallback) under step-halving that keeps every cell probability strictly
 inside (0, 1); where that ascent ends short of its gradient test, the
@@ -53,7 +57,7 @@ from .tables import RiskPoint, StratifiedTable
 _GRAD_TOL = 1e-10
 _LL_TOL = 1e-12
 _BOUNDARY_TOL = 1e-12
-# a saturated or profile-maximum fit whose maximum sends a cell's
+# a closed-form or profile-maximum fit whose maximum sends a cell's
 # probability to 0 or 1 reports that cell at _EPS or 1 - _EPS: inside
 # (0, 1), where measures are defined, and within _BOUNDARY_TOL of the
 # bound, so boundary_warning flags it
@@ -146,11 +150,13 @@ class ModelSpec:
 @dataclass(frozen=True)
 class FitResult:
     """A maximum-likelihood fit (see fit). ``loglik`` is the log-likelihood
-    the fit reaches: the supremum over the model for the saturated fit and
-    for a restricted fit taken from the profile maximum, and the
-    log-likelihood at ``coefficients`` for one taken from the Newton
-    ascent. ``fitted_points`` are the cell probabilities, as (unexposed,
-    exposed) risk points per stratum, with the boundary rule of fit."""
+    the fit reaches: the supremum over the model for a closed-form fit (the
+    saturated one, and a restricted one with one stratum or whose exposure
+    coefficient runs off) and for a restricted fit taken from the profile
+    maximum, and the log-likelihood at ``coefficients`` for one taken from
+    the Newton ascent. ``fitted_points`` are the cell probabilities, as
+    (unexposed, exposed) risk points per stratum, with the boundary rule of
+    fit."""
 
     spec: ModelSpec
     coefficients: tuple[float, ...]
@@ -374,9 +380,19 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     The saturated fit (interaction) is the empirical risks, in closed form
     (``iterations`` and ``gradient_norm`` 0), and its ``loglik`` is
     sum y log(y/n) + (n - y) log(1 - y/n) over the cells, with 0 log 0 = 0.
-    The restricted fit is Newton ascent (see _newton) from the closed-form
-    null fit; it stops when the gradient max-norm falls below 1e-10, when
-    no feasible ascent step is left, or after two successive
+    The restricted fit is that same closed form, with the same fitted
+    points, ``loglik``, ``iterations`` and ``gradient_norm``, wherever the
+    model reaches the empirical risks:
+    - where under the logit or cloglog link b1 runs off to +inf or -inf,
+      decided from the counts (see _run_off): b1 is the end of its range
+      in that direction, +-(e_hi - e_lo) with e_lo and e_hi the etas of
+      1e-13 and 1 - 1e-13, and each stratum's unexposed eta keeps the
+      cell that does not run off at its observed risk;
+    - otherwise with one stratum, where the model is saturated:
+      b1 = eta1 - eta0.
+    Any other restricted fit is Newton ascent (see _newton) from the
+    closed-form null fit; it stops when the gradient max-norm falls below
+    1e-10, when no feasible ascent step is left, or after two successive
     log-likelihood changes below max(1e-12, 8 ulp(loglik)), and its
     ``loglik`` is the log-likelihood at its coefficients. When it ends
     other than by the gradient test (short of a maximum on the identity or
@@ -389,7 +405,7 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     ascent's last iterate, is raised only when neither converges within
     200 iterations.
 
-    Boundary rule for the closed form and the profile maximum: a maximum at
+    Boundary rule for the closed forms and the profile maximum: a maximum at
     a cell probability of 0 or 1 (a zero or full cell, or a bound of the
     link) is reported with the cell at 1e-13 or 1 - 1e-13, and
     ``boundary_warning`` flags any fitted probability within 1e-12 of 0 or
@@ -428,9 +444,11 @@ def _result(spec: ModelSpec, beta, loglik: float, p, iterations: int, gnorm: flo
 @functools.lru_cache(maxsize=8)
 def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     link = spec.link
-    if spec.interaction:
-        if table.k < 2:
-            raise DomainError("an interaction model needs at least two strata")
+    if spec.interaction and table.k < 2:
+        raise DomainError("an interaction model needs at least two strata")
+    direction = 0 if spec.interaction else _run_off(table, link)
+    if spec.interaction or table.k == 1 or direction:
+        # the model reaches the empirical risks: the closed form
         p, terms = [], []
         for s in table.strata:
             for c in (s.exposed, s.unexposed):
@@ -441,8 +459,15 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
                     terms.append((c.total - c.cases) * math.log1p(-risk))
                 p.append(min(1.0 - _EPS, max(_EPS, risk)))
         eta = [_LINK_SCALAR[link](v) for v in p]
-        beta = _reference_coded(eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])])
-        return _result(spec, beta, math.fsum(terms), p, 0, 0.0)
+        a, b = eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])]
+        if direction:
+            # each stratum's a keeps the cell that does not run off at its data
+            e_lo, e_hi = _EDGES[link]
+            b1 = direction * (e_hi - e_lo)
+            exposed_off = [s.exposed.cases == (s.exposed.total if direction > 0 else 0) for s in table.strata]
+            a = [e0 if off else e1 - b1 for off, e1, e0 in zip(exposed_off, eta[::2], eta[1::2])]
+            b = [b1]
+        return _result(spec, _reference_coded(a, b), math.fsum(terms), p, 0, 0.0)
     X, cases, totals = _problem(table, spec)
     failed = None
     try:
@@ -489,25 +514,6 @@ def lr_test_interaction(table: StratifiedTable, link: LinkFunction) -> LRTest:
     stat = max(0.0, 2.0 * (saturated.loglik - restricted.loglik))
     df = table.k - 1
     return LRTest(stat, df, chi2_sf(stat, df))
-
-
-def _runs_off(table: StratifiedTable, restricted: FitResult) -> set[int]:
-    """Directions (+1, -1) in which the logit or cloglog estimate of b1 runs
-    off to infinity: a stratum whose exposed (+1) or unexposed (-1) cell is
-    full and fitted within _BOUNDARY_TOL of 1 while the other cell is not full.
-    p rounds to 1.0 from eta ~ 37 (logit) or ~ 3.6 (cloglog); past that the
-    profile falls for rounding alone and crosses the quantile at a false b1."""
-    if restricted.spec.link not in (LinkFunction.LOGIT, LinkFunction.CLOGLOG):
-        return set()
-    out = set()
-    for s, point in zip(table.strata, restricted.fitted_points):
-        full_exposed = s.exposed.cases == s.exposed.total
-        full_unexposed = s.unexposed.cases == s.unexposed.total
-        if full_exposed and not full_unexposed and point.y > 1.0 - _BOUNDARY_TOL:
-            out.add(1)
-        if full_unexposed and not full_exposed and point.x > 1.0 - _BOUNDARY_TOL:
-            out.add(-1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -846,27 +852,23 @@ def _run_off(table: StratifiedTable, link: LinkFunction) -> int:
     separation of Albert & Anderson 1984 (Biometrika 71:1-10); else 0."""
     if link not in (LinkFunction.LOGIT, LinkFunction.CLOGLOG):
         return 0
-    strata = _profile_strata(table, link)
-    up = all(not (f1 and y0) for y0, _, _, _, f1, _, _ in strata)
-    down = all(not (y1 and f0) for _, f0, _, y1, _, _, _ in strata)
+    up = all(s.exposed.cases == s.exposed.total or not s.unexposed.cases for s in table.strata)
+    down = all(not s.exposed.cases or s.unexposed.cases == s.unexposed.total for s in table.strata)
     return up - down
 
 
 def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
     """The maximum of the concave lp over |b1| <= e_hi - e_lo, the b1 at
-    which a stratum's two cells can keep p in [_EPS, 1 - _EPS]: the end of
-    the range toward which the estimate runs off (see _run_off), in one
-    solve, or else the root of -lp' by _newton_root from b1, to a step of
-    2e-15 max(1, |b1|). Any other maximum at an end of the range is reached
-    within that step of it.
+    which a stratum's two cells can keep p in [_EPS, 1 - _EPS]: the root of
+    -lp' by _newton_root from b1, to a step of 2e-15 max(1, |b1|). fit asks
+    for it only where the maximum is finite (a run-off, decided from the
+    counts, is taken in closed form); a maximum at an end of the range is
+    reached within that step of it.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, or
     None when _MAX_ITER steps end short. a holds each stratum's maximizer
     clipped into the range that keeps both its cells' p in [_EPS, 1 - _EPS]
-    (the boundary rule, see fit). At a run-off end that range is the one
-    point that puts both cells at their bounds, so a is clipped only into
-    the range that keeps one cell's p in [_EPS, 1 - _EPS]: the cell that
-    does not run off keeps its maximizer, and fit clips the other's p."""
+    (the boundary rule, see fit)."""
     e_lo, e_hi = _EDGES[link]
     bound = e_hi - e_lo
 
@@ -874,18 +876,12 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
         ll, d, h = profile_loglik_slope(table, link, b1)
         return -d, -h, (b1, ll, abs(d))
 
-    direction = _run_off(table, link)
-    if direction:
-        _, _, (b1, ll, gnorm) = slope(direction * bound)
-        steps = 1
-        a_lo, a_hi = e_lo - max(0.0, b1), e_hi - min(0.0, b1)
-    else:
-        _, (b1, ll, gnorm), steps, stop = _newton_root(
-            slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b))
-        )
-        if stop == "limit":
-            return None
-        a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
+    _, (b1, ll, gnorm), steps, stop = _newton_root(
+        slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b))
+    )
+    if stop == "limit":
+        return None
+    a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     lo, hi = _bracket(link, b1)
     cell, root = _CELL[link], _ROOT.get(link)
     a = [min(max(_stratum_max(cell, root, s, b1, lo, hi)[1], a_lo), a_hi) for s in _profile_strata(table, link)]
@@ -930,10 +926,11 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     step.
 
     An endpoint that does not cross before the cap is truncated at the cap
-    and flagged. Under the logit and cloglog links an endpoint toward which
-    b1's estimate runs off to infinity (see _runs_off) is truncated at the
-    estimate. The estimate comes from the no-interaction fit (see fit,
-    whose memo shares it).
+    and flagged. Under the logit and cloglog links the endpoint toward
+    which b1's estimate runs off to infinity, decided from the counts as
+    for the fit (see _run_off), is truncated at the estimate and flagged.
+    The estimate comes from the no-interaction fit (see fit, whose memo
+    shares it).
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
@@ -943,10 +940,10 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     e_lo, e_hi = _EDGES[link]
     bound = e_hi - e_lo
     wald = min(root_q / math.sqrt(-curvature), bound) if 0.0 < -curvature < math.inf else 0.1
-    unbounded = _runs_off(table, restricted)
+    unbounded = _run_off(table, link)
 
     def endpoint(direction: int) -> tuple[float, bool]:
-        if direction in unbounded:
+        if direction == unbounded:
             return b1hat, True
 
         def root(x: float):

@@ -665,12 +665,18 @@ def test_profile_ci_zero_exposed_cell_upper_endpoint(csv, link, upper):
     # three tables a whole-model Newton ascent warm-started from the previous
     # b1 stalled at a lower likelihood and the upper endpoint collapsed to
     # about 1e-13
-    ci = profile_ci(parse_table(CSV_HEADER + csv + "\n"), link)
+    table = parse_table(CSV_HEADER + csv + "\n")
+    ci = profile_ci(table, link)
     assert ci.lower_truncated and not ci.upper_truncated
     assert ci.upper == pytest.approx(upper, rel=1e-9)
-    # the profile rises toward b1 = -inf, so the lower search runs to the
-    # expansion cap without a (false) crossing on the way
-    assert ci.lower == math.exp(-500.0)
+    # the profile rises toward b1 = -inf. Under the log link the lower
+    # search runs to the expansion cap without a (false) crossing on the
+    # way; under logit and cloglog the counts say the estimate runs off
+    # there (y1 = 0), and the lower endpoint stops at the estimate
+    if link is LinkFunction.LOG:
+        assert ci.lower == math.exp(-500.0)
+    else:
+        assert ci.lower == common_measure(fit(table, ModelSpec(link, interaction=False)))
 
 
 def test_profile_ci_full_unexposed_cell_logit():
@@ -760,24 +766,59 @@ def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
         ("s1,534627371,534627372,293059,293059\ns2,33,140,210549238,210549238\ns3,399814164,552569048,3,3",
          LinkFunction.LOGIT),
         ("s1,30,30,50,50\ns2,0,1,1,2", LinkFunction.LOGIT),
+        ("s0,2,3,0,3", LinkFunction.LOGIT),
+        ("s0,2,3,0,3", LinkFunction.CLOGLOG),
+        ("s0,0,5,0,6\ns1,2,2,0,5\ns2,0,4,0,1", LinkFunction.LOGIT),
+        ("s0,0,5,0,6\ns1,2,2,0,5\ns2,0,4,0,1", LinkFunction.CLOGLOG),
     ],
 )
 def test_profile_maximum_of_a_run_off_is_the_end_of_its_range(csv, link):
-    # every stratum has f1 = 0 or y0 = 0 (the first and third tables), or
-    # y1 = 0 or f0 = 0 (the others): lp rises to its supremum, the saturated
-    # loglik, as b1 runs off, and the profile maximum takes the end of its
-    # range in one solve instead of crawling toward it on Newton steps; each
-    # cell is fitted at its observed risk, one that runs off at 1e-13 or
-    # 1 - 1e-13 (the boundary rule)
+    # every stratum has f1 = 0 or y0 = 0 (the first, third and last four
+    # tables), or y1 = 0 or f0 = 0 (the others): lp rises to its
+    # supremum, the saturated loglik, as b1 runs off, and the fit is the
+    # closed form at the end of b1's range, with no Newton steps; each cell
+    # is fitted at its observed risk, one that runs off at 1e-13 or
+    # 1 - 1e-13 (the boundary rule), so the LR statistic is exactly 0
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=False))
     e_lo, e_hi = inference._EDGES[link]
-    assert abs(result.coefficients[1]) == e_hi - e_lo
-    assert result.iterations == 1
-    assert result.loglik == pytest.approx(_saturated_loglik(table), rel=1e-12)
+    assert result.coefficients[1] == inference._run_off(table, link) * (e_hi - e_lo) != 0.0
+    assert result.iterations == 0
+    assert result.loglik == _saturated_loglik(table)
     for s, point in zip(table.strata, result.fitted_points):
         for cell, p in ((s.unexposed, point.x), (s.exposed, point.y)):
-            assert p == pytest.approx(min(max(cell.cases / cell.total, 1e-13), 1.0 - 1e-13), rel=0.0, abs=1e-12)
+            assert p == min(max(cell.cases / cell.total, 1e-13), 1.0 - 1e-13)
+    if table.k >= 2:
+        assert lr_test_interaction(table, link).statistic == 0.0
+
+
+_K1_CSVS = ["s1,5,50,5,60", "s0,2,3,0,3", "s0,30,30,50,50"]
+
+
+@pytest.mark.parametrize("csv", _K1_CSVS)
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_one_stratum_restricted_fit_is_the_saturated_closed_form(link, csv):
+    # with one stratum the no-interaction model is saturated: the fit is the
+    # empirical risks, clipped into [1e-13, 1 - 1e-13], its loglik the
+    # closed-form supremum and b1 = eta1 - eta0 of those risks; where the
+    # estimate runs off (s0,2,3,0,3 under logit and cloglog) b1 is the end
+    # of its range instead
+    table = parse_table(CSV_HEADER + csv + "\n")
+    result = fit(table, ModelSpec(link, interaction=False))
+    (s,) = table.strata
+    x, y = (min(max(c.cases / c.total, 1e-13), 1.0 - 1e-13) for c in (s.unexposed, s.exposed))
+    assert result.fitted_points == (RiskPoint(x, y),)
+    assert result.loglik == _saturated_loglik(table)
+    assert result.iterations == 0 and result.gradient_norm == 0.0
+    to_eta = inference._LINK_SCALAR[link]
+    e_lo, e_hi = inference._EDGES[link]
+    direction = inference._run_off(table, link)
+    if direction:
+        # the unexposed cell runs off, and a keeps the exposed one at its risk
+        b1 = direction * (e_hi - e_lo)
+        assert result.coefficients == (to_eta(y) - b1, b1)
+    else:
+        assert result.coefficients == (to_eta(x), to_eta(y) - to_eta(x))
 
 
 @pytest.mark.parametrize(

@@ -313,8 +313,11 @@ def _sweep_tables() -> list[StratifiedTable]:
 # closed-form stratum roots: tables 4, 21 and 23 draw fits taken from the
 # profile maximum. Table 4's identity b1 moved by 51 ulps; on tables 21
 # and 23 the logit and cloglog estimates run off, are taken at the end of
-# their range, and fit each cell that does not run off at its observed risk
-SWEEP_SHA256 = "94ffa42720670787794e041066b1b5cf6b29118903fdb12dae33e9c6dc24a741"
+# their range, and fit each cell that does not run off at its observed risk.
+# Re-recorded when one-stratum and run-off restricted fits became the
+# closed form: tables 10 and 20 (K = 1) and table 12 (a logit and cloglog
+# run-off) moved from Newton ascents that stopped short of the supremum
+SWEEP_SHA256 = "7a53b8d5960839d5e3728795daa4c83a8d7dd97bf0c5a6e21a4180b8e1e4f247"
 
 
 def test_figures_sweep_digest():
