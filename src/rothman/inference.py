@@ -26,13 +26,15 @@ common risk difference (a cubic) and a common risk ratio (a quadratic)
 of Miettinen & Nurminen 1985 (Stat Med 4:213-226), and the fitted count
 under a common odds ratio (a quadratic; Breslow & Day 1980, IARC Sci Publ
 32). A safeguarded Newton iteration starts from that root and as a rule
-stops at its first evaluation; under cloglog it starts from the stratum's
-data.
+stops at its first evaluation, which by concavity also rules out a
+maximum at an end of the stratum's feasible range, so no end is
+evaluated; under cloglog it starts from the stratum's data.
 Each solve also gives its maximum's first two derivatives in b1, the
 first from the cell whose curvature is the smaller. One function,
 profile_loglik_slope, returns lp, lp' and lp''; the fit's profile maximum
-and the profile CI, whose endpoints are found by Newton's method, both
-work through it. Interval estimation is by profile likelihood only.
+and the profile CI, whose endpoints are found by Halley's method from
+those derivatives, both work through it. Interval estimation is by
+profile likelihood only.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -63,6 +65,7 @@ _BOUNDARY_TOL = 1e-12
 # bound, so boundary_warning flags it
 _EPS = 1e-13
 _MAX_ITER = 200
+_LN2 = math.log(2.0)  # where the cloglog log p changes formula
 
 
 class LinkFunction(Enum):
@@ -90,19 +93,20 @@ def link_for_measure(measure: Measure) -> LinkFunction:
 
 
 def _inverse(link: LinkFunction, eta: np.ndarray) -> np.ndarray:
+    # callers that can overflow np.exp set np.errstate (the ascent once for
+    # all its iterations), as for _dinverse and _d2inverse
     if link is LinkFunction.IDENTITY:
         return np.asarray(eta, dtype=float).copy()
-    with np.errstate(over="ignore", under="ignore"):
-        if link is LinkFunction.LOG:
-            return np.exp(eta)
-        if link is LinkFunction.LOGIT:
-            out = np.empty_like(eta, dtype=float)
-            pos = eta >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-            ex = np.exp(eta[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-        return -np.expm1(-np.exp(eta))
+    if link is LinkFunction.LOG:
+        return np.exp(eta)
+    if link is LinkFunction.LOGIT:
+        out = np.empty_like(eta, dtype=float)
+        pos = eta >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+        ex = np.exp(eta[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+    return -np.expm1(-np.exp(eta))
 
 
 def _dinverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -112,8 +116,7 @@ def _dinverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray) -> np.ndarray:
         return p.copy()
     if link is LinkFunction.LOGIT:
         return p * (1.0 - p)
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp(eta - np.exp(eta))
+    return np.exp(eta - np.exp(eta))
 
 
 def _d2inverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -123,8 +126,7 @@ def _d2inverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray, dp: np.ndarra
         return p.copy()
     if link is LinkFunction.LOGIT:
         return dp * (1.0 - 2.0 * p)
-    with np.errstate(over="ignore", under="ignore"):
-        return dp * (1.0 - np.exp(eta))
+    return dp * (1.0 - np.exp(eta))
 
 
 def _link_of(link: LinkFunction, p: np.ndarray) -> np.ndarray:
@@ -210,15 +212,16 @@ def loglik(table: StratifiedTable, probs) -> float:
         raise DomainError(f"expected {cases.size} cell probabilities, got {p.size}")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("cell probabilities must lie strictly inside (0, 1)")
-    return _ll(cases, totals, p)
+    return _ll(cases, totals - cases, p)
 
 
-def _ll(cases: np.ndarray, totals: np.ndarray, p: np.ndarray) -> float:
+def _ll(cases: np.ndarray, failures: np.ndarray, p: np.ndarray) -> float:
     # from p, for loglik and the Newton ascent, whose iterates depend on these bits
-    return float(cases @ np.log(p) + (totals - cases) @ np.log1p(-p))
+    return float(cases @ np.log(p) + failures @ np.log1p(-p))
 
 
 _P_FLOOR = 1e-300  # subnormal probabilities break Fisher scoring arithmetic
+_DBL_EPS = float(np.finfo(float).eps)
 
 
 def _feasible(p: np.ndarray) -> bool:
@@ -226,13 +229,14 @@ def _feasible(p: np.ndarray) -> bool:
     return bool(p.min() > _P_FLOOR and p.max() < 1.0)
 
 
-def _score_info(link, X, cases, totals, eta, p):
-    """Score, Fisher information, and the cell terms v, dp/deta and residual."""
+def _score_info(link, X, Xt, cases, totals, eta, p):
+    """Score, Fisher information, and the cell terms v, dp/deta and residual
+    (Xt is X.T)."""
     v = p * (1.0 - p)
     dp = _dinverse(link, eta, p)
     resid = cases - totals * p
-    u = X.T @ (resid / v * dp)
-    info = X.T @ ((totals * dp * dp / v)[:, None] * X)
+    u = Xt @ (resid / v * dp)
+    info = Xt @ ((totals * dp * dp / v)[:, None] * X)
     return u, info, v, dp, resid
 
 
@@ -240,10 +244,11 @@ def score(table: StratifiedTable, spec: ModelSpec, beta) -> np.ndarray:
     """Analytic score (gradient of the log-likelihood) at feasible coefficients."""
     X, cases, totals = _problem(table, spec)
     eta = X @ np.asarray(beta, dtype=float)
-    p = _inverse(spec.link, eta)
+    with np.errstate(over="ignore"):
+        p = _inverse(spec.link, eta)
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
-    return _score_info(spec.link, X, cases, totals, eta, p)[0]
+    return _score_info(spec.link, X, X.T, cases, totals, eta, p)[0]
 
 
 def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
@@ -252,7 +257,9 @@ def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
     of a p rounded near 1 would lose digits); DomainError when infeasible."""
     X, cases, totals = _problem(table, spec)
     eta = X @ np.asarray(beta, dtype=float)
-    if not _feasible(_inverse(spec.link, eta)):
+    with np.errstate(over="ignore"):
+        p = _inverse(spec.link, eta)
+    if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
     link = spec.link
     if link is LinkFunction.IDENTITY:
@@ -262,8 +269,10 @@ def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
     elif link is LinkFunction.LOGIT:
         log_p, log_q = -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
     else:
+        # log p as _cloglog_cell takes it
         t = np.exp(eta)
-        log_p, log_q = np.log(-np.expm1(-t)), -t
+        log_p, log_q, big = np.log(-np.expm1(-t)), -t, t > _LN2
+        log_p[big] = np.log1p(-np.exp(-t[big]))
     return float(cases @ log_p + (totals - cases) @ log_q)
 
 
@@ -272,7 +281,7 @@ def _solve_direction(matrix, u):
         delta = np.linalg.solve(matrix, u)
     except np.linalg.LinAlgError:
         delta = np.linalg.lstsq(matrix, u, rcond=None)[0]
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         delta = np.linalg.lstsq(matrix, u, rcond=None)[0]
     return delta
 
@@ -284,70 +293,74 @@ def _newton(link, X, cases, totals, beta0, max_iter=_MAX_ITER):
     Each iteration tries the observed-Hessian Newton direction first
     (quadratic near the optimum, and free of the slow two-cycles Fisher
     scoring shows for non-canonical links) and falls back to the Fisher
-    scoring direction, which is always an ascent direction.
+    scoring direction, which is always an ascent direction. The whole
+    ascent runs under one np.errstate that silences floating-point
+    warnings: an overflowing candidate fails the feasibility test and a
+    non-finite direction is discarded by value.
 
     Returns (beta, loglik, converged, iterations, gradient_norm, p)."""
-    beta = np.asarray(beta0, dtype=float).copy()
-    eta = X @ beta
-    p = _inverse(link, eta)
-    if not _feasible(p):
-        raise DomainError("infeasible starting coefficients")
-    ll = _ll(cases, totals, p)
-    gnorm = math.inf
-    iterations = 0
-    converged = False
-    stalled = 0
-    for _ in range(max_iter):
-        u, info, v, dp, resid = _score_info(link, X, cases, totals, eta, p)
-        gnorm = float(np.max(np.abs(u)))
-        if gnorm < _GRAD_TOL:
-            converged = True
-            break
-        directions = []
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+    Xt, failures = X.T, totals - cases
+    with np.errstate(all="ignore"):
+        beta = np.asarray(beta0, dtype=float).copy()
+        eta = X @ beta
+        p = _inverse(link, eta)
+        if not _feasible(p):
+            raise DomainError("infeasible starting coefficients")
+        ll = _ll(cases, failures, p)
+        gnorm = math.inf
+        iterations = 0
+        converged = False
+        stalled = 0
+        for _ in range(max_iter):
+            u, info, v, dp, resid = _score_info(link, X, Xt, cases, totals, eta, p)
+            gnorm = float(np.abs(u).max())
+            if gnorm < _GRAD_TOL:
+                converged = True
+                break
+            directions = []
             neg_curv = dp * dp * (totals / v + resid * (1.0 - 2.0 * p) / (v * v)) - (
                 resid * _d2inverse(link, eta, p, dp) / v
             )
-        if np.all(np.isfinite(neg_curv)):
-            newton_delta = _solve_direction(X.T @ (neg_curv[:, None] * X), u)
-            if np.all(np.isfinite(newton_delta)) and float(u @ newton_delta) > 0.0:
-                directions.append(newton_delta)
-        directions.append(_solve_direction(info, u))
-        slack = 32.0 * np.finfo(float).eps * (1.0 + abs(ll))
-        best = None
-        for delta in directions:
-            step = 1.0
-            while step >= 2.0**-60:
-                cand = beta + step * delta
-                eta_c = X @ cand
-                p_c = _inverse(link, eta_c)
-                if _feasible(p_c):
-                    ll_c = _ll(cases, totals, p_c)
-                    if ll_c >= ll - slack:
-                        if best is None or ll_c > best[3]:
-                            best = (cand, eta_c, p_c, ll_c)
-                        break
-                step *= 0.5
-        if best is None:
-            # no feasible ascent step left: log-likelihood change is zero
-            converged = True
-            break
-        iterations += 1
-        dll = best[3] - ll
-        beta, eta, p, ll = best
-        # a change of a few ulps is rounding; at |ll| >~ 1e4 one ulp exceeds _LL_TOL
-        if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
-            # one more Newton pass after the first stall lets quadratic
-            # convergence finish the gradient criterion when the MLE is
-            # interior; a second stall means we are as far as we can get
-            stalled += 1
-            if stalled >= 2:
+            if np.isfinite(neg_curv).all():
+                newton_delta = _solve_direction(Xt @ (neg_curv[:, None] * X), u)
+                if np.isfinite(newton_delta).all() and float(u @ newton_delta) > 0.0:
+                    directions.append(newton_delta)
+            directions.append(_solve_direction(info, u))
+            slack = 32.0 * _DBL_EPS * (1.0 + abs(ll))
+            best = None
+            for delta in directions:
+                step = 1.0
+                while step >= 2.0**-60:
+                    cand = beta + step * delta
+                    eta_c = X @ cand
+                    p_c = _inverse(link, eta_c)
+                    if _feasible(p_c):
+                        ll_c = _ll(cases, failures, p_c)
+                        if ll_c >= ll - slack:
+                            if best is None or ll_c > best[3]:
+                                best = (cand, eta_c, p_c, ll_c)
+                            break
+                    step *= 0.5
+            if best is None:
+                # no feasible ascent step left: log-likelihood change is zero
                 converged = True
-                u = _score_info(link, X, cases, totals, eta, p)[0]
-                gnorm = float(np.max(np.abs(u)))
                 break
-        else:
-            stalled = 0
+            iterations += 1
+            dll = best[3] - ll
+            beta, eta, p, ll = best
+            # a change of a few ulps is rounding; at |ll| >~ 1e4 one ulp exceeds _LL_TOL
+            if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
+                # one more Newton pass after the first stall lets quadratic
+                # convergence finish the gradient criterion when the MLE is
+                # interior; a second stall means we are as far as we can get
+                stalled += 1
+                if stalled >= 2:
+                    converged = True
+                    u = _score_info(link, X, Xt, cases, totals, eta, p)[0]
+                    gnorm = float(np.abs(u).max())
+                    break
+            else:
+                stalled = 0
     if not converged:
         raise ConvergenceError(
             f"no convergence after {max_iter} iterations (gradient max-norm {gnorm:.3e})",
@@ -570,7 +583,10 @@ def _logit_cell(y, f, eta):
 
 
 def _cloglog_cell(y, f, eta):
-    # with t = e^eta: log(1 - p) = -t and log p = log(-expm1(-t))
+    # with t = e^eta: log(1 - p) = -t, and log p = log(1 - e^-t) taken as
+    # log1p(-e^-t) above t = ln 2 and log(-expm1(-t)) below, each where it
+    # keeps its digits (Maechler 2012, "Accurately computing log(1 - exp(-|a|))");
+    # log p of a p rounded next to 1 would keep only its last bits
     t = math.exp(min(eta, 709.0))  # e^709 is near the largest float
     l = d = h = -f * t
     if y:
@@ -578,11 +594,11 @@ def _cloglog_cell(y, f, eta):
             l += y * eta
             d += y
         else:
-            p = -math.expm1(-t)
-            g = t * math.exp(-t) / p  # d log p / d eta = t / expm1(t)
+            p, e = -math.expm1(-t), math.exp(-t)
+            g = t * e / p  # d log p / d eta = t / expm1(t)
             # p - t, by its series where the subtraction would cancel
             pt = p - t if t > 1e-4 else -t * t * (0.5 - t * (1.0 / 6.0 - t / 24.0))
-            l += y * math.log(p)
+            l += y * (math.log1p(-e) if t > _LN2 else math.log(p))
             d += y * g
             h += y * g * pt / p
     return l, d, h
@@ -688,6 +704,24 @@ def _profile_strata(table: StratifiedTable, link: LinkFunction):
     return tuple(out)
 
 
+def _end_max(cell, y0, f0, y1, f1, b1, lo, hi):
+    """The supremum at an end of (lo, hi) where l' does not point into the
+    bracket (or its limit at an infinite end), as _stratum_max returns it;
+    None when l' points inward at both ends."""
+    for end, inward in ((lo, 1.0), (hi, -1.0)):
+        if math.isinf(end):
+            # a -> -inf sends every p to 0 and a -> +inf every p to 1
+            if not (y0 + y1 if end < 0.0 else f0 + f1):
+                return 0.0, end, 0.0, 0.0
+        else:
+            # end + b1 is exact at the end where the exposed p is 0 or 1
+            l0, d0, h0 = cell(y0, f0, end)
+            l1, d1, h1 = cell(y1, f1, end + b1)
+            if inward * (d0 + d1) <= 0.0:
+                return (l0 + l1, end, -d0, h0) if end + b1 in (0.0, 1.0) else (l0 + l1, end, d1, h1)
+    return None
+
+
 def _stratum_max(cell, root, stratum, b1, lo, hi):
     """Supremum over a in (lo, hi) of the concave stratum log-likelihood
     l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), the a where it is
@@ -704,38 +738,38 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
     at an interior maximum (a moves with b1 at the rate -h1 / (h0 + h1)),
     the h of the cell whose eta moves with b1 at a constraint end, and 0 at
     an infinite end.
-    When l' does not point into the bracket at an end (or its limit at an
-    infinite end), that end and its limit are returned. Otherwise the root
-    of l' lies between the two cells' own maximizers, e0 and e1 - b1 (-inf
-    for a zero cell, +inf for a full one), and Newton's method on l' runs
-    inside that bracket, narrowed by every evaluation. It starts from the
-    root(y0, f0, y1, f1, b1) in closed form (see _ROOT), at which its first
-    evaluation meets the stop test as a rule; where root is None (cloglog)
-    or its value is not inside the bracket, from the mean of the targets e0
-    and e1 - b1, each clipped into the bracket, weighted by the cell
-    totals. The first step is at most 1 and each later one at most twice
-    the last; a Newton step over 3/4 of the one before, in the same
-    direction, is raised to that limit. A step bisects the bracket when it
-    would leave it, or when the last step crossed the root and less than
-    halved |l'|. Stops when a step is below _A_TOL * max(1, |a|)."""
+    An interior root of l' lies between the two cells' own maximizers, e0
+    and e1 - b1 (-inf for a zero cell, +inf for a full one), and Newton's
+    method on l' runs inside that data bracket, narrowed by every
+    evaluation. It starts from the root(y0, f0, y1, f1, b1) in closed form
+    (see _ROOT) when that lies inside the data bracket, and its first
+    evaluation there meets the stop test as a rule: by concavity the
+    maximum is then that root, and no end of (lo, hi) is evaluated. When
+    l' does not point into (lo, hi) at an end (or its limit at an infinite
+    end), that end and its limit are returned (see _end_max); the ends are
+    checked only before a loop that starts elsewhere, or once the root has
+    missed the stop test, and the loop then goes on from that evaluation.
+    Where root is None (cloglog) or its value is not inside the data
+    bracket, the loop starts from the mean of the targets e0 and e1 - b1,
+    each clipped into the bracket, weighted by the cell totals. The first
+    step is at most 1 and each later one at most twice the last; a Newton
+    step over 3/4 of the one before, in the same direction, is raised to
+    that limit. A step bisects the bracket when it would leave it, or when
+    the last step crossed the root and less than halved |l'|. Stops when a
+    step is below _A_TOL * max(1, |a|)."""
     y0, f0, e0, y1, f1, e1, w = stratum
-    for end, inward in ((lo, 1.0), (hi, -1.0)):
-        if math.isinf(end):
-            # a -> -inf sends every p to 0 and a -> +inf every p to 1
-            if not (y0 + y1 if end < 0.0 else f0 + f1):
-                return 0.0, end, 0.0, 0.0
-        else:
-            # end + b1 is exact at the end where the exposed p is 0 or 1
-            l0, d0, h0 = cell(y0, f0, end)
-            l1, d1, h1 = cell(y1, f1, end + b1)
-            if inward * (d0 + d1) <= 0.0:
-                return (l0 + l1, end, -d0, h0) if end + b1 in (0.0, 1.0) else (l0 + l1, end, d1, h1)
     e1 -= b1
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
     t1 = e1 if y1 and f1 else math.copysign(math.inf, y1 - 0.5)
+    ends = lo, hi
     lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
-    a = root(y0, f0, y1, f1, b1) if root else math.nan
+    # no root to look for where every cell is empty (lo = hi = -inf) or full
+    a = root(y0, f0, y1, f1, b1) if root and lo < hi else math.nan
     if not lo < a < hi:
+        found = _end_max(cell, y0, f0, y1, f1, b1, *ends)
+        if found is not None:
+            return found
+        ends = None
         a = (1.0 - w) * min(max(e0, lo), hi) + w * min(max(e1, lo), hi)
     move = newton_old = d_old = math.inf
     for _ in range(_MAX_ITER):
@@ -752,6 +786,12 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
         tol = _A_TOL * max(1.0, abs(a))
         if abs(newton) <= tol:
             break
+        if ends is not None:
+            # the closed-form root missed the stop test: an end may yet be the maximum
+            found = _end_max(cell, y0, f0, y1, f1, b1, *ends)
+            if found is not None:
+                return found
+            ends = None
         limit = 1.0 if math.isinf(move) else 2.0 * abs(move)
         if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
             step = math.copysign(limit, d)
@@ -910,20 +950,25 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     """Endpoints where the profile LR statistic for the exposure coefficient
     crosses the chi-square(1) quantile q, mapped to the measure scale.
 
-    One profile solve at the estimate b1hat gives l_max = lp(b1hat) and
-    lp''(b1hat), and both endpoint searches share it. Each endpoint is the
-    root of the signed root f(b1) = r - sqrt(q), with
-    r = sqrt(2 (l_max - lp(b1))), close to linear in b1, by safeguarded
-    Newton's method (see _newton_root) with f' = -lp'(b1) / r, lp and lp'
-    coming from each profile solve (profile_loglik_slope). The search
-    starts at the Wald point b1hat +- sqrt(q / -lp''(b1hat)), but no farther
-    from b1hat than the bound on |b1| of _profile_max's range. Until it has
-    seen a b1 past the crossing, a step that would leave the range between
-    the estimate and the cap doubles the distance from the estimate. The
-    cap is that same bound under the identity link, whose feasible b1 are
-    |b1| < 1, and +-500 (or the estimate +-1) under the others. It stops
-    when a step is at most 5e-13 plus 2 ulp of b1 and returns b1 plus that
-    step.
+    One profile solve at the estimate b1hat gives lp(b1hat) and
+    lp''(b1hat), and both endpoint searches share it. l_max is the larger
+    of lp(b1hat) and the fit's loglik: where the boundary rule reports a
+    cell at 1e-13 from its bound, lp(b1hat) falls about n 1e-13 short of
+    the closed-form supremum that loglik holds. Each endpoint is the root
+    of the signed root f(b1) = r - sqrt(q), with
+    r = sqrt(2 (l_max - lp(b1))), close to linear in b1, by Halley's
+    method inside the safeguards of _newton_root: with f' = -lp'(b1) / r
+    and f'' = (-lp''(b1) - f'^2) / r, all from one profile solve
+    (profile_loglik_slope), the slope passed on is f' - f f'' / (2 f'),
+    or f' itself where that would be at most f' / 2 or f' <= 0. The
+    search starts at the Wald point b1hat +- sqrt(q / -lp''(b1hat)), but
+    no farther from b1hat than the bound on |b1| of _profile_max's range.
+    Until it has seen a b1 past the crossing, a step that would leave the
+    range between the estimate and the cap doubles the distance from the
+    estimate. The cap is that same bound under the identity link, whose
+    feasible b1 are |b1| < 1, and +-500 (or the estimate +-1) under the
+    others. It stops when a step is at most 5e-13 plus 2 ulp of b1 and
+    returns b1 plus that step.
 
     An endpoint that does not cross before the cap is truncated at the cap
     and flagged. Under the logit and cloglog links the endpoint toward
@@ -936,7 +981,9 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
         raise DomainError(f"level must be in (0, 1), got {level}")
     restricted = fit(table, ModelSpec(link, interaction=False))
     b1hat, root_q = restricted.coefficients[1], math.sqrt(chi2_quantile(level, 1))
-    l_max, _, curvature = profile_loglik_slope(table, link, b1hat)
+    ll, _, curvature = profile_loglik_slope(table, link, b1hat)
+    # the boundary rule leaves lp(b1hat) short of a closed-form supremum
+    l_max = max(ll, restricted.loglik)
     e_lo, e_hi = _EDGES[link]
     bound = e_hi - e_lo
     wald = min(root_q / math.sqrt(-curvature), bound) if 0.0 < -curvature < math.inf else 0.1
@@ -947,11 +994,19 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
             return b1hat, True
 
         def root(x: float):
-            # f and f' in x = direction * b1; profile solves start from the
-            # data, so f depends on b1 alone
-            ll, slope, _ = profile_loglik_slope(table, link, direction * x)
+            # f in x = direction * b1, and the slope of Halley's step where
+            # it is at least half of f' (else Newton's); profile solves
+            # start from the data, so f depends on b1 alone
+            ll, slope, curvature = profile_loglik_slope(table, link, direction * x)
             r = math.sqrt(max(0.0, 2.0 * (l_max - ll)))
-            return r - root_q, (-direction * slope / r if r else math.nan), None
+            if not r:
+                return -root_q, math.nan, None
+            v, dv = r - root_q, -direction * slope / r
+            if dv > 0.0:
+                halley = dv - v * ((-curvature - dv * dv) / r) / (2.0 * dv)
+                if 0.5 * dv < halley < math.inf:
+                    dv = halley
+            return v, dv, None
 
         x = direction * b1hat
         cap = max(bound, x) if link is LinkFunction.IDENTITY else max(_B1_SPAN, x + 1.0)

@@ -415,11 +415,12 @@ def test_profile_ci_endpoints_hit_quantile_at_other_levels(link, k, level):
 @pytest.mark.parametrize("k", ["newcastle", *range(1, 7)])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_solves_per_interval(link, k, profile_loglik_calls):
-    # Newton's method on the signed root from the Wald points needs about 7
-    # profile solves per interval; Brent's method after a geometric
-    # expansion needed about 12, and bisection to a width of 1e-12 about 75
+    # one solve at the estimate, then Halley's method on the signed root from
+    # each Wald point needs at most 3 per endpoint here; Newton's method
+    # needed up to 9 per interval, Brent's method after a geometric expansion
+    # about 12, and bisection to a width of 1e-12 about 75
     profile_ci(_table(k), link)
-    assert 0 < len(profile_loglik_calls) <= 10
+    assert 0 < len(profile_loglik_calls) <= 7
 
 
 @pytest.mark.parametrize("k", ["newcastle", 3, "full-unexposed-2", "zero-exposed-3"])
@@ -488,7 +489,12 @@ def test_profile_loglik_slope_is_the_derivative(link, k):
     # lp' and lp'' from each stratum's solve against central differences of
     # lp and lp', at the estimate, the CI endpoints and b1 between and beyond them
     table = _table(k)
-    for b1 in _b1_inside_and_outside(table, link, fit(table, ModelSpec(link, interaction=False))):
+    b1s = _b1_inside_and_outside(table, link, fit(table, ModelSpec(link, interaction=False)))
+    if k == "s1,9527,9527,7,21" and link is LinkFunction.CLOGLOG:
+        # eta1 - eta0 of the clipped risks: the exposed cell's p rounds next
+        # to 1, where log p taken from p kept only its last bits
+        b1s.append(4.3017)
+    for b1 in b1s:
         h = 1e-6 * max(1.0, abs(b1))
         if link is LinkFunction.IDENTITY and not abs(b1) + h < 1.0:
             continue
@@ -505,6 +511,25 @@ def test_profile_loglik_slope_is_the_derivative(link, k):
         assert slope == pytest.approx(difference, rel=1e-6, abs=64.0 * math.ulp(ll) / h)
         difference = (up[1] - down[1]) / (2.0 * h)
         assert curvature == pytest.approx(difference, rel=1e-6, abs=64.0 * math.ulp(max(abs(up[1]), 1.0)) / h)
+
+
+def test_cloglog_log_p_keeps_its_digits_near_p_1():
+    # log p = log(1 - e^-t), t = e^eta, against 60-digit mpmath at the same
+    # t; taken from p rounded next to 1 it was 2.8e-8 off at eta = 3 and 0 at
+    # eta = 4, where it is -1.9e-24
+    import mpmath
+
+    with mpmath.workdps(60):
+        for i in range(-300, 66):
+            eta = i / 10.0
+            exact = mpmath.log1p(-mpmath.exp(-mpmath.mpf(math.exp(eta))))
+            assert inference._cloglog_cell(1, 0, eta)[0] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+    # loglik_at takes log p the same way, up to where p rounds to 1
+    table = parse_table(CSV_HEADER + "s1,7,9,5,8\n")
+    spec = ModelSpec(LinkFunction.CLOGLOG, interaction=False)
+    for a, b1 in [(-3.0, 0.5), (0.0, 1.5), (1.0, 2.5), (-20.0, 23.5)]:
+        cells = [inference._cloglog_cell(7, 2, a + b1), inference._cloglog_cell(5, 3, a)]
+        assert loglik_at(table, spec, [a, b1]) == pytest.approx(cells[0][0] + cells[1][0], rel=1e-15)
 
 
 @pytest.mark.parametrize("k", ORACLE_TABLES)
@@ -579,20 +604,45 @@ def test_closed_form_solves_match_stratum_oracle(link, k):
     "k", ["newcastle", *range(1, 7), "full-unexposed-2", "zero-exposed-3", *BOUNDARY_CELL_CSVS]
 )
 @pytest.mark.parametrize("link", CLOSED_FORM_LINKS)
-def test_closed_form_solves_take_one_evaluation(link, k, stratum_evaluations):
-    # at the closed-form root the loop's first evaluation passes its stop
-    # test: one evaluation after the identity link's two bracket-end checks
-    # and the log link's one (a solve that ends at a bracket end takes
-    # fewer); the identity cubic's trigonometric form loses digits where two
-    # of its roots lie close, and the loop then takes a second
+def test_closed_form_solves_take_one_evaluation(link, k, stratum_evaluations, monkeypatch):
+    # a closed-form root inside the data bracket is evaluated first, and
+    # where that evaluation passes its stop test the solve returns the root
+    # with no bracket-end check: one evaluation. Otherwise the identity
+    # link's two end checks and the log link's one come next; the identity
+    # cubic's trigonometric form loses digits where two of its roots lie
+    # close, and the loop then takes one more evaluation
+    roots, etas, at_root = [], [], []
+    root_of, cell_of, solve = inference._ROOT[link], inference._CELL[link], inference._stratum_max
+
+    def recorded_root(*args):
+        roots.append(root_of(*args))
+        return roots[-1]
+
+    def recorded_cell(y, f, eta):
+        etas.append(eta)
+        return cell_of(y, f, eta)
+
+    def recorded_solve(*args):
+        del roots[:], etas[:]
+        out = solve(*args)
+        # the first evaluation was at the root, and the solve returned it
+        at_root.append(bool(roots) and etas[0] == roots[0] == out[1])
+        return out
+
+    monkeypatch.setitem(inference._ROOT, link, recorded_root)
+    monkeypatch.setitem(inference._CELL, link, recorded_cell)
+    monkeypatch.setattr(inference, "_stratum_max", recorded_solve)
     profile_ci(_table(k), link)
-    assert stratum_evaluations
+    assert len(at_root) == len(stratum_evaluations) > 0
+    assert {n for n, hit in zip(stratum_evaluations, at_root) if hit} <= {1.0}
+    if k == "newcastle" or isinstance(k, int):
+        assert any(at_root)
     if link is LinkFunction.LOGIT:
         assert set(stratum_evaluations) == {1.0}
     elif link is LinkFunction.LOG:
         assert max(stratum_evaluations) <= 1 + 1
     else:
-        assert max(stratum_evaluations) <= 2 + 2
+        assert max(stratum_evaluations) <= 1 + 2 + 1
 
 
 @pytest.mark.parametrize("csv", ["s1,334,334,60,2873", "s1,60,2873,334,334"])
@@ -677,6 +727,27 @@ def test_profile_ci_zero_exposed_cell_upper_endpoint(csv, link, upper):
         assert ci.lower == math.exp(-500.0)
     else:
         assert ci.lower == common_measure(fit(table, ModelSpec(link, interaction=False)))
+
+
+def test_profile_ci_at_a_boundary_estimate_crosses_from_the_supremum():
+    # the exposed cell is empty, so the boundary rule reports the log fit
+    # with that cell at 1e-13, where lp is about n 1e-13 below the fit's
+    # supremum; the endpoint is where 2 (supremum - lp) crosses the quantile,
+    # here found by bisection on b1 between the estimate and 0
+    table = parse_table(CSV_HEADER + "s1,0,16484,24,685\n")
+    link = LinkFunction.LOG
+    restricted = fit(table, ModelSpec(link, interaction=False))
+    q = chi2_quantile(0.95, 1)
+    lo, hi = restricted.coefficients[1], 0.0
+    assert restricted.loglik > profile_loglik(table, link, lo)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if 2.0 * (restricted.loglik - profile_loglik(table, link, mid)) < q:
+            lo = mid
+        else:
+            hi = mid
+    assert math.exp(lo) == pytest.approx(0.0034575366642185, rel=1e-12)
+    assert profile_ci(table, link).upper == pytest.approx(math.exp(lo), rel=1e-12)
 
 
 def test_profile_ci_full_unexposed_cell_logit():
