@@ -13,7 +13,8 @@ log-likelihood (observed-Hessian direction with a Fisher-scoring
 fallback) under step-halving that keeps every cell probability strictly
 inside (0, 1); where that ascent ends short of its gradient test, the
 maximum of the profile log-likelihood of the exposure coefficient
-replaces it. The last eight fits are memoized, so the LR test, the
+replaces it, and either way the fit's log-likelihood is that profile at
+its estimate. The last eight fits are memoized, so the LR test, the
 profile CI and the figures reuse a table's fits instead of refitting it.
 With the exposure coefficient b1 held fixed each stratum keeps one free
 coefficient and its log-likelihood is concave in it, so the profile
@@ -25,16 +26,17 @@ root in closed form: the restricted maximum-likelihood risks under a
 common risk difference (a cubic) and a common risk ratio (a quadratic)
 of Miettinen & Nurminen 1985 (Stat Med 4:213-226), and the fitted count
 under a common odds ratio (a quadratic; Breslow & Day 1980, IARC Sci Publ
-32). A safeguarded Newton iteration starts from that root and as a rule
-stops at its first evaluation, which by concavity also rules out a
-maximum at an end of the stratum's feasible range, so no end is
-evaluated; under cloglog it starts from the stratum's data.
-Each solve also gives its maximum's first two derivatives in b1, the
-first from the cell whose curvature is the smaller. One function,
-profile_loglik_slope, returns lp, lp' and lp''; the fit's profile maximum
-and the profile CI, whose endpoints are found by Halley's method from
-those derivatives, both work through it. Interval estimation is by
-profile likelihood only.
+32). That root is evaluated first and as a rule passes the stop test,
+which by concavity also rules out a maximum at an end of the stratum's
+feasible range, so no end is evaluated. Otherwise, and under cloglog from
+the stratum's data, the solve goes on by _newton_root, the module's one
+safeguarded Newton iteration, which also finds the profile maximum, the
+CI endpoints and the chi-square quantile. Each solve also gives its
+maximum's first two derivatives in b1, the first from the cell whose
+curvature is the smaller. One function, profile_loglik_slope, returns lp,
+lp' and lp''; the fit's profile maximum and the profile CI, whose
+endpoints are found by Halley's method from those derivatives, both work
+through it. Interval estimation is by profile likelihood only.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -151,12 +153,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A maximum-likelihood fit (see fit). ``loglik`` is the log-likelihood
-    the fit reaches: the supremum over the model for a closed-form fit (the
-    saturated one, and a restricted one with one stratum or whose exposure
-    coefficient runs off) and for a restricted fit taken from the profile
-    maximum, and the log-likelihood at ``coefficients`` for one taken from
-    the Newton ascent. ``fitted_points`` are the cell probabilities, as
+    """A maximum-likelihood fit (see fit). ``loglik`` is the supremum over
+    the model for a closed-form fit (the saturated one, and a restricted one
+    with one stratum or whose exposure coefficient runs off), and for any
+    other restricted fit the profile log-likelihood lp at its exposure
+    coefficient. ``fitted_points`` are the cell probabilities, as
     (unexposed, exposed) risk points per stratum, with the boundary rule of
     fit."""
 
@@ -193,14 +194,9 @@ def design_matrix(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-@functools.lru_cache(maxsize=32)
 def _problem(table: StratifiedTable, spec: ModelSpec):
-    """(X, cases, totals), built once per table and spec; the arrays are
-    shared between calls and so are read-only."""
-    arrays = (design_matrix(table, spec), *cell_counts(table))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    """(X, cases, totals) of a table and spec."""
+    return (design_matrix(table, spec), *cell_counts(table))
 
 
 def loglik(table: StratifiedTable, probs) -> float:
@@ -406,17 +402,16 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     Any other restricted fit is Newton ascent (see _newton) from the
     closed-form null fit; it stops when the gradient max-norm falls below
     1e-10, when no feasible ascent step is left, or after two successive
-    log-likelihood changes below max(1e-12, 8 ulp(loglik)), and its
-    ``loglik`` is the log-likelihood at its coefficients. When it ends
+    log-likelihood changes below max(1e-12, 8 ulp(loglik)). When it ends
     other than by the gradient test (short of a maximum on the identity or
     log link's constraint p >= 0 or p <= 1, toward which step-halving
     creeps, or out of iterations), the maximum of the profile
     log-likelihood lp(b1) is sought from its b1 (see _profile_max) and,
-    when found within 200 steps, taken: ``loglik`` is then lp at the
-    estimate, ``iterations`` counts the steps on b1 and ``gradient_norm``
-    is |lp'| at the estimate. ConvergenceError, carrying the Newton
-    ascent's last iterate, is raised only when neither converges within
-    200 iterations.
+    when found within 200 steps, taken: ``iterations`` then counts the
+    steps on b1 and ``gradient_norm`` is |lp'| at the estimate. Either way
+    ``loglik`` is lp at the estimate, so the LR statistic is a difference
+    of suprema. ConvergenceError, carrying the Newton ascent's last
+    iterate, is raised only when neither converges within 200 iterations.
 
     Boundary rule for the closed forms and the profile maximum: a maximum at
     a cell probability of 0 or 1 (a zero or full cell, or a bound of the
@@ -484,7 +479,7 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     X, cases, totals = _problem(table, spec)
     failed = None
     try:
-        beta, _, _, iterations, gnorm, _ = _newton(link, X, cases, totals, _null_init(table, link, X.shape[1]))
+        beta, _, _, iterations, gnorm, p = _newton(link, X, cases, totals, _null_init(table, link, X.shape[1]))
     except ConvergenceError as err:
         failed, beta, gnorm = err, np.array(err.coefficients), math.inf
     if gnorm >= _GRAD_TOL:
@@ -498,7 +493,7 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
             return _result(spec, beta, ll, p, iterations, gnorm)
         if failed is not None:
             raise failed
-    return _result(spec, beta, loglik_at(table, spec, beta), _inverse(link, X @ beta), iterations, gnorm)
+    return _result(spec, beta, profile_loglik(table, link, float(beta[1])), p, iterations, gnorm)
 
 
 def common_measure(result: FitResult) -> float:
@@ -619,6 +614,11 @@ _LINK_SCALAR = {
 _A_TOL = 2e-15  # relative step at which a one-dimensional solve stops
 # per link, the eta at which p is _EPS and 1 - _EPS
 _EDGES = {link: (f(_EPS), f(1.0 - _EPS)) for link, f in _LINK_SCALAR.items()}
+# per link, the b1 at which lp can have a kink, where _profile_max's root
+# search ends beside it: 0, where a stratum's bracket end switches between
+# a fixed and a moving one (see _bracket), and under the identity link the
+# ends +-(1 - 2 _EPS) of its range, which e_hi - e_lo rounds one ulp short of
+_KINKS = {LinkFunction.IDENTITY: (0.0, 1.0 - 2.0 * _EPS, 2.0 * _EPS - 1.0), LinkFunction.LOG: (0.0,)}
 
 
 # Closed-form roots of a stratum's l'(a), the restricted maximum-likelihood
@@ -722,6 +722,20 @@ def _end_max(cell, y0, f0, y1, f1, b1, lo, hi):
     return None
 
 
+def _stratum_slope(cell, y0, f0, y1, f1, b1, a):
+    """-l'(a) and -l''(a) of the stratum log-likelihood, increasing in a, and
+    the solve's result at a, as _stratum_max returns it."""
+    l0, d0, h0 = cell(y0, f0, a)
+    l1, d1, h1 = cell(y1, f1, a + b1)
+    h = h0 + h1
+    return -(d0 + d1), -h, (l0 + l1, a, (d1 if h1 >= h0 else -d0), (h0 * h1 / h if h < 0.0 else 0.0))
+
+
+def _a_tol(x: float) -> float:
+    """The step at which a solve in a or b1 stops."""
+    return _A_TOL * max(1.0, abs(x))
+
+
 def _stratum_max(cell, root, stratum, b1, lo, hi):
     """Supremum over a in (lo, hi) of the concave stratum log-likelihood
     l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), the a where it is
@@ -739,71 +753,41 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
     the h of the cell whose eta moves with b1 at a constraint end, and 0 at
     an infinite end.
     An interior root of l' lies between the two cells' own maximizers, e0
-    and e1 - b1 (-inf for a zero cell, +inf for a full one), and Newton's
-    method on l' runs inside that data bracket, narrowed by every
-    evaluation. It starts from the root(y0, f0, y1, f1, b1) in closed form
-    (see _ROOT) when that lies inside the data bracket, and its first
-    evaluation there meets the stop test as a rule: by concavity the
-    maximum is then that root, and no end of (lo, hi) is evaluated. When
-    l' does not point into (lo, hi) at an end (or its limit at an infinite
-    end), that end and its limit are returned (see _end_max); the ends are
-    checked only before a loop that starts elsewhere, or once the root has
-    missed the stop test, and the loop then goes on from that evaluation.
-    Where root is None (cloglog) or its value is not inside the data
-    bracket, the loop starts from the mean of the targets e0 and e1 - b1,
-    each clipped into the bracket, weighted by the cell totals. The first
-    step is at most 1 and each later one at most twice the last; a Newton
-    step over 3/4 of the one before, in the same direction, is raised to
-    that limit. A step bisects the bracket when it would leave it, or when
-    the last step crossed the root and less than halved |l'|. Stops when a
-    step is below _A_TOL * max(1, |a|)."""
+    and e1 - b1 (-inf for a zero cell, +inf for a full one): the data
+    bracket. The root(y0, f0, y1, f1, b1) in closed form (see _ROOT) is
+    evaluated first when it lies inside the data bracket, and returned when
+    that evaluation passes _newton_root's stop test: by concavity the
+    maximum is then that root, and no end of (lo, hi) is evaluated.
+    Otherwise, when l' does not point into (lo, hi) at an end (or its limit
+    at an infinite end), that end and its limit are returned (see _end_max).
+    Otherwise _newton_root finds the root of -l' inside the data bracket to
+    a step of _A_TOL * max(1, |a|), going on from the root's evaluation, or,
+    where root is None (cloglog) or its value is not inside the data
+    bracket, from the mean of the targets e0 and e1 - b1, each clipped into
+    the bracket, weighted by the cell totals."""
     y0, f0, e0, y1, f1, e1, w = stratum
     e1 -= b1
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
     t1 = e1 if y1 and f1 else math.copysign(math.inf, y1 - 0.5)
-    ends = lo, hi
-    lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
-    # no root to look for where every cell is empty (lo = hi = -inf) or full
-    a = root(y0, f0, y1, f1, b1) if root and lo < hi else math.nan
-    if not lo < a < hi:
-        found = _end_max(cell, y0, f0, y1, f1, b1, *ends)
-        if found is not None:
+    a_lo, a_hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
+    # no root to look for where every cell is empty (a_lo = a_hi = -inf) or full
+    a = root(y0, f0, y1, f1, b1) if root and a_lo < a_hi else math.nan
+    first = None
+    if a_lo < a < a_hi:
+        first = _stratum_slope(cell, y0, f0, y1, f1, b1, a)
+        v, dv, found = first
+        if not v or (dv > 0.0 and abs(v / dv) <= _a_tol(a)):
             return found
-        ends = None
-        a = (1.0 - w) * min(max(e0, lo), hi) + w * min(max(e1, lo), hi)
-    move = newton_old = d_old = math.inf
-    for _ in range(_MAX_ITER):
-        l0, d0, h0 = cell(y0, f0, a)
-        l1, d1, h1 = cell(y1, f1, a + b1)
-        d, h = d0 + d1, h0 + h1
-        if d > 0.0:
-            lo = a
-        elif d < 0.0:
-            hi = a
-        else:
-            break
-        newton = step = -d / h if h < 0.0 else math.copysign(math.inf, d)
-        tol = _A_TOL * max(1.0, abs(a))
-        if abs(newton) <= tol:
-            break
-        if ends is not None:
-            # the closed-form root missed the stop test: an end may yet be the maximum
-            found = _end_max(cell, y0, f0, y1, f1, b1, *ends)
-            if found is not None:
-                return found
-            ends = None
-        limit = 1.0 if math.isinf(move) else 2.0 * abs(move)
-        if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
-            step = math.copysign(limit, d)
-        if not lo < a + step < hi or (d * d_old < 0.0 and abs(d) > 0.5 * abs(d_old)):
-            step = 0.5 * (lo + hi) - a
-            if abs(step) <= tol:
-                break
-        move, newton_old, d_old = step, newton, d
-        a += step
-    else:
+    found = _end_max(cell, y0, f0, y1, f1, b1, lo, hi)
+    if found is not None:
+        return found
+    if first is None:
+        a = (1.0 - w) * min(max(e0, a_lo), a_hi) + w * min(max(e1, a_lo), a_hi)
+    slope = functools.partial(_stratum_slope, cell, y0, f0, y1, f1, b1)
+    _, found, _, stop = _newton_root(slope, a, a_lo, a_hi, _a_tol, first=first)
+    if stop == "limit":
         raise ConvergenceError(f"profile solve of a stratum did not converge at exposure coefficient {b1}")
-    return l0 + l1, a, (d1 if h1 >= h0 else -d0), (h0 * h1 / h if h < 0.0 else 0.0)
+    return found
 
 
 def _bracket(link: LinkFunction, b1: float) -> tuple[float, float]:
@@ -849,14 +833,18 @@ def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> flo
     return profile_loglik_slope(table, link, b1)[0]
 
 
-def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False):
+def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False, first=None):
     """A root of func, increasing on the bracket (lo, hi), by Newton's
-    method from x in it. func(x) returns (v, v', extra).
+    method from x in it: the one-dimensional solver of this module. func(x)
+    returns (v, v', extra); first, when given, is func(x) already evaluated.
 
-    Each evaluation narrows the bracket by the sign of v. A step that would
-    leave the bracket bisects it, as does one after a step that crossed the
-    root and less than halved |v|. When capped, hi is a cap, not a point
-    known to lie above the root: until one is seen, such a step doubles x's
+    Each evaluation narrows the bracket by the sign of v. While an end of
+    the bracket is infinite, the first step is at most 1 and each later one
+    at most twice the last, and a Newton step over 3/4 of the one before,
+    in the same direction, is raised to that limit. A step that would leave
+    the bracket bisects it, as does one after a step that crossed the root
+    and less than halved |v|. When capped, hi is a cap, not a point known
+    to lie above the root: until one is seen, such a step doubles x's
     distance from the first lo instead, up to the cap. Stops when v is 0 or
     a step is at most tol(x).
 
@@ -866,22 +854,30 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False
     steps taken; root is the last x)."""
     origin = lo
     v_old = 0.0
+    move = newton_old = math.inf
     for steps in range(1, _MAX_ITER + 1):
-        v, dv, extra = func(x)
+        v, dv, extra = first or func(x)
+        first = None
         if v < 0.0:
             lo = x
         elif v > 0.0:
             hi, capped = x, False
         else:
             return x, extra, steps, "root"
-        step = -v / dv if dv > 0.0 else math.copysign(math.inf, -v)
-        bad = not lo < x + step < hi or (v * v_old < 0.0 and abs(v) > 0.5 * abs(v_old))
-        if bad and abs(step) > tol(x):
-            step = (min(2.0 * x - origin, hi) if capped else 0.5 * (lo + hi)) - x
-        if abs(step) <= tol(x):
+        step = newton = -v / dv if dv > 0.0 else math.copysign(math.inf, -v)
+        t = tol(x)
+        if abs(step) > t:
+            if lo == -math.inf or hi == math.inf:
+                limit = 1.0 if move == math.inf else 2.0 * abs(move)
+                if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
+                    step = math.copysign(limit, -v)
+                newton_old = newton
+            if not lo < x + step < hi or (v * v_old < 0.0 and abs(v) > 0.5 * abs(v_old)):
+                step = (min(2.0 * x - origin, hi) if capped else 0.5 * (lo + hi)) - x
+        if abs(step) <= t:
             return (x, extra, steps, "edge") if lo == hi else (x + step, extra, steps, "root")
         x += step
-        v_old = v
+        move, v_old = step, v
     return x, extra, _MAX_ITER, "limit"
 
 
@@ -903,7 +899,9 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
     -lp' by _newton_root from b1, to a step of 2e-15 max(1, |b1|). fit asks
     for it only where the maximum is finite (a run-off, decided from the
     counts, is taken in closed form); a maximum at an end of the range is
-    reached within that step of it.
+    reached within that step of it. Where the search stops within two such
+    steps of a kink of lp (see _KINKS), lp there is evaluated and taken
+    when it is not lower.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, or
     None when _MAX_ITER steps end short. a holds each stratum's maximizer
@@ -917,10 +915,16 @@ def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
         return -d, -h, (b1, ll, abs(d))
 
     _, (b1, ll, gnorm), steps, stop = _newton_root(
-        slope, min(max(b1, -bound), bound), -bound, bound, lambda b: _A_TOL * max(1.0, abs(b))
+        slope, min(max(b1, -bound), bound), -bound, bound, _a_tol
     )
     if stop == "limit":
         return None
+    for kink in _KINKS.get(link, ()):
+        # lp' jumps at a kink, and the search bisects to a bracket about it
+        if 0.0 < abs(kink - b1) <= 2.0 * _a_tol(b1):
+            at = profile_loglik_slope(table, link, kink)
+            if at[0] >= ll:
+                b1, ll, gnorm = kink, at[0], abs(at[1])
     a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     lo, hi = _bracket(link, b1)
     cell, root = _CELL[link], _ROOT.get(link)
@@ -1065,26 +1069,23 @@ def chi2_sf(x: float, df: int) -> float:
 def chi2_quantile(level: float, df: int) -> float:
     """The x with chi2_sf(x, df) = 1 - level. For df = 1 this is the square
     of the standard normal quantile at (1 - level) / 2, taken in the lower
-    tail, which (1 + level) / 2 would round near level 1; other df bisect
-    on the tail."""
+    tail, which (1 + level) / 2 would round near level 1. Other df take the
+    root of (1 - level) - chi2_sf(x, df), whose derivative is the chi-square
+    density, by _newton_root from the larger of the Wilson-Hilferty
+    approximation and the lower-tail bound 2 (level Gamma(df/2 + 1))^(2/df),
+    to a step of 1e-13 max(1, x)."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
     _check_df(df)
     if df == 1:
         return NormalDist().inv_cdf(0.5 * (1.0 - level)) ** 2
-    target = 1.0 - level
-    hi = 1.0
-    while chi2_sf(hi, df) > target:
-        hi *= 2.0
-        if hi > 1e8:
-            break
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_sf(mid, df) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    a, target = 0.5 * df, 1.0 - level
+    c = 2.0 / (9.0 * df)
+    wilson = df * (1.0 - c + NormalDist().inv_cdf(level) * math.sqrt(c)) ** 3
+    x = max(wilson, 2.0 * math.exp((math.log(level) + math.lgamma(a + 1.0)) / a))
+
+    def tail(x: float):
+        z = 0.5 * x
+        return target - chi2_sf(x, df), 0.5 * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a)), None
+
+    return _newton_root(tail, x, 0.0, math.inf, lambda x: 1e-13 * max(1.0, x))[0]

@@ -131,28 +131,7 @@ def contour_y(c: ContourValue, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must be in [0, 1], got {x}")
-    m = c.m
-    if c.measure is Measure.RISK_DIFFERENCE:
-        y = x + m
-    elif c.measure is Measure.RISK_RATIO:
-        y = m * x
-    elif c.measure is Measure.ODDS_RATIO:
-        y = m * x / (1.0 - x + m * x) if (1.0 - x + m * x) != 0.0 else 0.0
-    else:
-        # continuous extension gives y = 0 at x = 0 for every level
-        if x < 1.0:
-            y = -math.expm1(m * math.log1p(-x))
-        else:
-            y = 1.0 if m > 0.0 else 0.0
-    if y < -1e-15 or y > 1.0 + 1e-15:
-        raise _range_error(c, x, y)
-    return min(1.0, max(0.0, y))
-
-
-def _range_error(c: ContourValue, x: float, y: float) -> ContourRangeError:
-    return ContourRangeError(
-        f"{c.measure.label} contour m = {c.m} leaves the unit square at x = {x} (y = {y})"
-    )
+    return _contour_at(c, [x])[0][1]
 
 
 def valid_x_interval(c: ContourValue) -> tuple[float, float]:
@@ -172,20 +151,20 @@ def valid_x_interval(c: ContourValue) -> tuple[float, float]:
 
 
 def _contour_xy(c: ContourValue, n: int) -> list[tuple[float, float]]:
-    """contour_polyline's vertices as (x, y) tuples.
-
-    Each y is contour_y's, operation for operation, with its range check
-    and clamp; the arithmetic runs as one comprehension per measure rather
-    than as a call per vertex.
-    """
+    """contour_polyline's vertices as (x, y) tuples."""
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
     lo, hi = valid_x_interval(c)
     if hi - lo == 0.0:
-        xs = [lo]
-    else:
-        step = (hi - lo) / (n - 1)
-        xs = [lo + i * step for i in range(n - 1)] + [hi]
+        return _contour_at(c, [lo])
+    step = (hi - lo) / (n - 1)
+    return _contour_at(c, [lo + i * step for i in range(n - 1)] + [hi])
+
+
+def _contour_at(c: ContourValue, xs: list[float]) -> list[tuple[float, float]]:
+    """(x, y) on the contour at each x in [0, 1], the y of contour_y: one
+    comprehension per measure, not a call per point, then the range check
+    and the clamp to [0, 1]."""
     m = c.m
     if c.measure is Measure.RISK_DIFFERENCE:
         ys = [x + m for x in xs]
@@ -198,7 +177,7 @@ def _contour_xy(c: ContourValue, n: int) -> list[tuple[float, float]]:
         ys = [-math.expm1(m * math.log1p(-x)) if x < 1.0 else top for x in xs]
     for x, y in zip(xs, ys):
         if y < -1e-15 or y > 1.0 + 1e-15:
-            raise _range_error(c, x, y)
+            raise ContourRangeError(f"{c.measure.label} contour m = {c.m} leaves the unit square at x = {x} (y = {y})")
     # the clamp is the identity on (0, 1), so only other values pay for it
     return [(x, y if 0.0 < y < 1.0 else min(1.0, max(0.0, y))) for x, y in zip(xs, ys)]
 

@@ -112,6 +112,22 @@ def random_table(rng: random.Random, k: int = 2, max_total: int = 400, interior:
     return StratifiedTable(tuple(strata))
 
 
+def sweep_tables() -> list[StratifiedTable]:
+    """Thirty seeded tables, K = 1 to 10 three times over: interior-sized
+    cells (tables 0-9), cells of at most six subjects, often zero or full
+    (10-19), and a first stratum whose two cells are both full (20-29)."""
+    rng = random.Random(1313)
+    tables = []
+    for i in range(30):
+        k, kind = 1 + i % 10, i // 10
+        table = random_table(rng, k, max_total=400 if kind == 0 else 6)
+        if kind == 2:
+            full = Stratum("s0", exposed=CellCounts(30, 30), unexposed=CellCounts(50, 50))
+            table = StratifiedTable((full,) + table.strata[1:])
+        tables.append(table)
+    return tables
+
+
 def points_on_contour(
     rng: random.Random,
     measure: Measure,

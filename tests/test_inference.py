@@ -38,7 +38,7 @@ from rothman.tables import (
     stratum_points,
 )
 
-from conftest import random_table, synthetic_four_strata
+from conftest import random_table, sweep_tables, synthetic_four_strata
 
 ALL_LINKS = list(LinkFunction)
 
@@ -415,11 +415,16 @@ def test_profile_ci_endpoints_hit_quantile_at_other_levels(link, k, level):
 @pytest.mark.parametrize("k", ["newcastle", *range(1, 7)])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_solves_per_interval(link, k, profile_loglik_calls):
-    # one solve at the estimate, then Halley's method on the signed root from
-    # each Wald point needs at most 3 per endpoint here; Newton's method
-    # needed up to 9 per interval, Brent's method after a geometric expansion
-    # about 12, and bisection to a width of 1e-12 about 75
-    profile_ci(_table(k), link)
+    # the fit makes at most one solve, lp at its estimate, its loglik; the
+    # interval one solve at the estimate, then Halley's method on the signed
+    # root from each Wald point needs at most 3 per endpoint here; Newton's
+    # method needed up to 9 per interval, Brent's method after a geometric
+    # expansion about 12, and bisection to a width of 1e-12 about 75
+    table = _table(k)
+    fit(table, ModelSpec(link, interaction=False))
+    assert len(profile_loglik_calls) <= 1
+    profile_loglik_calls.clear()
+    profile_ci(table, link)
     assert 0 < len(profile_loglik_calls) <= 7
 
 
@@ -826,6 +831,37 @@ def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
     assert result.loglik >= grid - 1e-9 * abs(grid)
 
 
+# lp jumps in slope at b1 = 0 under the identity and log links, where a
+# full stratum's bracket end switches from a fixed to a moving one: the
+# log table of large totals and the sweep's tables with a full first
+# stratum, K = 3 to 10
+KINK_TABLES = {"large-totals-2": parse_table(
+    CSV_HEADER + "s0,1,1,0,8464744\ns1,22523998,22523998,101290451,101290451\n"
+)} | {f"full-first-{table.k}": table for table in sweep_tables()[22:]}
+
+
+@pytest.mark.parametrize("name", list(KINK_TABLES))
+@pytest.mark.parametrize("link", [LinkFunction.IDENTITY, LinkFunction.LOG])
+def test_restricted_fit_at_a_kink_of_lp_is_the_kink(link, name):
+    # the root search on lp' bisects to a bracket of width 4e-15 about the
+    # kink and stopped up to 3.2e-15 from it, with loglik up to 2.5e-7 below
+    # lp(0) (the large-totals table, where lp' jumps by about 1e8)
+    table = KINK_TABLES[name]
+    result = fit(table, ModelSpec(link, interaction=False))
+    assert result.coefficients[1] == 0.0
+    assert result.loglik == profile_loglik(table, link, 0.0)
+
+
+def test_restricted_fit_at_the_end_of_the_identity_range():
+    # every exposed cell full and every unexposed one empty: lp rises toward
+    # b1 = 1, and the fit is taken at the end of its range, 1 - 2e-13, which
+    # e_hi - e_lo rounds one ulp short of
+    table = parse_table(CSV_HEADER + "s0,7,7,0,116357717\ns1,3453474,3453474,0,642215269\n")
+    result = fit(table, ModelSpec(LinkFunction.IDENTITY, interaction=False))
+    assert result.coefficients[1] == 1.0 - 2e-13
+    assert result.loglik == profile_loglik(table, LinkFunction.IDENTITY, 1.0 - 2e-13)
+
+
 @pytest.mark.parametrize(
     "csv, link",
     [
@@ -893,15 +929,19 @@ def test_one_stratum_restricted_fit_is_the_saturated_closed_form(link, csv):
 
 
 @pytest.mark.parametrize(
-    "csv", [ZERO_EXPOSED_K2_CSV, ZERO_EXPOSED_LARGE_K2_CSV, ZERO_EXPOSED_K3_CSV, FULL_UNEXPOSED_LOG_K2_CSV],
-    ids=["zero-exposed-2", "zero-exposed-large-2", "zero-exposed-3", "full-unexposed-log-2"],
+    "csv",
+    [ZERO_EXPOSED_K2_CSV, ZERO_EXPOSED_LARGE_K2_CSV, ZERO_EXPOSED_K3_CSV, FULL_UNEXPOSED_LOG_K2_CSV, FULL_STRATUM_CSV],
+    ids=["zero-exposed-2", "zero-exposed-large-2", "zero-exposed-3", "full-unexposed-log-2", "full-stratum-2"],
 )
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_lr_statistic_is_the_difference_of_suprema(link, csv):
     # each table has an empty or full cell: the saturated fit's loglik is the
     # closed-form supremum, not the loglik with that cell reported 1e-13
-    # inside its bound (n 1e-13 lower), and a restricted fit with a cell at
-    # a bound has lp at its estimate as its loglik
+    # inside its bound (n 1e-13 lower), and every restricted fit has lp at
+    # its estimate as its loglik (under logit the full-stratum table's
+    # statistic read 1.1e-10 while the ascent's loglik was taken at its
+    # coefficients; s1 carries no information on b1 and s2 alone is
+    # saturated, so it is 0)
     from scipy.optimize import minimize_scalar
 
     table = parse_table(csv)
@@ -1214,6 +1254,16 @@ def test_chi2_quantile_df1_matches_scipy(level):
     from scipy.stats import chi2
 
     assert chi2_quantile(level, 1) == pytest.approx(chi2.ppf(level, 1), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("df", range(2, 100))
+def test_chi2_quantile_matches_scipy(df):
+    # Newton's method on the tail from the chi-square density; the bisection
+    # it replaced was up to 5.2e-9 off
+    from scipy.stats import chi2
+
+    for level in (1e-6, 0.05, 0.5, 0.95, 0.9999, 1.0 - 1e-9):
+        assert chi2_quantile(level, df) == pytest.approx(chi2.ppf(level, df), rel=1e-9, abs=0.0)
 
 
 def test_chi2_quantile_df1():

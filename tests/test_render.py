@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -26,16 +25,13 @@ from rothman.render import (
     render_svg,
 )
 from rothman.tables import (
-    CellCounts,
     RiskPoint,
-    StratifiedTable,
-    Stratum,
     newcastle_fixture,
     parse_table,
     stratum_points,
 )
 
-from conftest import random_table, synthetic_four_strata
+from conftest import sweep_tables, synthetic_four_strata
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -291,22 +287,6 @@ def test_modconf_needs_exactly_two_strata(table):
         figure_modconf(GOLDEN_TABLES[table]())
 
 
-def _sweep_tables() -> list[StratifiedTable]:
-    """Thirty seeded tables, K = 1 to 10 three times over: interior-sized
-    cells, cells of at most six subjects (often zero or full), and a first
-    stratum whose two cells are both full."""
-    rng = random.Random(1313)
-    tables = []
-    for i in range(30):
-        k, kind = 1 + i % 10, i // 10
-        table = random_table(rng, k, max_total=400 if kind == 0 else 6)
-        if kind == 2:
-            full = Stratum("s0", exposed=CellCounts(30, 30), unexposed=CellCounts(50, 50))
-            table = StratifiedTable((full,) + table.strata[1:])
-        tables.append(table)
-    return tables
-
-
 # sha256 over every figure of the sweep tables, or the repr of the error
 # it raises: contour sampling, formatting and the fits drawn must not move
 # a byte of any of them. Recorded when the profile solves started from the
@@ -316,13 +296,39 @@ def _sweep_tables() -> list[StratifiedTable]:
 # their range, and fit each cell that does not run off at its observed risk.
 # Re-recorded when one-stratum and run-off restricted fits became the
 # closed form: tables 10 and 20 (K = 1) and table 12 (a logit and cloglog
-# run-off) moved from Newton ascents that stopped short of the supremum
-SWEEP_SHA256 = "7a53b8d5960839d5e3728795daa4c83a8d7dd97bf0c5a6e21a4180b8e1e4f247"
+# run-off) moved from Newton ascents that stopped short of the supremum.
+# Re-recorded when the profile maximum took lp at the kink b1 = 0 where its
+# search stopped beside it: identity and log fits of tables 12, 13 and 16
+# (cells of at most six subjects) and of tables 21 to 29 (a full first
+# stratum). Each moved from the b1 below to 0.0, its loglik from -> to:
+#   12 identity  9.86e-16  -4.187887120096803  -> -4.187887120096801
+#   13 identity -1.69e-15  -15.130145108405909 (unchanged)
+#   16 identity  1.47e-17  -15.53091354827163  (unchanged)
+#   16 log       2.09e-15  -15.530913548271638 -> -15.53091354827163
+#   21 identity  3.11e-15  -1.9095425048845984 -> -1.9095425048844383
+#   21 log       2.09e-15  -1.909542504884544  -> -1.9095425048844383
+#   22 identity -1.41e-15  -6.1536501526388285 -> -6.1536501526387815
+#   22 log       3.17e-15  -6.153650152638928  -> -6.1536501526387815
+#   23 identity  9.46e-16  -10.131931034461708 -> -10.131931034461667
+#   23 log      -5.68e-16  -10.131931034461687 -> -10.131931034461667
+#   24 identity  1.19e-15  -12.362420648947277 -> -12.362420648947214
+#   24 log      -2.30e-15  -12.362420648947298 -> -12.362420648947218
+#   25 identity  3.76e-16  -13.321790402101243 -> -13.321790402101222
+#   25 log       9.37e-17  -13.321790402101229 -> -13.321790402101222
+#   26 identity  7.58e-16  -29.178440759759038 -> -29.17844075975899
+#   26 log      -1.06e-15  -29.178440759759013 -> -29.17844075975899
+#   27 identity  1.23e-15  -16.928421304959286 -> -16.92842130495922
+#   27 log       2.08e-15  -16.928421304959326 -> -16.92842130495922
+#   28 identity -2.05e-15  -31.106948652796863 -> -31.10694865279681
+#   28 log      -1.38e-15  -31.106948652796856 -> -31.10694865279681
+#   29 identity -9.75e-16  -32.31158048955969  -> -32.31158048955966
+#   29 log      -8.87e-16  -32.31158048955969  -> -32.31158048955967
+SWEEP_SHA256 = "5ba3cefb9439b9c1dfd2d9e2b0b12c8f0b894a1dc18d9c5e46e512af29cd4efd"
 
 
 def test_figures_sweep_digest():
     digest = hashlib.sha256()
-    for table in _sweep_tables():
+    for table in sweep_tables():
         for name, figure in FIGURES.items():
             try:
                 out = render_svg(figure(table))
