@@ -844,7 +844,7 @@ KINK_TABLES = {"large-totals-2": parse_table(
 @pytest.mark.parametrize("link", [LinkFunction.IDENTITY, LinkFunction.LOG])
 def test_restricted_fit_at_a_kink_of_lp_is_the_kink(link, name):
     # the root search on lp' bisects to a bracket of width 4e-15 about the
-    # kink and stopped up to 3.2e-15 from it, with loglik up to 2.5e-7 below
+    # kink and stops up to 3.2e-15 from it, where loglik can be 2.5e-7 below
     # lp(0) (the large-totals table, where lp' jumps by about 1e8)
     table = KINK_TABLES[name]
     result = fit(table, ModelSpec(link, interaction=False))
@@ -938,10 +938,9 @@ def test_lr_statistic_is_the_difference_of_suprema(link, csv):
     # each table has an empty or full cell: the saturated fit's loglik is the
     # closed-form supremum, not the loglik with that cell reported 1e-13
     # inside its bound (n 1e-13 lower), and every restricted fit has lp at
-    # its estimate as its loglik (under logit the full-stratum table's
-    # statistic read 1.1e-10 while the ascent's loglik was taken at its
-    # coefficients; s1 carries no information on b1 and s2 alone is
-    # saturated, so it is 0)
+    # its estimate as its loglik (in the full-stratum table s1 carries no
+    # information on b1 under logit and cloglog, and s2 alone is saturated,
+    # so the statistic is 0)
     from scipy.optimize import minimize_scalar
 
     table = parse_table(csv)
@@ -1258,8 +1257,7 @@ def test_chi2_quantile_df1_matches_scipy(level):
 
 @pytest.mark.parametrize("df", range(2, 100))
 def test_chi2_quantile_matches_scipy(df):
-    # Newton's method on the tail from the chi-square density; the bisection
-    # it replaced was up to 5.2e-9 off
+    # Newton's method on the tail, with the chi-square density as its slope
     from scipy.stats import chi2
 
     for level in (1e-6, 0.05, 0.5, 0.95, 0.9999, 1.0 - 1e-9):
