@@ -11,11 +11,15 @@ once, from the counts (_run_off), for the fit and the profile CI alike.
 Any other restricted fit is Newton ascent on the grouped binomial
 log-likelihood (observed-Hessian direction with a Fisher-scoring
 fallback) under step-halving that keeps every cell probability strictly
-inside (0, 1); where that ascent ends short of its gradient test, the
-maximum of the profile log-likelihood of the exposure coefficient
-replaces it, and either way the fit's log-likelihood is that profile at
-its estimate. The last eight fits are memoized, so the LR test, the
-profile CI and the figures reuse a table's fits instead of refitting it.
+inside (0, 1). It runs in scalar floats on the profile's cell functions
+below and in the profile's coordinates: b1, and each stratum's unexposed
+linear predictor, which couples only to b1. So each step solves an
+arrowhead system in O(K), with no dense linear algebra.
+Where that ascent ends short of its gradient test, the maximum of the
+profile log-likelihood of the exposure coefficient replaces it, and
+either way the fit's log-likelihood is that profile at its estimate. The
+last eight fits are memoized, so the LR test, the profile CI and the
+figures reuse a table's fits instead of refitting it.
 With the exposure coefficient b1 held fixed each stratum keeps one free
 coefficient and its log-likelihood is concave in it, so the profile
 log-likelihood lp(b1) is a sum of one-dimensional concave maximizations,
@@ -94,54 +98,6 @@ def link_for_measure(measure: Measure) -> LinkFunction:
     return _LINK_FOR_MEASURE[measure]
 
 
-def _inverse(link: LinkFunction, eta: np.ndarray) -> np.ndarray:
-    # callers that can overflow np.exp set np.errstate (the ascent once for
-    # all its iterations), as for _dinverse and _d2inverse
-    if link is LinkFunction.IDENTITY:
-        return np.asarray(eta, dtype=float).copy()
-    if link is LinkFunction.LOG:
-        return np.exp(eta)
-    if link is LinkFunction.LOGIT:
-        out = np.empty_like(eta, dtype=float)
-        pos = eta >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-        ex = np.exp(eta[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-    return -np.expm1(-np.exp(eta))
-
-
-def _dinverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    if link is LinkFunction.IDENTITY:
-        return np.ones_like(eta)
-    if link is LinkFunction.LOG:
-        return p.copy()
-    if link is LinkFunction.LOGIT:
-        return p * (1.0 - p)
-    return np.exp(eta - np.exp(eta))
-
-
-def _d2inverse(link: LinkFunction, eta: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    if link is LinkFunction.IDENTITY:
-        return np.zeros_like(eta)
-    if link is LinkFunction.LOG:
-        return p.copy()
-    if link is LinkFunction.LOGIT:
-        return dp * (1.0 - 2.0 * p)
-    return dp * (1.0 - np.exp(eta))
-
-
-def _link_of(link: LinkFunction, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if link is LinkFunction.IDENTITY:
-        return p.copy()
-    if link is LinkFunction.LOG:
-        return np.log(p)
-    if link is LinkFunction.LOGIT:
-        return np.log(p / (1.0 - p))
-    return np.log(-np.log1p(-p))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Which link to fit, and whether exposure-by-stratum interaction terms
@@ -194,11 +150,6 @@ def design_matrix(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _problem(table: StratifiedTable, spec: ModelSpec):
-    """(X, cases, totals) of a table and spec."""
-    return (design_matrix(table, spec), *cell_counts(table))
-
-
 def loglik(table: StratifiedTable, probs) -> float:
     """Grouped binomial log-likelihood at per-cell probabilities (binomial
     coefficients omitted). Cell order: exposed then unexposed per stratum."""
@@ -208,179 +159,176 @@ def loglik(table: StratifiedTable, probs) -> float:
         raise DomainError(f"expected {cases.size} cell probabilities, got {p.size}")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("cell probabilities must lie strictly inside (0, 1)")
-    return _ll(cases, totals - cases, p)
-
-
-def _ll(cases: np.ndarray, failures: np.ndarray, p: np.ndarray) -> float:
-    # from p, for loglik and the Newton ascent, whose iterates depend on these bits
-    return float(cases @ np.log(p) + failures @ np.log1p(-p))
+    return float(cases @ np.log(p) + (totals - cases) @ np.log1p(-p))
 
 
 _P_FLOOR = 1e-300  # subnormal probabilities break Fisher scoring arithmetic
-_DBL_EPS = float(np.finfo(float).eps)
+_DBL_EPS = math.ulp(1.0)
 
 
-def _feasible(p: np.ndarray) -> bool:
+def _feasible(p) -> bool:
     # NaN fails both comparisons and +-inf one of them
-    return bool(p.min() > _P_FLOOR and p.max() < 1.0)
+    return all(_P_FLOOR < v < 1.0 for v in p)
 
 
-def _score_info(link, X, Xt, cases, totals, eta, p):
-    """Score, Fisher information, and the cell terms v, dp/deta and residual
-    (Xt is X.T)."""
-    v = p * (1.0 - p)
-    dp = _dinverse(link, eta, p)
-    resid = cases - totals * p
-    u = Xt @ (resid / v * dp)
-    info = Xt @ ((totals * dp * dp / v)[:, None] * X)
-    return u, info, v, dp, resid
+def _cells_at(table: StratifiedTable, spec: ModelSpec, beta):
+    """The design matrix and each cell's (l, dl/deta, d2l/deta2) by _CELL at
+    coefficients beta, in cell order; DomainError when infeasible."""
+    X = design_matrix(table, spec)
+    eta = (X @ np.asarray(beta, dtype=float)).tolist()
+    if not _feasible([_INVERSE[spec.link](e)[0] for e in eta]):
+        raise DomainError("coefficients give cell probabilities outside (0, 1)")
+    cases, totals = (v.tolist() for v in cell_counts(table))
+    cell = _CELL[spec.link]
+    return X, [cell(y, n - y, e) for y, n, e in zip(cases, totals, eta)]
 
 
 def score(table: StratifiedTable, spec: ModelSpec, beta) -> np.ndarray:
     """Analytic score (gradient of the log-likelihood) at feasible coefficients."""
-    X, cases, totals = _problem(table, spec)
-    eta = X @ np.asarray(beta, dtype=float)
-    with np.errstate(over="ignore"):
-        p = _inverse(spec.link, eta)
-    if not _feasible(p):
-        raise DomainError("coefficients give cell probabilities outside (0, 1)")
-    return _score_info(spec.link, X, X.T, cases, totals, eta, p)[0]
+    X, cells = _cells_at(table, spec, beta)
+    return X.T @ np.array([d for _, d, _ in cells])
 
 
 def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
-    """Log-likelihood at a coefficient vector, with log p and log(1 - p)
-    computed from eta as the profile's cell functions compute them (log p
-    of a p rounded near 1 would lose digits); DomainError when infeasible."""
-    X, cases, totals = _problem(table, spec)
-    eta = X @ np.asarray(beta, dtype=float)
-    with np.errstate(over="ignore"):
-        p = _inverse(spec.link, eta)
-    if not _feasible(p):
-        raise DomainError("coefficients give cell probabilities outside (0, 1)")
-    link = spec.link
-    if link is LinkFunction.IDENTITY:
-        log_p, log_q = np.log(eta), np.log1p(-eta)
-    elif link is LinkFunction.LOG:
-        log_p, log_q = eta, np.log(-np.expm1(eta))
-    elif link is LinkFunction.LOGIT:
-        log_p, log_q = -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
-    else:
-        # log p as _cloglog_cell takes it
-        t = np.exp(eta)
-        log_p, log_q, big = np.log(-np.expm1(-t)), -t, t > _LN2
-        log_p[big] = np.log1p(-np.exp(-t[big]))
-    return float(cases @ log_p + (totals - cases) @ log_q)
+    """Log-likelihood at a coefficient vector, the exact sum of the
+    profile's cell log-likelihoods, which take log p and log(1 - p) from
+    eta (log p of a p rounded near 1 would lose digits); DomainError when
+    infeasible."""
+    return math.fsum(l for l, _, _ in _cells_at(table, spec, beta)[1])
 
 
-def _solve_direction(matrix, u):
-    try:
-        delta = np.linalg.solve(matrix, u)
-    except np.linalg.LinAlgError:
-        delta = np.linalg.lstsq(matrix, u, rcond=None)[0]
-    if not np.isfinite(delta).all():
-        delta = np.linalg.lstsq(matrix, u, rcond=None)[0]
-    return delta
+def _arrowhead(w0, w1, g):
+    """The step [da_1, ..., da_K, db] of the no-interaction model's Newton
+    or Fisher system in each stratum's unexposed eta a_j and b1, whose
+    cells weigh w0_j (unexposed) and w1_j (exposed): row j is
+    (w0_j + w1_j) da_j + w1_j db = g_j, the last row
+    sum_j w1_j (da_j + db) = g_K. Each a_j couples only to b1, so the
+    matrix is an arrowhead, solved in O(K) by the Schur complement on db,
+    whose pivot sum_j w0_j w1_j / (w0_j + w1_j) is the profile curvature.
+    None where some w0_j + w1_j or the pivot is 0."""
+    pivot, rhs = 0.0, g[-1]
+    for u, v, gj in zip(w0, w1, g):
+        s = u + v
+        if not s:
+            return None
+        pivot += u * v / s
+        rhs -= v * gj / s
+    if not pivot:
+        return None
+    db = rhs / pivot
+    return [(gj - v * db) / (u + v) for u, v, gj in zip(w0, w1, g)] + [db]
 
 
-def _newton(link, X, cases, totals, beta0, max_iter=_MAX_ITER):
-    """Newton ascent on the grouped-binomial log-likelihood with step-halving;
-    the iterate always keeps every cell probability strictly inside (0, 1).
+def _newton(table: StratifiedTable, link: LinkFunction, max_iter: int = _MAX_ITER):
+    """Newton ascent on the no-interaction model's grouped-binomial
+    log-likelihood with step-halving, in scalar floats; the iterate always
+    keeps every cell probability strictly inside (0, 1).
 
-    Each iteration tries the observed-Hessian Newton direction first
-    (quadratic near the optimum, and free of the slow two-cycles Fisher
-    scoring shows for non-canonical links) and falls back to the Fisher
-    scoring direction, which is always an ascent direction. The whole
-    ascent runs under one np.errstate that silences floating-point
-    warnings: an overflowing candidate fails the feasibility test and a
-    non-finite direction is discarded by value.
+    Its coordinates are the profile's, each stratum's unexposed eta a_j
+    and b1, and each cell's log-likelihood and its derivatives come from
+    _CELL, its p and dp/deta from _INVERSE. It starts from each stratum's
+    pooled risk on the link scale and b1 = 0. Each iteration tries the
+    observed-Hessian Newton direction first (quadratic near the optimum,
+    and free of the slow two-cycles Fisher scoring shows for non-canonical
+    links), then the Fisher scoring direction, which is always an ascent
+    direction; both systems are arrowheads (see _arrowhead). Each is
+    halved from a full step until its log-likelihood is at least the
+    current one less a slack of 32 eps (1 + |loglik|), and the Fisher step
+    replaces the Newton step only where it is higher by more than that
+    slack. The gradient test is on the max-norm of the reference-coded
+    score; see fit for the other stops.
 
-    Returns (beta, loglik, converged, iterations, gradient_norm, p)."""
-    Xt, failures = X.T, totals - cases
-    with np.errstate(all="ignore"):
-        beta = np.asarray(beta0, dtype=float).copy()
-        eta = X @ beta
-        p = _inverse(link, eta)
-        if not _feasible(p):
-            raise DomainError("infeasible starting coefficients")
-        ll = _ll(cases, failures, p)
-        gnorm = math.inf
-        iterations = 0
-        converged = False
-        stalled = 0
-        for _ in range(max_iter):
-            u, info, v, dp, resid = _score_info(link, X, Xt, cases, totals, eta, p)
-            gnorm = float(np.abs(u).max())
-            if gnorm < _GRAD_TOL:
-                converged = True
-                break
-            directions = []
-            neg_curv = dp * dp * (totals / v + resid * (1.0 - 2.0 * p) / (v * v)) - (
-                resid * _d2inverse(link, eta, p, dp) / v
-            )
-            if np.isfinite(neg_curv).all():
-                newton_delta = _solve_direction(Xt @ (neg_curv[:, None] * X), u)
-                if np.isfinite(newton_delta).all() and float(u @ newton_delta) > 0.0:
-                    directions.append(newton_delta)
-            directions.append(_solve_direction(info, u))
-            slack = 32.0 * _DBL_EPS * (1.0 + abs(ll))
-            best = None
-            for delta in directions:
-                step = 1.0
-                while step >= 2.0**-60:
-                    cand = beta + step * delta
-                    eta_c = X @ cand
-                    p_c = _inverse(link, eta_c)
-                    if _feasible(p_c):
-                        ll_c = _ll(cases, failures, p_c)
-                        if ll_c >= ll - slack:
-                            if best is None or ll_c > best[3]:
-                                best = (cand, eta_c, p_c, ll_c)
-                            break
-                    step *= 0.5
-            if best is None:
-                # no feasible ascent step left: log-likelihood change is zero
-                converged = True
-                break
-            iterations += 1
-            dll = best[3] - ll
-            beta, eta, p, ll = best
-            # a change of a few ulps is rounding; at |ll| >~ 1e4 one ulp exceeds _LL_TOL
-            if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
-                # one more Newton pass after the first stall lets quadratic
-                # convergence finish the gradient criterion when the MLE is
-                # interior; a second stall means we are as far as we can get
-                stalled += 1
-                if stalled >= 2:
-                    converged = True
-                    u = _score_info(link, X, Xt, cases, totals, eta, p)[0]
-                    gnorm = float(np.abs(u).max())
+    Returns (a, b1, loglik, iterations, gradient_norm, p), p the cell
+    probabilities in cell order."""
+    cell, inverse, to_eta = _CELL[link], _INVERSE[link], _LINK_SCALAR[link]
+    counts = [(y0, f0, y1, f1) for y0, f0, _, y1, f1, _, _ in _profile_strata(table, link)]
+
+    def at(theta):
+        # (loglik, cells) at theta = (a, b1), each stratum's cells as
+        # (p, dp/deta, n, dl/deta, d2l/deta2), unexposed first; None
+        # where a p leaves (_P_FLOOR, 1)
+        ll, cells, b1 = 0.0, [], theta[-1]
+        for (y0, f0, y1, f1), a in zip(counts, theta):
+            stratum = []
+            for y, f, eta in ((y0, f0, a), (y1, f1, a + b1)):
+                p, dp = inverse(eta)
+                if not _P_FLOOR < p < 1.0:
+                    return None
+                l, d, h = cell(y, f, eta)
+                ll += l
+                stratum.append((p, dp, y + f, d, h))
+            cells.append(stratum)
+        return ll, cells
+
+    def gradient(cells):
+        # the gradient in theta, and the max-norm of the reference-coded
+        # score, whose intercept entry is the sum of the a_j entries
+        grad = [c0[3] + c1[3] for c0, c1 in cells]
+        grad.append(sum(c1[3] for _, c1 in cells))
+        return grad, max(abs(sum(grad[:-1])), *map(abs, grad[1:]))
+
+    theta = []
+    for y0, f0, y1, f1 in counts:
+        n = y0 + f0 + y1 + f1
+        delta = 0.5 / (n + 1.0)
+        theta.append(to_eta(min(1.0 - delta, max(delta, (y0 + y1) / n))))
+    theta.append(0.0)
+    state = at(theta)
+    if state is None:
+        raise DomainError("infeasible starting coefficients")
+    ll, cells = state
+    iterations = stalled = 0
+    for _ in range(max_iter):
+        grad, gnorm = gradient(cells)
+        if gnorm < _GRAD_TOL:
+            break
+        unexposed, exposed = zip(*cells)
+        directions = []
+        delta = _arrowhead([-c[4] for c in unexposed], [-c[4] for c in exposed], grad)
+        if delta is not None and all(map(math.isfinite, delta)) and sum(g * d for g, d in zip(grad, delta)) > 0.0:
+            directions.append(delta)
+        fisher = [[n * dp * dp / (p * (1.0 - p)) for p, dp, n, _, _ in side] for side in (unexposed, exposed)]
+        delta = _arrowhead(*fisher, grad)
+        if delta is not None and all(map(math.isfinite, delta)):
+            directions.append(delta)
+        slack = 32.0 * _DBL_EPS * (1.0 + abs(ll))
+        best = None
+        for delta in directions:
+            step = 1.0
+            while step >= 2.0**-60:
+                cand = [t + step * d for t, d in zip(theta, delta)]
+                state = at(cand)
+                if state is not None and state[0] >= ll - slack:
+                    if best is None or state[0] > best[1] + slack:
+                        best = (cand, *state)
                     break
-            else:
-                stalled = 0
-    if not converged:
+                step *= 0.5
+        if best is None:
+            # no feasible ascent step left: log-likelihood change is zero
+            break
+        iterations += 1
+        dll = best[1] - ll
+        theta, ll, cells = best
+        # a change of a few ulps is rounding; at |ll| >~ 1e4 one ulp exceeds _LL_TOL
+        if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
+            # one more Newton pass after the first stall lets quadratic
+            # convergence finish the gradient criterion when the MLE is
+            # interior; a second stall means we are as far as we can get
+            stalled += 1
+            if stalled >= 2:
+                gnorm = gradient(cells)[1]
+                break
+        else:
+            stalled = 0
+    else:
         raise ConvergenceError(
             f"no convergence after {max_iter} iterations (gradient max-norm {gnorm:.3e})",
-            coefficients=tuple(beta),
+            coefficients=tuple(_reference_coded(theta[:-1], theta[-1:])),
             loglik=ll,
             iterations=iterations,
         )
-    return beta, ll, converged, iterations, gnorm, p
-
-
-def _null_init(table: StratifiedTable, link: LinkFunction, n_params: int) -> np.ndarray:
-    """Closed-form fit of the exposure-free model (one pooled probability per
-    stratum), used as the starting point for restricted fits."""
-    pooled = []
-    for s in table.strata:
-        tot = s.exposed.total + s.unexposed.total
-        p = (s.exposed.cases + s.unexposed.cases) / tot
-        delta = 0.5 / (tot + 1.0)
-        pooled.append(min(1.0 - delta, max(delta, p)))
-    etas = _link_of(link, np.array(pooled))
-    beta = np.zeros(n_params)
-    beta[0] = etas[0]
-    beta[2 : 2 + table.k - 1] = etas[1:] - etas[0]
-    return beta
+    p = [c[0] for c0, c1 in cells for c in (c1, c0)]
+    return theta[:-1], theta[-1], ll, iterations, gnorm, p
 
 
 def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
@@ -400,7 +348,7 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     - otherwise with one stratum, where the model is saturated:
       b1 = eta1 - eta0.
     Any other restricted fit is Newton ascent (see _newton) from the
-    closed-form null fit; it stops when the gradient max-norm falls below
+    closed-form null fit (each stratum's pooled risk, b1 = 0); it stops when the gradient max-norm falls below
     1e-10, when no feasible ascent step is left, or after two successive
     log-likelihood changes below max(1e-12, 8 ulp(loglik)). When it ends
     other than by the gradient test (short of a maximum on the identity or
@@ -430,10 +378,10 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     return _fit(table, spec)
 
 
-def _reference_coded(a, b) -> np.ndarray:
+def _reference_coded(a, b) -> list[float]:
     """Coefficients from each stratum's unexposed eta a_j and exposure
     effect b_j (one b for the no-interaction model)."""
-    return np.array([a[0], b[0], *(aj - a[0] for aj in a[1:]), *(bj - b[0] for bj in b[1:])])
+    return [a[0], b[0], *(aj - a[0] for aj in a[1:]), *(bj - b[0] for bj in b[1:])]
 
 
 def _result(spec: ModelSpec, beta, loglik: float, p, iterations: int, gnorm: float) -> FitResult:
@@ -476,24 +424,23 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
             a = [e0 if off else e1 - b1 for off, e1, e0 in zip(exposed_off, eta[::2], eta[1::2])]
             b = [b1]
         return _result(spec, _reference_coded(a, b), math.fsum(terms), p, 0, 0.0)
-    X, cases, totals = _problem(table, spec)
     failed = None
     try:
-        beta, _, _, iterations, gnorm, p = _newton(link, X, cases, totals, _null_init(table, link, X.shape[1]))
+        a, b1, _, iterations, gnorm, p = _newton(table, link)
     except ConvergenceError as err:
-        failed, beta, gnorm = err, np.array(err.coefficients), math.inf
+        failed, b1, gnorm = err, err.coefficients[1], math.inf
     if gnorm >= _GRAD_TOL:
         # the ascent ended short of its gradient test, as it does against
         # a constraint it creeps toward: the profile maximum from its b1
-        found = _profile_max(table, link, float(beta[1]))
+        found = _profile_max(table, link, b1)
         if found is not None:
             b1, ll, a, gnorm, iterations = found
-            beta = _reference_coded(a, [b1])
-            p = np.clip(_inverse(link, X @ beta), _EPS, 1.0 - _EPS)
-            return _result(spec, beta, ll, p, iterations, gnorm)
+            inverse = _INVERSE[link]
+            p = [min(max(inverse(eta)[0], _EPS), 1.0 - _EPS) for aj in a for eta in (aj + b1, aj)]
+            return _result(spec, _reference_coded(a, [b1]), ll, p, iterations, gnorm)
         if failed is not None:
             raise failed
-    return _result(spec, beta, profile_loglik(table, link, float(beta[1])), p, iterations, gnorm)
+    return _result(spec, _reference_coded(a, [b1]), profile_loglik(table, link, b1), p, iterations, gnorm)
 
 
 def common_measure(result: FitResult) -> float:
@@ -604,6 +551,27 @@ _CELL = {
     LinkFunction.LOG: _log_cell,
     LinkFunction.LOGIT: _logit_cell,
     LinkFunction.CLOGLOG: _cloglog_cell,
+}
+
+
+def _logit_inverse(eta):
+    z = math.exp(-abs(eta))
+    p, q = 1.0 / (1.0 + z), z / (1.0 + z)
+    return (p, p * q) if eta >= 0.0 else (q, p * q)
+
+
+def _cloglog_inverse(eta):
+    t = math.exp(min(eta, 709.0))  # e^709 is near the largest float
+    return -math.expm1(-t), t * math.exp(-t)
+
+
+# per link, (p, dp/deta) at eta in scalar floats; an eta at which p is
+# outside (0, 1) gives some p outside it, and NaN gives NaN
+_INVERSE = {
+    LinkFunction.IDENTITY: lambda eta: (eta, 1.0),
+    LinkFunction.LOG: lambda eta: (math.exp(min(eta, 1.0)),) * 2,
+    LinkFunction.LOGIT: _logit_inverse,
+    LinkFunction.CLOGLOG: _cloglog_inverse,
 }
 _LINK_SCALAR = {
     LinkFunction.IDENTITY: lambda p: p,

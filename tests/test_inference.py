@@ -817,13 +817,18 @@ def test_restricted_fit_with_a_cell_at_its_bound_is_the_profile_maximum(csv, lin
         ("s0,1,1000000000,9,10\ns1,7,10,999999999,1000000000", LinkFunction.IDENTITY),
         ("a,2,100,46823601,46823602", LinkFunction.LOGIT),
         ("a,906039261,906039263,70,100", LinkFunction.IDENTITY),
+        ("s0,0,655918747,3,129\ns1,0,2,0,7489\ns2,1,1,0,3", LinkFunction.LOG),
     ],
 )
 def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
     # cells within about 1e-7 of 0 or 1 at totals of 1e8-1e9: a slope of lp
     # taken from the cell whose 1 - p is resolved to one ulp was quantized,
     # and the profile maximum stopped short of the maximum or crawled on the
-    # noise (the estimates are near -0.6, -21.554 and 0.3)
+    # noise (the estimates are near -0.6, -21.554 and 0.3). The K = 3 log
+    # table's ascent passes its gradient test after 24 iterations at
+    # b1 = -16.1427, where lp' = -2.2e-16 and lp'' = -0.67; the grid point
+    # 3.4e-4 away reads 1.4e-8 higher only by rounding of f log q
+    # (f about 6.6e8) in lp
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=False))
     half = 999 if link is LinkFunction.IDENTITY else 30000
@@ -1065,6 +1070,37 @@ def test_restricted_fit_runs_the_traced_solver_once(newcastle, link, monkeypatch
     # the saturated fit is closed form
     fit(newcastle, ModelSpec(link, interaction=True))
     assert len(results) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_arrowhead_solves_the_dense_system(k):
+    # the Newton and Fisher systems in (a, b1): row j is
+    # (w0_j + w1_j) da_j + w1_j db, the last row sum_j w1_j (da_j + db)
+    rng = random.Random(900 + k)
+    w0, w1 = ([rng.uniform(0.01, 100.0) for _ in range(k)] for _ in range(2))
+    g = [rng.gauss(0.0, 10.0) for _ in range(k + 1)]
+    dense = np.zeros((k + 1, k + 1))
+    dense[:k, :k] = np.diag(np.add(w0, w1))
+    dense[:k, k] = dense[k, :k] = w1
+    dense[k, k] = sum(w1)
+    expected = np.linalg.solve(dense, g)
+    assert inference._arrowhead(w0, w1, g) == pytest.approx(expected.tolist(), rel=1e-12, abs=0.0)
+    # a stratum whose two cells weigh nothing leaves its a_j undetermined
+    w0[k - 1] = w1[k - 1] = 0.0
+    assert inference._arrowhead(w0, w1, g) is None
+
+
+def test_fits_use_no_dense_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    inference._fit.cache_clear()
+    for table in sweep_tables():
+        for link in ALL_LINKS:
+            for interaction in (False, True)[: table.k]:
+                fit(table, ModelSpec(link, interaction))
 
 
 def test_fit_is_a_plain_function():

@@ -1,6 +1,12 @@
 import hashlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -323,10 +329,18 @@ def test_modconf_needs_exactly_two_strata(table):
 #   28 log      -1.38e-15  -31.106948652796856 -> -31.10694865279681
 #   29 identity -9.75e-16  -32.31158048955969  -> -32.31158048955966
 #   29 log      -8.87e-16  -32.31158048955969  -> -32.31158048955967
-SWEEP_SHA256 = "5ba3cefb9439b9c1dfd2d9e2b0b12c8f0b894a1dc18d9c5e46e512af29cd4efd"
+# Re-recorded when the no-interaction ascent moved from numpy arrays to
+# the profile's scalar cells: its estimates move at rounding, and 13
+# (table, figure) pairs with them. Twelve flip a coordinate at its 10th
+# printed decimal: 4 modification and collapsible, 6, 14, 16 and 25
+# modification, 27 and 28 modification, noncollapsible and hull. On
+# table 12 the log fit sits at the end of its range (RR about 1e13): its
+# b1 moves 2.8e-14, under _profile_max's stop step of 6e-14, and the
+# modification figure's 3-decimal label moves by 0.285.
+SWEEP_SHA256 = "7b91a55956fd6b998d6624317f9686c3a5e2870339aab7c87c75eb31e4bcd302"
 
 
-def test_figures_sweep_digest():
+def _sweep_digest() -> str:
     digest = hashlib.sha256()
     for table in sweep_tables():
         for name, figure in FIGURES.items():
@@ -335,4 +349,39 @@ def test_figures_sweep_digest():
             except RothmanError as exc:
                 out = repr(exc)
             digest.update(f"{name}\0{out}\0".encode())
-    assert digest.hexdigest() == SWEEP_SHA256
+    return digest.hexdigest()
+
+
+def test_figures_sweep_digest():
+    assert _sweep_digest() == SWEEP_SHA256
+
+
+def _golden_digests() -> dict:
+    """The sha256 of each golden figure and of the sweep, as this process
+    renders them, keyed "table/figure" and "sweep"."""
+    out = {}
+    for table, name in FIGURE_SHA256:
+        figure = figure_contours() if name == "contours" else FIGURES[name](GOLDEN_TABLES[table]())
+        out[f"{table}/{name}"] = hashlib.sha256(render_svg(figure).encode()).hexdigest()
+    out["sweep"] = _sweep_digest()
+    return out
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernels and SIMD only")
+def test_figures_do_not_depend_on_the_cpu():
+    # the same figures with OpenBLAS forced to its oldest x86-64 kernel and
+    # numpy's SIMD dispatch limited to its baseline: a fit that takes its
+    # bits from a BLAS or SIMD kernel draws a different figure on another
+    # CPU
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
+    dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
+    code = "import json, test_render; print(json.dumps(test_render._golden_digests()))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == _golden_digests()
