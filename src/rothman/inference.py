@@ -171,30 +171,46 @@ def _feasible(p) -> bool:
     return all(_P_FLOOR < v < 1.0 for v in p)
 
 
-def _cells_at(table: StratifiedTable, spec: ModelSpec, beta):
-    """The design matrix and each cell's (l, dl/deta, d2l/deta2) by _CELL at
-    coefficients beta, in cell order; DomainError when infeasible."""
+def _inverse_at(table: StratifiedTable, spec: ModelSpec, beta):
+    """The design matrix, eta, and each cell's p and dp/deta by _INVERSE at
+    coefficients beta, as arrays in cell order; DomainError when
+    infeasible."""
     X = design_matrix(table, spec)
-    eta = (X @ np.asarray(beta, dtype=float)).tolist()
-    if not _feasible([_INVERSE[spec.link](e)[0] for e in eta]):
+    eta = X @ np.asarray(beta, dtype=float)
+    p, dp = (np.array(v) for v in zip(*map(_INVERSE[spec.link], eta.tolist())))
+    if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
-    cases, totals = (v.tolist() for v in cell_counts(table))
-    cell = _CELL[spec.link]
-    return X, [cell(y, n - y, e) for y, n, e in zip(cases, totals, eta)]
+    return X, eta, p, dp
 
 
 def score(table: StratifiedTable, spec: ModelSpec, beta) -> np.ndarray:
-    """Analytic score (gradient of the log-likelihood) at feasible coefficients."""
-    X, cells = _cells_at(table, spec, beta)
-    return X.T @ np.array([d for _, d, _ in cells])
+    """Analytic score (gradient of the log-likelihood) at feasible
+    coefficients, the binomial score sum_i x_i (y_i - n_i p_i) dp_i /
+    (p_i (1 - p_i)), from p rather than from the cell functions below."""
+    X, _, p, dp = _inverse_at(table, spec, beta)
+    cases, totals = cell_counts(table)
+    return X.T @ ((cases - totals * p) / (p * (1.0 - p)) * dp)
 
 
 def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
-    """Log-likelihood at a coefficient vector, the exact sum of the
-    profile's cell log-likelihoods, which take log p and log(1 - p) from
-    eta (log p of a p rounded near 1 would lose digits); DomainError when
-    infeasible."""
-    return math.fsum(l for l, _, _ in _cells_at(table, spec, beta)[1])
+    """Log-likelihood at a coefficient vector, with log p and log(1 - p)
+    computed from eta as the profile's cell functions compute them (log p
+    of a p rounded near 1 would lose digits); DomainError when infeasible."""
+    _, eta, _, _ = _inverse_at(table, spec, beta)
+    cases, totals = cell_counts(table)
+    link = spec.link
+    if link is LinkFunction.IDENTITY:
+        log_p, log_q = np.log(eta), np.log1p(-eta)
+    elif link is LinkFunction.LOG:
+        log_p, log_q = eta, np.log(-np.expm1(eta))
+    elif link is LinkFunction.LOGIT:
+        log_p, log_q = -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
+    else:
+        # log p as _cloglog_cell takes it
+        t = np.exp(eta)
+        log_p, log_q, big = np.log(-np.expm1(-t)), -t, t > _LN2
+        log_p[big] = np.log1p(-np.exp(-t[big]))
+    return float(cases @ log_p + (totals - cases) @ log_q)
 
 
 def _arrowhead(w0, w1, g):

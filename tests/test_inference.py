@@ -1206,6 +1206,18 @@ def test_score_vanishes_at_mle(newcastle, link):
         assert np.max(np.abs(u)) < 1e-8
 
 
+def test_score_and_loglik_at_a_tiny_identity_risk():
+    # the unexposed cell's 5 cases at p = 1e-200, where p * p underflows to
+    # 0: both oracles work from p and stay finite
+    table = parse_table(CSV_HEADER + "s1,7,9,5,8\n")
+    spec = ModelSpec(LinkFunction.IDENTITY, interaction=False)
+    beta = [1e-200, 0.25]
+    exposed = 7.0 / 0.25 - 2.0 / 0.75
+    assert score(table, spec, beta).tolist() == pytest.approx([exposed + 5e200, exposed], rel=1e-15)
+    expected = 7.0 * math.log(0.25) + 2.0 * math.log(0.75) + 5.0 * math.log(1e-200)
+    assert loglik_at(table, spec, beta) == pytest.approx(expected, rel=1e-15)
+
+
 def test_common_measure_between_stratum_values():
     """Regression guard: the common estimate stays inside the interval
     spanned by the stratum-specific values, expanded by 1e-6."""

@@ -358,7 +358,8 @@ def test_figures_sweep_digest():
 
 def _golden_digests() -> dict:
     """The sha256 of each golden figure and of the sweep, as this process
-    renders them, keyed "table/figure" and "sweep"."""
+    renders them, keyed "table/figure" and "sweep" (for the subprocess of
+    test_figures_do_not_depend_on_the_cpu)."""
     out = {}
     for table, name in FIGURE_SHA256:
         figure = figure_contours() if name == "contours" else FIGURES[name](GOLDEN_TABLES[table]())
@@ -384,4 +385,5 @@ def test_figures_do_not_depend_on_the_cpu():
     env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
     code = "import json, test_render; print(json.dumps(test_render._golden_digests()))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == _golden_digests()
+    pinned = {f"{table}/{name}": digest for (table, name), digest in FIGURE_SHA256.items()}
+    assert json.loads(run.stdout.splitlines()[-1]) == {**pinned, "sweep": SWEEP_SHA256}
