@@ -1050,14 +1050,32 @@ def chi2_sf(x: float, df: int) -> float:
     return math.fsum(terms)
 
 
+def _chi2_cdf(x: float, df: int) -> float:
+    """Lower-tail probability of the chi-square distribution, for x > 0:
+    P(a, z) with a = df / 2 and z = x / 2, from the series
+    P(a, z) = z^a e^-z / Gamma(a + 1) (1 + sum_n z^n / ((a + 1) ... (a + n)))
+    (Abramowitz & Stegun 6.5.29). Its terms are positive, so nothing
+    cancels where P is small, as it does in 1 - chi2_sf."""
+    a, z = 0.5 * df, 0.5 * x
+    term = total = 1.0
+    n = a
+    while term > 1e-17 * total:
+        n += 1.0
+        term *= z / n
+        total += term
+    return math.exp(a * math.log(z) - z - math.lgamma(a + 1.0)) * total
+
+
 def chi2_quantile(level: float, df: int) -> float:
     """The x with chi2_sf(x, df) = 1 - level. For df = 1 this is the square
     of the standard normal quantile at (1 - level) / 2, taken in the lower
     tail, which (1 + level) / 2 would round near level 1. Other df take the
-    root of (1 - level) - chi2_sf(x, df), whose derivative is the chi-square
-    density, by _newton_root from the larger of the Wilson-Hilferty
-    approximation and the lower-tail bound 2 (level Gamma(df/2 + 1))^(2/df),
-    to a step of 1e-13 max(1, x)."""
+    root of P(x) - level, P the chi-square distribution function, whose
+    derivative is the chi-square density, by _newton_root from the larger
+    of the Wilson-Hilferty approximation and the lower-tail bound
+    2 (level Gamma(df/2 + 1))^(2/df), to a step of 1e-13 max(1, x). Below
+    level 0.5, P is _chi2_cdf's series; from 0.5 on it is 1 - chi2_sf(x),
+    taken as (1 - level) - chi2_sf(x, df)."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
     _check_df(df)
@@ -1070,6 +1088,7 @@ def chi2_quantile(level: float, df: int) -> float:
 
     def tail(x: float):
         z = 0.5 * x
-        return target - chi2_sf(x, df), 0.5 * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a)), None
+        v = _chi2_cdf(x, df) - level if level < 0.5 else target - chi2_sf(x, df)
+        return v, 0.5 * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a)), None
 
     return _newton_root(tail, x, 0.0, math.inf, lambda x: 1e-13 * max(1.0, x))[0]

@@ -54,7 +54,11 @@ class ContourValue:
 
 def check_domain(measure: Measure, p: RiskPoint) -> None:
     """Raise DomainError naming the violated restriction, if any."""
-    x, y = p.x, p.y
+    _check_xy(measure, p.x, p.y)
+
+
+def _check_xy(measure: Measure, x: float, y: float) -> None:
+    """check_domain on plain floats, for the extremizer's inner loop."""
     if measure is Measure.RISK_DIFFERENCE:
         return
     if measure is Measure.RISK_RATIO:
@@ -87,8 +91,8 @@ def in_domain(measure: Measure, p: RiskPoint) -> bool:
 
 def evaluate(measure: Measure, p: RiskPoint) -> float:
     """Value of the measure at a risk point; raises DomainError off-domain."""
-    check_domain(measure, p)
     x, y = p.x, p.y
+    _check_xy(measure, x, y)
     if measure is Measure.RISK_DIFFERENCE:
         return y - x
     if measure is Measure.RISK_RATIO:
@@ -100,8 +104,12 @@ def evaluate(measure: Measure, p: RiskPoint) -> float:
 
 def gradient(measure: Measure, p: RiskPoint) -> tuple[float, float]:
     """Partial derivatives (d/dx, d/dy) of the measure at an in-domain point."""
-    check_domain(measure, p)
-    x, y = p.x, p.y
+    return _gradient_xy(measure, p.x, p.y)
+
+
+def _gradient_xy(measure: Measure, x: float, y: float) -> tuple[float, float]:
+    """gradient on plain floats, for the extremizer's inner loop."""
+    _check_xy(measure, x, y)
     if measure is Measure.RISK_DIFFERENCE:
         return (-1.0, 1.0)
     if measure is Measure.RISK_RATIO:
@@ -131,7 +139,7 @@ def contour_y(c: ContourValue, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must be in [0, 1], got {x}")
-    return _contour_at(c, [x])[0][1]
+    return _contour_at(c, [x])[0]
 
 
 def valid_x_interval(c: ContourValue) -> tuple[float, float]:
@@ -150,21 +158,19 @@ def valid_x_interval(c: ContourValue) -> tuple[float, float]:
     return (0.0, 1.0)
 
 
-def _contour_xy(c: ContourValue, n: int) -> list[tuple[float, float]]:
-    """contour_polyline's vertices as (x, y) tuples."""
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    lo, hi = valid_x_interval(c)
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """n equally spaced x from lo to hi, both ends exact; [lo] when they meet."""
     if hi - lo == 0.0:
-        return _contour_at(c, [lo])
+        return [lo]
     step = (hi - lo) / (n - 1)
-    return _contour_at(c, [lo + i * step for i in range(n - 1)] + [hi])
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
-def _contour_at(c: ContourValue, xs: list[float]) -> list[tuple[float, float]]:
-    """(x, y) on the contour at each x in [0, 1], the y of contour_y: one
-    comprehension per measure, not a call per point, then the range check
-    and the clamp to [0, 1]."""
+def _contour_at(c: ContourValue, xs: list[float]) -> list[float]:
+    """The y of contour_y at each x in [0, 1]: one comprehension per
+    measure, not a call per point, then the range check and the clamp to
+    [0, 1]. Only the y values are returned, so a caller that reuses one
+    grid of x for many contours builds nothing per vertex but its y."""
     m = c.m
     if c.measure is Measure.RISK_DIFFERENCE:
         ys = [x + m for x in xs]
@@ -175,11 +181,11 @@ def _contour_at(c: ContourValue, xs: list[float]) -> list[tuple[float, float]]:
     else:
         top = 1.0 if m > 0.0 else 0.0
         ys = [-math.expm1(m * math.log1p(-x)) if x < 1.0 else top for x in xs]
-    for x, y in zip(xs, ys):
-        if y < -1e-15 or y > 1.0 + 1e-15:
-            raise ContourRangeError(f"{c.measure.label} contour m = {c.m} leaves the unit square at x = {x} (y = {y})")
+    if min(ys) < -1e-15 or max(ys) > 1.0 + 1e-15:
+        x, y = next((x, y) for x, y in zip(xs, ys) if y < -1e-15 or y > 1.0 + 1e-15)
+        raise ContourRangeError(f"{c.measure.label} contour m = {c.m} leaves the unit square at x = {x} (y = {y})")
     # the clamp is the identity on (0, 1), so only other values pay for it
-    return [(x, y if 0.0 < y < 1.0 else min(1.0, max(0.0, y))) for x, y in zip(xs, ys)]
+    return [y if 0.0 < y < 1.0 else min(1.0, max(0.0, y)) for y in ys]
 
 
 def contour_polyline(c: ContourValue, n: int) -> list[RiskPoint]:
@@ -187,7 +193,10 @@ def contour_polyline(c: ContourValue, n: int) -> list[RiskPoint]:
 
     Degenerate single-point intervals yield one point.
     """
-    return [RiskPoint(x, y) for x, y in _contour_xy(c, n)]
+    if n < 2:
+        raise DomainError(f"need at least 2 samples, got {n}")
+    xs = _grid(*valid_x_interval(c), n)
+    return [RiskPoint(x, y) for x, y in zip(xs, _contour_at(c, xs))]
 
 
 def is_straight(measure: Measure) -> bool:

@@ -7,12 +7,13 @@ identical specs give byte-identical documents.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .measures import Measure, ContourValue, _contour_xy, evaluate, null_value
+from .measures import Measure, ContourValue, _contour_at, _grid, evaluate, null_value, valid_x_interval
 from .standardize import StandardizedHull, standardized_hull, marginal_distribution
 from .tables import RiskPoint, StratifiedTable, stratum_points
 from .inference import LinkFunction, ModelSpec, common_measure, fit, link_for_measure
@@ -103,29 +104,50 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+@functools.lru_cache(maxsize=16)
+def _column_grid(ox: float, lo: float, hi: float) -> tuple[tuple[float, ...], tuple[str, ...], str]:
+    """The contour grid's x over [lo, hi] and, for a panel column at ox,
+    each x's printed coordinate followed by its comma, and the polyline's
+    points with a %-placeholder for each y. Panel columns sit at two
+    offsets, and every odds ratio and hazard ratio contour shares the grid
+    over [0, 1], so most contours find theirs here."""
+    xs = tuple(_grid(lo, hi, CONTOUR_SAMPLES))
+    x_strs = tuple([_F % (ox + PANEL_SIZE * x) + "," for x in xs])
+    return xs, x_strs, " ".join([sx + _F for sx in x_strs])
+
+
 def _emit_contour(
     out: list[str], ox: float, oy: float, measure: Measure, line: ContourLine, index: int
 ) -> None:
-    pts = _contour_xy(ContourValue(measure, line.level), CONTOUR_SAMPLES)
+    """One contour as a polyline of CONTOUR_SAMPLES vertices (a dot where
+    its x interval is one point) with its label. The vertices' x and their
+    printed coordinates come from _column_grid, so only the y values are
+    formatted, all in one % of its points template; the bytes are those of
+    formatting each (x, y) with _PAIR."""
+    c = ContourValue(measure, line.level)
+    xs, x_strs, points = _column_grid(ox, *valid_x_interval(c))
+    ys = _contour_at(c, xs)
     if measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO):
-        kept = [p for p in pts if p[1] <= 1.0 - TOP_EDGE_INSET or p[1] == 1.0]
-        if len(kept) >= 2:
-            pts = kept
-    if len(pts) == 1:
-        x, y = anchor = pts[0]
+        kept = [i for i, y in enumerate(ys) if y <= 1.0 - TOP_EDGE_INSET or y == 1.0]
+        if 2 <= len(kept) < len(ys):
+            xs, ys = [xs[i] for i in kept], [ys[i] for i in kept]
+            points = " ".join([x_strs[i] + _F for i in kept])
+    if len(ys) == 1:
+        x, y = anchor = xs[0], ys[0]
         out.append(
             f'<circle cx="{_fmt(ox + PANEL_SIZE * x)}" cy="{_fmt(oy + PANEL_SIZE * (1.0 - y))}" '
             f'r="2" fill="black"/>'
         )
     else:
-        coords = " ".join([_PAIR % (ox + PANEL_SIZE * x, oy + PANEL_SIZE * (1.0 - y)) for x, y in pts])
+        coords = points % tuple([oy + PANEL_SIZE * (1.0 - y) for y in ys])
         dash = "" if line.solid else f' stroke-dasharray="{DASH_PATTERN}"'
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="black" '
             f'stroke-width="{CONTOUR_WIDTH}"{dash}/>'
         )
         fraction = LABEL_ANCHORS[index % len(LABEL_ANCHORS)]
-        anchor = pts[round(fraction * (len(pts) - 1))]
+        i = round(fraction * (len(ys) - 1))
+        anchor = xs[i], ys[i]
     x, y = anchor
     out.append(
         f'<text x="{_fmt(ox + PANEL_SIZE * x - 4.0)}" '

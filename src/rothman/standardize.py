@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ModificationError
-from .measures import Measure, check_domain, evaluate, gradient, null_value
+from .measures import Measure, _gradient_xy, check_domain, evaluate, null_value
 from .tables import RiskPoint, StratifiedTable, exact_risk
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -229,13 +229,6 @@ def _check_objective(objective: str) -> int:
     raise DomainError(f"objective must be 'min' or 'max', got {objective!r}")
 
 
-def _combo(points: list[RiskPoint], w) -> RiskPoint:
-    return RiskPoint(
-        sum(wi * p.x for wi, p in zip(w, points)),
-        sum(wi * p.y for wi, p in zip(w, points)),
-    )
-
-
 def _better(value: float, weights: tuple, best: tuple[float, tuple] | None, sign: int) -> bool:
     if best is None:
         return True
@@ -252,12 +245,19 @@ def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> 
     The candidates are the end points and, when the signed directional
     derivative is negative at w = 0 and positive at w = 1, its one root,
     found by bisection on its sign (extremize_standardized says why there
-    is at most one)."""
+    is at most one). Each step takes the point w p0 + (1 - w) p1 and the
+    measure's gradient there on plain floats, through _gradient_xy, and
+    builds no RiskPoint."""
     p0, p1 = points
+    # + 0.0 maps a -0.0 coordinate to 0.0, so w x0 + (1 - w) x1 of two
+    # zeros is 0.0, never -0.0
+    x0, y0, x1, y1 = p0.x + 0.0, p0.y + 0.0, p1.x + 0.0, p1.y + 0.0
+    dx, dy = x0 - x1, y0 - y1
 
     def fprime(w: float) -> float:
-        gx, gy = gradient(measure, _combo(points, (w, 1.0 - w)))
-        return sign * (gx * (p0.x - p1.x) + gy * (p0.y - p1.y))
+        v = 1.0 - w
+        gx, gy = _gradient_xy(measure, w * x0 + v * x1, w * y0 + v * y1)
+        return sign * (gx * dx + gy * dy)
 
     candidates = [0.0, 1.0]
     lo, hi = 0.0, 1.0
@@ -271,8 +271,9 @@ def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> 
         candidates.append(0.5 * (lo + hi))
     best: tuple[float, tuple] | None = None
     for w in candidates:
-        value = sign * evaluate(measure, _combo(points, (w, 1.0 - w)))
-        weights = (w, 1.0 - w)
+        v = 1.0 - w
+        value = sign * evaluate(measure, RiskPoint(w * x0 + v * x1, w * y0 + v * y1))
+        weights = (w, v)
         if _better(value, weights, best, 1):
             best = (value, weights)
     return ExtremeResult(sign * best[0], best[1])

@@ -82,20 +82,21 @@ def stratum_evaluations(monkeypatch) -> list:
 @pytest.fixture
 def measure_calls(monkeypatch) -> list:
     """Names of the measure evaluations standardize makes: each call of its
-    bindings of ``evaluate`` and ``gradient``."""
+    bindings of ``evaluate`` and of the scalar derivative core
+    ``_gradient_xy``, which the extremizer's bisection calls."""
     calls = []
 
     def counting(name):
         original = getattr(standardize, name)
 
-        def counted(measure, p):
+        def counted(*args):
             calls.append(name)
-            return original(measure, p)
+            return original(*args)
 
         monkeypatch.setattr(standardize, name, counted)
 
     counting("evaluate")
-    counting("gradient")
+    counting("_gradient_xy")
     return calls
 
 

@@ -1305,11 +1305,20 @@ def test_chi2_quantile_df1_matches_scipy(level):
 
 @pytest.mark.parametrize("df", range(2, 100))
 def test_chi2_quantile_matches_scipy(df):
-    # Newton's method on the tail, with the chi-square density as its slope
+    # Newton's method on the distribution function, with the chi-square
+    # density as its slope; below level 0.5 the lower-tail series keeps the
+    # digits, so there the root is checked to 1e-13 against mpmath's
+    import mpmath
     from scipy.stats import chi2
 
     for level in (1e-6, 0.05, 0.5, 0.95, 0.9999, 1.0 - 1e-9):
         assert chi2_quantile(level, df) == pytest.approx(chi2.ppf(level, df), rel=1e-9, abs=0.0)
+    a = mpmath.mpf(df) / 2
+    with mpmath.workdps(40):
+        for level in (1e-6, 1e-3, 0.05, 0.3):
+            x = chi2_quantile(level, df)
+            root = mpmath.findroot(lambda u: mpmath.gammainc(a, 0, u / 2, regularized=True) - level, mpmath.mpf(x))
+            assert abs(x - root) <= 1e-13 * root
 
 
 def test_chi2_quantile_df1():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rothman import standardize
-from rothman.errors import DomainError, ModificationError
-from rothman.inference import LinkFunction, ModelSpec, fit
+from rothman.errors import DomainError, ModificationError, RothmanError
+from rothman.inference import LinkFunction, ModelSpec, fit, link_for_measure
 from rothman.measures import Measure, evaluate, is_straight, null_value
 from rothman.standardize import (
     StandardDistribution,
@@ -37,7 +38,7 @@ from rothman.tables import (
     stratum_points,
 )
 
-from conftest import points_on_contour, random_table
+from conftest import points_on_contour, random_table, sweep_tables
 
 
 def test_standard_distribution_validation():
@@ -458,7 +459,9 @@ def test_extremize_edge_optimum_is_the_slope_root(case):
 
 def test_extremize_segment_work_is_bounded(newcastle, measure_calls, monkeypatch):
     """The end points and one bisection on the derivative's sign: at most 60
-    measure evaluations and gradients per hull edge."""
+    measure evaluations and gradients per hull edge. An edge that does not
+    bisect takes at most two gradients and two values, so a count above four
+    shows that the bisection's gradients are counted."""
     per_edge = []
     original = standardize._extremize_segment
 
@@ -476,6 +479,7 @@ def test_extremize_segment_work_is_bounded(newcastle, measure_calls, monkeypatch
             extremize_standardized(pts, measure, objective)
     assert len(per_edge) >= 2 * len(inputs)
     assert max(per_edge) <= 60
+    assert max(per_edge) > 4
 
 
 @pytest.mark.parametrize("measure", [Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])
@@ -508,6 +512,25 @@ def test_collapsibility_verdict_common_odds_ratio(newcastle):
     assert report.common_value == pytest.approx(1.537, abs=5e-4)
     assert report.minimum.value == pytest.approx(1.229, abs=5e-4)
     assert report.maximum.value == pytest.approx(report.common_value, abs=1e-9)
+
+
+# sha256 over the sweep tables' restricted fitted points under each measure
+# of the repr of each verdict, or of the name of the error it raises: the
+# bits of every value and weight, as SWEEP_SHA256 pins the figures' bytes
+VERDICT_SHA256 = "5c10a294f735885531ec367d2f24ed9d8e6a3edaa873cf13858a7ad77dd66906"
+
+
+def test_collapsibility_verdicts_digest():
+    digest = hashlib.sha256()
+    for table in sweep_tables():
+        for measure in Measure:
+            fitted = fit(table, ModelSpec(link_for_measure(measure), interaction=False)).fitted_points
+            try:
+                out = repr(collapsibility_verdict(list(fitted), measure))
+            except RothmanError as exc:
+                out = type(exc).__name__
+            digest.update(f"{out}\0".encode())
+    assert digest.hexdigest() == VERDICT_SHA256
 
 
 @pytest.mark.parametrize("measure", list(Measure))
