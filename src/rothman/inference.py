@@ -456,7 +456,7 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
             return _result(spec, _reference_coded(a, [b1]), ll, p, iterations, gnorm)
         if failed is not None:
             raise failed
-    return _result(spec, _reference_coded(a, [b1]), profile_loglik(table, link, b1), p, iterations, gnorm)
+    return _result(spec, _reference_coded(a, [b1]), _lp_at(table, link, b1)[0], p, iterations, gnorm)
 
 
 def common_measure(result: FitResult) -> float:
@@ -803,6 +803,15 @@ def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) 
     return total, slope, curvature
 
 
+@functools.lru_cache(maxsize=8)
+def _lp_at(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float, float]:
+    """profile_loglik_slope memoized, for lp at a fit's estimate: the
+    ascent's fit takes its loglik there and profile_ci its l_max and
+    lp'', so the two share one solve. Exact, as profile solves start from
+    the data."""
+    return profile_loglik_slope(table, link, b1)
+
+
 def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> float:
     """Log-likelihood of the no-interaction model maximized over all
     coefficients except the exposure coefficient, held at b1.
@@ -939,7 +948,9 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     crosses the chi-square(1) quantile q, mapped to the measure scale.
 
     One profile solve at the estimate b1hat gives lp(b1hat) and
-    lp''(b1hat), and both endpoint searches share it. l_max is the larger
+    lp''(b1hat), and both endpoint searches share it; where the fit came
+    from the Newton ascent it made that same solve for its loglik, and the
+    two share it through a memo (_lp_at). l_max is the larger
     of lp(b1hat) and the fit's loglik: where the boundary rule reports a
     cell at 1e-13 from its bound, lp(b1hat) falls about n 1e-13 short of
     the closed-form supremum that loglik holds. Each endpoint is the root
@@ -969,7 +980,7 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
         raise DomainError(f"level must be in (0, 1), got {level}")
     restricted = fit(table, ModelSpec(link, interaction=False))
     b1hat, root_q = restricted.coefficients[1], math.sqrt(chi2_quantile(level, 1))
-    ll, _, curvature = profile_loglik_slope(table, link, b1hat)
+    ll, _, curvature = _lp_at(table, link, b1hat)
     # the boundary rule leaves lp(b1hat) short of a closed-form supremum
     l_max = max(ll, restricted.loglik)
     e_lo, e_hi = _EDGES[link]

@@ -166,11 +166,11 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n - 1)] + [hi]
 
 
-def _contour_at(c: ContourValue, xs: list[float]) -> list[float]:
-    """The y of contour_y at each x in [0, 1]: one comprehension per
-    measure, not a call per point, then the range check and the clamp to
-    [0, 1]. Only the y values are returned, so a caller that reuses one
-    grid of x for many contours builds nothing per vertex but its y."""
+def _contour_raw(c: ContourValue, xs: list[float]) -> list[float]:
+    """The y of the contour at each x in [0, 1], unclamped: one
+    comprehension per measure, not a call per point, then the range check.
+    A y may lie within 1e-15 outside [0, 1]; _contour_at clamps it, and
+    render clamps it as it maps each y to panel units."""
     m = c.m
     if c.measure is Measure.RISK_DIFFERENCE:
         ys = [x + m for x in xs]
@@ -184,8 +184,15 @@ def _contour_at(c: ContourValue, xs: list[float]) -> list[float]:
     if min(ys) < -1e-15 or max(ys) > 1.0 + 1e-15:
         x, y = next((x, y) for x, y in zip(xs, ys) if y < -1e-15 or y > 1.0 + 1e-15)
         raise ContourRangeError(f"{c.measure.label} contour m = {c.m} leaves the unit square at x = {x} (y = {y})")
+    return ys
+
+
+def _contour_at(c: ContourValue, xs: list[float]) -> list[float]:
+    """The y of contour_y at each x in [0, 1]: _contour_raw clamped to
+    [0, 1]. Only the y values are returned, so a caller that reuses one
+    grid of x for many contours builds nothing per vertex but its y."""
     # the clamp is the identity on (0, 1), so only other values pay for it
-    return [y if 0.0 < y < 1.0 else min(1.0, max(0.0, y)) for y in ys]
+    return [y if 0.0 < y < 1.0 else min(1.0, max(0.0, y)) for y in _contour_raw(c, xs)]
 
 
 def contour_polyline(c: ContourValue, n: int) -> list[RiskPoint]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .measures import Measure, ContourValue, _contour_at, _grid, evaluate, null_value, valid_x_interval
+from .measures import Measure, ContourValue, _contour_raw, _grid, evaluate, null_value, valid_x_interval
 from .standardize import StandardizedHull, standardized_hull, marginal_distribution
 from .tables import RiskPoint, StratifiedTable, stratum_points
 from .inference import LinkFunction, ModelSpec, common_measure, fit, link_for_measure
@@ -104,16 +104,21 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+# one vertex of a polyline's points template: x printed, a %-placeholder for y
+_VERTEX = _F + "," + _F.replace("%", "%%")
+
+
 @functools.lru_cache(maxsize=16)
-def _column_grid(ox: float, lo: float, hi: float) -> tuple[tuple[float, ...], tuple[str, ...], str]:
-    """The contour grid's x over [lo, hi] and, for a panel column at ox,
-    each x's printed coordinate followed by its comma, and the polyline's
-    points with a %-placeholder for each y. Panel columns sit at two
-    offsets, and every odds ratio and hazard ratio contour shares the grid
-    over [0, 1], so most contours find theirs here."""
+def _column_grid(ox: float, lo: float, hi: float) -> tuple[tuple[float, ...], str]:
+    """The contour grid's x over [lo, hi] and, for a panel column at ox, the
+    polyline's points with each x printed and a %-placeholder for each y.
+    The x are printed in one % of a template of _VERTEX repeated, not one %
+    per vertex. Panel columns sit at two offsets, and every odds ratio and
+    hazard ratio contour shares the grid over [0, 1], so most contours find
+    theirs here."""
     xs = tuple(_grid(lo, hi, CONTOUR_SAMPLES))
-    x_strs = tuple([_F % (ox + PANEL_SIZE * x) + "," for x in xs])
-    return xs, x_strs, " ".join([sx + _F for sx in x_strs])
+    template = " ".join([_VERTEX] * len(xs))
+    return xs, template % tuple([ox + PANEL_SIZE * x for x in xs])
 
 
 def _emit_contour(
@@ -123,23 +128,25 @@ def _emit_contour(
     its x interval is one point) with its label. The vertices' x and their
     printed coordinates come from _column_grid, so only the y values are
     formatted, all in one % of its points template; the bytes are those of
-    formatting each (x, y) with _PAIR."""
+    formatting each (x, y) with _PAIR. Each y is clamped to [0, 1] and
+    mapped to panel units in one pass; the inset rule reads the unclamped
+    y, where y >= 1 is the clamped y == 1."""
     c = ContourValue(measure, line.level)
-    xs, x_strs, points = _column_grid(ox, *valid_x_interval(c))
-    ys = _contour_at(c, xs)
+    xs, points = _column_grid(ox, *valid_x_interval(c))
+    ys = _contour_raw(c, xs)
     if measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO):
-        kept = [i for i, y in enumerate(ys) if y <= 1.0 - TOP_EDGE_INSET or y == 1.0]
+        kept = [i for i, y in enumerate(ys) if y <= 1.0 - TOP_EDGE_INSET or y >= 1.0]
         if 2 <= len(kept) < len(ys):
+            vertices = points.split(" ")
             xs, ys = [xs[i] for i in kept], [ys[i] for i in kept]
-            points = " ".join([x_strs[i] + _F for i in kept])
+            points = " ".join([vertices[i] for i in kept])
+    # the clamp of _contour_at, then the panel's y
+    py = [oy + PANEL_SIZE * (1.0 - (y if 0.0 < y < 1.0 else min(1.0, max(0.0, y)))) for y in ys]
     if len(ys) == 1:
-        x, y = anchor = xs[0], ys[0]
-        out.append(
-            f'<circle cx="{_fmt(ox + PANEL_SIZE * x)}" cy="{_fmt(oy + PANEL_SIZE * (1.0 - y))}" '
-            f'r="2" fill="black"/>'
-        )
+        i = 0
+        out.append(f'<circle cx="{_fmt(ox + PANEL_SIZE * xs[0])}" cy="{_fmt(py[0])}" r="2" fill="black"/>')
     else:
-        coords = points % tuple([oy + PANEL_SIZE * (1.0 - y) for y in ys])
+        coords = points % tuple(py)
         dash = "" if line.solid else f' stroke-dasharray="{DASH_PATTERN}"'
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="black" '
@@ -147,11 +154,8 @@ def _emit_contour(
         )
         fraction = LABEL_ANCHORS[index % len(LABEL_ANCHORS)]
         i = round(fraction * (len(ys) - 1))
-        anchor = xs[i], ys[i]
-    x, y = anchor
     out.append(
-        f'<text x="{_fmt(ox + PANEL_SIZE * x - 4.0)}" '
-        f'y="{_fmt(oy + PANEL_SIZE * (1.0 - y) - 6.0)}" '
+        f'<text x="{_fmt(ox + PANEL_SIZE * xs[i] - 4.0)}" y="{_fmt(py[i] - 6.0)}" '
         f'font-size="{FONT_SIZE}" text-anchor="end">{_esc(line.label)}</text>'
     )
 
@@ -173,28 +177,15 @@ def _emit_glyph(out: list[str], ox: float, oy: float, gp: GlyphPoint) -> None:
             )
 
 
-def _emit_panel(out: list[str], spec: PanelSpec, ox: float, oy: float) -> None:
-    out.append(f'<g class="panel panel-{spec.measure.value}">')
-    if spec.hull is not None and len(spec.hull.vertices) >= 3:
-        coords = " ".join(
-            _PAIR % (ox + PANEL_SIZE * v.x, oy + PANEL_SIZE * (1.0 - v.y)) for v in spec.hull.vertices
-        )
-        out.append(f'<polygon points="{coords}" fill="{HULL_FILL}" stroke="none"/>')
-    for i, line in enumerate(spec.contours):
-        _emit_contour(out, ox, oy, spec.measure, line, i)
-    if spec.segment is not None:
-        a, b = spec.segment
-        out.append(
-            f'<line x1="{_fmt(ox + PANEL_SIZE * a.x)}" y1="{_fmt(oy + PANEL_SIZE * (1.0 - a.y))}" '
-            f'x2="{_fmt(ox + PANEL_SIZE * b.x)}" y2="{_fmt(oy + PANEL_SIZE * (1.0 - b.y))}" '
-            f'stroke="black" stroke-width="{SEGMENT_WIDTH}"/>'
-        )
-    for gp in spec.points:
-        _emit_glyph(out, ox, oy, gp)
-    out.append(
+@functools.lru_cache(maxsize=8)
+def _frame(ox: float, oy: float) -> tuple[str, ...]:
+    """The elements of a panel at (ox, oy) that do not depend on its spec:
+    the frame, the ticks and their labels, and the axis labels. Panels sit
+    at a few offsets, so each is printed once."""
+    out = [
         f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" width="{_fmt(PANEL_SIZE)}" '
         f'height="{_fmt(PANEL_SIZE)}" fill="none" stroke="black" stroke-width="{FRAME_WIDTH}"/>'
-    )
+    ]
     for t in (0.0, 0.5, 1.0):
         tx, ty = ox + PANEL_SIZE * t, oy + PANEL_SIZE * (1.0 - t)
         bottom = oy + PANEL_SIZE
@@ -224,9 +215,31 @@ def _emit_panel(out: list[str], spec: PanelSpec, ox: float, oy: float) -> None:
         f'<text x="{_fmt(ox - 40.0)}" y="{_fmt(cy)}" font-size="{FONT_SIZE}" text-anchor="middle" '
         f'transform="rotate(-90 {_fmt(ox - 40.0)} {_fmt(cy)})">{Y_LABEL}</text>'
     )
+    return tuple(out)
+
+
+def _emit_panel(out: list[str], spec: PanelSpec, ox: float, oy: float) -> None:
+    out.append(f'<g class="panel panel-{spec.measure.value}">')
+    if spec.hull is not None and len(spec.hull.vertices) >= 3:
+        coords = " ".join(
+            _PAIR % (ox + PANEL_SIZE * v.x, oy + PANEL_SIZE * (1.0 - v.y)) for v in spec.hull.vertices
+        )
+        out.append(f'<polygon points="{coords}" fill="{HULL_FILL}" stroke="none"/>')
+    for i, line in enumerate(spec.contours):
+        _emit_contour(out, ox, oy, spec.measure, line, i)
+    if spec.segment is not None:
+        a, b = spec.segment
+        out.append(
+            f'<line x1="{_fmt(ox + PANEL_SIZE * a.x)}" y1="{_fmt(oy + PANEL_SIZE * (1.0 - a.y))}" '
+            f'x2="{_fmt(ox + PANEL_SIZE * b.x)}" y2="{_fmt(oy + PANEL_SIZE * (1.0 - b.y))}" '
+            f'stroke="black" stroke-width="{SEGMENT_WIDTH}"/>'
+        )
+    for gp in spec.points:
+        _emit_glyph(out, ox, oy, gp)
+    out.extend(_frame(ox, oy))
     if spec.title:
         out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(oy - 28.0)}" font-size="{FONT_SIZE + 2}" '
+            f'<text x="{_fmt(ox + PANEL_SIZE / 2.0)}" y="{_fmt(oy - 28.0)}" font-size="{FONT_SIZE + 2}" '
             f'text-anchor="middle">{_esc(spec.title)}</text>'
         )
     out.append("</g>")

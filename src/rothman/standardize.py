@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, ModificationError
 from .measures import Measure, _gradient_xy, check_domain, evaluate, null_value
-from .tables import RiskPoint, StratifiedTable, exact_risk
+from .tables import CellCounts, RiskPoint, StratifiedTable, crude_point, stratum_points
 
 _WEIGHT_SUM_TOL = 1e-12
 _VALUE_TIE_TOL = 1e-12
@@ -87,8 +86,8 @@ def standardized_point(table: StratifiedTable, dist: StandardDistribution) -> Ri
 # ---------------------------------------------------------------------------
 # hull geometry
 #
-# The chain construction below works for both float and Fraction
-# coordinates; exact rational input gives exact orientation tests.
+# The chain construction below works for both float and integer
+# coordinates; integer input gives exact orientation tests.
 # ---------------------------------------------------------------------------
 
 
@@ -187,24 +186,33 @@ class ConfoundingResult:
     distance: float
 
 
+def _scaled_risks(cells: list[CellCounts]) -> tuple[list[int], int]:
+    """The risk of each of one arm's cells and the arm's pooled risk, each
+    times the least common multiple of the cells' totals and the pooled
+    total: integers."""
+    total = sum(c.total for c in cells)
+    scale = math.lcm(total, *(c.total for c in cells))
+    return [c.cases * (scale // c.total) for c in cells], sum(c.cases for c in cells) * (scale // total)
+
+
 def is_confounded(table: StratifiedTable) -> ConfoundingResult:
     """Whether the crude point lies off the hull of the stratum points.
 
     Membership is decided in exact rational arithmetic on the counts, so a
-    crude point that is exactly on the hull never reads as confounded; the
-    diagnostic distance is then computed in floating point.
+    crude point that is exactly on the hull never reads as confounded: each
+    axis's risks, the strata's and the crude one, are scaled by the least
+    common multiple of that arm's totals, which makes every coordinate an
+    integer, and a positive scaling of each axis keeps hull membership. The
+    diagnostic distance is then computed in floating point, from the
+    correctly rounded risks of stratum_points and crude_point.
     """
     if table.k < 2:
         raise DomainError("confounding analysis needs at least two strata")
-    exact_pts = [(exact_risk(s.unexposed), exact_risk(s.exposed)) for s in table.strata]
-    crude = (
-        Fraction(sum(s.unexposed.cases for s in table.strata), sum(s.unexposed.total for s in table.strata)),
-        Fraction(sum(s.exposed.cases for s in table.strata), sum(s.exposed.total for s in table.strata)),
-    )
-    if _hull_contains(_hull_vertices(exact_pts), crude):
+    xs, crude_x = _scaled_risks([s.unexposed for s in table.strata])
+    ys, crude_y = _scaled_risks([s.exposed for s in table.strata])
+    if _hull_contains(_hull_vertices(list(zip(xs, ys))), (crude_x, crude_y)):
         return ConfoundingResult(False, 0.0)
-    float_hull = standardized_hull([RiskPoint(float(x), float(y)) for x, y in exact_pts])
-    dist = distance_to_hull(RiskPoint(float(crude[0]), float(crude[1])), float_hull)
+    dist = distance_to_hull(crude_point(table), standardized_hull(stratum_points(table)))
     return ConfoundingResult(dist > _CONFOUNDING_TOL, dist)
 
 
@@ -243,11 +251,17 @@ def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> 
     """Optimum over one segment, as weights (w, 1 - w) on its two end points.
 
     The candidates are the end points and, when the signed directional
-    derivative is negative at w = 0 and positive at w = 1, its one root,
-    found by bisection on its sign (extremize_standardized says why there
-    is at most one). Each step takes the point w p0 + (1 - w) p1 and the
-    measure's gradient there on plain floats, through _gradient_xy, and
-    builds no RiskPoint."""
+    derivative f is negative at w = 0 and positive at w = 1, its one root
+    (extremize_standardized says why there is at most one): the midpoint of
+    a bracket [lo, hi] on which f changes sign, narrowed until it is at most
+    1e-15 wide. Each step evaluates f at the Illinois point (Dowell &
+    Jarratt 1971, BIT 11:168-174): regula falsi between the bracket's ends,
+    with the f kept at an end halved each time the other end moves twice
+    in a row, so both ends close in. Where that point is not inside
+    (lo, hi) the step bisects, and where f is 0 the bracket collapses onto
+    that w. Each step takes the point w p0 + (1 - w) p1 and the measure's
+    gradient there on plain floats, through _gradient_xy, and builds no
+    RiskPoint."""
     p0, p1 = points
     # + 0.0 maps a -0.0 coordinate to 0.0, so w x0 + (1 - w) x1 of two
     # zeros is 0.0, never -0.0
@@ -261,13 +275,26 @@ def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> 
 
     candidates = [0.0, 1.0]
     lo, hi = 0.0, 1.0
-    if fprime(lo) < 0.0 < fprime(hi):
+    f_lo, f_hi = fprime(lo), fprime(hi)
+    if f_lo < 0.0 < f_hi:
+        moved = 0  # -1 or 1 after lo or hi moved last
         while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            if fprime(mid) < 0.0:
-                lo = mid
+            w = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            if not lo < w < hi:
+                w = 0.5 * (lo + hi)
+            f = fprime(w)
+            if f < 0.0:
+                lo, f_lo = w, f
+                if moved < 0:
+                    f_hi *= 0.5
+                moved = -1
+            elif f > 0.0:
+                hi, f_hi = w, f
+                if moved > 0:
+                    f_lo *= 0.5
+                moved = 1
             else:
-                hi = mid
+                lo = hi = w
         candidates.append(0.5 * (lo + hi))
     best: tuple[float, tuple] | None = None
     for w in candidates:
@@ -292,9 +319,10 @@ def extremize_standardized(points: list[RiskPoint], measure: Measure, objective:
     represented by the last of them.
 
     Along an edge the measure's directional derivative changes sign at most
-    once, so the end points and one bisection on that sign find the edge
-    optimum. RD and RR contours are straight, so both measures are monotone
-    along every segment. OR and CHR contours are concave above the null line
+    once, so the end points and one root search on that sign (the Illinois
+    method, see _extremize_segment) find the edge optimum. RD and RR
+    contours are straight, so both measures are monotone along every
+    segment. OR and CHR contours are concave above the null line
     y = x and convex below it: {M <= m} is convex for m >= 1 (the region
     under a concave contour) and {M >= m} is convex for m <= 1 (the region
     above a convex one). Along a segment M is therefore quasi-convex where

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, TableParseError
 
@@ -90,11 +89,6 @@ class RiskPoint:
 def risk(cell: CellCounts) -> float:
     """Empirical risk cases/total."""
     return cell.cases / cell.total
-
-
-def exact_risk(cell: CellCounts) -> Fraction:
-    """Empirical risk as an exact rational, for geometry that must not round."""
-    return Fraction(cell.cases, cell.total)
 
 
 def stratum_points(table: StratifiedTable) -> list[RiskPoint]:

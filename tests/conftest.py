@@ -32,8 +32,10 @@ def fit_calls(monkeypatch) -> list:
 def computed_fits():
     """A function that returns how many fits ``rothman.inference.fit`` has
     computed rather than taken from its memo. The memo starts empty, so
-    every fit not repeated inside the test counts once."""
+    every fit not repeated inside the test counts once. The memo of lp at
+    a fit's estimate starts empty too."""
     inference._fit.cache_clear()
+    inference._lp_at.cache_clear()
     return lambda: inference._fit.cache_info().misses
 
 
@@ -83,7 +85,7 @@ def stratum_evaluations(monkeypatch) -> list:
 def measure_calls(monkeypatch) -> list:
     """Names of the measure evaluations standardize makes: each call of its
     bindings of ``evaluate`` and of the scalar derivative core
-    ``_gradient_xy``, which the extremizer's bisection calls."""
+    ``_gradient_xy``, which the extremizer's edge search calls."""
     calls = []
 
     def counting(name):

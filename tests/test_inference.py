@@ -650,6 +650,20 @@ def test_closed_form_solves_take_one_evaluation(link, k, stratum_evaluations, mo
         assert max(stratum_evaluations) <= 1 + 2 + 1
 
 
+@pytest.mark.parametrize("k", ["newcastle", *range(2, 7)])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_ci_reuses_the_fits_solve_at_the_estimate(link, k, computed_fits, profile_loglik_calls):
+    # an ascent-path fit takes its loglik from one profile solve at its
+    # estimate, and profile_ci takes l_max and lp'' from that same solve
+    table = _table(k)
+    b1hat = fit(table, ModelSpec(link, interaction=False)).coefficients[1]
+    assert profile_loglik_calls == [b1hat]
+    profile_loglik_calls.clear()
+    profile_ci(table, link)
+    assert profile_loglik_calls
+    assert b1hat not in profile_loglik_calls
+
+
 @pytest.mark.parametrize("csv", ["s1,334,334,60,2873", "s1,60,2873,334,334"])
 def test_identity_ci_search_stays_inside_the_feasible_range(csv, profile_loglik_calls):
     # the identity link's feasible b1 are |b1| < 1: the endpoint searches are
@@ -1064,6 +1078,7 @@ def test_restricted_fit_runs_the_traced_solver_once(newcastle, link, monkeypatch
 
     monkeypatch.setattr(inference, "_newton", traced)
     inference._fit.cache_clear()
+    inference._lp_at.cache_clear()
     restricted = fit(newcastle, ModelSpec(link, interaction=False))
     assert len(results) == 1
     assert results[0][3] == restricted.iterations >= 1
@@ -1097,6 +1112,7 @@ def test_fits_use_no_dense_linear_algebra(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     inference._fit.cache_clear()
+    inference._lp_at.cache_clear()
     for table in sweep_tables():
         for link in ALL_LINKS:
             for interaction in (False, True)[: table.k]:
@@ -1130,6 +1146,7 @@ def test_feasible_matches_three_way_check(v):
 def test_newton_raises_no_runtime_warning(link, csv):
     table = newcastle_fixture() if csv == "newcastle" else parse_table(CSV_HEADER + csv + "\n")
     inference._fit.cache_clear()
+    inference._lp_at.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for interaction in (False, True)[: table.k]:

@@ -11,9 +11,13 @@ from pathlib import Path
 import pytest
 
 from rothman.errors import DomainError, RothmanError
-from rothman.measures import ContourValue, Measure, contour_y, evaluate, in_domain
+from rothman import render
+from rothman.measures import ContourValue, Measure, contour_y, evaluate, in_domain, valid_x_interval
 from rothman.render import (
+    _PAIR,
     CELL,
+    CONTOUR_SAMPLES,
+    LABEL_ANCHORS,
     FIGURES,
     MARGIN,
     PANEL_SIZE,
@@ -22,6 +26,7 @@ from rothman.render import (
     Glyph,
     GlyphPoint,
     PanelSpec,
+    TOP_EDGE_INSET,
     figure_collapsible,
     figure_contours,
     figure_hull,
@@ -139,6 +144,101 @@ def test_every_contour_vertex_reevaluates_to_its_level():
                     else:
                         expected = contour_y(ContourValue(panel.measure, cline.level), point.x)
                         assert point.y == pytest.approx(expected, abs=1e-9)
+
+
+def _raw_contour_y(measure: Measure, m: float, x: float) -> float:
+    """The contour's closed forms, unclamped, written out."""
+    if measure is Measure.RISK_DIFFERENCE:
+        return x + m
+    if measure is Measure.RISK_RATIO:
+        return m * x
+    if measure is Measure.ODDS_RATIO:
+        d = 1.0 - x + m * x
+        return m * x / d if d != 0.0 else 0.0
+    if x < 1.0:
+        return -math.expm1(m * math.log1p(-x))
+    return 1.0 if m > 0.0 else 0.0
+
+
+def _contour_oracle(ox, oy, measure, line, index, nudge):
+    """The elements of one contour, each kept vertex printed with _PAIR:
+    CONTOUR_SAMPLES equally spaced x over the level's interval (both ends
+    exact, one x where they meet), y by the closed form, nudged, then
+    clamped to [0, 1]; under the odds and hazard ratios a vertex whose
+    clamped y is within TOP_EDGE_INSET below 1, but not 1, is dropped
+    unless fewer than two would be left."""
+    lo, hi = valid_x_interval(ContourValue(measure, line.level))
+    if hi == lo:
+        xs = [lo]
+    else:
+        step = (hi - lo) / (CONTOUR_SAMPLES - 1)
+        xs = [lo + i * step for i in range(CONTOUR_SAMPLES - 1)] + [hi]
+    ys = [min(1.0, max(0.0, nudge(i, _raw_contour_y(measure, line.level, x)))) for i, x in enumerate(xs)]
+    keep = list(range(len(xs)))
+    if measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO):
+        kept = [i for i in keep if ys[i] <= 1.0 - TOP_EDGE_INSET or ys[i] == 1.0]
+        if len(kept) >= 2:
+            keep = kept
+    xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+    svg_x = [ox + PANEL_SIZE * x for x in xs]
+    svg_y = [oy + PANEL_SIZE * (1.0 - y) for y in ys]
+    fmt = render._F
+    if len(xs) == 1:
+        elements = [f'<circle cx="{fmt % svg_x[0]}" cy="{fmt % svg_y[0]}" r="2" fill="black"/>']
+        i = 0
+    else:
+        points = " ".join(_PAIR % pair for pair in zip(svg_x, svg_y))
+        dash = "" if line.solid else ' stroke-dasharray="6 4"'
+        elements = [f'<polyline points="{points}" fill="none" stroke="black" stroke-width="1.5"{dash}/>']
+        i = round(LABEL_ANCHORS[index % len(LABEL_ANCHORS)] * (len(xs) - 1))
+    elements.append(
+        f'<text x="{fmt % (svg_x[i] - 4.0)}" y="{fmt % (svg_y[i] - 6.0)}" font-size="12" '
+        f'text-anchor="end">{line.label}</text>'
+    )
+    return elements, len(xs)
+
+
+CONTOUR_BYTE_LEVELS = {
+    # m = -1 and 1 are one-point intervals; the others end at x = 1 - m or -m
+    Measure.RISK_DIFFERENCE: (-1.0, -0.5, -0.123, 0.0, 0.25, 0.777, 1.0),
+    # m > 1 ends its interval at x = 1 / m
+    Measure.RISK_RATIO: (0.0, 0.25, 1.0, 1.5, 2.0, 3.7, 40.0),
+    # large and small levels pass within the inset of y = 1 and lose vertices
+    Measure.ODDS_RATIO: (0.0, 0.05, 0.5, 1.0, 2.0, 4.0, 37.5, 1e4),
+    Measure.CUMULATIVE_HAZARD_RATIO: (0.0, 0.05, 0.5, 1.0, 2.0, 4.0, 37.5, 1e4),
+}
+# raw y just outside [0, 1] at chosen vertices: the range check lets y
+# within 1e-15 of the square through, and the clamp takes it to 0 or 1
+CONTOUR_NUDGES = {
+    "none": {},
+    "outside": {0: -2.0**-60, 60: 1.0 + 2.0**-52, 130: -5e-16, 200: 1.0 + 8e-16},
+}
+
+
+@pytest.mark.parametrize("nudge", list(CONTOUR_NUDGES))
+@pytest.mark.parametrize("measure", list(Measure))
+def test_contour_emission_matches_the_vertex_oracle(measure, nudge, monkeypatch):
+    nudged = CONTOUR_NUDGES[nudge]
+
+    def shift(i, y):
+        return nudged.get(i, y)
+
+    raw = render._contour_raw
+    monkeypatch.setattr(render, "_contour_raw", lambda c, xs: [shift(i, y) for i, y in enumerate(raw(c, xs))])
+    sizes = set()
+    for index, level in enumerate(CONTOUR_BYTE_LEVELS[measure]):
+        line = ContourLine(level, solid=index % 2 == 0, label=f"{level:.3f}")
+        for ox, oy in ((MARGIN, MARGIN), (CELL + MARGIN, MARGIN), (CELL + MARGIN, CELL + MARGIN)):
+            out = []
+            render._emit_contour(out, ox, oy, measure, line, index)
+            expected, size = _contour_oracle(ox, oy, measure, line, index, shift)
+            assert out == expected, (measure, level, ox, oy)
+            sizes.add(size)
+    assert max(sizes) == CONTOUR_SAMPLES
+    if measure is Measure.RISK_DIFFERENCE:
+        assert 1 in sizes
+    if measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO):
+        assert min(sizes) < CONTOUR_SAMPLES
 
 
 def test_segment_tracks_straight_contour_within_half_unit():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from rothman import standardize
 from rothman.errors import DomainError, ModificationError, RothmanError
 from rothman.inference import LinkFunction, ModelSpec, fit, link_for_measure
-from rothman.measures import Measure, evaluate, is_straight, null_value
+from rothman.measures import Measure, _gradient_xy, evaluate, is_straight, null_value
 from rothman.standardize import (
     StandardDistribution,
     Verdict,
@@ -242,6 +243,128 @@ def test_crude_in_hull_iff_weights_reproduce_both_margins():
             assert best < 1e-3
 
 
+def _rational_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(a, b, q) -> bool:
+    return (
+        _rational_cross(a, b, q) == 0
+        and min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= q[1] <= max(a[1], b[1])
+    )
+
+
+def _in_rational_hull(points, q) -> bool:
+    """Carathéodory in the plane: q is in the hull of the points iff it is
+    in the triangle, segment or point of some three of them (repeats
+    allowed), tested with exact Fraction orientations."""
+    for a, b, c in itertools.combinations_with_replacement(points, 3):
+        if _rational_cross(a, b, c) == 0:
+            if _on_segment(a, b, q) or _on_segment(b, c, q) or _on_segment(a, c, q):
+                return True
+            continue
+        sides = (_rational_cross(a, b, q), _rational_cross(b, c, q), _rational_cross(c, a, q))
+        if min(sides) >= 0 or max(sides) <= 0:
+            return True
+    return False
+
+
+def _confounding_oracle(table):
+    """(confounded, distance) from the counts as Fractions: a crude point in
+    the hull reads (False, 0.0); otherwise the float distance between the
+    rounded crude point and the hull of the rounded stratum points."""
+    pts = [
+        (Fraction(s.unexposed.cases, s.unexposed.total), Fraction(s.exposed.cases, s.exposed.total))
+        for s in table.strata
+    ]
+    crude = (
+        Fraction(sum(s.unexposed.cases for s in table.strata), sum(s.unexposed.total for s in table.strata)),
+        Fraction(sum(s.exposed.cases for s in table.strata), sum(s.exposed.total for s in table.strata)),
+    )
+    if _in_rational_hull(pts, crude):
+        return False, 0.0
+    hull = standardized_hull([RiskPoint(float(x), float(y)) for x, y in pts])
+    distance = distance_to_hull(RiskPoint(float(crude[0]), float(crude[1])), hull)
+    return distance > 1e-9, distance
+
+
+def _large_table(rng: random.Random, k: int) -> StratifiedTable:
+    """Totals log-uniform up to 1e9, cases anywhere in [0, total]."""
+    strata = []
+    for j in range(k):
+        cells = []
+        for _ in range(2):
+            total = round(math.exp(rng.uniform(0.0, math.log(1e9))))
+            cells.append(CellCounts(rng.randint(0, total), total))
+        strata.append(Stratum(f"s{j}", exposed=cells[0], unexposed=cells[1]))
+    return StratifiedTable(tuple(strata))
+
+
+def _table_of(rows) -> StratifiedTable:
+    return StratifiedTable(
+        tuple(Stratum(f"s{j}", CellCounts(ec, et), CellCounts(uc, ut)) for j, (ec, et, uc, ut) in enumerate(rows))
+    )
+
+
+def _proportional_table(rng: random.Random, k: int) -> StratifiedTable:
+    """Exposed totals s n_j and unexposed totals u n_j, up to 1e8: the crude
+    point is the standardized point of the weights n_j / sum n, so it lies
+    in the hull, on the segment when K = 2."""
+    n = [rng.randint(1, 10**4) for _ in range(k)]
+    s, u = rng.randint(1, 10**4), rng.randint(1, 10**4)
+    return _table_of([(rng.randint(0, s * nj), s * nj, rng.randint(0, u * nj), u * nj) for nj in n])
+
+
+def _exact_boundary_tables() -> list[StratifiedTable]:
+    """Tables whose crude point lies exactly in the hull, most of them on its
+    boundary, then the same tables with one subject added to the first
+    stratum's exposed arm, which moves the crude point by about 1e-9 and
+    may take it off the hull."""
+    m = 21 * 3_000_000  # risks in thirds and sevenths, totals up to 7.6e8
+    rng = random.Random(1618)
+    tables = [_proportional_table(rng, k) for k in (2, 2, 2, 3, 4) for _ in range(8)] + [
+        # K = 2 with proportional arm totals: the crude point is on the segment
+        _table_of([(2 * m // 7, m, m // 3, 3 * m), (5 * m // 7, 4 * m, 2 * m // 3, 12 * m)]),
+        # a triangle with c = (x_a, y_b) and u_a + u_c = e_a = 1/2: the crude
+        # point is the midpoint of the edge from a = (1/3, 2/7) to b = (2/3, 5/7)
+        _table_of([(2 * m // 7 * 5, 5 * m, 2 * m // 3, 2 * m), (5 * m // 7 * 3, 3 * m, 2 * m // 3 * 5, 5 * m),
+                   (5 * m // 7 * 2, 2 * m, m, 3 * m)]),
+        # collinear strata with proportional arm totals
+        _table_of([(j * m // 7, m, j * m // 21, m) for j in range(1, 6)]),
+        # equal risks in every stratum: the hull is one point, the crude point
+        _table_of([(2 * m // 7 * t, m * t, m // 3 * t, m * t) for t in (1, 2, 3, 4)]),
+        _table_of([(2 * t, 7 * t, t, 3 * t) for t in (1, 5, 11)]),
+    ]
+    off = []
+    for table in tables:
+        rows = [(s.exposed.cases, s.exposed.total, s.unexposed.cases, s.unexposed.total) for s in table.strata]
+        ec, et, uc, ut = rows[0]
+        rows[0] = (ec, et + 1, uc, ut)
+        off.append(_table_of(rows))
+    return tables + off
+
+
+def test_confounding_matches_a_rational_oracle():
+    rng = random.Random(2718)
+    tables = [_large_table(rng, k) for k in range(2, 11) for _ in range(12)]
+    tables += [random_table(rng, k) for k in range(2, 11) for _ in range(4)]
+    boundary = _exact_boundary_tables()
+    for table in tables + boundary:
+        result = is_confounded(table)
+        assert (result.confounded, result.distance) == _confounding_oracle(table), table
+    exact = boundary[: len(boundary) // 2]
+    for table in exact:
+        result = is_confounded(table)
+        assert (result.confounded, result.distance) == (False, 0.0)
+    # on many of them a hull test in floating point would put the crude
+    # point off the hull, at a distance of a few ulps
+    rounded = [distance_to_hull(crude_point(t), standardized_hull(stratum_points(t))) for t in exact]
+    assert sum(d > 0.0 for d in rounded) >= 3
+    verdicts = [is_confounded(t) for t in tables]
+    assert any(r.confounded for r in verdicts) and not all(r.confounded for r in verdicts)
+
+
 def test_extremize_newcastle_minimum_standardized_odds_ratio(newcastle):
     fitted = fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=False)).fitted_points
     res = extremize_standardized(list(fitted), Measure.ODDS_RATIO, "min")
@@ -458,10 +581,10 @@ def test_extremize_edge_optimum_is_the_slope_root(case):
 
 
 def test_extremize_segment_work_is_bounded(newcastle, measure_calls, monkeypatch):
-    """The end points and one bisection on the derivative's sign: at most 60
+    """The end points and one search for the derivative's root: at most 60
     measure evaluations and gradients per hull edge. An edge that does not
-    bisect takes at most two gradients and two values, so a count above four
-    shows that the bisection's gradients are counted."""
+    search takes at most two gradients and two values, so a count above four
+    shows that the search's gradients are counted."""
     per_edge = []
     original = standardize._extremize_segment
 
@@ -480,6 +603,83 @@ def test_extremize_segment_work_is_bounded(newcastle, measure_calls, monkeypatch
     assert len(per_edge) >= 2 * len(inputs)
     assert max(per_edge) <= 60
     assert max(per_edge) > 4
+
+
+def _bisection_segment(points, measure, sign):
+    """Reference edge search: bisection on the sign of the directional
+    derivative to a bracket at most 1e-15 wide, its midpoint the candidate."""
+    (x0, y0), (x1, y1) = ((p.x + 0.0, p.y + 0.0) for p in points)
+
+    def at(w):
+        return w * x0 + (1.0 - w) * x1, w * y0 + (1.0 - w) * y1
+
+    def slope(w):
+        gx, gy = _gradient_xy(measure, *at(w))
+        return sign * (gx * (x0 - x1) + gy * (y0 - y1))
+
+    candidates = [0.0, 1.0]
+    lo, hi = 0.0, 1.0
+    if slope(lo) < 0.0 < slope(hi):
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        candidates.append(0.5 * (lo + hi))
+    best = None
+    for w in candidates:
+        value, weights = sign * evaluate(measure, RiskPoint(*at(w))), (w, 1.0 - w)
+        # values within 1e-12 tie, and a tie goes to the smaller weights
+        if best is None or value < best[0] - 1e-12 or (abs(value - best[0]) <= 1e-12 and weights < best[1]):
+            best = (value, weights)
+    return standardize.ExtremeResult(sign * best[0], best[1])
+
+
+# how much less extreme than the grid oracle an extremization may be, as a
+# share of the oracle's value, and the oracle's steps per unit weight by K:
+# the bounds the benchmark checks its geometry jobs with
+ORACLE_REL_TOL = 1e-9
+_GEOMETRY_ORACLE_STEPS = {2: 10000, 3: 300, 4: 60, 5: 25, 6: 10, 7: 7, 8: 6, 9: 5, 10: 4}
+
+
+def _edge_search_inputs():
+    """Restricted fitted points under each measure's link, and observed
+    stratum points, of seeded tables with K = 2 to 10 and totals up to 1e5."""
+    rng = random.Random(1971)
+    out = []
+    for k in range(2, 11):
+        for _ in range(3):
+            table = random_table(rng, k, max_total=100_000, interior=True)
+            for measure in Measure:
+                fitted = fit(table, ModelSpec(link_for_measure(measure), interaction=False)).fitted_points
+                out.append((measure, list(fitted)))
+            out += [(m, stratum_points(table)) for m in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO)]
+    return out
+
+
+def test_edge_search_is_short_and_matches_bisection(measure_calls, monkeypatch):
+    """An edge whose derivative changes sign takes at most 36 gradients,
+    where bisection to 1e-15 took 52, and lands within 2e-15 relative of
+    bisection's optimum; no optimum is less extreme than the grid oracle's
+    beyond the benchmark's tolerance."""
+    search, per_edge = standardize._extremize_segment, []
+
+    def counted(points, measure, sign):
+        before = len(measure_calls)
+        res = search(points, measure, sign)
+        per_edge.append(measure_calls[before:].count("_gradient_xy"))
+        return res
+
+    for measure, pts in _edge_search_inputs():
+        for objective, sign in (("min", 1), ("max", -1)):
+            monkeypatch.setattr(standardize, "_extremize_segment", counted)
+            res = extremize_standardized(pts, measure, objective)
+            monkeypatch.setattr(standardize, "_extremize_segment", _bisection_segment)
+            ref = extremize_standardized(pts, measure, objective)
+            assert res.value == pytest.approx(ref.value, rel=2e-15, abs=0.0)
+            grid = grid_extremize(pts, measure, objective, 1.0 / _GEOMETRY_ORACLE_STEPS[len(pts)])
+            assert sign * (res.value - grid.value) <= ORACLE_REL_TOL * abs(grid.value)
+    interior = [n for n in per_edge if n > 2]
+    assert len(interior) > 100
+    assert max(interior) <= 36
 
 
 @pytest.mark.parametrize("measure", [Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])
@@ -516,8 +716,13 @@ def test_collapsibility_verdict_common_odds_ratio(newcastle):
 
 # sha256 over the sweep tables' restricted fitted points under each measure
 # of the repr of each verdict, or of the name of the error it raises: the
-# bits of every value and weight, as SWEEP_SHA256 pins the figures' bytes
-VERDICT_SHA256 = "5c10a294f735885531ec367d2f24ed9d8e6a3edaa873cf13858a7ad77dd66906"
+# bits of every value and weight, as SWEEP_SHA256 pins the figures' bytes.
+# Re-recorded when the edge search went from bisection to the Illinois
+# method: 34 of these 120 reports changed in their last bits. Over the
+# benchmark's seed 1-10 geometry plans (four blocks each, 3520 extremum
+# values) 623 values moved, by at most 1.1e-15 relative, 262 of them to
+# less extreme ones, and 852 weight vectors moved.
+VERDICT_SHA256 = "f33fc89ad639f94c6eb24fbeb7550045928f71c5c0eee2f6eb2afe510d5e7aa8"
 
 
 def test_collapsibility_verdicts_digest():
