@@ -5,21 +5,21 @@ complementary log-log), each paired with the association measure its
 exposure coefficient estimates. The saturated (interaction) fit is the
 empirical risks, and its log-likelihood their closed-form supremum. So is
 the restricted (no-interaction) fit wherever that model reaches the
-empirical risks: with one stratum, and where under the logit or cloglog
-link the exposure coefficient runs off to infinity. Run-offs are decided
-once, from the counts (_run_off), for the fit and the profile CI alike.
-Any other restricted fit is Newton ascent on the grouped binomial
-log-likelihood (observed-Hessian direction with a Fisher-scoring
-fallback) under step-halving that keeps every cell probability strictly
-inside (0, 1). It runs in scalar floats on the profile's cell functions
-below and in the profile's coordinates: b1, and each stratum's unexposed
-linear predictor, which couples only to b1. So each step solves an
-arrowhead system in O(K), with no dense linear algebra.
-Where that ascent ends short of its gradient test, the maximum of the
-profile log-likelihood of the exposure coefficient replaces it, and
-either way the fit's log-likelihood is that profile at its estimate. The
-last eight fits are memoized, so the LR test, the profile CI and the
-figures reuse a table's fits instead of refitting it.
+empirical risks: with one stratum, and where the exposure coefficient
+runs off to an end of its range. Run-offs are decided once, from the
+counts (_run_off), for the fit and the profile CI alike.
+Any other restricted fit is first Newton ascent on the grouped binomial
+log-likelihood in full steps (observed-Hessian or Fisher-scoring) that
+keep every cell probability strictly inside (0, 1). It runs in scalar
+floats on the profile's cell functions below and in the profile's
+coordinates: b1, and each stratum's unexposed linear predictor, which
+couples only to b1. So each step solves an arrowhead system in O(K), with
+no dense linear algebra. Where that ascent ends short of its gradient
+test, the fit is the maximum of the profile log-likelihood of the
+exposure coefficient, found from the data, and either way the fit's
+log-likelihood is that profile at its estimate. The last eight fits are
+memoized, so the LR test, the profile CI and the figures reuse a table's
+fits instead of refitting it.
 With the exposure coefficient b1 held fixed each stratum keeps one free
 coefficient and its log-likelihood is concave in it, so the profile
 log-likelihood lp(b1) is a sum of one-dimensional concave maximizations,
@@ -235,27 +235,26 @@ def _arrowhead(w0, w1, g):
     return [(gj - v * db) / (u + v) for u, v, gj in zip(w0, w1, g)] + [db]
 
 
-def _newton(table: StratifiedTable, link: LinkFunction, max_iter: int = _MAX_ITER):
+def _newton(table: StratifiedTable, link: LinkFunction):
     """Newton ascent on the no-interaction model's grouped-binomial
-    log-likelihood with step-halving, in scalar floats; the iterate always
+    log-likelihood in full steps, in scalar floats; the iterate always
     keeps every cell probability strictly inside (0, 1).
 
     Its coordinates are the profile's, each stratum's unexposed eta a_j
     and b1, and each cell's log-likelihood and its derivatives come from
     _CELL, its p and dp/deta from _INVERSE. It starts from each stratum's
     pooled risk on the link scale and b1 = 0. Each iteration tries the
-    observed-Hessian Newton direction first (quadratic near the optimum,
-    and free of the slow two-cycles Fisher scoring shows for non-canonical
-    links), then the Fisher scoring direction, which is always an ascent
-    direction; both systems are arrowheads (see _arrowhead). Each is
-    halved from a full step until its log-likelihood is at least the
-    current one less a slack of 32 eps (1 + |loglik|), and the Fisher step
-    replaces the Newton step only where it is higher by more than that
-    slack. The gradient test is on the max-norm of the reference-coded
-    score; see fit for the other stops.
+    full observed-Hessian Newton step (quadratic near the optimum, and
+    free of the slow two-cycles Fisher scoring shows for non-canonical
+    links) and the full Fisher scoring step; both systems are arrowheads
+    (see _arrowhead). A step is accepted where its log-likelihood is at
+    least the current one less a slack of 32 eps (1 + |loglik|), and the
+    Fisher step replaces the Newton step only where it is higher by more
+    than that slack. The gradient test is on the max-norm of the
+    reference-coded score; see fit for the other stops.
 
-    Returns (a, b1, loglik, iterations, gradient_norm, p), p the cell
-    probabilities in cell order."""
+    Returns (a, b1, loglik, iterations, gradient_norm, p) at the last
+    iterate, p the cell probabilities in cell order."""
     cell, inverse, to_eta = _CELL[link], _INVERSE[link], _LINK_SCALAR[link]
     counts = [(y0, f0, y1, f1) for y0, f0, _, y1, f1, _, _ in _profile_strata(table, link)]
 
@@ -293,8 +292,8 @@ def _newton(table: StratifiedTable, link: LinkFunction, max_iter: int = _MAX_ITE
     if state is None:
         raise DomainError("infeasible starting coefficients")
     ll, cells = state
-    iterations = stalled = 0
-    for _ in range(max_iter):
+    iterations = 0
+    for _ in range(_MAX_ITER):
         grad, gnorm = gradient(cells)
         if gnorm < _GRAD_TOL:
             break
@@ -310,39 +309,19 @@ def _newton(table: StratifiedTable, link: LinkFunction, max_iter: int = _MAX_ITE
         slack = 32.0 * _DBL_EPS * (1.0 + abs(ll))
         best = None
         for delta in directions:
-            step = 1.0
-            while step >= 2.0**-60:
-                cand = [t + step * d for t, d in zip(theta, delta)]
-                state = at(cand)
-                if state is not None and state[0] >= ll - slack:
-                    if best is None or state[0] > best[1] + slack:
-                        best = (cand, *state)
-                    break
-                step *= 0.5
+            cand = [t + d for t, d in zip(theta, delta)]
+            state = at(cand)
+            if state is not None and state[0] >= ll - slack and (best is None or state[0] > best[1] + slack):
+                best = (cand, *state)
         if best is None:
-            # no feasible ascent step left: log-likelihood change is zero
             break
         iterations += 1
         dll = best[1] - ll
         theta, ll, cells = best
         # a change of a few ulps is rounding; at |ll| >~ 1e4 one ulp exceeds _LL_TOL
         if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
-            # one more Newton pass after the first stall lets quadratic
-            # convergence finish the gradient criterion when the MLE is
-            # interior; a second stall means we are as far as we can get
-            stalled += 1
-            if stalled >= 2:
-                gnorm = gradient(cells)[1]
-                break
-        else:
-            stalled = 0
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (gradient max-norm {gnorm:.3e})",
-            coefficients=tuple(_reference_coded(theta[:-1], theta[-1:])),
-            loglik=ll,
-            iterations=iterations,
-        )
+            gnorm = gradient(cells)[1]
+            break
     p = [c[0] for c0, c1 in cells for c in (c1, c0)]
     return theta[:-1], theta[-1], ll, iterations, gnorm, p
 
@@ -356,26 +335,26 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     The restricted fit is that same closed form, with the same fitted
     points, ``loglik``, ``iterations`` and ``gradient_norm``, wherever the
     model reaches the empirical risks:
-    - where under the logit or cloglog link b1 runs off to +inf or -inf,
-      decided from the counts (see _run_off): b1 is the end of its range
-      in that direction, +-(e_hi - e_lo) with e_lo and e_hi the etas of
-      1e-13 and 1 - 1e-13, and each stratum's unexposed eta keeps the
-      cell that does not run off at its observed risk;
+    - where b1 runs off to an end of its range, decided from the counts
+      (see _run_off): b1 is that end, +-(e_hi - e_lo) with e_lo and e_hi
+      the etas of 1e-13 and 1 - 1e-13 (under the identity link
+      +-(1 - 2e-13), which e_hi - e_lo rounds one ulp short of), and each
+      stratum's unexposed eta keeps the cell that does not run off at its
+      observed risk;
     - otherwise with one stratum, where the model is saturated:
       b1 = eta1 - eta0.
-    Any other restricted fit is Newton ascent (see _newton) from the
-    closed-form null fit (each stratum's pooled risk, b1 = 0); it stops when the gradient max-norm falls below
-    1e-10, when no feasible ascent step is left, or after two successive
-    log-likelihood changes below max(1e-12, 8 ulp(loglik)). When it ends
-    other than by the gradient test (short of a maximum on the identity or
-    log link's constraint p >= 0 or p <= 1, toward which step-halving
-    creeps, or out of iterations), the maximum of the profile
-    log-likelihood lp(b1) is sought from its b1 (see _profile_max) and,
-    when found within 200 steps, taken: ``iterations`` then counts the
-    steps on b1 and ``gradient_norm`` is |lp'| at the estimate. Either way
-    ``loglik`` is lp at the estimate, so the LR statistic is a difference
-    of suprema. ConvergenceError, carrying the Newton ascent's last
-    iterate, is raised only when neither converges within 200 iterations.
+    Any other restricted fit is Newton ascent in full steps (see _newton)
+    from the closed-form null fit (each stratum's pooled risk, b1 = 0); it
+    stops when the gradient max-norm falls below 1e-10, when no step is
+    accepted, at the first log-likelihood change below
+    max(1e-12, 8 ulp(loglik)), or after 200 iterations. Unless it ended by
+    the gradient test, the fit is the maximum of the profile
+    log-likelihood lp(b1) from the data (see _profile_max): ``iterations``
+    then counts the steps on b1 and ``gradient_norm`` is |lp'| at the
+    estimate. Either way ``loglik`` is lp at the estimate, so the LR
+    statistic is a difference of suprema. The profile maximum raises
+    ConvergenceError, carrying the coefficients and lp at the last b1,
+    after 200 steps; the ascent raises none.
 
     Boundary rule for the closed forms and the profile maximum: a maximum at
     a cell probability of 0 or 1 (a zero or full cell, or a bound of the
@@ -435,27 +414,18 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
         if direction:
             # each stratum's a keeps the cell that does not run off at its data
             e_lo, e_hi = _EDGES[link]
-            b1 = direction * (e_hi - e_lo)
+            b1 = direction * (1.0 - 2.0 * _EPS if link is LinkFunction.IDENTITY else e_hi - e_lo)
             exposed_off = [s.exposed.cases == (s.exposed.total if direction > 0 else 0) for s in table.strata]
             a = [e0 if off else e1 - b1 for off, e1, e0 in zip(exposed_off, eta[::2], eta[1::2])]
             b = [b1]
         return _result(spec, _reference_coded(a, b), math.fsum(terms), p, 0, 0.0)
-    failed = None
-    try:
-        a, b1, _, iterations, gnorm, p = _newton(table, link)
-    except ConvergenceError as err:
-        failed, b1, gnorm = err, err.coefficients[1], math.inf
+    a, b1, _, iterations, gnorm, p = _newton(table, link)
     if gnorm >= _GRAD_TOL:
-        # the ascent ended short of its gradient test, as it does against
-        # a constraint it creeps toward: the profile maximum from its b1
-        found = _profile_max(table, link, b1)
-        if found is not None:
-            b1, ll, a, gnorm, iterations = found
-            inverse = _INVERSE[link]
-            p = [min(max(inverse(eta)[0], _EPS), 1.0 - _EPS) for aj in a for eta in (aj + b1, aj)]
-            return _result(spec, _reference_coded(a, [b1]), ll, p, iterations, gnorm)
-        if failed is not None:
-            raise failed
+        # the ascent ended short of its gradient test: the profile maximum
+        b1, ll, a, gnorm, iterations = _profile_max(table, link)
+        inverse = _INVERSE[link]
+        p = [min(max(inverse(eta)[0], _EPS), 1.0 - _EPS) for aj in a for eta in (aj + b1, aj)]
+        return _result(spec, _reference_coded(a, [b1]), ll, p, iterations, gnorm)
     return _result(spec, _reference_coded(a, [b1]), _lp_at(table, link, b1)[0], p, iterations, gnorm)
 
 
@@ -600,9 +570,9 @@ _A_TOL = 2e-15  # relative step at which a one-dimensional solve stops
 _EDGES = {link: (f(_EPS), f(1.0 - _EPS)) for link, f in _LINK_SCALAR.items()}
 # per link, the b1 at which lp can have a kink, where _profile_max's root
 # search ends beside it: 0, where a stratum's bracket end switches between
-# a fixed and a moving one (see _bracket), and under the identity link the
-# ends +-(1 - 2 _EPS) of its range, which e_hi - e_lo rounds one ulp short of
-_KINKS = {LinkFunction.IDENTITY: (0.0, 1.0 - 2.0 * _EPS, 2.0 * _EPS - 1.0), LinkFunction.LOG: (0.0,)}
+# a fixed and a moving one (see _bracket); a maximum at an end of the range
+# is a run-off, taken in closed form (see _run_off)
+_KINKS = {LinkFunction.IDENTITY: (0.0,), LinkFunction.LOG: (0.0,)}
 
 
 # Closed-form roots of a stratum's l'(a), the restricted maximum-likelihood
@@ -748,7 +718,8 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
     a step of _A_TOL * max(1, |a|), going on from the root's evaluation, or,
     where root is None (cloglog) or its value is not inside the data
     bracket, from the mean of the targets e0 and e1 - b1, each clipped into
-    the bracket, weighted by the cell totals."""
+    the bracket, weighted by the cell totals (or from the bracket's
+    midpoint where that mean rounds onto an end of (lo, hi))."""
     y0, f0, e0, y1, f1, e1, w = stratum
     e1 -= b1
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
@@ -767,6 +738,9 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
         return found
     if first is None:
         a = (1.0 - w) * min(max(e0, a_lo), a_hi) + w * min(max(e1, a_lo), a_hi)
+        if not lo < a < hi:
+            # rounded onto a constraint, where a cell's p is 0 or 1
+            a = 0.5 * (a_lo + a_hi)
     slope = functools.partial(_stratum_slope, cell, y0, f0, y1, f1, b1)
     _, found, _, stop = _newton_root(slope, a, a_lo, a_hi, _a_tol, first=first)
     if stop == "limit":
@@ -806,9 +780,10 @@ def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) 
 @functools.lru_cache(maxsize=8)
 def _lp_at(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float, float]:
     """profile_loglik_slope memoized, for lp at a fit's estimate: the
-    ascent's fit takes its loglik there and profile_ci its l_max and
-    lp'', so the two share one solve. Exact, as profile solves start from
-    the data."""
+    ascent's fit takes its loglik there, the profile maximum evaluates
+    every step through it, and profile_ci takes its l_max and lp'' from
+    it, so the fit and the CI share one solve. Exact, as profile solves
+    start from the data."""
     return profile_loglik_slope(table, link, b1)
 
 
@@ -875,53 +850,72 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False
 
 
 def _run_off(table: StratifiedTable, link: LinkFunction) -> int:
-    """+1 or -1 when, under the logit or cloglog link, lp rises to its
-    supremum as b1 goes to that infinity and not the other: every stratum
-    has f1 = 0 or y0 = 0 (+1), or y1 = 0 or f0 = 0 (-1), the quasi-complete
-    separation of Albert & Anderson 1984 (Biometrika 71:1-10); else 0."""
-    if link not in (LinkFunction.LOGIT, LinkFunction.CLOGLOG):
-        return 0
-    up = all(s.exposed.cases == s.exposed.total or not s.unexposed.cases for s in table.strata)
-    down = all(not s.exposed.cases or s.unexposed.cases == s.unexposed.total for s in table.strata)
+    """+1 or -1 when lp rises to its supremum, the saturated loglik, as b1
+    goes to that end of its range and not the other; else 0. Every stratum
+    has y0 = 0 or f1 = 0 (+1), or y1 = 0 or f0 = 0 (-1), under the logit
+    and cloglog links (the quasi-complete separation of Albert & Anderson
+    1984, Biometrika 71:1-10); y0 = 0 (+1) or y1 = 0 (-1) under the log
+    link; y0 = 0 and f1 = 0 (+1), or y1 = 0 and f0 = 0 (-1), under the
+    identity link."""
+    rules = {LinkFunction.IDENTITY: lambda empty, full: empty and full, LinkFunction.LOG: lambda empty, full: empty}
+    rule = rules.get(link, lambda empty, full: empty or full)
+    up = all(rule(not s.unexposed.cases, s.exposed.cases == s.exposed.total) for s in table.strata)
+    down = all(rule(not s.exposed.cases, s.unexposed.cases == s.unexposed.total) for s in table.strata)
     return up - down
 
 
-def _profile_max(table: StratifiedTable, link: LinkFunction, b1: float):
+def _profile_max(table: StratifiedTable, link: LinkFunction):
     """The maximum of the concave lp over |b1| <= e_hi - e_lo, the b1 at
     which a stratum's two cells can keep p in [_EPS, 1 - _EPS]: the root of
-    -lp' by _newton_root from b1, to a step of 2e-15 max(1, |b1|). fit asks
-    for it only where the maximum is finite (a run-off, decided from the
-    counts, is taken in closed form); a maximum at an end of the range is
-    reached within that step of it. Where the search stops within two such
-    steps of a kink of lp (see _KINKS), lp there is evaluated and taken
-    when it is not lower.
+    -lp' by _newton_root to a step of 2e-15 max(1, |b1|), or to the
+    rounding floor of lp' (a stratum solve leaves its slope off by up to its
+    curvature times its own stop step), from the data: the mean of the
+    strata's e1 - e0 weighted by n0 n1 / (n0 + n1), clamped into the
+    range. lp is taken through _lp_at, whose memo profile_ci reads at the
+    estimate. fit asks for it only where the maximum is finite (a run-off
+    is taken in closed form). Where the search stops within two steps of
+    a kink of lp (see _KINKS), lp there is taken when it is not lower.
 
-    Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, or
-    None when _MAX_ITER steps end short. a holds each stratum's maximizer
-    clipped into the range that keeps both its cells' p in [_EPS, 1 - _EPS]
-    (the boundary rule, see fit)."""
+    Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, a
+    each stratum's maximizer clipped into the range that keeps both its
+    cells' p in [_EPS, 1 - _EPS] (the boundary rule, see fit); raises
+    ConvergenceError, with the coefficients and lp there, after _MAX_ITER
+    steps."""
     e_lo, e_hi = _EDGES[link]
     bound = e_hi - e_lo
+    strata = _profile_strata(table, link)
+    weights = [(y0 + f0) * (y1 + f1) / (y0 + f0 + y1 + f1) for y0, f0, _, y1, f1, _, _ in strata]
+    start = sum(v * (s[5] - s[2]) for v, s in zip(weights, strata)) / sum(weights)
+    last = [math.nan, math.nan]
 
     def slope(b1: float):
-        ll, d, h = profile_loglik_slope(table, link, b1)
-        return -d, -h, (b1, ll, abs(d))
+        ll, d, h = _lp_at(table, link, b1)
+        # at its rounding floor lp' is taken as a root: with its Newton step
+        # and the step from the last b1 within 64 stop steps, it kept its
+        # sign and moved less than half of what lp'' predicts
+        step, previous, near = b1 - last[0], last[1], 64.0 * _a_tol(b1)
+        last[:] = b1, d
+        floor = d * previous > 0.0 and abs(step) <= near and abs(d) <= -h * near
+        return (0.0 if floor and abs(d - previous) < -0.5 * h * abs(step) else -d), -h, (b1, ll, abs(d))
 
-    _, (b1, ll, gnorm), steps, stop = _newton_root(
-        slope, min(max(b1, -bound), bound), -bound, bound, _a_tol
-    )
-    if stop == "limit":
-        return None
+    _, (b1, ll, gnorm), steps, stop = _newton_root(slope, min(max(start, -bound), bound), -bound, bound, _a_tol)
     for kink in _KINKS.get(link, ()):
         # lp' jumps at a kink, and the search bisects to a bracket about it
         if 0.0 < abs(kink - b1) <= 2.0 * _a_tol(b1):
-            at = profile_loglik_slope(table, link, kink)
+            at = _lp_at(table, link, kink)
             if at[0] >= ll:
                 b1, ll, gnorm = kink, at[0], abs(at[1])
     a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     lo, hi = _bracket(link, b1)
     cell, root = _CELL[link], _ROOT.get(link)
-    a = [min(max(_stratum_max(cell, root, s, b1, lo, hi)[1], a_lo), a_hi) for s in _profile_strata(table, link)]
+    a = [min(max(_stratum_max(cell, root, s, b1, lo, hi)[1], a_lo), a_hi) for s in strata]
+    if stop == "limit":
+        raise ConvergenceError(
+            f"no profile maximum after {steps} steps (|lp'| {gnorm:.3e})",
+            coefficients=tuple(_reference_coded(a, [b1])),
+            loglik=ll,
+            iterations=steps,
+        )
     return b1, ll, a, gnorm, steps
 
 
@@ -948,9 +942,9 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     crosses the chi-square(1) quantile q, mapped to the measure scale.
 
     One profile solve at the estimate b1hat gives lp(b1hat) and
-    lp''(b1hat), and both endpoint searches share it; where the fit came
-    from the Newton ascent it made that same solve for its loglik, and the
-    two share it through a memo (_lp_at). l_max is the larger
+    lp''(b1hat), and both endpoint searches share it; a fit not in closed
+    form made that same solve, and the two share it through a memo
+    (_lp_at). l_max is the larger
     of lp(b1hat) and the fit's loglik: where the boundary rule reports a
     cell at 1e-13 from its bound, lp(b1hat) falls about n 1e-13 short of
     the closed-form supremum that loglik holds. Each endpoint is the root
@@ -970,9 +964,9 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     returns b1 plus that step.
 
     An endpoint that does not cross before the cap is truncated at the cap
-    and flagged. Under the logit and cloglog links the endpoint toward
-    which b1's estimate runs off to infinity, decided from the counts as
-    for the fit (see _run_off), is truncated at the estimate and flagged.
+    and flagged. The endpoint toward which b1's estimate runs off to an
+    end of its range, decided from the counts as for the fit (see
+    _run_off), is truncated at the estimate and flagged.
     The estimate comes from the no-interaction fit (see fit, whose memo
     shares it).
     """

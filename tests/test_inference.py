@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rothman import inference, render
 from rothman.errors import ConvergenceError, DomainError
@@ -412,17 +414,36 @@ def test_profile_ci_endpoints_hit_quantile_at_other_levels(link, k, level):
     _assert_endpoints_hit_quantile(_table(k), link, level)
 
 
+# the fits among _table(k)'s that come from the profile maximum: on each
+# the ascent's first full step takes a p out of (0, 1), so it takes none
+PROFILE_MAX_FITS = {(5, LinkFunction.IDENTITY), (5, LinkFunction.LOG)}
+
+
+def _assert_fit_solves(table, link, k, calls):
+    """The profile solves a restricted fit makes: one per step of the
+    profile maximum, the last at its estimate; where the ascent is kept,
+    one at its estimate; none for a closed form. Returns the estimate."""
+    result = fit(table, ModelSpec(link, interaction=False))
+    b1hat = result.coefficients[1]
+    if (k, link) in PROFILE_MAX_FITS:
+        assert len(calls) == result.iterations > 1
+        assert calls[-1] == b1hat
+    else:
+        assert calls in ([], [b1hat])
+    return b1hat
+
+
 @pytest.mark.parametrize("k", ["newcastle", *range(1, 7)])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_solves_per_interval(link, k, profile_loglik_calls):
-    # the fit makes at most one solve, lp at its estimate, its loglik; the
-    # interval one solve at the estimate, then Halley's method on the signed
-    # root from each Wald point needs at most 3 per endpoint here; Newton's
-    # method needed up to 9 per interval, Brent's method after a geometric
-    # expansion about 12, and bisection to a width of 1e-12 about 75
+    # the fit's solves are as _assert_fit_solves says; the interval makes
+    # one solve at the estimate (none when the fit made it), then Halley's
+    # method on the signed root from each Wald point needs at most 3 per
+    # endpoint here; Newton's method needed up to 9 per interval, Brent's
+    # method after a geometric expansion about 12, and bisection to a width
+    # of 1e-12 about 75
     table = _table(k)
-    fit(table, ModelSpec(link, interaction=False))
-    assert len(profile_loglik_calls) <= 1
+    _assert_fit_solves(table, link, k, profile_loglik_calls)
     profile_loglik_calls.clear()
     profile_ci(table, link)
     assert 0 < len(profile_loglik_calls) <= 7
@@ -654,10 +675,11 @@ def test_closed_form_solves_take_one_evaluation(link, k, stratum_evaluations, mo
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_reuses_the_fits_solve_at_the_estimate(link, k, computed_fits, profile_loglik_calls):
     # an ascent-path fit takes its loglik from one profile solve at its
-    # estimate, and profile_ci takes l_max and lp'' from that same solve
+    # estimate, and the profile maximum ends with one there; profile_ci
+    # takes l_max and lp'' from that same solve
     table = _table(k)
-    b1hat = fit(table, ModelSpec(link, interaction=False)).coefficients[1]
-    assert profile_loglik_calls == [b1hat]
+    b1hat = _assert_fit_solves(table, link, k, profile_loglik_calls)
+    assert profile_loglik_calls[-1] == b1hat
     profile_loglik_calls.clear()
     profile_ci(table, link)
     assert profile_loglik_calls
@@ -738,14 +760,10 @@ def test_profile_ci_zero_exposed_cell_upper_endpoint(csv, link, upper):
     ci = profile_ci(table, link)
     assert ci.lower_truncated and not ci.upper_truncated
     assert ci.upper == pytest.approx(upper, rel=1e-9)
-    # the profile rises toward b1 = -inf. Under the log link the lower
-    # search runs to the expansion cap without a (false) crossing on the
-    # way; under logit and cloglog the counts say the estimate runs off
-    # there (y1 = 0), and the lower endpoint stops at the estimate
-    if link is LinkFunction.LOG:
-        assert ci.lower == math.exp(-500.0)
-    else:
-        assert ci.lower == common_measure(fit(table, ModelSpec(link, interaction=False)))
+    # the profile rises toward b1 = -inf: under every link here the counts
+    # say the estimate runs off there (y1 = 0), and the lower endpoint stops
+    # at the estimate
+    assert ci.lower == common_measure(fit(table, ModelSpec(link, interaction=False)))
 
 
 def test_profile_ci_at_a_boundary_estimate_crosses_from_the_supremum():
@@ -856,6 +874,8 @@ def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
 # stratum, K = 3 to 10
 KINK_TABLES = {"large-totals-2": parse_table(
     CSV_HEADER + "s0,1,1,0,8464744\ns1,22523998,22523998,101290451,101290451\n"
+), "full-second-2": parse_table(
+    CSV_HEADER + "s0,34695,110932,592,593\ns1,396149,396149,26658,26658\n"
 )} | {f"full-first-{table.k}": table for table in sweep_tables()[22:]}
 
 
@@ -871,14 +891,39 @@ def test_restricted_fit_at_a_kink_of_lp_is_the_kink(link, name):
     assert result.loglik == profile_loglik(table, link, 0.0)
 
 
+@pytest.mark.parametrize(
+    "csv, link, b1",
+    [
+        ("s0,0,1,0,1\ns1,485165195,485165195,0,1\ns2,0,178482301,485165195,485165195", LinkFunction.IDENTITY,
+         -0.15536240162346),
+        ("s0,0,1,0,1\ns1,0,1,0,1\ns2,2,3,442412,442413", LinkFunction.LOGIT, -12.306849673036),
+        ("s0,1202603,1202604,1029,1030\ns1,0,1,0,1", LinkFunction.LOGIT, 7.0636561963454),
+    ],
+)
+def test_profile_maximum_from_the_data_at_extreme_tables(csv, link, b1):
+    # the first table's data start, about -1 + 2e-8, put a stratum's own
+    # start on its constraint a = 1 and lp was NaN there; on the others lp'
+    # stays at its rounding floor, 3e-14 and 5e-13, while the search steps
+    # b1 by 3 and 7 times its stop step, so it ran to its step limit
+    table = parse_table(CSV_HEADER + csv + "\n")
+    result = fit(table, ModelSpec(link, interaction=False))
+    assert result.coefficients[1] == pytest.approx(b1, rel=1e-12, abs=0.0)
+    assert result.iterations < 40 and math.isfinite(result.loglik)
+    assert all(0.0 < v < 1.0 for point in result.fitted_points for v in (point.x, point.y))
+
+
 def test_restricted_fit_at_the_end_of_the_identity_range():
     # every exposed cell full and every unexposed one empty: lp rises toward
-    # b1 = 1, and the fit is taken at the end of its range, 1 - 2e-13, which
-    # e_hi - e_lo rounds one ulp short of
+    # its supremum as b1 -> 1, which the counts decide (see _run_off), and
+    # the fit is the closed form at the end of the range, 1 - 2e-13, which
+    # e_hi - e_lo rounds one ulp short of. Its loglik is the supremum 0.0,
+    # not lp at 1 - 2e-13 (-6.9e-7), so the LR statistic is exactly 0
     table = parse_table(CSV_HEADER + "s0,7,7,0,116357717\ns1,3453474,3453474,0,642215269\n")
     result = fit(table, ModelSpec(LinkFunction.IDENTITY, interaction=False))
+    assert inference._run_off(table, LinkFunction.IDENTITY) == 1
     assert result.coefficients[1] == 1.0 - 2e-13
-    assert result.loglik == profile_loglik(table, LinkFunction.IDENTITY, 1.0 - 2e-13)
+    assert result.loglik == 0.0 and result.iterations == 0
+    assert lr_test_interaction(table, LinkFunction.IDENTITY).statistic == 0.0
 
 
 @pytest.mark.parametrize(
@@ -896,15 +941,20 @@ def test_restricted_fit_at_the_end_of_the_identity_range():
         ("s0,2,3,0,3", LinkFunction.CLOGLOG),
         ("s0,0,5,0,6\ns1,2,2,0,5\ns2,0,4,0,1", LinkFunction.LOGIT),
         ("s0,0,5,0,6\ns1,2,2,0,5\ns2,0,4,0,1", LinkFunction.CLOGLOG),
+        ("s1,30,30,0,50\ns2,12,40,0,60", LinkFunction.LOG),
+        ("s1,0,30,5,50\ns2,0,40,60,60", LinkFunction.LOG),
+        ("s0,151370,151370,0,959958964\ns1,16,16,0,1", LinkFunction.LOG),
     ],
 )
 def test_profile_maximum_of_a_run_off_is_the_end_of_its_range(csv, link):
-    # every stratum has f1 = 0 or y0 = 0 (the first, third and last four
-    # tables), or y1 = 0 or f0 = 0 (the others): lp rises to its
-    # supremum, the saturated loglik, as b1 runs off, and the fit is the
-    # closed form at the end of b1's range, with no Newton steps; each cell
-    # is fitted at its observed risk, one that runs off at 1e-13 or
-    # 1 - 1e-13 (the boundary rule), so the LR statistic is exactly 0
+    # under logit and cloglog every stratum has f1 = 0 or y0 = 0 (the first,
+    # third and seventh to tenth tables), or y1 = 0 or f0 = 0 (the others);
+    # under log every stratum has y0 = 0 (the 11th and last tables) or
+    # y1 = 0: lp rises to its supremum, the saturated loglik, as b1 runs
+    # off, and the fit is the closed form at the end of b1's range, with no
+    # Newton steps; each cell is fitted at its observed risk, one that runs
+    # off at 1e-13 or 1 - 1e-13 (the boundary rule), so the LR statistic is
+    # exactly 0
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=False))
     e_lo, e_hi = inference._EDGES[link]
@@ -978,11 +1028,11 @@ def test_profile_ci_level_validation(newcastle):
 
 
 def _fits_fail(monkeypatch):
-    # a one-iteration ascent and no profile maximum: fit raises the
-    # ascent's ConvergenceError (_MAX_ITER stays: the profile solves read it)
-    newton = inference._newton
-    monkeypatch.setattr(inference, "_newton", lambda *args: newton(*args, max_iter=1))
-    monkeypatch.setattr(inference, "_profile_max", lambda *args: None)
+    # one step for every solver: the ascent stops short of its gradient
+    # test, and the profile maximum's search on b1 at its step limit, where
+    # it raises ConvergenceError (Newcastle's logit stratum solves stop at
+    # their closed-form roots, within the limit)
+    monkeypatch.setattr(inference, "_MAX_ITER", 1)
 
 
 def test_fit_convergence_error_carries_last_iterate(newcastle, computed_fits, monkeypatch):
@@ -1004,6 +1054,21 @@ def _fit_link_all(table):
         if table.k >= 2:
             lr_test_interaction(table, link)
         profile_ci(table, link)
+
+
+@pytest.mark.parametrize("link", [LinkFunction.IDENTITY, LinkFunction.LOG])
+def test_profile_maximum_does_not_depend_on_where_the_ascent_stopped(link, computed_fits, monkeypatch):
+    # the profile maximum starts from the data, not from the ascent's b1
+    table = _table(5)
+    assert (5, link) in PROFILE_MAX_FITS
+    expected = fit(table, ModelSpec(link, interaction=False))
+    a, b1, ll, _, gnorm, p = inference._newton(table, link)
+    assert gnorm >= 1e-10
+    for other in (b1 - 0.3, b1 + 0.1, expected.coefficients[1]):
+        monkeypatch.setattr(inference, "_newton", lambda *args, other=other: (a, other, ll, 3, 1.0, p))
+        inference._fit.cache_clear()
+        inference._lp_at.cache_clear()
+        assert fit(table, ModelSpec(link, interaction=False)) == expected
 
 
 @pytest.mark.parametrize("k, solves", [("newcastle", 8), ("four-strata", 8), (1, 4)])
@@ -1341,3 +1406,109 @@ def test_chi2_quantile_matches_scipy(df):
 def test_chi2_quantile_df1():
     assert chi2_quantile(0.95, 1) == pytest.approx(3.841458820694124, abs=1e-8)
     assert chi2_sf(chi2_quantile(0.9, 3), 3) == pytest.approx(0.1, abs=1e-10)
+
+
+# --- a library-level oracle property at extreme inputs: a direct profile,
+# written from each link's p and 1 - p, maximized per stratum by bisection
+# on l'(a) and in b1 by scipy's bounded search, sharing no code with fit
+
+
+def _log_pq(link, eta):
+    """log p and log(1 - p) at the array eta, each where it keeps its digits."""
+    if link is LinkFunction.IDENTITY:
+        return np.log(eta), np.log1p(-eta)
+    if link is LinkFunction.LOG:
+        return eta, np.log(-np.expm1(eta))
+    if link is LinkFunction.LOGIT:
+        return -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
+    t = np.exp(eta)
+    return np.log(-np.expm1(-t)), -t
+
+
+def _cloglog_dl_deta(y, f, eta):
+    t = math.exp(eta)
+    return (y * math.exp(-t) / -math.expm1(-t) - f) * t
+
+
+# d/deta of y log p + f log(1 - p), (y / p - f / (1 - p)) dp/deta, at an
+# eta inside the link's range
+_DL_DETA = {
+    LinkFunction.IDENTITY: lambda y, f, eta: y / eta - f / (1.0 - eta),
+    LinkFunction.LOG: lambda y, f, eta: y - f / math.expm1(-eta),
+    LinkFunction.LOGIT: lambda y, f, eta: y - (y + f) / (1.0 + math.exp(-eta)),
+    LinkFunction.CLOGLOG: _cloglog_dl_deta,
+}
+
+
+def _direct_profile(table, link):
+    """lp(b1) from the counts alone: each stratum's maximum over its
+    unexposed eta a, found by bisection on the sign of l'(a) between its
+    cells' own maximizers clipped into the feasible range."""
+    strata = [(c0.cases, c0.total - c0.cases, _oracle_target(link, c0), c1.cases, c1.total - c1.cases,
+               _oracle_target(link, c1)) for c0, c1 in ((s.unexposed, s.exposed) for s in table.strata)]
+    y0, f0, _, y1, f1, _ = (np.array(v, dtype=float) for v in zip(*strata))
+    dl = _DL_DETA[link]
+
+    def lp(b1):
+        b1 = float(b1)
+        feasible = {LinkFunction.IDENTITY: (max(0.0, -b1), min(1.0, 1.0 - b1)),
+                    LinkFunction.LOG: (-math.inf, min(0.0, -b1))}.get(link, (-math.inf, math.inf))
+        a = []
+        for u0, v0, t0, u1, v1, t1 in strata:
+            lo, hi = (min(max(t, feasible[0]), feasible[1]) for t in sorted((t0, t1 - b1)))
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                try:
+                    up = dl(u0, v0, mid) + dl(u1, v1, mid + b1) > 0.0
+                except ZeroDivisionError:  # mid + b1 rounded onto the upper end of its range
+                    up = False
+                lo, hi = (mid, hi) if up else (lo, mid)
+            a.append(0.5 * (lo + hi))
+        a = np.array(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = [np.where(n > 0, n * v, 0.0) for y, f, eta in ((y0, f0, a), (y1, f1, a + b1))
+                     for n, v in zip((y, f), _log_pq(link, eta))]
+        return float(np.sum(terms))
+
+    return lp
+
+
+@st.composite
+def _extreme_tables(draw):
+    """K = 1-6, totals log-uniform up to 1e9, cells often forced to 0, n,
+    1 or n - 1."""
+    strata = []
+    for j in range(draw(st.integers(1, 6))):
+        cells = []
+        for _ in range(2):
+            n = max(1, round(math.exp(draw(st.floats(0.0, math.log(1e9))))))
+            cases = draw(st.one_of(st.sampled_from([0, n, 1, n - 1]), st.integers(0, n)))
+            cells.append(CellCounts(cases, n))
+        strata.append(Stratum(f"s{j}", exposed=cells[0], unexposed=cells[1]))
+    return StratifiedTable(tuple(strata))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=_extreme_tables())
+def test_fits_reach_the_direct_profile_maximum(table):
+    from scipy.optimize import minimize_scalar
+
+    total = sum(c.total for s in table.strata for c in (s.exposed, s.unexposed))
+    for link in ALL_LINKS:
+        restricted = fit(table, ModelSpec(link, interaction=False))
+        lp = _direct_profile(table, link)
+        span = 1.0 if link is LinkFunction.IDENTITY else _ORACLE_SPAN
+        direct = -minimize_scalar(lambda b: -lp(b), bounds=(-span, span), method="bounded",
+                                  options={"xatol": 1e-12}).fun
+        # rounding of the cells' etas moves lp by up to a few ulps of eta
+        # times a stratum total
+        assert restricted.loglik >= direct - 1e-12 * abs(direct) - 1e-14 * total, link
+        if table.k >= 2:
+            statistic = lr_test_interaction(table, link).statistic
+            assert statistic >= 0.0
+            if inference._run_off(table, link):
+                assert statistic == 0.0
+        ci = profile_ci(table, link)
+        assert ci.lower <= common_measure(restricted) <= ci.upper

@@ -345,6 +345,13 @@ def test_modconf_renders_with_a_zero_unexposed_cell():
 # tables, as the benchmark's reference answers record them, then of a K = 1
 # table, a K = 2 table with zero cells and a K = 3 table. Any change to
 # geometry, the fits drawn or the style table must be deliberate and update them.
+# The zero table's modification and collapsible figures were re-recorded
+# when the restricted fit's only fallback became the profile maximum started
+# from the data: its identity fit (b1 moved -219 ulps, loglik
+# -31.77217466221681 -> -31.772174662216806) had come from the profile
+# maximum started at the ascent's b1. The new b1 lies 2.9e-16 from a
+# 40-digit mpmath maximum of lp (the old one 1.8e-15), within twice the
+# search's stop step of 2e-15.
 FIGURE_SHA256 = {
     ("newcastle", "contours"): "95844e6a8f55f4bf9d39c81373fe64a4032db7c7f1bfa8916472b628850e9451",
     ("newcastle", "modification"): "15247d12aa2a5360d44538f150bc2929e4e7ade64ee4830b53ee5edaae233472",
@@ -360,9 +367,9 @@ FIGURE_SHA256 = {
     ("k1", "collapsible"): "1ff82bdc7a20690fd7a2d0b6be6948a076618368ed1ac53d0d435a20514a257e",
     ("k1", "noncollapsible"): "b652aec4d817744ff05f2bd9d73a858435771654c81bae43151dc210e4064c2f",
     ("k1", "hull"): "29909b2a9b62554f2674cf07fdb55b325f5e50663a22b50bd846f9e26060d9f7",
-    ("zero", "modification"): "b3589a48548535e0713e737c8361eceb0229a638c2a573fb3aee107502c46ddf",
+    ("zero", "modification"): "9876b5e14afbe8e085f61293d19b64f75fe9c0de4603ded9e74183c8dd4b2d3b",
     ("zero", "modconf"): "37a967de243e861ef9ca17c802dade3441a537ae169eb6ef58ff06967831fbec",
-    ("zero", "collapsible"): "1c5f7e69b93eed07970236cb691f989faaec058dba9f95428ebee827f60b4a0a",
+    ("zero", "collapsible"): "2d375c328f3d9325130a030da9597509a096e9ce21017148f6182a379378652b",
     ("zero", "noncollapsible"): "e09e542487e4a103464c436a3466b9871ad7dbff9c36bb8dd5169ccfba96b583",
     ("zero", "hull"): "e3f799c0c1051d0e2dc40219548afba31006b6671c5e636ec9083c681c1e5536",
     ("k3", "modification"): "3686a4e40447544a2d651eab641dcd6405d9acbeca88400c0da83080a5973960",
@@ -437,7 +444,29 @@ def test_modconf_needs_exactly_two_strata(table):
 # table 12 the log fit sits at the end of its range (RR about 1e13): its
 # b1 moves 2.8e-14, under _profile_max's stop step of 6e-14, and the
 # modification figure's 3-decimal label moves by 0.285.
-SWEEP_SHA256 = "7b91a55956fd6b998d6624317f9686c3a5e2870339aab7c87c75eb31e4bcd302"
+# Re-recorded when the restricted fit's only fallback became the profile
+# maximum started from the data, behind an ascent in full steps, and log
+# run-offs became closed forms. Fits whose b1 or fitted points moved, with
+# b1's move in ulps and loglik before -> after:
+#    3 log        +0  -644.6011339571924 (unchanged; a moved)
+#    7 identity   -1  -1367.5295848198643 (unchanged)
+#    7 log       -19  -1392.455858939221 (unchanged)
+#   11 identity  -22  -7.455708787308884 (unchanged)
+#   14 log        -3  -17.564137482250505 -> -17.5641374822505
+#   15 log        -6  -18.3946488138942 -> -18.394648813894197
+#   17 identity  +13  -32.54708395050109 (unchanged)
+#   18 identity   +3  -40.38960841963585 -> -40.389608419635856
+#   19 identity -139  -30.58023572906834 (unchanged)
+#   24 cloglog    +5  -11.83186533587853 -> -11.831865335878533
+#   26 cloglog    +2  -25.99959578028102 (unchanged)
+#   29 cloglog    -3  -31.552229685520658 (unchanged)
+# Each new b1 lies within 1.5e-15 of a 40-digit mpmath maximum of lp,
+# inside twice the search's stop step. Two log fits are now run-offs in
+# closed form: table 10 (K = 1) moves its b1 from eta1 - eta0 of the
+# clipped risks, 29.528, to the end of the range, 29.934, its loglik
+# unchanged, and table 12 moves 21 ulps to that end, its loglik -5.0e-13 ->
+# 0.0, the supremum.
+SWEEP_SHA256 = "1a54d211f5138c583c7dc2cccbf5ff36cc26298a0e8f472a661320dcba7e84f0"
 
 
 def _sweep_digest() -> str:
