@@ -35,12 +35,11 @@ which by concavity also rules out a maximum at an end of the stratum's
 feasible range, so no end is evaluated. Otherwise, and under cloglog from
 the stratum's data, the solve goes on by _newton_root, the module's one
 safeguarded Newton iteration, which also finds the profile maximum, the
-CI endpoints and the chi-square quantile. Each solve also gives its
-maximum's first two derivatives in b1, the first from the cell whose
-curvature is the smaller. One function, profile_loglik_slope, returns lp,
-lp' and lp''; the fit's profile maximum and the profile CI, whose
-endpoints are found by Halley's method from those derivatives, both work
-through it. Interval estimation is by profile likelihood only.
+CI endpoints and the chi-square quantile, and alone decides where a root
+is found. Each solve also gives its maximum's first two derivatives in b1,
+the first from the cell whose curvature is the smaller. profile_loglik_slope
+returns lp, lp' and lp''; the fit's profile maximum and the profile CI,
+the only interval estimate, found by Halley's method, work through it.
 
 Cell order convention: for each stratum in table order, the exposed cell
 then the unexposed cell (matching the CSV column order). The design is
@@ -348,13 +347,14 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     stops when the gradient max-norm falls below 1e-10, when no step is
     accepted, at the first log-likelihood change below
     max(1e-12, 8 ulp(loglik)), or after 200 iterations. Unless it ended by
-    the gradient test, the fit is the maximum of the profile
-    log-likelihood lp(b1) from the data (see _profile_max): ``iterations``
-    then counts the steps on b1 and ``gradient_norm`` is |lp'| at the
-    estimate. Either way ``loglik`` is lp at the estimate, so the LR
-    statistic is a difference of suprema. The profile maximum raises
-    ConvergenceError, carrying the coefficients and lp at the last b1,
-    after 200 steps; the ascent raises none.
+    the gradient test, the fit is the maximum of the profile log-likelihood
+    lp(b1) from the data (see _profile_max): ``iterations`` then counts the
+    steps on b1 and ``gradient_norm`` is |lp'| at the estimate. Either way
+    ``loglik`` is lp at the estimate, so the LR statistic is a difference
+    of suprema. Where lp is flat on an interval, b1 is not identified and
+    is wherever the search stopped; nothing flags it. The profile maximum
+    raises ConvergenceError, carrying the coefficients and lp at the last
+    b1, after 200 steps; the ascent raises none.
 
     Boundary rule for the closed forms and the profile maximum: a maximum at
     a cell probability of 0 or 1 (a zero or full cell, or a bound of the
@@ -568,11 +568,6 @@ _LINK_SCALAR = {
 _A_TOL = 2e-15  # relative step at which a one-dimensional solve stops
 # per link, the eta at which p is _EPS and 1 - _EPS
 _EDGES = {link: (f(_EPS), f(1.0 - _EPS)) for link, f in _LINK_SCALAR.items()}
-# per link, the b1 at which lp can have a kink, where _profile_max's root
-# search ends beside it: 0, where a stratum's bracket end switches between
-# a fixed and a moving one (see _bracket); a maximum at an end of the range
-# is a run-off, taken in closed form (see _run_off)
-_KINKS = {LinkFunction.IDENTITY: (0.0,), LinkFunction.LOG: (0.0,)}
 
 
 # Closed-form roots of a stratum's l'(a), the restricted maximum-likelihood
@@ -709,9 +704,10 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
     An interior root of l' lies between the two cells' own maximizers, e0
     and e1 - b1 (-inf for a zero cell, +inf for a full one): the data
     bracket. The root(y0, f0, y1, f1, b1) in closed form (see _ROOT) is
-    evaluated first when it lies inside the data bracket, and returned when
-    that evaluation passes _newton_root's stop test: by concavity the
-    maximum is then that root, and no end of (lo, hi) is evaluated.
+    evaluated first when it lies inside (lo, hi), even outside the data
+    bracket (its ends are etas of rounded risks), and returned when that
+    evaluation passes _newton_root's stop test: by concavity the maximum is
+    then that root, and no end of (lo, hi) is evaluated.
     Otherwise, when l' does not point into (lo, hi) at an end (or its limit
     at an infinite end), that end and its limit are returned (see _end_max).
     Otherwise _newton_root finds the root of -l' inside the data bracket to
@@ -728,11 +724,12 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
     # no root to look for where every cell is empty (a_lo = a_hi = -inf) or full
     a = root(y0, f0, y1, f1, b1) if root and a_lo < a_hi else math.nan
     first = None
-    if a_lo < a < a_hi:
+    if lo < a < hi:
         first = _stratum_slope(cell, y0, f0, y1, f1, b1, a)
         v, dv, found = first
         if not v or (dv > 0.0 and abs(v / dv) <= _a_tol(a)):
             return found
+        first = first if a_lo < a < a_hi else None
     found = _end_max(cell, y0, f0, y1, f1, b1, lo, hi)
     if found is not None:
         return found
@@ -808,24 +805,31 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False
 
     Each evaluation narrows the bracket by the sign of v. While an end of
     the bracket is infinite, the first step is at most 1 and each later one
-    at most twice the last, and a Newton step over 3/4 of the one before,
-    in the same direction, is raised to that limit. A step that would leave
-    the bracket bisects it, as does one after a step that crossed the root
-    and less than halved |v|. When capped, hi is a cap, not a point known
-    to lie above the root: until one is seen, such a step doubles x's
-    distance from the first lo instead, up to the cap. Stops when v is 0 or
-    a step is at most tol(x).
+    at most twice the last, and a Newton step over 3/4 of the one before, in
+    the same direction, is raised to that limit. A step that would leave the
+    bracket bisects it, as do a NaN step (inf / inf, where a cell is on its
+    bound) and one after a step that crossed the root and less than halved
+    |v|. When capped, hi is a cap, not a point known to lie above the root:
+    until one is seen, such a step doubles x's distance from the first lo
+    instead, up to the cap. Stops when v is 0, a step is at most tol(x), or
+    at the rounding floor of v, where rounding moves v by more than a step
+    of tol(x) does: v kept its sign from the last x, the step from there was
+    at most 64 tol(x), |v| <= 64 tol(x) v', and v moved less than half of
+    what v' predicts for that step.
 
     Returns (root, extra, steps, stop), extra from the last x evaluated.
-    stop is "root" (root is that x plus its step), "edge" (v has one sign
-    up to an end of the bracket, and root is that end) or "limit" (_MAX_ITER
-    steps taken; root is the last x)."""
+    stop is "root" (root is that x, plus its step unless at the floor),
+    "edge" (v has one sign up to an end of the bracket, and root is that
+    end) or "limit" (_MAX_ITER steps taken; root is the last x)."""
     origin = lo
     v_old = 0.0
     move = newton_old = math.inf
     for steps in range(1, _MAX_ITER + 1):
         v, dv, extra = first or func(x)
         first = None
+        near = 64.0 * (t := tol(x))
+        if v * v_old > 0.0 and abs(move) <= near and abs(v) <= dv * near and abs(v - v_old) < 0.5 * dv * abs(move):
+            return x, extra, steps, "root"
         if v < 0.0:
             lo = x
         elif v > 0.0:
@@ -833,8 +837,7 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False
         else:
             return x, extra, steps, "root"
         step = newton = -v / dv if dv > 0.0 else math.copysign(math.inf, -v)
-        t = tol(x)
-        if abs(step) > t:
+        if not abs(step) <= t:
             if lo == -math.inf or hi == math.inf:
                 limit = 1.0 if move == math.inf else 2.0 * abs(move)
                 if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
@@ -873,8 +876,8 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
     strata's e1 - e0 weighted by n0 n1 / (n0 + n1), clamped into the
     range. lp is taken through _lp_at, whose memo profile_ci reads at the
     estimate. fit asks for it only where the maximum is finite (a run-off
-    is taken in closed form). Where the search stops within two steps of
-    a kink of lp (see _KINKS), lp there is taken when it is not lower.
+    is taken in closed form). Stopping within two steps of b1 = 0, where lp'
+    can jump under the identity and log links, it takes lp(0) if not lower.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, a
     each stratum's maximizer clipped into the range that keeps both its
@@ -886,25 +889,16 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
     strata = _profile_strata(table, link)
     weights = [(y0 + f0) * (y1 + f1) / (y0 + f0 + y1 + f1) for y0, f0, _, y1, f1, _, _ in strata]
     start = sum(v * (s[5] - s[2]) for v, s in zip(weights, strata)) / sum(weights)
-    last = [math.nan, math.nan]
 
     def slope(b1: float):
         ll, d, h = _lp_at(table, link, b1)
-        # at its rounding floor lp' is taken as a root: with its Newton step
-        # and the step from the last b1 within 64 stop steps, it kept its
-        # sign and moved less than half of what lp'' predicts
-        step, previous, near = b1 - last[0], last[1], 64.0 * _a_tol(b1)
-        last[:] = b1, d
-        floor = d * previous > 0.0 and abs(step) <= near and abs(d) <= -h * near
-        return (0.0 if floor and abs(d - previous) < -0.5 * h * abs(step) else -d), -h, (b1, ll, abs(d))
+        return -d, -h, (b1, ll, abs(d))
 
     _, (b1, ll, gnorm), steps, stop = _newton_root(slope, min(max(start, -bound), bound), -bound, bound, _a_tol)
-    for kink in _KINKS.get(link, ()):
-        # lp' jumps at a kink, and the search bisects to a bracket about it
-        if 0.0 < abs(kink - b1) <= 2.0 * _a_tol(b1):
-            at = _lp_at(table, link, kink)
-            if at[0] >= ll:
-                b1, ll, gnorm = kink, at[0], abs(at[1])
+    if link in (LinkFunction.IDENTITY, LinkFunction.LOG) and 0.0 < abs(b1) <= 2.0 * _a_tol(b1):
+        at = _lp_at(table, link, 0.0)
+        if at[0] >= ll:
+            b1, ll, gnorm = 0.0, at[0], abs(at[1])
     a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     lo, hi = _bracket(link, b1)
     cell, root = _CELL[link], _ROOT.get(link)
@@ -944,24 +938,26 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     One profile solve at the estimate b1hat gives lp(b1hat) and
     lp''(b1hat), and both endpoint searches share it; a fit not in closed
     form made that same solve, and the two share it through a memo
-    (_lp_at). l_max is the larger
-    of lp(b1hat) and the fit's loglik: where the boundary rule reports a
-    cell at 1e-13 from its bound, lp(b1hat) falls about n 1e-13 short of
-    the closed-form supremum that loglik holds. Each endpoint is the root
-    of the signed root f(b1) = r - sqrt(q), with
-    r = sqrt(2 (l_max - lp(b1))), close to linear in b1, by Halley's
+    (_lp_at). l_max is the larger of lp(b1hat) and the fit's loglik: where
+    the boundary rule reports a cell at 1e-13 from its bound, lp(b1hat)
+    falls about n 1e-13 short of the closed-form supremum that loglik
+    holds. Each endpoint is the root of the signed root f(b1) = r - sqrt(q),
+    with r = sqrt(2 (l_max - lp(b1))), close to linear in b1, by Halley's
     method inside the safeguards of _newton_root: with f' = -lp'(b1) / r
     and f'' = (-lp''(b1) - f'^2) / r, all from one profile solve
     (profile_loglik_slope), the slope passed on is f' - f f'' / (2 f'),
-    or f' itself where that would be at most f' / 2 or f' <= 0. The
+    or f' itself where that would be at most f' / 2 or f' <= 0, and none
+    inside the interval where lp(b1hat) - lp(b1) is not in the range
+    (0, |lp'(b1) (b1 - b1hat)|] of a concave lp: there it is rounding. The
     search starts at the Wald point b1hat +- sqrt(q / -lp''(b1hat)), but
     no farther from b1hat than the bound on |b1| of _profile_max's range.
     Until it has seen a b1 past the crossing, a step that would leave the
     range between the estimate and the cap doubles the distance from the
     estimate. The cap is that same bound under the identity link, whose
     feasible b1 are |b1| < 1, and +-500 (or the estimate +-1) under the
-    others. It stops when a step is at most 5e-13 plus 2 ulp of b1 and
-    returns b1 plus that step.
+    others. It stops when a step is at most 5e-13 plus 2 ulp of b1, taking
+    b1 plus that step, or at f's rounding floor (see _newton_root), taking
+    b1; it raises ConvergenceError after _MAX_ITER steps.
 
     An endpoint that does not cross before the cap is truncated at the cap
     and flagged. The endpoint toward which b1's estimate runs off to an
@@ -974,9 +970,9 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
         raise DomainError(f"level must be in (0, 1), got {level}")
     restricted = fit(table, ModelSpec(link, interaction=False))
     b1hat, root_q = restricted.coefficients[1], math.sqrt(chi2_quantile(level, 1))
-    ll, _, curvature = _lp_at(table, link, b1hat)
+    lp_hat, _, curvature = _lp_at(table, link, b1hat)
     # the boundary rule leaves lp(b1hat) short of a closed-form supremum
-    l_max = max(ll, restricted.loglik)
+    l_max = max(lp_hat, restricted.loglik)
     e_lo, e_hi = _EDGES[link]
     bound = e_hi - e_lo
     wald = min(root_q / math.sqrt(-curvature), bound) if 0.0 < -curvature < math.inf else 0.1
@@ -992,9 +988,10 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
             # start from the data, so f depends on b1 alone
             ll, slope, curvature = profile_loglik_slope(table, link, direction * x)
             r = math.sqrt(max(0.0, 2.0 * (l_max - ll)))
-            if not r:
-                return -root_q, math.nan, None
-            v, dv = r - root_q, -direction * slope / r
+            v = r - root_q
+            if not r or (v < 0.0 and not 0.0 < lp_hat - ll <= abs(slope * (direction * x - b1hat))):
+                return v, math.nan, None
+            dv = -direction * slope / r
             if dv > 0.0:
                 halley = dv - v * ((-curvature - dv * dv) / r) / (2.0 * dv)
                 if 0.5 * dv < halley < math.inf:
@@ -1003,10 +1000,12 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
 
         x = direction * b1hat
         cap = max(bound, x) if link is LinkFunction.IDENTITY else max(_B1_SPAN, x + 1.0)
-        x, _, _, stop = _newton_root(
+        x, _, steps, stop = _newton_root(
             root, min(x + max(wald, _B1_TOL), cap), x, cap,
             lambda x: 0.5 * _B1_TOL + 2.0 * math.ulp(x), capped=True,
         )
+        if stop == "limit":
+            raise ConvergenceError(f"no profile CI endpoint after {steps} steps", iterations=steps)
         return direction * x, stop == "edge"
 
     lo_b1, lo_trunc = endpoint(-1)

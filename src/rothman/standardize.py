@@ -238,13 +238,15 @@ def _check_objective(objective: str) -> int:
 
 
 def _better(value: float, weights: tuple, best: tuple[float, tuple] | None, sign: int) -> bool:
+    """Whether value at weights beats best: more extreme by more than
+    _VALUE_TIE_TOL relative to the larger magnitude, or within that of it
+    (a tie) at a smaller weight vector."""
     if best is None:
         return True
-    if sign * value < sign * best[0] - _VALUE_TIE_TOL:
+    tie = _VALUE_TIE_TOL * max(abs(value), abs(best[0]))
+    if sign * value < sign * best[0] - tie:
         return True
-    if abs(value - best[0]) <= _VALUE_TIE_TOL and weights < best[1]:
-        return True
-    return False
+    return abs(value - best[0]) <= tie and weights < best[1]
 
 
 def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> ExtremeResult:

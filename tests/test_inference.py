@@ -912,6 +912,110 @@ def test_profile_maximum_from_the_data_at_extreme_tables(csv, link, b1):
     assert all(0.0 < v < 1.0 for point in result.fitted_points for v in (point.x, point.y))
 
 
+def test_newton_root_stops_at_a_rounding_floor():
+    # v and v' constant, as rounding holds them once a search is closer to
+    # the root than v resolves, with the Newton step -v/v' three times the
+    # stop step: the second evaluation finds v unmoved and stops there,
+    # where stepping 3 tol at a time ran to the step limit
+    root, _, steps, stop = inference._newton_root(lambda x: (3e-12, 1.0, None), 0.5, 0.0, 1.0, lambda x: 1e-12)
+    assert stop == "root" and steps <= 2
+    assert root == 0.5 - 3e-12
+
+
+# cloglog at totals near 1e9: |loglik| is 5.4e8, where one ulp is 1.2e-7
+LARGE_TOTAL_CLOGLOG_CSV = CSV_HEADER + "s0,484165,1917754,230642330,979134906\ns1,387965,11992983,227026,7313713\n"
+
+
+def test_profile_ci_stops_at_the_rounding_floor_at_large_totals(profile_loglik_calls):
+    # one ulp of l_max moves the crossing by more than the endpoint search's
+    # stop step, so its last steps chased rounding: 24 solves per interval
+    # before the search stopped at the rounding floor of its function
+    from scipy.stats import chi2
+
+    table, link = parse_table(LARGE_TOTAL_CLOGLOG_CSV), LinkFunction.CLOGLOG
+    result = fit(table, ModelSpec(link, interaction=False))
+    profile_loglik_calls.clear()
+    ci = profile_ci(table, link)
+    assert 0 < len(profile_loglik_calls) <= 8
+    assert not (ci.lower_truncated or ci.upper_truncated)
+    q, ulp = chi2.ppf(0.95, 1), math.ulp(result.loglik)
+    for endpoint in (ci.lower, ci.upper):
+        for profile in (profile_loglik, _oracle_profile_loglik):
+            lr = 2.0 * (result.loglik - profile(table, link, math.log(endpoint)))
+            assert abs(lr - q) <= 4.0 * ulp
+
+
+@pytest.mark.parametrize("csv, endpoints", [
+    ("s0,1,1,1,4", (0.38352385519, None)),
+    ("s0,199,760,1,1", (None, 1.92100858898)),
+])
+def test_profile_ci_crosses_a_profile_flat_to_rounding(csv, endpoints, profile_loglik_calls):
+    # cloglog, K = 1 with a full cell: from the estimate, a run-off at
+    # |b1| = 33.3, lp stays within 2 ulps of lp(b1hat) for over 25 units, an
+    # ulp or two below l_max, so r read 3e-8 there, f' about 1e-275 and
+    # Halley's slope 1e277 times larger; steps of a few thousandths ran out
+    # of steps and the last b1 was reported unflagged (946.7 and 0.00098)
+    table, link = parse_table(CSV_HEADER + csv + "\n"), LinkFunction.CLOGLOG
+    ci = profile_ci(table, link)
+    assert len(profile_loglik_calls) <= 20
+    for value, truncated, expected in ((ci.lower, ci.lower_truncated, endpoints[0]),
+                                       (ci.upper, ci.upper_truncated, endpoints[1])):
+        assert truncated == (expected is None)
+        if expected is not None:
+            assert value == pytest.approx(expected, rel=1e-10)
+    _assert_endpoints_hit_quantile(table, link, 0.95)
+
+
+@pytest.mark.parametrize("csv, upper", [
+    ("s0,1,2,68131,312312102\ns1,1,1,1,3", 0.919162454328),
+    ("s0,1,2,1,457714", 0.961923116479),
+])
+def test_identity_ci_near_the_end_of_the_range(csv, upper):
+    # near b1 = 1 a stratum solve's start a had a + b1 round onto 1, where
+    # the exposed cell's l' is -inf and its Newton step inf / inf; the NaN
+    # step left lp NaN, read as inside the interval, and the upper endpoint
+    # was a jump of lp at 0.99999999410 or truncated at the cap
+    table = parse_table(CSV_HEADER + csv + "\n")
+    ci = profile_ci(table, LinkFunction.IDENTITY)
+    assert ci.upper == pytest.approx(upper, rel=1e-10) and not ci.upper_truncated
+    _assert_endpoints_hit_quantile(table, LinkFunction.IDENTITY, 0.95)
+
+
+def test_stratum_root_outside_its_rounded_data_bracket():
+    # logit: at the maximum, b1 = 20.6931471777, s0's two cells want the same
+    # a within 3e-11, but the exposed cell's eta, from a risk 2e-9 below 1,
+    # is good only to about 5e-8, so the data bracket missed the closed-form
+    # root; s0's a stayed on a bracket end, lp' stayed at 1.9e-11 and the
+    # profile maximum ran out of steps
+    table = parse_table(CSV_HEADER + "s0,485165194,485165195,1,3\ns1,1,55,0,1\n")
+    result = fit(table, ModelSpec(LinkFunction.LOGIT, interaction=False))
+    assert result.coefficients[1] == pytest.approx(20.6931471777, rel=1e-10)
+    assert result.gradient_norm < 1e-12
+    _assert_endpoints_hit_quantile(table, LinkFunction.LOGIT, 0.95)
+
+
+def test_profile_ci_raises_when_an_endpoint_search_runs_out_of_steps(newcastle, monkeypatch):
+    # the last b1 of a search at its step limit is not a crossing
+    fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=False))
+    monkeypatch.setattr(inference, "_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        profile_ci(newcastle, LinkFunction.LOGIT)
+
+
+# log, lp flat (lp' = lp'' = 0) on an interval holding [-0.30, 0]: b1 is
+# not identified there, and the estimate is where the search stopped
+FLAT_PROFILE_CSV = CSV_HEADER + "s0,0,1,0,1\ns1,485165195,485165195,0,1\ns2,0,178482301,485165195,485165195\n"
+
+
+def test_flat_profile_reports_its_supremum_anywhere_on_the_plateau():
+    table, link = parse_table(FLAT_PROFILE_CSV), LinkFunction.LOG
+    result = fit(table, ModelSpec(link, interaction=False))
+    for b1 in (-0.30, -0.25, -0.2, -0.1, -0.01, 0.0):
+        assert abs(profile_loglik(table, link, b1) - result.loglik) <= math.ulp(result.loglik)
+    ci = profile_ci(table, link)
+    assert ci.lower <= math.exp(-0.30) and math.exp(0.0) <= ci.upper
+
+
 def test_restricted_fit_at_the_end_of_the_identity_range():
     # every exposed cell full and every unexposed one empty: lp rises toward
     # its supremum as b1 -> 1, which the counts decide (see _run_off), and
@@ -1512,3 +1616,69 @@ def test_fits_reach_the_direct_profile_maximum(table):
                 assert statistic == 0.0
         ci = profile_ci(table, link)
         assert ci.lower <= common_measure(restricted) <= ci.upper
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=_extreme_tables())
+def test_ci_endpoints_and_loglik_agree_with_direct_oracles(table):
+    from scipy.stats import chi2
+
+    q = chi2.ppf(0.95, 1)
+    total = sum(c.total for s in table.strata for c in (s.exposed, s.unexposed))
+    for link in ALL_LINKS:
+        restricted = fit(table, ModelSpec(link, interaction=False))
+        l_max = restricted.loglik
+        if restricted.iterations > 0 and not restricted.boundary_warning:
+            gap = abs(loglik_at(table, restricted.spec, restricted.coefficients) - l_max)
+            bound = 1e-12 * abs(l_max) + 1e-14 * total
+            if any(s.exposed.cases == s.unexposed.cases == 0 or (s.exposed.cases, s.unexposed.cases) ==
+                   (s.exposed.total, s.unexposed.total) for s in table.strata):
+                # a stratum whose cells are both empty (full) has its maximum
+                # where their p is 0 (1): the ascent stops short of it, its
+                # cells' l as short as its score entry, which its gradient
+                # test bounds (see CHANGES.md FOUND)
+                bound += 2.0 * table.k * restricted.gradient_norm
+            assert gap <= bound, link
+        ci = profile_ci(table, link)
+        lp = _direct_profile(table, link)
+        for endpoint, truncated in ((ci.lower, ci.lower_truncated), (ci.upper, ci.upper_truncated)):
+            if truncated:
+                continue
+            b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
+            slope = profile_loglik_slope(table, link, b1)[1]
+            # rounding of l_max and of lp, as in the fit property, and of
+            # b1 within the search's stop step and the measure scale's ulps
+            bound = 2.0 * (1e-12 * abs(l_max) + 1e-14 * total) + 2.0 * abs(slope) * (1e-12 + 4.0 * math.ulp(b1))
+            assert abs(2.0 * (l_max - lp(b1)) - q) <= bound, (link, endpoint)
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=_extreme_tables())
+def test_extremes_of_fitted_points_agree_with_their_values_and_the_grid(table):
+    from rothman import measures, standardize
+
+    # the tie rule is relative and not transitive, so a chain of near ties
+    # can leave the winner a few ties from a stratum's value
+    slack = 4.0 * standardize._VALUE_TIE_TOL
+    for link in ALL_LINKS:
+        points = list(fit(table, ModelSpec(link, interaction=False)).fitted_points)
+        interior = all(1e-6 <= v <= 1.0 - 1e-6 for p in points for v in (p.x, p.y))
+        for measure in Measure:
+            if not all(measures.in_domain(measure, p) for p in points):
+                continue
+            values = [evaluate(measure, p) for p in points]
+            for p in points:
+                assert all(map(math.isfinite, measures.gradient(measure, p))), (link, measure, p)
+            for objective, sign in (("min", 1.0), ("max", -1.0)):
+                found = sign * standardize.extremize_standardized(points, measure, objective).value
+                for v in values:
+                    assert found <= sign * v + slack * abs(v) + 1e-15, (link, measure, objective)
+                if not interior:
+                    # closer to the square's edges OR and CHR carry about
+                    # 1e-8 of rounding, which the grid reads as a better point
+                    continue
+                grid = standardize.grid_extremize(points, measure, objective, 0.01 if table.k == 2 else 0.1)
+                at = RiskPoint(sum(w * p.x for w, p in zip(grid.weights, points)),
+                               sum(w * p.y for w, p in zip(grid.weights, points)))
+                v = evaluate(measure, at)
+                assert found <= sign * v + 1e-9 * abs(v) + 1e-15, (link, measure, objective)

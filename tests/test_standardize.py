@@ -874,3 +874,21 @@ def test_extremize_a_point_whose_gradient_underflows(measure):
         assert result.weights == (1.0,)
         assert result.value == evaluate(measure, point)
 
+
+
+def test_extremize_ties_are_relative_to_the_values():
+    # the logit fit puts stratum s0's point at an odds ratio of 1.0e-26 and
+    # the other two near 5e-14: an absolute tie of 1e-12 made all three
+    # equal, and the smallest weight vector, on the last stratum, won
+    table = StratifiedTable((
+        Stratum("s0", exposed=CellCounts(0, 2), unexposed=CellCounts(154979, 154979)),
+        Stratum("s1", exposed=CellCounts(147888, 612321), unexposed=CellCounts(6, 6)),
+        Stratum("s2", exposed=CellCounts(1, 3), unexposed=CellCounts(1, 1)),
+    ))
+    points = list(fit(table, ModelSpec(LinkFunction.LOGIT, interaction=False)).fitted_points)
+    values = [evaluate(Measure.ODDS_RATIO, p) for p in points]
+    assert values[0] < 1e-20 < min(values[1:])
+    lo = extremize_standardized(points, Measure.ODDS_RATIO, "min")
+    hi = extremize_standardized(points, Measure.ODDS_RATIO, "max")
+    assert lo.value == values[0] and lo.weights == (1.0, 0.0, 0.0)
+    assert hi.value >= max(values)
