@@ -250,14 +250,9 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         return 0
     print(f"measure: {measure.label}")
     print(f"common stratum value: {_fmt(report.common_value)}")
-    print(
-        f"minimum standardized value: {_fmt(report.minimum.value)} at weights "
-        + "(" + ", ".join(f"{w:.3f}" for w in report.minimum.weights) + ")"
-    )
-    print(
-        f"maximum standardized value: {_fmt(report.maximum.value)} at weights "
-        + "(" + ", ".join(f"{w:.3f}" for w in report.maximum.weights) + ")"
-    )
+    for name, extreme in (("minimum", report.minimum), ("maximum", report.maximum)):
+        weights = ", ".join(f"{w:.3f}" for w in extreme.weights)
+        print(f"{name} standardized value: {_fmt(extreme.value)} at weights ({weights})")
     print(f"verdict: {report.verdict.value}")
     if args.grid_oracle:
         g = out["grid_oracle"]

@@ -53,7 +53,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 
 import numpy as np
 
@@ -1071,28 +1070,28 @@ def _chi2_cdf(x: float, df: int) -> float:
 
 
 def chi2_quantile(level: float, df: int) -> float:
-    """The x with chi2_sf(x, df) = 1 - level. For df = 1 this is the square
-    of the standard normal quantile at (1 - level) / 2, taken in the lower
-    tail, which (1 + level) / 2 would round near level 1. Other df take the
-    root of P(x) - level, P the chi-square distribution function, whose
-    derivative is the chi-square density, by _newton_root from the larger
-    of the Wilson-Hilferty approximation and the lower-tail bound
+    """The x with chi2_sf(x, df) = 1 - level: the root of P(x) - level, P
+    the chi-square distribution function, whose derivative is the
+    chi-square density, by _newton_root from the lower-tail bound
     2 (level Gamma(df/2 + 1))^(2/df), to a step of 1e-13 max(1, x). Below
     level 0.5, P is _chi2_cdf's series; from 0.5 on it is 1 - chi2_sf(x),
-    taken as (1 - level) - chi2_sf(x, df)."""
+    taken as (1 - level) - chi2_sf(x, df). Quantiles are memoized."""
+    # checked before the memo, as fit is, so df = True or 1.0 never reaches it
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
     _check_df(df)
-    if df == 1:
-        return NormalDist().inv_cdf(0.5 * (1.0 - level)) ** 2
-    a, target = 0.5 * df, 1.0 - level
-    c = 2.0 / (9.0 * df)
-    wilson = df * (1.0 - c + NormalDist().inv_cdf(level) * math.sqrt(c)) ** 3
-    x = max(wilson, 2.0 * math.exp((math.log(level) + math.lgamma(a + 1.0)) / a))
+    return _chi2_quantile(level, df)
+
+
+@functools.lru_cache(maxsize=16)
+def _chi2_quantile(level: float, df: int) -> float:
+    a = 0.5 * df
 
     def tail(x: float):
         z = 0.5 * x
-        v = _chi2_cdf(x, df) - level if level < 0.5 else target - chi2_sf(x, df)
+        v = _chi2_cdf(x, df) - level if level < 0.5 else (1.0 - level) - chi2_sf(x, df)
         return v, 0.5 * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a)), None
 
-    return _newton_root(tail, x, 0.0, math.inf, lambda x: 1e-13 * max(1.0, x))[0]
+    # the bound underflows to 0 only with the quantile (df = 1, level below about 1.8e-162)
+    start = 2.0 * math.exp((math.log(level) + math.lgamma(a + 1.0)) / a)
+    return _newton_root(tail, start, 0.0, math.inf, lambda x: 1e-13 * max(1.0, x))[0] if start else 0.0

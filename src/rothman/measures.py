@@ -126,6 +126,13 @@ def _gradient_xy(measure: Measure, x: float, y: float) -> tuple[float, float]:
     return (math.log1p(-y) / d if d else (-math.inf if y else 0.0), -1.0 / ((1.0 - y) * lx))
 
 
+def _same_level(measure: Measure, u: float, v: float) -> bool:
+    """Whether values u and v of the measure lie on one contour line: within
+    1e-9 on its link scale, absolute for the risk difference and relative to
+    the larger magnitude for the ratios."""
+    return abs(u - v) <= 1e-9 * (1.0 if measure is Measure.RISK_DIFFERENCE else max(abs(u), abs(v)))
+
+
 def null_value(measure: Measure) -> float:
     """Value taken on the null line y = x: 0 for the risk difference, 1 otherwise."""
     return 0.0 if measure is Measure.RISK_DIFFERENCE else 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .measures import Measure, ContourValue, _contour_raw, _grid, evaluate, null_value, valid_x_interval
+from .measures import Measure, ContourValue, _contour_raw, _grid, _same_level, evaluate, null_value, valid_x_interval
 from .standardize import StandardizedHull, standardized_hull, marginal_distribution
 from .tables import RiskPoint, StratifiedTable, stratum_points
 from .inference import LinkFunction, ModelSpec, common_measure, fit, link_for_measure
@@ -269,19 +269,17 @@ def render_svg(spec: DiagramSpec) -> str:
 # assembling diagrams from analysis results
 # ---------------------------------------------------------------------------
 
-_LEVEL_TOL = 1e-9  # stratum values closer than this share one contour
-
-
 def _dedup_levels(measure: Measure, points) -> list[float]:
-    """The measure's distinct values at the points, in order; a point where
-    the measure is undefined (a zero or full cell) gives no level."""
+    """The measure's distinct values at the points, in order, one per
+    contour line (measures._same_level); a point where the measure is
+    undefined (a zero or full cell) gives no level."""
     out: list[float] = []
     for p in points:
         try:
             v = evaluate(measure, p)
         except DomainError:
             continue
-        if all(abs(v - u) > _LEVEL_TOL for u in out):
+        if not any(_same_level(measure, v, u) for u in out):
             out.append(v)
     return out
 

@@ -16,12 +16,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ModificationError
-from .measures import Measure, _gradient_xy, check_domain, evaluate, null_value
+from .measures import Measure, _gradient_xy, _same_level, check_domain, evaluate, null_value
 from .tables import CellCounts, RiskPoint, StratifiedTable, crude_point, stratum_points
 
 _WEIGHT_SUM_TOL = 1e-12
 _VALUE_TIE_TOL = 1e-12
-_COMMON_VALUE_TOL = 1e-9
 # a crude point this far or less from the hull reads as unconfounded
 _CONFOUNDING_TOL = 1e-9
 _VERTEX_TOL = 1e-9
@@ -479,7 +478,7 @@ def collapsibility_verdict(points: list[RiskPoint], measure: Measure) -> Collaps
     if len(points) < 1:
         raise DomainError("need at least one point")
     values = tuple(evaluate(measure, p) for p in points)
-    if max(values) - min(values) > _COMMON_VALUE_TOL:
+    if not _same_level(measure, min(values), max(values)):
         raise ModificationError(
             f"stratum {measure.label} values differ: "
             + ", ".join(f"{v:.6g}" for v in values)
@@ -489,12 +488,13 @@ def collapsibility_verdict(points: list[RiskPoint], measure: Measure) -> Collaps
     m = sum(values) / len(values)
     minimum = extremize_standardized(points, measure, "min")
     maximum = extremize_standardized(points, measure, "max")
-    if maximum.value - minimum.value <= _COMMON_VALUE_TOL:
+    if _same_level(measure, minimum.value, maximum.value):
         verdict = Verdict.COLLAPSIBLE_HERE
     else:
         null = null_value(measure)
         lo, hi = min(null, m), max(null, m)
-        if minimum.value < lo - _COMMON_VALUE_TOL or maximum.value > hi + _COMMON_VALUE_TOL:
+        below = minimum.value < lo and not _same_level(measure, minimum.value, lo)
+        if below or (maximum.value > hi and not _same_level(measure, maximum.value, hi)):
             raise DomainError(
                 f"standardized {measure.label} range [{minimum.value}, {maximum.value}] "
                 f"escapes the interval between null and {m}"

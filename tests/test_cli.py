@@ -217,6 +217,85 @@ def test_collapse_grid_oracle_rejects_bad_resolution(capsys, resolution):
     assert "resolution must be in (0, 1]" in err and "Traceback" not in err
 
 
+# --- the JSON schemas: each subcommand's complete key tree, in order, with
+# the type of every value, on the embedded table and a four-stratum one
+# (plot writes SVG and has no JSON output)
+
+
+def _schema(doc):
+    """doc with each scalar replaced by the name of its type."""
+    if isinstance(doc, dict):
+        return {key: _schema(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_schema(value) for value in doc]
+    return type(doc).__name__
+
+
+def _json_schema(capsys, tmp_path, source, *argv):
+    if source == "newcastle":
+        labels, args = ["18-64", "65+"], ["--fixture", "newcastle"]
+    else:
+        table = synthetic_four_strata()
+        path = tmp_path / "four.csv"
+        path.write_text(serialize_table(table))
+        labels, args = [s.label for s in table.strata], ["--input", str(path)]
+    code, out, err = run(capsys, *argv, *args, "--format", "json")
+    assert code == 0, err
+    return labels, _schema(json.loads(out))
+
+
+_MEASURES = {"rd": "float", "rr": "float", "or": "float", "chr": "float"}
+
+
+def _assert_schema(schema, expected):
+    assert schema == expected
+    assert json.dumps(schema) == json.dumps(expected)  # keys in this order too
+
+
+@pytest.mark.parametrize("source", ["newcastle", "four"])
+def test_measures_json_schema(capsys, tmp_path, source):
+    labels, schema = _json_schema(capsys, tmp_path, source, "measures")
+    row = {"label": "str", "x": "float", "y": "float", "measures": _MEASURES, "undefined": {}}
+    _assert_schema(schema, {"strata": [row] * len(labels), "crude": row})
+
+
+@pytest.mark.parametrize("source", ["newcastle", "four"])
+def test_fit_json_schema(capsys, tmp_path, source):
+    labels, schema = _json_schema(capsys, tmp_path, source, "fit", "--link", "all")
+    report = {
+        "link": "str", "measure": "str", "stratum_estimates": {label: "float" for label in labels},
+        "undefined": {}, "interaction": {"statistic": "float", "df": "int", "p_value": "float"},
+        "common": "float",
+        "ci": {"level": "float", "lower": "float", "upper": "float",
+               "lower_truncated": "bool", "upper_truncated": "bool"},
+    }
+    _assert_schema(schema, {"fits": [report] * 4})
+
+
+@pytest.mark.parametrize("source", ["newcastle", "four"])
+def test_standardize_json_schema(capsys, tmp_path, source):
+    labels, schema = _json_schema(capsys, tmp_path, source, "standardize", "--weights", "marginal")
+    _assert_schema(schema, {
+        "weights": ["float"] * len(labels), "standardized_risk_unexposed": "float",
+        "standardized_risk_exposed": "float", "measures": _MEASURES, "undefined": {},
+        "is_hull_vertex": "bool",
+    })
+
+
+@pytest.mark.parametrize("source", ["newcastle", "four"])
+def test_collapse_json_schema(capsys, tmp_path, source):
+    labels, schema = _json_schema(capsys, tmp_path, source, "collapse")
+    extreme = {"value": "float", "weights": ["float"] * len(labels)}
+    expected = {"measure": "str", "common_value": "float", "minimum": extreme, "maximum": extreme,
+                "verdict": "str"}
+    _assert_schema(schema, expected)
+    # the grid oracle adds one key, last; 0.05 keeps the K = 4 lattice small
+    _, schema = _json_schema(capsys, tmp_path, source, "collapse", "--grid-oracle", "--grid-resolution", "0.05")
+    expected["grid_oracle"] = {"resolution": "float", "minimum": extreme, "maximum": extreme,
+                               "min_disagreement": "float", "max_disagreement": "float"}
+    _assert_schema(schema, expected)
+
+
 def test_collapse_grid_oracle_rejects_a_lattice_over_the_bound(capsys):
     code, _, err = run(
         capsys,

@@ -8,6 +8,7 @@ from rothman.errors import ContourRangeError, DomainError
 from rothman.measures import (
     ContourValue,
     Measure,
+    _same_level,
     contour_polyline,
     contour_y,
     evaluate,
@@ -290,3 +291,17 @@ def test_midpoint_attenuates_on_curved_contours(measure, m, data):
     mid = RiskPoint(0.5 * (x1 + x2), 0.5 * (y1 + y2))
     value = evaluate(measure, mid)
     assert 1.0 < value < m
+
+
+@pytest.mark.parametrize("measure, u, v, same", [
+    (Measure.RISK_DIFFERENCE, 0.5, 0.5 + 9e-10, True),
+    (Measure.RISK_DIFFERENCE, 0.5, 0.5 + 1.1e-9, False),
+    (Measure.ODDS_RATIO, 75762566.8534752, 75762566.85339998, True),
+    (Measure.ODDS_RATIO, 1.0e-26, 5.0e-14, False),
+    (Measure.RISK_RATIO, 2.0, 2.0 * (1.0 + 2e-9), False),
+    (Measure.CUMULATIVE_HAZARD_RATIO, 0.0, 0.0, True),
+    (Measure.CUMULATIVE_HAZARD_RATIO, 0.0, 1e-300, False),
+])
+def test_one_contour_level_is_decided_on_the_link_scale(measure, u, v, same):
+    assert _same_level(measure, u, v) is same
+    assert _same_level(measure, v, u) is same

@@ -274,6 +274,19 @@ def test_modification_odds_ratio_panel_composition():
     assert panel.hull is None and panel.segment is None
 
 
+def test_modification_draws_one_contour_for_equal_large_odds_ratios():
+    # both strata have an odds ratio of exactly 1e8, evaluated from their
+    # risks as 99999999.99998339 and 99999999.99994591: 3.7e-13 apart
+    # relative, one contour, where an absolute 1e-9 drew two dashed lines
+    table = parse_table(
+        "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\n"
+        "s0,10000,10001,1,10001\ns1,20000,20001,1,5001\n"
+    )
+    (panel,) = [p for p in figure_modification(table).panels if p.measure is Measure.ODDS_RATIO]
+    dashed = [c for c in panel.contours if not c.solid]
+    assert [c.label for c in dashed] == ["100000000.000"]
+
+
 def test_modification_single_stratum_draws_no_fit():
     from rothman.tables import CellCounts, StratifiedTable, Stratum
 

@@ -892,3 +892,40 @@ def test_extremize_ties_are_relative_to_the_values():
     hi = extremize_standardized(points, Measure.ODDS_RATIO, "max")
     assert lo.value == values[0] and lo.weights == (1.0, 0.0, 0.0)
     assert hi.value >= max(values)
+    # the three points lie on different contours, whatever their values'
+    # absolute range: the verdict is refused as modification
+    with pytest.raises(ModificationError):
+        collapsibility_verdict(points, Measure.ODDS_RATIO)
+
+
+def _table(rows):
+    return StratifiedTable(tuple(
+        Stratum(label, exposed=CellCounts(a, n1), unexposed=CellCounts(b, n0)) for label, a, n1, b, n0 in rows
+    ))
+
+
+@pytest.mark.parametrize("measure", [Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])
+def test_fitted_points_at_large_ratios_share_one_contour(measure):
+    # the logit fit's two odds ratios, 75762566.8534752 and
+    # 75762566.85339998, are 9.9e-13 apart relative and 7.5e-8 absolute,
+    # so an absolute 1e-9 refused them as modification; the cloglog fit's
+    # hazard ratios near 89392.574 likewise
+    table = _table([("a", 9999, 10000, 1, 10000), ("b", 19997, 20000, 2, 20000)])
+    points = list(fit(table, ModelSpec(link_for_measure(measure), interaction=False)).fitted_points)
+    report = collapsibility_verdict(points, measure)
+    assert report.verdict is Verdict.ATTENUATED_TOWARD_NULL
+    assert report.maximum.value == pytest.approx(report.common_value, rel=1e-9)
+    assert report.minimum.value < report.common_value
+
+
+def test_hazard_ratio_verdict_on_three_fitted_points():
+    # cloglog fit of a fit-strata plan table: its three hazard ratios near
+    # 101.133 are 1.9e-10 apart relative, and the fit is not on a boundary
+    table = _table([("s1", 2961, 21244, 90, 1088), ("s2", 25865, 25865, 1312, 25703), ("s3", 12, 22, 509, 2023)])
+    restricted = fit(table, ModelSpec(LinkFunction.CLOGLOG, interaction=False))
+    assert not restricted.boundary_warning
+    report = collapsibility_verdict(list(restricted.fitted_points), Measure.CUMULATIVE_HAZARD_RATIO)
+    assert report.verdict is Verdict.ATTENUATED_TOWARD_NULL
+    assert report.common_value == pytest.approx(101.133, abs=5e-4)
+    assert report.minimum.value == pytest.approx(9.446, abs=5e-4)
+    assert report.minimum.weights == pytest.approx((0.593, 0.0, 0.407), abs=5e-4)
