@@ -49,21 +49,13 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _add_input_options(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("--input", metavar="CSV", help="stratified 2x2 CSV file")
-    group.add_argument("--fixture", choices=["newcastle"], help="embedded example table")
-
-
 def _load_table(args: argparse.Namespace) -> StratifiedTable:
     if args.fixture:
         return newcastle_fixture()
     try:
         text = Path(args.input).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
-        raise TableParseError(
-            f"{args.input} is not UTF-8 text ({e.reason} at byte {e.start})"
-        ) from None
+        raise TableParseError(f"{args.input} is not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_table(text)
 
 
@@ -80,52 +72,39 @@ def _evaluate_all(items) -> tuple[dict, dict]:
     return values, reasons
 
 
-def _measure_values(point) -> tuple[dict, dict]:
-    """All four measures at a point."""
-    return _evaluate_all((m.value, m, point) for m in Measure)
+def _measure_row(label: str, point) -> dict:
+    """A point's coordinates and its four measures."""
+    values, reasons = _evaluate_all((m.value, m, point) for m in Measure)
+    return {"label": label, "x": point.x, "y": point.y, "measures": values, "undefined": reasons}
 
 
-def cmd_measures(args: argparse.Namespace) -> int:
+def cmd_measures(args: argparse.Namespace):
     table = _load_table(args)
-    rows = []
-    for s, p in zip(table.strata, stratum_points(table)):
-        values, reasons = _measure_values(p)
-        rows.append({"label": s.label, "x": p.x, "y": p.y, "measures": values, "undefined": reasons})
-    crude = crude_point(table)
-    values, reasons = _measure_values(crude)
-    crude_row = {"label": "crude", "x": crude.x, "y": crude.y, "measures": values, "undefined": reasons}
-    if args.format == "json":
-        print(json.dumps({"strata": rows, "crude": crude_row}, indent=2))
-        return 0
-    width = max(5, *(len(r["label"]) for r in rows))
-    header = f"{'stratum':<{width}}  {'x':>7} {'y':>7}  {'RD':>9} {'RR':>9} {'OR':>9} {'CHR':>9}"
-    print(header)
-    notes = []
-    for r in rows + [crude_row]:
-        cells = []
-        for key in ("rd", "rr", "or", "chr"):
-            v = r["measures"][key]
-            cells.append(f"{v:>9.3f}" if v is not None else f"{'undefined':>9}")
-            if v is None:
-                notes.append(f"  note: {r['label']}: {r['undefined'][key]}")
-        print(f"{r['label']:<{width}}  {r['x']:>7.3f} {r['y']:>7.3f}  " + " ".join(cells))
-    for note in notes:
-        print(note)
+    rows = [_measure_row(s.label, p) for s, p in zip(table.strata, stratum_points(table))]
+    rows.append(_measure_row("crude", crude_point(table)))
+    return {"strata": rows[:-1], "crude": rows[-1]}, _measures_lines(table, rows)
+
+
+def _measures_lines(table: StratifiedTable, rows: list):
+    width = max(len(r["label"]) for r in rows)  # at least len("crude")
+    yield f"{'stratum':<{width}}  {'x':>7} {'y':>7}  {'RD':>9} {'RR':>9} {'OR':>9} {'CHR':>9}"
+    for r in rows:
+        cells = " ".join(f"{'undefined':>9}" if v is None else f"{v:>9.3f}" for v in r["measures"].values())
+        yield f"{r['label']:<{width}}  {r['x']:>7.3f} {r['y']:>7.3f}  {cells}"
+    # each measure undefined at a point, in measure order (see _evaluate_all)
+    yield from (f"  note: {r['label']}: {why}" for r in rows for why in r["undefined"].values())
     if table.k >= 2:
         conf = is_confounded(table)
-        print(
+        yield (
             f"confounded: {'yes' if conf.confounded else 'no'} "
             f"(crude point is {conf.distance:.3f} from the standardized hull)"
         )
-    return 0
 
 
 def _fit_report(table: StratifiedTable, link: LinkFunction, level: float) -> dict:
     measure = measure_for_link(link)
     restricted = fit(table, ModelSpec(link, interaction=False))
-    strata, undefined = _evaluate_all(
-        (s.label, measure, p) for s, p in zip(table.strata, stratum_points(table))
-    )
+    strata, undefined = _evaluate_all((s.label, measure, p) for s, p in zip(table.strata, stratum_points(table)))
     lr = None
     if table.k >= 2:
         test = lr_test_interaction(table, link)
@@ -148,37 +127,30 @@ def _fit_report(table: StratifiedTable, link: LinkFunction, level: float) -> dic
     }
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace):
     table = _load_table(args)
     links = list(LinkFunction) if args.link == "all" else [_LINKS[args.link]]
     reports = [_fit_report(table, link, args.level) for link in links]
-    if args.format == "json":
-        print(json.dumps({"fits": reports}, indent=2))
-        return 0
+    return {"fits": reports}, _fit_lines(reports)
+
+
+def _fit_lines(reports: list):
     for rep in reports:
-        measure = _MEASURES[rep["measure"]]
-        print(f"measure: {measure.label} ({rep['link']} link)")
+        yield f"measure: {_MEASURES[rep['measure']].label} ({rep['link']} link)"
         strata = "  ".join(
             f"{lab}: {'undefined' if v is None else _fmt(v)}"
             for lab, v in rep["stratum_estimates"].items()
         )
-        print(f"  stratum estimates: {strata}")
-        if rep["interaction"] is not None:
-            lr = rep["interaction"]
-            print(
+        yield f"  stratum estimates: {strata}"
+        if (lr := rep["interaction"]) is not None:
+            yield (
                 f"  interaction LR test: statistic {_fmt(lr['statistic'])}, "
                 f"df {lr['df']}, p-value {_fmt(lr['p_value'])}"
             )
-        print(f"  common estimate: {_fmt(rep['common'])}")
+        yield f"  common estimate: {_fmt(rep['common'])}"
         ci = rep["ci"]
-        flags = "".join(
-            [" [lower truncated]" if ci["lower_truncated"] else "",
-             " [upper truncated]" if ci["upper_truncated"] else ""]
-        )
-        print(
-            f"  {100 * ci['level']:g}% profile CI: ({_fmt(ci['lower'])}, {_fmt(ci['upper'])}){flags}"
-        )
-    return 0
+        flags = "".join(f" [{end} truncated]" for end in ("lower", "upper") if ci[f"{end}_truncated"])
+        yield f"  {100 * ci['level']:g}% profile CI: ({_fmt(ci['lower'])}, {_fmt(ci['upper'])}){flags}"
 
 
 def _parse_weights(spec: str, table: StratifiedTable) -> StandardDistribution:
@@ -193,88 +165,86 @@ def _parse_weights(spec: str, table: StratifiedTable) -> StandardDistribution:
     return StandardDistribution(weights)
 
 
-def cmd_standardize(args: argparse.Namespace) -> int:
+def cmd_standardize(args: argparse.Namespace):
     table = _load_table(args)
     dist = _parse_weights(args.weights, table)
     point = standardized_point(table, dist)
-    hull = standardized_hull(stratum_points(table))
-    values, reasons = _measure_values(point)
+    values, reasons = _evaluate_all((m.value, m, point) for m in Measure)
     report = {
         "weights": list(dist.weights),
         "standardized_risk_unexposed": point.x,
         "standardized_risk_exposed": point.y,
         "measures": values,
         "undefined": reasons,
-        "is_hull_vertex": hull.is_vertex(point),
+        "is_hull_vertex": standardized_hull(stratum_points(table)).is_vertex(point),
     }
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-        return 0
-    print("weights: " + ", ".join(f"{w:.6g}" for w in dist.weights))
-    print(f"standardized risk, unexposed (x): {_fmt(point.x)}")
-    print(f"standardized risk, exposed   (y): {_fmt(point.y)}")
+    return report, _standardize_lines(report)
+
+
+def _standardize_lines(report: dict):
+    yield "weights: " + ", ".join(f"{w:.6g}" for w in report["weights"])
+    yield f"standardized risk, unexposed (x): {_fmt(report['standardized_risk_unexposed'])}"
+    yield f"standardized risk, exposed   (y): {_fmt(report['standardized_risk_exposed'])}"
     for m in Measure:
-        v = values[m.value]
-        shown = _fmt(v) if v is not None else f"undefined ({reasons[m.value]})"
-        print(f"  {m.label}: {shown}")
-    print(f"hull vertex: {'yes' if report['is_hull_vertex'] else 'no'}")
-    return 0
+        v = report["measures"][m.value]
+        shown = _fmt(v) if v is not None else f"undefined ({report['undefined'][m.value]})"
+        yield f"  {m.label}: {shown}"
+    yield f"hull vertex: {'yes' if report['is_hull_vertex'] else 'no'}"
 
 
-def cmd_collapse(args: argparse.Namespace) -> int:
+def _extreme(found) -> dict:
+    return {"value": found.value, "weights": list(found.weights)}
+
+
+def cmd_collapse(args: argparse.Namespace):
     table = _load_table(args)
     measure = _MEASURES[args.measure]
-    link = link_for_measure(measure)
-    restricted = fit(table, ModelSpec(link, interaction=False))
-    points = list(restricted.fitted_points)
-    report = collapsibility_verdict(points, measure)
-    out = {
+    points = list(fit(table, ModelSpec(link_for_measure(measure), interaction=False)).fitted_points)
+    verdict = collapsibility_verdict(points, measure)
+    report = {
         "measure": measure.value,
-        "common_value": report.common_value,
-        "minimum": {"value": report.minimum.value, "weights": list(report.minimum.weights)},
-        "maximum": {"value": report.maximum.value, "weights": list(report.maximum.weights)},
-        "verdict": report.verdict.value,
+        "common_value": verdict.common_value,
+        "minimum": _extreme(verdict.minimum),
+        "maximum": _extreme(verdict.maximum),
+        "verdict": verdict.verdict.value,
     }
     if args.grid_oracle:
         gmin = grid_extremize(points, measure, "min", args.grid_resolution)
         gmax = grid_extremize(points, measure, "max", args.grid_resolution)
-        out["grid_oracle"] = {
+        report["grid_oracle"] = {
             "resolution": args.grid_resolution,
-            "minimum": {"value": gmin.value, "weights": list(gmin.weights)},
-            "maximum": {"value": gmax.value, "weights": list(gmax.weights)},
-            "min_disagreement": abs(gmin.value - report.minimum.value),
-            "max_disagreement": abs(gmax.value - report.maximum.value),
+            "minimum": _extreme(gmin),
+            "maximum": _extreme(gmax),
+            "min_disagreement": abs(gmin.value - verdict.minimum.value),
+            "max_disagreement": abs(gmax.value - verdict.maximum.value),
         }
-    if args.format == "json":
-        print(json.dumps(out, indent=2))
-        return 0
-    print(f"measure: {measure.label}")
-    print(f"common stratum value: {_fmt(report.common_value)}")
-    for name, extreme in (("minimum", report.minimum), ("maximum", report.maximum)):
-        weights = ", ".join(f"{w:.3f}" for w in extreme.weights)
-        print(f"{name} standardized value: {_fmt(extreme.value)} at weights ({weights})")
-    print(f"verdict: {report.verdict.value}")
-    if args.grid_oracle:
-        g = out["grid_oracle"]
-        print(
+    return report, _collapse_lines(report)
+
+
+def _collapse_lines(report: dict):
+    yield f"measure: {_MEASURES[report['measure']].label}"
+    yield f"common stratum value: {_fmt(report['common_value'])}"
+    for name in ("minimum", "maximum"):
+        weights = ", ".join(f"{w:.3f}" for w in report[name]["weights"])
+        yield f"{name} standardized value: {_fmt(report[name]['value'])} at weights ({weights})"
+    yield f"verdict: {report['verdict']}"
+    if g := report.get("grid_oracle"):
+        yield (
             f"grid oracle (resolution {g['resolution']:g}): min {_fmt(g['minimum']['value'])}, "
             f"max {_fmt(g['maximum']['value'])}, "
             f"max disagreement {max(g['min_disagreement'], g['max_disagreement']):.2e}"
         )
-    return 0
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
+def cmd_plot(args: argparse.Namespace) -> None:
     needs_table = args.figure != "contours"
     if needs_table and not (args.input or args.fixture):
         raise UsageError("this figure needs --input or --fixture")
-    table = _load_table(args) if needs_table else None
-    svg = render_svg(FIGURES[args.figure](table))
+    svg = render_svg(FIGURES[args.figure](_load_table(args) if needs_table else None))
     if args.output == "-":
         sys.stdout.write(svg)
     else:
         Path(args.output).write_text(svg, encoding="utf-8")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,40 +255,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("measures", help="stratum-specific and crude association measures")
-    _add_input_options(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_measures)
+    def command(name: str, func, help: str, needs_table: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        group = p.add_mutually_exclusive_group(required=needs_table)
+        group.add_argument("--input", metavar="CSV", help="stratified 2x2 CSV file")
+        group.add_argument("--fixture", choices=["newcastle"], help="embedded example table")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fit", help="GLM fits: stratum estimates, interaction test, common estimate, profile CI")
-    _add_input_options(p)
+    reports = [command("measures", cmd_measures, "stratum-specific and crude association measures")]
+    p = command("fit", cmd_fit, "GLM fits: stratum estimates, interaction test, common estimate, profile CI")
     p.add_argument("--link", choices=[*_LINKS, "all"], default="all")
     p.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("standardize", help="standardized risks and measures for a standard distribution")
-    _add_input_options(p)
+    reports.append(p)
+    p = command("standardize", cmd_standardize, "standardized risks and measures for a standard distribution")
     p.add_argument("--weights", required=True,
                    help="'marginal', 'uniform', or comma-separated weights summing to 1")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_standardize)
-
-    p = sub.add_parser("collapse", help="collapsibility verdict over the standardized hull")
-    _add_input_options(p)
+    reports.append(p)
+    p = command("collapse", cmd_collapse, "collapsibility verdict over the standardized hull")
     p.add_argument("--measure", choices=list(_MEASURES), default="or")
     p.add_argument("--grid-oracle", action="store_true",
                    help="verify the optimizer against a brute-force weight grid")
     p.add_argument("--grid-resolution", type=float, default=0.001)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_collapse)
+    reports.append(p)
+    # each report command prints its report as text or JSON (see main)
+    for p in reports:
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("plot", help="emit an SVG diagram")
+    p = command("plot", cmd_plot, "emit an SVG diagram", needs_table=False)
     p.add_argument("figure", choices=sorted(FIGURES))
-    _add_input_options(p, required=False)
     p.add_argument("-o", "--output", default="-", help="output path, or - for stdout")
-    p.set_defaults(func=cmd_plot)
-
     return parser
 
 
@@ -326,7 +292,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a report command returns its JSON report and its text lines, the
+        # lines computed as they are printed; plot writes its own SVG
+        if out := args.func(args):
+            report, lines = out
+            for line in [json.dumps(report, indent=2)] if args.format == "json" else lines:
+                print(line)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -334,11 +306,7 @@ def main(argv=None) -> int:
         print(f"parse error: {e}", file=sys.stderr)
         return 3
     except ConvergenceError as e:
-        print(
-            f"convergence error: {e} (iterations: {e.iterations}, "
-            f"last log-likelihood: {e.loglik})",
-            file=sys.stderr,
-        )
+        print(f"convergence error: {e} (iterations: {e.iterations}, last log-likelihood: {e.loglik})", file=sys.stderr)
         return 4
     except DomainError as e:
         print(f"data error: {e}", file=sys.stderr)

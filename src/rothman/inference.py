@@ -251,8 +251,8 @@ def _newton(table: StratifiedTable, link: LinkFunction):
     than that slack. The gradient test is on the max-norm of the
     reference-coded score; see fit for the other stops.
 
-    Returns (a, b1, loglik, iterations, gradient_norm, p) at the last
-    iterate, p the cell probabilities in cell order."""
+    Returns (a, b1, loglik, iterations, gradient_norm) at the last
+    iterate."""
     cell, inverse, to_eta = _CELL[link], _INVERSE[link], _LINK_SCALAR[link]
     counts = [(y0, f0, y1, f1) for y0, f0, _, y1, f1, _, _ in _profile_strata(table, link)]
 
@@ -320,8 +320,7 @@ def _newton(table: StratifiedTable, link: LinkFunction):
         if dll < max(_LL_TOL, 8.0 * math.ulp(ll)):
             gnorm = gradient(cells)[1]
             break
-    p = [c[0] for c0, c1 in cells for c in (c1, c0)]
-    return theta[:-1], theta[-1], ll, iterations, gnorm, p
+    return theta[:-1], theta[-1], ll, iterations, gnorm
 
 
 def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
@@ -355,9 +354,9 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     raises ConvergenceError, carrying the coefficients and lp at the last
     b1, after 200 steps; the ascent raises none.
 
-    Boundary rule for the closed forms and the profile maximum: a maximum at
-    a cell probability of 0 or 1 (a zero or full cell, or a bound of the
-    link) is reported with the cell at 1e-13 or 1 - 1e-13, and
+    Boundary rule, for every fit (see _boundary_rule): a maximum at a cell
+    probability of 0 or 1 (a zero or full cell, or a bound of the link) is
+    reported with the cell at 1e-13 or 1 - 1e-13, and
     ``boundary_warning`` flags any fitted probability within 1e-12 of 0 or
     1. The rule applies to the reported coefficients and fitted points
     only; ``loglik`` stays the supremum.
@@ -418,14 +417,30 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
             a = [e0 if off else e1 - b1 for off, e1, e0 in zip(exposed_off, eta[::2], eta[1::2])]
             b = [b1]
         return _result(spec, _reference_coded(a, b), math.fsum(terms), p, 0, 0.0)
-    a, b1, _, iterations, gnorm, p = _newton(table, link)
-    if gnorm >= _GRAD_TOL:
+    a, b1, _, iterations, gnorm = _newton(table, link)
+    if gnorm < _GRAD_TOL:
+        ll = _lp_at(table, link, b1)[0]
+    else:
         # the ascent ended short of its gradient test: the profile maximum
         b1, ll, a, gnorm, iterations = _profile_max(table, link)
-        inverse = _INVERSE[link]
-        p = [min(max(inverse(eta)[0], _EPS), 1.0 - _EPS) for aj in a for eta in (aj + b1, aj)]
-        return _result(spec, _reference_coded(a, [b1]), ll, p, iterations, gnorm)
-    return _result(spec, _reference_coded(a, [b1]), _lp_at(table, link, b1)[0], p, iterations, gnorm)
+    beta, p = _boundary_rule(table, link, a, b1)
+    return _result(spec, beta, ll, p, iterations, gnorm)
+
+
+def _boundary_rule(table: StratifiedTable, link: LinkFunction, a, b1: float):
+    """The boundary rule of a restricted fit that is not in closed form (see
+    fit) at each stratum's unexposed eta a and b1: each a clipped into the
+    range that keeps both its cells' p in [_EPS, 1 - _EPS], at the low end
+    of it for a stratum whose cells are all empty and at the high end for
+    one whose cells are all full. Returns the coefficients there and the
+    cell probabilities in cell order, each clipped into [_EPS, 1 - _EPS]."""
+    e_lo, e_hi = _EDGES[link]
+    a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
+    a = [a_lo if not y0 + y1 else a_hi if not f0 + f1 else min(max(aj, a_lo), a_hi)
+         for aj, (y0, f0, _, y1, f1, _, _) in zip(a, _profile_strata(table, link))]
+    inverse = _INVERSE[link]
+    p = [min(max(inverse(eta)[0], _EPS), 1.0 - _EPS) for aj in a for eta in (aj + b1, aj)]
+    return _reference_coded(a, [b1]), p
 
 
 def common_measure(result: FitResult) -> float:
@@ -802,19 +817,19 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False
     method from x in it: the one-dimensional solver of this module. func(x)
     returns (v, v', extra); first, when given, is func(x) already evaluated.
 
-    Each evaluation narrows the bracket by the sign of v. While an end of
-    the bracket is infinite, the first step is at most 1 and each later one
-    at most twice the last, and a Newton step over 3/4 of the one before, in
-    the same direction, is raised to that limit. A step that would leave the
-    bracket bisects it, as do a NaN step (inf / inf, where a cell is on its
-    bound) and one after a step that crossed the root and less than halved
-    |v|. When capped, hi is a cap, not a point known to lie above the root:
-    until one is seen, such a step doubles x's distance from the first lo
-    instead, up to the cap. Stops when v is 0, a step is at most tol(x), or
-    at the rounding floor of v, where rounding moves v by more than a step
-    of tol(x) does: v kept its sign from the last x, the step from there was
-    at most 64 tol(x), |v| <= 64 tol(x) v', and v moved less than half of
-    what v' predicts for that step.
+    Each evaluation narrows the bracket by the sign of v. The first step is
+    at most 1 and each later one at most twice the last, and a Newton step
+    over 3/4 of the one before, in the same direction, is raised to that
+    limit. A step that would leave the bracket bisects it, as do a NaN step
+    (inf / inf, where a cell is on its bound) and one after a step that
+    crossed the root and less than halved |v|. When capped, hi is a cap, not
+    a point known to lie above the root: until one is seen, such a step
+    doubles x's distance from the first lo instead, up to the cap. Stops
+    when v is 0, a step is at most tol(x), or at the rounding floor of v,
+    where rounding moves v by more than a step of tol(x) does: v kept its
+    sign from the last x, the step from there was at most 64 tol(x),
+    |v| <= 64 tol(x) v', and v moved less than half of what v' predicts for
+    that step.
 
     Returns (root, extra, steps, stop), extra from the last x evaluated.
     stop is "root" (root is that x, plus its step unless at the floor),
@@ -837,11 +852,10 @@ def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False
             return x, extra, steps, "root"
         step = newton = -v / dv if dv > 0.0 else math.copysign(math.inf, -v)
         if not abs(step) <= t:
-            if lo == -math.inf or hi == math.inf:
-                limit = 1.0 if move == math.inf else 2.0 * abs(move)
-                if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
-                    step = math.copysign(limit, -v)
-                newton_old = newton
+            limit = 1.0 if move == math.inf else 2.0 * abs(move)
+            if not abs(step) <= limit or (newton * newton_old > 0.0 and abs(newton) > 0.75 * abs(newton_old)):
+                step = math.copysign(limit, -v)
+            newton_old = newton
             if not lo < x + step < hi or (v * v_old < 0.0 and abs(v) > 0.5 * abs(v_old)):
                 step = (min(2.0 * x - origin, hi) if capped else 0.5 * (lo + hi)) - x
         if abs(step) <= t:
@@ -879,10 +893,9 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
     can jump under the identity and log links, it takes lp(0) if not lower.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, a
-    each stratum's maximizer clipped into the range that keeps both its
-    cells' p in [_EPS, 1 - _EPS] (the boundary rule, see fit); raises
-    ConvergenceError, with the coefficients and lp there, after _MAX_ITER
-    steps."""
+    each stratum's maximizer; raises ConvergenceError, with the coefficients
+    there under the boundary rule (see _boundary_rule) and lp, after
+    _MAX_ITER steps."""
     e_lo, e_hi = _EDGES[link]
     bound = e_hi - e_lo
     strata = _profile_strata(table, link)
@@ -898,14 +911,13 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
         at = _lp_at(table, link, 0.0)
         if at[0] >= ll:
             b1, ll, gnorm = 0.0, at[0], abs(at[1])
-    a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     lo, hi = _bracket(link, b1)
     cell, root = _CELL[link], _ROOT.get(link)
-    a = [min(max(_stratum_max(cell, root, s, b1, lo, hi)[1], a_lo), a_hi) for s in strata]
+    a = [_stratum_max(cell, root, s, b1, lo, hi)[1] for s in strata]
     if stop == "limit":
         raise ConvergenceError(
             f"no profile maximum after {steps} steps (|lp'| {gnorm:.3e})",
-            coefficients=tuple(_reference_coded(a, [b1])),
+            coefficients=tuple(_boundary_rule(table, link, a, b1)[0]),
             loglik=ll,
             iterations=steps,
         )

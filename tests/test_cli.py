@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -517,3 +518,185 @@ def test_cli_contract_on_generated_input(capsys, tmp_path, csv, data):
         code = _call(capsys, ["plot", figure, *source])
         if well_formed and not (figure == "modconf" and k != 2):
             assert code == 0, figure
+
+
+# --- byte pins: stdout, stderr and the exit code of every subcommand form ---
+#
+# Each case runs in a directory that holds four.csv (the four-stratum
+# table), zero.csv (ZERO_CELLS_CSV) and bad.csv (BAD_CSV), so no output
+# carries a temporary path. The usage errors are argparse's, as Python 3.10
+# and 3.11 word them.
+
+_PIN_SOURCES = {
+    "newcastle": ["--fixture", "newcastle"],
+    "four": ["--input", "four.csv"],
+    "zero": ["--input", "zero.csv"],
+}
+_PIN_REPORTS = {
+    "measures": ["measures"],
+    "fit": ["fit"],
+    "fit-logit-90": ["fit", "--link", "logit", "--level", "0.9"],
+    "standardize-marginal": ["standardize", "--weights", "marginal"],
+    "standardize-uniform": ["standardize", "--weights", "uniform"],
+    "collapse": ["collapse"],
+    "collapse-rd": ["collapse", "--measure", "rd"],
+    "collapse-rr": ["collapse", "--measure", "rr"],
+    "collapse-chr": ["collapse", "--measure", "chr"],
+    "collapse-grid": ["collapse", "--grid-oracle", "--grid-resolution", "0.05"],
+}
+_PIN_CASES = {
+    **{
+        f"{form}-{source}-{fmt}": [*argv, *_PIN_SOURCES[source], "--format", fmt]
+        for form, argv in _PIN_REPORTS.items() for source in _PIN_SOURCES for fmt in ("text", "json")
+    },
+    **{
+        f"plot-{figure}-{source}": ["plot", figure, *_PIN_SOURCES[source]]
+        for figure in ("contours", "modification", "modconf", "collapsible", "noncollapsible", "hull")
+        for source in _PIN_SOURCES
+    },
+    "no-command": [],
+    "measures-no-input": ["measures"],
+    "measures-two-inputs": ["measures", "--input", "four.csv", "--fixture", "newcastle"],
+    "measures-bad-format": ["measures", "--fixture", "newcastle", "--format", "yaml"],
+    "fit-bad-level": ["fit", "--fixture", "newcastle", "--level", "x"],
+    "fit-unknown-option": ["fit", "--fixture", "newcastle", "--bogus"],
+    "standardize-no-weights": ["standardize", "--fixture", "newcastle"],
+    "plot-no-figure": ["plot", "--fixture", "newcastle"],
+    "plot-format": ["plot", "hull", "--fixture", "newcastle", "--format", "json"],
+    "measures-bad-csv": ["measures", "--input", "bad.csv"],
+    "fit-bad-csv-json": ["fit", "--input", "bad.csv", "--format", "json"],
+    "collapse-missing-file": ["collapse", "--input", "missing.csv", "--format", "json"],
+    "plot-modification-no-input": ["plot", "modification"],
+    "plot-contours-bad-csv": ["plot", "contours", "--input", "bad.csv"],
+}
+
+CLI_SHA256 = {
+    "measures-newcastle-text": "2383207f6c34b00ebb2292e69e49efdad440d8a6df8ef633f6fbae3ac0cd4384",
+    "measures-newcastle-json": "9317ea0a847707cfbad36d51549b2387ab3e080128fa093bf2b9e1cd9efa1704",
+    "measures-four-text": "eb934e16bb616745f702e633a15255a47afd9e4039dac1b85b54b1fd4226a6d4",
+    "measures-four-json": "c06d6e2277bb72a10037753f286a0661693c5d64f7f554a44d62430077a4245b",
+    "measures-zero-text": "abbfd63e68c6a63417147f5d64190fdb544c2329887c256e0369302b447d732b",
+    "measures-zero-json": "e05efa253fedfd87555e51d5dabf7e9bb56ec0f5c610ab9078ca9d71d6bf1ff3",
+    "fit-newcastle-text": "6c93b6190d95ea67a51b9c1abf66f0adf5124d5fc701e2570cf943f164dff6c6",
+    "fit-newcastle-json": "8febd22c3751decd3d3e2dccf7f54ddeab770f9684bc7ec53942028c93d27c54",
+    "fit-four-text": "aaf79e3ffd97ceae3a476ab0cac0a2cac9f59e433f9ff48877ce0868379a7b49",
+    "fit-four-json": "b227601fe42479b3b6f59ab379e572fe9650e189c909c91a8091c14ce10c9131",
+    "fit-zero-text": "8d6e6252eed80be4fd7ccf9d70fa6b188c528e2b502a5234b165f9480ccfef0b",
+    "fit-zero-json": "26e92189a6f0d44c24b26dc1ea656e1a06928e49d190bcdaec2d41803a752761",
+    "fit-logit-90-newcastle-text": "000dca453e11009cc7b2b22d9e5c44c8d4e3f632d2ff03ee9e9c6e42063e9005",
+    "fit-logit-90-newcastle-json": "0cceb44dde284146b0702bd80e7948a5927022ef18604f272173bd936a09e16f",
+    "fit-logit-90-four-text": "ad7868daa8ba2b74eca8182a3d09165aac30d8f70427842077a42a7722795afd",
+    "fit-logit-90-four-json": "43248c9750cff0825c798af566168a160b0a5724637614bf4abd24d50812b29f",
+    "fit-logit-90-zero-text": "55a740e09dd537b94f1f288b3104a33f64bc51529552f4ea64c0971d0094f652",
+    "fit-logit-90-zero-json": "f6c64fcaed035625de8664305044f2638d100cc2be2821e29fc0aab0226051b5",
+    "standardize-marginal-newcastle-text": "16889768ccdc20004dbb6c2e13e412f7734963ed1911e09133aaaf947ab71867",
+    "standardize-marginal-newcastle-json": "7508a8eab51e950109280e0f1cb2c04d95f23f2e8548f110263a74088f111ae2",
+    "standardize-marginal-four-text": "58610e3d65301e27183e5e5aba4ed782a7720defda1e8d5b4fe67d78d204492b",
+    "standardize-marginal-four-json": "7fdc9647abc53e038d009c460f6a2405d6ee183e3e165c692a9b71c40cd0f286",
+    "standardize-marginal-zero-text": "6720ae3288bf5b4378a8572ee9f92819c0ffd4e31da34d4f932a14bac1901164",
+    "standardize-marginal-zero-json": "e2300818da10c6a51c91a36ec15735f848f570990411e249660d5b27738077ec",
+    "standardize-uniform-newcastle-text": "9e4ccd581c23e73b28b6ae28df9bcf20651addaf8543f1a5ae2b81cff183edc0",
+    "standardize-uniform-newcastle-json": "897f27c8108dfa1483bda9aa9d4e3cc18869da27383987b499e03fccc23ede2f",
+    "standardize-uniform-four-text": "49abf2520f6397841e7a979e256526ba8274d7b6b2da5e5d9addc8936a3b2271",
+    "standardize-uniform-four-json": "4d5f37e57c35f79f5aedba98f5e58fa5f3fc93981caac64a446367b265c77528",
+    "standardize-uniform-zero-text": "f840da5491ec4a0bd371313007e5e6026a4ad9d50ca11a1679ab0853f4f8efe0",
+    "standardize-uniform-zero-json": "225133552c5c3abe9b73d2100a0bbc522028941a0236b8558d5312e37f1c137d",
+    "collapse-newcastle-text": "935ff0a458654c7d40066a44c8643a195d218866f9a607ddeb5cf8df48fae091",
+    "collapse-newcastle-json": "6d8045f449264bbcf68ac92781f44f54c83b44db12f27f4509bc76d1b24cb739",
+    "collapse-four-text": "2533baf76248893a44de14cc59f60c8d4370c6081c2e3ae00d9d7c348e67156d",
+    "collapse-four-json": "c93c0a473d21ba5b89cfaaaa65f71c3fedb082c24d30c78bccd5f9151ced16d1",
+    "collapse-zero-text": "c4b90b96a5f6ab54dd049e3407e02399aac887a94cb945ac23c926be55b35df8",
+    "collapse-zero-json": "610cbc7b40d375dba553dcbcfe6b32b0074ed4afeef6e2c230799ea5b12fb46d",
+    "collapse-rd-newcastle-text": "77ff9de734e5a123204442ec2de05291db6a84d079bbc1e26f78be16bac18888",
+    "collapse-rd-newcastle-json": "84fc22082f4f20c5000f8b50e93fe91bc2caa1a6f63ec6af5cbc64bd8ffc853c",
+    "collapse-rd-four-text": "80713df1616a051a7fb854a0e9b1cf18c2a77e9dadebc144d1542335de2079cc",
+    "collapse-rd-four-json": "8787e84c9e0f1c137a7df9928de6e68ce24044aad4701915686bfb548c6d4f94",
+    "collapse-rd-zero-text": "948e3b6c6dc52601fbc837672d94e0df41beaf60230bd895b25256cea838d28e",
+    "collapse-rd-zero-json": "ddab9a430518d8f65a434d8df5843eed760d9ba44c24d7772d41674b672f5d3c",
+    "collapse-rr-newcastle-text": "8c06768e8b8d6bfa1587080cc661371bd318fdaa008be8b1f1aeb71882e94d23",
+    "collapse-rr-newcastle-json": "0b8611e3bfed4dc7688760985feb3b8c6e714a678e5d759f07a91967b1550338",
+    "collapse-rr-four-text": "209712a36a971c10067b2c5a2f639ff63680d9ae81c4ef9d778db9cee14ef44a",
+    "collapse-rr-four-json": "d227b95c700b489e3d66956a9524e91e18b2b77911058fbc6c078e4ad4bd36c4",
+    "collapse-rr-zero-text": "eb6e8f7f7bc0cd480919bc1a1506b793d1906f1d84f4869a3bd845ad33611f63",
+    "collapse-rr-zero-json": "670be84ff641e8ccbe8d0289209d329f24d29baa5583fc14992af1ff68063731",
+    "collapse-chr-newcastle-text": "80f86807cb3f4d9daba0d4435ef7c3542530f0b6c90ced5b51a39d17d822594f",
+    "collapse-chr-newcastle-json": "cdc9ce26e8b7a9d3572242b9d678fbe147bd55e6233eb0d1aae7acb6bbc57945",
+    "collapse-chr-four-text": "a09f3973ee073c4ef985dc1883d979d07f63bbbeab79a1289ba0563e4258bea5",
+    "collapse-chr-four-json": "6d9c1174409478dd0e778f7018c831d3b3d919bbe7a14780b5e3e43a17ba84fe",
+    "collapse-chr-zero-text": "ca00e671767d59041af230d092c94e41bbc80fccfb1f05b68b61347ae3646f0f",
+    "collapse-chr-zero-json": "05d193a1f958996d7a8c2af5fb214685defefb8b428dc82cae3ec463e9ec6117",
+    "collapse-grid-newcastle-text": "f2ccc37a6401961d38a3241cd791329844e648353fbaa83404fdef1962dac386",
+    "collapse-grid-newcastle-json": "3d781d092c7b386f57dce9738dfa1ed3ac988ad31fbeacc0401cb2e320ff224a",
+    "collapse-grid-four-text": "1225ae1c30e61c1a7b18d0192bc10f5d895de5b931e36f39653a68888117d030",
+    "collapse-grid-four-json": "e5da7affa0b7b39938f761c4b6024a0ffbe41fdf2a94e3d78ce0b3ab7944872a",
+    "collapse-grid-zero-text": "d22d0bf0c10c7031612a950011aedbfb776a56f5a5b9db48c6f07ed10042129c",
+    "collapse-grid-zero-json": "f9a4ad1cbe2d8626454c838fba0547f913ba0c52f0e3f8fe485b0d84c5fe0ea5",
+    "plot-contours-newcastle": "4f206bd6d559e3e76f928b762c60a8b44a47748787ecebd8be735526245a6e7b",
+    "plot-contours-four": "4f206bd6d559e3e76f928b762c60a8b44a47748787ecebd8be735526245a6e7b",
+    "plot-contours-zero": "4f206bd6d559e3e76f928b762c60a8b44a47748787ecebd8be735526245a6e7b",
+    "plot-modification-newcastle": "dc028d596de762da637c007ce527193e2dfd06469505280fedef82a2e6525b13",
+    "plot-modification-four": "b6b1365d54006f058f0be1720120b70a942694a7dfdd35fdda1af4ef0b12033f",
+    "plot-modification-zero": "d0fc318dd933ebe6313643102b914d5de55b1b10d9a4874ae2b7253364bbc7db",
+    "plot-modconf-newcastle": "d7d2006e83b7341a342d9de1e15862a0679cbcdb584902580113d88af8042acf",
+    "plot-modconf-four": "61ba965719eaa4b18cf7c9bf7e17198b2b1d1c4c2b40a187972e776af506b653",
+    "plot-modconf-zero": "7779a746578392c7ca4927ee01f0a049409b8176d32fc996bcf3d8a7981b58ed",
+    "plot-collapsible-newcastle": "85b393bc785f6e61faf1245860535da8668ce4eb463cfdef658bb7093ac5282d",
+    "plot-collapsible-four": "84daefefdb58b81ec70a67d21c78ef41b791e5079f2a213f093da89fc8c9e627",
+    "plot-collapsible-zero": "7eb5b8bf14c56beb1c97618cd85ae767d42b150cb8ea8a94184ab9e62b9c7a27",
+    "plot-noncollapsible-newcastle": "1ff0fecbb13932ea85055f98bf65c0655ab0ac143e9135d4f043bae3638deb09",
+    "plot-noncollapsible-four": "a8b65ca33a4d5ad99107602bf66a96fcf4f25f7e981a7bfd30fcb73024d97ac5",
+    "plot-noncollapsible-zero": "82fe5652c2f195d44c22548d8cbd45d984a9b56c95e5452d2bc46c74d00826ee",
+    "plot-hull-newcastle": "fcc79868b6b88b8b572f69b087d063c4dc102086bdbcc0225dc652b43d224cca",
+    "plot-hull-four": "f1cdce75d83a7f726584b4a84f8f851661f7b90e64d268992163da7a7e039eb0",
+    "plot-hull-zero": "6d279fc38fa0abb4fec155e5584d31c88c73cc8d795958055848e976629bfee7",
+    "no-command": "fa2cc511da1180486a95bdfd3d2d8202a672aecbac89e14d086727fa1685226a",
+    "measures-no-input": "ac66162a15437f09da83eaa11c6e50334d04f5a52b189c7eeed8185c445b628c",
+    "measures-two-inputs": "6760c9922f8e6c1ab84c32cd234bf8e08d96cddcc01675cc45828e964656bdfd",
+    "measures-bad-format": "674cd87530c83153158d16a65118e9ecdcb39a90bd57a64b752535200e3aab14",
+    "fit-bad-level": "c8e0a43a87fbbf5259a9ef7dc52f6b08532ce7ec7561b32373dce520d58caf4b",
+    "fit-unknown-option": "0839963d65ed69793a16d210a226058b5ba040ea20763003abc0fe11118e8924",
+    "standardize-no-weights": "bebadb2e78417020860def2b85df16871fa679c6d4cbfab5e50e5414665826a7",
+    "plot-no-figure": "712f0c5ed5c5add7bc6490528d2ecf33efd6881fa05357e4408c94fbc2a21f0a",
+    "plot-format": "df941fbb0f7c80b798f0d9a07970ce588b6a89d9437220fc6430670f9d5c2127",
+    "measures-bad-csv": "d258a17a230b941981b9eee0938240f871464fe93a6a7ea863f0b4ce8fedee02",
+    "fit-bad-csv-json": "d258a17a230b941981b9eee0938240f871464fe93a6a7ea863f0b4ce8fedee02",
+    "collapse-missing-file": "11a015d6462a97cd508b8fdbd60d3237526e947a3d5dc10161125f333047d6d7",
+    "plot-modification-no-input": "78f447754d7153a0194b1730b929a4ac4e98d4db9e0ed60585c171ee9d178b55",
+    "plot-contours-bad-csv": "4f206bd6d559e3e76f928b762c60a8b44a47748787ecebd8be735526245a6e7b",
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_SHA256))
+def test_cli_output_digest(capsys, tmp_path, monkeypatch, case):
+    (tmp_path / "four.csv").write_text(serialize_table(synthetic_four_strata()))
+    (tmp_path / "zero.csv").write_text(ZERO_CELLS_CSV)
+    (tmp_path / "bad.csv").write_text(BAD_CSV)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    try:
+        code = cli.main(_PIN_CASES[case])
+    except SystemExit as e:  # argparse refusing the command line
+        code = e.code
+    captured = capsys.readouterr()
+    record = f"{code}\0{captured.out}\0{captured.err}"
+    assert hashlib.sha256(record.encode()).hexdigest() == CLI_SHA256[case]
+
+
+def test_json_output_computes_no_text_only_line(capsys, monkeypatch):
+    # the confounding line is text output only: JSON asks nothing of it
+    def refuse(table):
+        raise AssertionError("is_confounded called for JSON output")
+
+    monkeypatch.setattr(cli, "is_confounded", refuse)
+    code, out, err = run(capsys, "measures", "--fixture", "newcastle", "--format", "json")
+    assert code == 0, err
+    assert "confounded" not in out
+
+
+def test_fit_cloglog_with_a_cell_near_one_at_a_1e9_total(capsys, tmp_path):
+    # the profile maximum ran to its step limit here, and fit exited 4
+    path = tmp_path / "near-one.csv"
+    path.write_text(HEADER + "\ns0,999999998,999999999,1,3\ns1,71,71,1,2\n")
+    code, out, err = run(capsys, "fit", "--input", str(path), "--link", "cloglog")
+    assert code == 0, err
+    assert "95% profile CI: (11.356, 902.524)" in out

@@ -479,7 +479,20 @@ def test_modconf_needs_exactly_two_strata(table):
 # clipped risks, 29.528, to the end of the range, 29.934, its loglik
 # unchanged, and table 12 moves 21 ulps to that end, its loglik -5.0e-13 ->
 # 0.0, the supremum.
-SWEEP_SHA256 = "1a54d211f5138c583c7dc2cccbf5ff36cc26298a0e8f472a661320dcba7e84f0"
+# Re-recorded when _newton_root limited the growth of its steps in every
+# bracket, not only while an end is infinite, and the ascent's fits took the
+# profile maximum's boundary rule. The growth rule moved the b1 of the log
+# fits of tables 3, 15 and 18 by +1, +7 and +3 ulps, each new b1 within
+# 1.5e-16 of a 60-digit mpmath maximum of lp (loglik unchanged but table
+# 15's, -18.394648813894197 -> -18.3946488138942), and the step counts of
+# the log fits at b1 = 0 of tables 16 and 21 to 29; no figure moved with
+# them. The boundary rule puts a stratum whose cells are all empty (full)
+# at 1e-13 (1 - 1e-13), where the ascent had left them at about 1e-11 of
+# the bound, each b1 and loglik unchanged: the log, logit and cloglog fits
+# of table 13 (now boundary warned), the logit and cloglog fits of 16, 19
+# (boundary warned), 27 and 28, and the logit fits of 22, 24, 25, 26 and
+# 29. Their modification, noncollapsible and hull figures moved.
+SWEEP_SHA256 = "3fb996cc60010fd080d6d98a54ca7ad04e69e8d248950a0eb9669073825b4386"
 
 
 def _sweep_digest() -> str:
