@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,17 +80,37 @@ class LinkFunction(Enum):
     CLOGLOG = "cloglog"
 
 
-_MEASURE_FOR_LINK = {
-    LinkFunction.IDENTITY: Measure.RISK_DIFFERENCE,
-    LinkFunction.LOG: Measure.RISK_RATIO,
-    LinkFunction.LOGIT: Measure.ODDS_RATIO,
-    LinkFunction.CLOGLOG: Measure.CUMULATIVE_HAZARD_RATIO,
-}
-_LINK_FOR_MEASURE = {m: l for l, m in _MEASURE_FOR_LINK.items()}
+@dataclass(frozen=True)
+class _Link:
+    """A link, defined once (see _LINKS): its measure, cell function, inverse
+    and link in scalar floats, closed-form stratum root (or None), the
+    (lo, hi) of the etas whose p is in [0, 1], the run-off rule of a
+    stratum (see _run_off) and the map from b1 to the measure. The bracket
+    of a, the constraint ends, lp's kink at b1 = 0 and the CI cap are
+    derived from that eta range."""
+
+    measure: Measure
+    cell: Callable
+    inverse: Callable
+    to_eta: Callable
+    root: Callable | None
+    eta_range: tuple[float, float]
+    run_off: Callable[[bool, bool], bool]
+    to_measure: Callable
+
+    @property
+    def edges(self) -> tuple[float, float]:
+        """The etas at which p is _EPS and 1 - _EPS."""
+        return self.to_eta(_EPS), self.to_eta(1.0 - _EPS)
+
+    @property
+    def ends(self) -> tuple[float, ...]:
+        """The finite ends of eta_range, where a cell's p is 0 or 1."""
+        return tuple(e for e in self.eta_range if math.isfinite(e))
 
 
 def measure_for_link(link: LinkFunction) -> Measure:
-    return _MEASURE_FOR_LINK[link]
+    return _LINKS[link].measure
 
 
 def link_for_measure(measure: Measure) -> LinkFunction:
@@ -170,12 +191,12 @@ def _feasible(p) -> bool:
 
 
 def _inverse_at(table: StratifiedTable, spec: ModelSpec, beta):
-    """The design matrix, eta, and each cell's p and dp/deta by _INVERSE at
-    coefficients beta, as arrays in cell order; DomainError when
+    """The design matrix, eta, and each cell's p and dp/deta by the link's
+    inverse at coefficients beta, as arrays in cell order; DomainError when
     infeasible."""
     X = design_matrix(table, spec)
     eta = X @ np.asarray(beta, dtype=float)
-    p, dp = (np.array(v) for v in zip(*map(_INVERSE[spec.link], eta.tolist())))
+    p, dp = (np.array(v) for v in zip(*map(_LINKS[spec.link].inverse, eta.tolist())))
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
     return X, eta, p, dp
@@ -240,20 +261,21 @@ def _newton(table: StratifiedTable, link: LinkFunction):
 
     Its coordinates are the profile's, each stratum's unexposed eta a_j
     and b1, and each cell's log-likelihood and its derivatives come from
-    _CELL, its p and dp/deta from _INVERSE. It starts from each stratum's
-    pooled risk on the link scale and b1 = 0. Each iteration tries the
-    full observed-Hessian Newton step (quadratic near the optimum, and
-    free of the slow two-cycles Fisher scoring shows for non-canonical
-    links) and the full Fisher scoring step; both systems are arrowheads
-    (see _arrowhead). A step is accepted where its log-likelihood is at
-    least the current one less a slack of 32 eps (1 + |loglik|), and the
-    Fisher step replaces the Newton step only where it is higher by more
-    than that slack. The gradient test is on the max-norm of the
-    reference-coded score; see fit for the other stops.
+    the link's cell function, its p and dp/deta from its inverse. It starts
+    from each stratum's pooled risk (see _adjusted_risk) on the link scale
+    and b1 = 0. Each iteration tries the full observed-Hessian Newton step
+    (quadratic near the optimum, and free of the slow two-cycles Fisher
+    scoring shows for non-canonical links) and the full Fisher scoring
+    step; both systems are arrowheads (see _arrowhead). A step is accepted
+    where its log-likelihood is at least the current one less a slack of
+    32 eps (1 + |loglik|), and the Fisher step replaces the Newton step only
+    where it is higher by more than that slack. The gradient test is on the
+    max-norm of the reference-coded score; see fit for the other stops.
 
     Returns (a, b1, loglik, iterations, gradient_norm) at the last
     iterate."""
-    cell, inverse, to_eta = _CELL[link], _INVERSE[link], _LINK_SCALAR[link]
+    rec = _LINKS[link]
+    cell, inverse = rec.cell, rec.inverse
     counts = [(y0, f0, y1, f1) for y0, f0, _, y1, f1, _, _ in _profile_strata(table, link)]
 
     def at(theta):
@@ -280,11 +302,7 @@ def _newton(table: StratifiedTable, link: LinkFunction):
         grad.append(sum(c1[3] for _, c1 in cells))
         return grad, max(abs(sum(grad[:-1])), *map(abs, grad[1:]))
 
-    theta = []
-    for y0, f0, y1, f1 in counts:
-        n = y0 + f0 + y1 + f1
-        delta = 0.5 / (n + 1.0)
-        theta.append(to_eta(min(1.0 - delta, max(delta, (y0 + y1) / n))))
+    theta = [rec.to_eta(_adjusted_risk(y0 + y1, y0 + f0 + y1 + f1)) for y0, f0, y1, f1 in counts]
     theta.append(0.0)
     state = at(theta)
     if state is None:
@@ -392,7 +410,7 @@ def _result(spec: ModelSpec, beta, loglik: float, p, iterations: int, gnorm: flo
 
 @functools.lru_cache(maxsize=8)
 def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
-    link = spec.link
+    link, rec = spec.link, _LINKS[spec.link]
     if spec.interaction and table.k < 2:
         raise DomainError("an interaction model needs at least two strata")
     direction = 0 if spec.interaction else _run_off(table, link)
@@ -401,18 +419,22 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
         p, terms = [], []
         for s in table.strata:
             for c in (s.exposed, s.unexposed):
-                risk = c.cases / c.total
+                risk, f = c.cases / c.total, c.total - c.cases
+                # where the risk rounds to 1, both logs from the counts
+                near_one = risk == 1.0 and f
                 if c.cases:
-                    terms.append(c.cases * math.log(risk))
-                if c.cases < c.total:
-                    terms.append((c.total - c.cases) * math.log1p(-risk))
+                    terms.append(c.cases * (math.log1p(-f / c.total) if near_one else math.log(risk)))
+                if f:
+                    terms.append(f * (math.log(f / c.total) if near_one else math.log1p(-risk)))
                 p.append(min(1.0 - _EPS, max(_EPS, risk)))
-        eta = [_LINK_SCALAR[link](v) for v in p]
+        eta = [rec.to_eta(v) for v in p]
         a, b = eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])]
         if direction:
-            # each stratum's a keeps the cell that does not run off at its data
-            e_lo, e_hi = _EDGES[link]
-            b1 = direction * (1.0 - 2.0 * _EPS if link is LinkFunction.IDENTITY else e_hi - e_lo)
+            # b1 is e_hi - e_lo, or over a bounded eta range its width less
+            # 2 _EPS, which e_hi - e_lo rounds one ulp short of; each
+            # stratum's a keeps the cell that does not run off at its data
+            (lo, hi), (e_lo, e_hi) = rec.eta_range, rec.edges
+            b1 = direction * (hi - lo - 2.0 * _EPS if len(rec.ends) == 2 else e_hi - e_lo)
             exposed_off = [s.exposed.cases == (s.exposed.total if direction > 0 else 0) for s in table.strata]
             a = [e0 if off else e1 - b1 for off, e1, e0 in zip(exposed_off, eta[::2], eta[1::2])]
             b = [b1]
@@ -434,12 +456,12 @@ def _boundary_rule(table: StratifiedTable, link: LinkFunction, a, b1: float):
     of it for a stratum whose cells are all empty and at the high end for
     one whose cells are all full. Returns the coefficients there and the
     cell probabilities in cell order, each clipped into [_EPS, 1 - _EPS]."""
-    e_lo, e_hi = _EDGES[link]
+    rec = _LINKS[link]
+    e_lo, e_hi = rec.edges
     a_lo, a_hi = e_lo - min(0.0, b1), e_hi - max(0.0, b1)
     a = [a_lo if not y0 + y1 else a_hi if not f0 + f1 else min(max(aj, a_lo), a_hi)
          for aj, (y0, f0, _, y1, f1, _, _) in zip(a, _profile_strata(table, link))]
-    inverse = _INVERSE[link]
-    p = [min(max(inverse(eta)[0], _EPS), 1.0 - _EPS) for aj in a for eta in (aj + b1, aj)]
+    p = [min(max(rec.inverse(eta)[0], _EPS), 1.0 - _EPS) for aj in a for eta in (aj + b1, aj)]
     return _reference_coded(a, [b1]), p
 
 
@@ -448,12 +470,15 @@ def common_measure(result: FitResult) -> float:
     for the identity link, exp(b1) otherwise."""
     if result.spec.interaction:
         raise ValueError("common_measure requires a no-interaction fit")
-    b1 = result.coefficients[1]
-    return b1 if result.spec.link is LinkFunction.IDENTITY else math.exp(b1)
+    return _LINKS[result.spec.link].to_measure(result.coefficients[1])
 
 
 @dataclass(frozen=True)
 class LRTest:
+    """A likelihood-ratio test of the interaction terms: ``statistic`` is
+    2 (saturated loglik - restricted loglik), at least 0; ``df`` its
+    degrees of freedom, K - 1; ``p_value`` its chi-square(df) upper tail."""
+
     statistic: float
     df: int
     p_value: float
@@ -546,14 +571,6 @@ def _cloglog_cell(y, f, eta):
     return l, d, h
 
 
-_CELL = {
-    LinkFunction.IDENTITY: _identity_cell,
-    LinkFunction.LOG: _log_cell,
-    LinkFunction.LOGIT: _logit_cell,
-    LinkFunction.CLOGLOG: _cloglog_cell,
-}
-
-
 def _logit_inverse(eta):
     z = math.exp(-abs(eta))
     p, q = 1.0 / (1.0 + z), z / (1.0 + z)
@@ -565,23 +582,7 @@ def _cloglog_inverse(eta):
     return -math.expm1(-t), t * math.exp(-t)
 
 
-# per link, (p, dp/deta) at eta in scalar floats; an eta at which p is
-# outside (0, 1) gives some p outside it, and NaN gives NaN
-_INVERSE = {
-    LinkFunction.IDENTITY: lambda eta: (eta, 1.0),
-    LinkFunction.LOG: lambda eta: (math.exp(min(eta, 1.0)),) * 2,
-    LinkFunction.LOGIT: _logit_inverse,
-    LinkFunction.CLOGLOG: _cloglog_inverse,
-}
-_LINK_SCALAR = {
-    LinkFunction.IDENTITY: lambda p: p,
-    LinkFunction.LOG: math.log,
-    LinkFunction.LOGIT: lambda p: math.log(p) - math.log1p(-p),
-    LinkFunction.CLOGLOG: lambda p: math.log(-math.log1p(-p)),
-}
 _A_TOL = 2e-15  # relative step at which a one-dimensional solve stops
-# per link, the eta at which p is _EPS and 1 - _EPS
-_EDGES = {link: (f(_EPS), f(1.0 - _EPS)) for link, f in _LINK_SCALAR.items()}
 
 
 # Closed-form roots of a stratum's l'(a), the restricted maximum-likelihood
@@ -642,32 +643,50 @@ def _log_unexposed(u, c, b1):
     return math.log(u) if 0.0 < u < math.inf else math.nan
 
 
-# keyed by link: the cell functions in _CELL may be wrapped (tests count their calls)
-_ROOT = {
-    LinkFunction.IDENTITY: _identity_root,
-    LinkFunction.LOG: _log_root,
-    LinkFunction.LOGIT: _logit_root,
+# looked up at each call, so that tests can count a record's cell and root
+# calls; an inverse gives some p outside (0, 1) at such an eta, NaN at NaN
+_LINKS = {
+    LinkFunction.IDENTITY: _Link(
+        Measure.RISK_DIFFERENCE, _identity_cell, lambda eta: (eta, 1.0), lambda p: p, _identity_root, (0.0, 1.0),
+        lambda empty, full: empty and full, lambda b1: b1),
+    LinkFunction.LOG: _Link(
+        Measure.RISK_RATIO, _log_cell, lambda eta: (math.exp(min(eta, 1.0)),) * 2, math.log, _log_root,
+        (-math.inf, 0.0), lambda empty, full: empty, math.exp),
+    LinkFunction.LOGIT: _Link(
+        Measure.ODDS_RATIO, _logit_cell, _logit_inverse, lambda p: math.log(p) - math.log1p(-p), _logit_root,
+        (-math.inf, math.inf), lambda empty, full: empty or full, math.exp),
+    LinkFunction.CLOGLOG: _Link(
+        Measure.CUMULATIVE_HAZARD_RATIO, _cloglog_cell, _cloglog_inverse, lambda p: math.log(-math.log1p(-p)), None,
+        (-math.inf, math.inf), lambda empty, full: empty or full, math.exp),
 }
+_LINK_FOR_MEASURE = {rec.measure: link for link, rec in _LINKS.items()}
+
+
+def _adjusted_risk(cases: int, total: int) -> float:
+    """cases / total moved delta = 0.5 / (total + 1), at least 2^-52, inside
+    (0, 1): the ascent's start and each stratum solve's data. The floor keeps
+    1 - delta below 1 through a link and its inverse at totals over 2^51."""
+    delta = max(0.5 / (total + 1.0), _DBL_EPS)
+    return min(1.0 - delta, max(delta, cases / total))
 
 
 @functools.lru_cache(maxsize=32)
 def _profile_strata(table: StratifiedTable, link: LinkFunction):
     """Per stratum, (y0, f0, e0, y1, f1, e1, w): cases, non-cases and the
-    link of the adjusted empirical risk of its unexposed (0) and exposed (1)
-    cells, and the exposed cell's share w of the stratum total."""
-    to_eta = _LINK_SCALAR[link]
+    link of the adjusted empirical risk (see _adjusted_risk) of its
+    unexposed (0) and exposed (1) cells, and the exposed cell's share w of
+    the stratum total."""
+    to_eta = _LINKS[link].to_eta
     out = []
     for s in table.strata:
         stratum = []
         for c in (s.unexposed, s.exposed):
-            delta = 0.5 / (c.total + 1.0)
-            p = min(1.0 - delta, max(delta, c.cases / c.total))
-            stratum += [c.cases, c.total - c.cases, to_eta(p)]
+            stratum += [c.cases, c.total - c.cases, to_eta(_adjusted_risk(c.cases, c.total))]
         out.append((*stratum, s.exposed.total / (s.exposed.total + s.unexposed.total)))
     return tuple(out)
 
 
-def _end_max(cell, y0, f0, y1, f1, b1, lo, hi):
+def _end_max(rec: _Link, y0, f0, y1, f1, b1, lo, hi):
     """The supremum at an end of (lo, hi) where l' does not point into the
     bracket (or its limit at an infinite end), as _stratum_max returns it;
     None when l' points inward at both ends."""
@@ -677,11 +696,12 @@ def _end_max(cell, y0, f0, y1, f1, b1, lo, hi):
             if not (y0 + y1 if end < 0.0 else f0 + f1):
                 return 0.0, end, 0.0, 0.0
         else:
-            # end + b1 is exact at the end where the exposed p is 0 or 1
-            l0, d0, h0 = cell(y0, f0, end)
-            l1, d1, h1 = cell(y1, f1, end + b1)
+            # end + b1 is exact at the end where the exposed p is 0 or 1,
+            # a finite end of the link's eta range
+            l0, d0, h0 = rec.cell(y0, f0, end)
+            l1, d1, h1 = rec.cell(y1, f1, end + b1)
             if inward * (d0 + d1) <= 0.0:
-                return (l0 + l1, end, -d0, h0) if end + b1 in (0.0, 1.0) else (l0 + l1, end, d1, h1)
+                return (l0 + l1, end, -d0, h0) if end + b1 in rec.ends else (l0 + l1, end, d1, h1)
     return None
 
 
@@ -699,25 +719,25 @@ def _a_tol(x: float) -> float:
     return _A_TOL * max(1.0, abs(x))
 
 
-def _stratum_max(cell, root, stratum, b1, lo, hi):
+def _stratum_max(rec: _Link, stratum, b1, lo, hi):
     """Supremum over a in (lo, hi) of the concave stratum log-likelihood
-    l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1), the a where it is
-    reached, and the supremum's first two derivatives in b1:
-    (l, a, dl/db1, d2l/db1^2).
+    l(a) = cell(y0, f0, a) + cell(y1, f1, a + b1) under the link's cell
+    function, the a where it is reached, and the supremum's first two
+    derivatives in b1: (l, a, dl/db1, d2l/db1^2).
 
     By the envelope theorem the first is the exposed cell's dl/deta at a
     fixed end, minus the unexposed cell's at an end that moves with b1
-    (a = -b1 or 1 - b1, the exposed p at 0 or 1), 0 at an infinite end. At
-    an interior maximum the two are equal, d1 = -d0, and it is taken from
-    the cell whose h, its d2l/deta2, is the smaller in magnitude: an error
-    in a moves that cell's derivative least (at a p rounded next to 0 or 1
-    the other cell's can be all rounding). The second is h0 h1 / (h0 + h1)
-    at an interior maximum (a moves with b1 at the rate -h1 / (h0 + h1)),
-    the h of the cell whose eta moves with b1 at a constraint end, and 0 at
-    an infinite end.
+    (a + b1 at a finite end of the link's eta range), 0 at an infinite
+    end. At an interior maximum the two are equal, d1 = -d0, and it is
+    taken from the cell whose h, its d2l/deta2, is the smaller in
+    magnitude: an error in a moves that cell's derivative least (at a p
+    rounded next to 0 or 1 the other cell's can be all rounding). The
+    second is h0 h1 / (h0 + h1) at an interior maximum (a moves with b1 at
+    the rate -h1 / (h0 + h1)), the h of the cell whose eta moves with b1 at
+    a constraint end, and 0 at an infinite end.
     An interior root of l' lies between the two cells' own maximizers, e0
     and e1 - b1 (-inf for a zero cell, +inf for a full one): the data
-    bracket. The root(y0, f0, y1, f1, b1) in closed form (see _ROOT) is
+    bracket. The link's root(y0, f0, y1, f1, b1) in closed form is
     evaluated first when it lies inside (lo, hi), even outside the data
     bracket (its ends are etas of rounded risks), and returned when that
     evaluation passes _newton_root's stop test: by concavity the maximum is
@@ -730,6 +750,7 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
     bracket, from the mean of the targets e0 and e1 - b1, each clipped into
     the bracket, weighted by the cell totals (or from the bracket's
     midpoint where that mean rounds onto an end of (lo, hi))."""
+    cell, root = rec.cell, rec.root
     y0, f0, e0, y1, f1, e1, w = stratum
     e1 -= b1
     t0 = e0 if y0 and f0 else math.copysign(math.inf, y0 - 0.5)
@@ -744,7 +765,7 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
         if not v or (dv > 0.0 and abs(v / dv) <= _a_tol(a)):
             return found
         first = first if a_lo < a < a_hi else None
-    found = _end_max(cell, y0, f0, y1, f1, b1, lo, hi)
+    found = _end_max(rec, y0, f0, y1, f1, b1, lo, hi)
     if found is not None:
         return found
     if first is None:
@@ -759,16 +780,15 @@ def _stratum_max(cell, root, stratum, b1, lo, hi):
     return found
 
 
-def _bracket(link: LinkFunction, b1: float) -> tuple[float, float]:
-    """The feasible range of the unexposed eta a at this b1: (max(0, -b1),
-    min(1, 1 - b1)) under the identity link, (-inf, min(0, -b1)) under the
-    log link, and all of R otherwise; DomainError when it is empty."""
-    if link is LinkFunction.IDENTITY:
-        lo, hi = max(0.0, -b1), min(1.0, 1.0 - b1)
-        if not lo < hi:
-            raise DomainError(f"no feasible model with exposure coefficient {b1}")
-        return lo, hi
-    return -math.inf, (min(0.0, -b1) if link is LinkFunction.LOG else math.inf)
+def _bracket(rec: _Link, b1: float) -> tuple[float, float]:
+    """The feasible range of the unexposed eta a at this b1, where a and
+    a + b1 both lie in the link's eta range (under the identity link
+    (max(0, -b1), min(1, 1 - b1))); DomainError when it is empty."""
+    lo, hi = rec.eta_range
+    lo, hi = max(lo, lo - b1), min(hi, hi - b1)
+    if not lo < hi:
+        raise DomainError(f"no feasible model with exposure coefficient {b1}")
+    return lo, hi
 
 
 def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float, float]:
@@ -777,11 +797,11 @@ def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) 
     of the strata's maxima (see _stratum_max). The fit's profile maximum,
     the profile CI and profile_loglik all evaluate lp through this function.
     Raises DomainError when no coefficients are feasible at this b1."""
-    lo, hi = _bracket(link, b1)
-    cell, root = _CELL[link], _ROOT.get(link)
+    rec = _LINKS[link]
+    lo, hi = _bracket(rec, b1)
     total = slope = curvature = 0.0
     for stratum in _profile_strata(table, link):
-        l, _, d, h = _stratum_max(cell, root, stratum, b1, lo, hi)
+        l, _, d, h = _stratum_max(rec, stratum, b1, lo, hi)
         total += l
         slope += d
         curvature += h
@@ -873,8 +893,7 @@ def _run_off(table: StratifiedTable, link: LinkFunction) -> int:
     1984, Biometrika 71:1-10); y0 = 0 (+1) or y1 = 0 (-1) under the log
     link; y0 = 0 and f1 = 0 (+1), or y1 = 0 and f0 = 0 (-1), under the
     identity link."""
-    rules = {LinkFunction.IDENTITY: lambda empty, full: empty and full, LinkFunction.LOG: lambda empty, full: empty}
-    rule = rules.get(link, lambda empty, full: empty or full)
+    rule = _LINKS[link].run_off
     up = all(rule(not s.unexposed.cases, s.exposed.cases == s.exposed.total) for s in table.strata)
     down = all(rule(not s.exposed.cases, s.unexposed.cases == s.unexposed.total) for s in table.strata)
     return up - down
@@ -890,13 +909,15 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
     range. lp is taken through _lp_at, whose memo profile_ci reads at the
     estimate. fit asks for it only where the maximum is finite (a run-off
     is taken in closed form). Stopping within two steps of b1 = 0, where lp'
-    can jump under the identity and log links, it takes lp(0) if not lower.
+    can jump where the link's eta range has a finite end (the identity and
+    log links), it takes lp(0) if not lower.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, a
     each stratum's maximizer; raises ConvergenceError, with the coefficients
     there under the boundary rule (see _boundary_rule) and lp, after
     _MAX_ITER steps."""
-    e_lo, e_hi = _EDGES[link]
+    rec = _LINKS[link]
+    e_lo, e_hi = rec.edges
     bound = e_hi - e_lo
     strata = _profile_strata(table, link)
     weights = [(y0 + f0) * (y1 + f1) / (y0 + f0 + y1 + f1) for y0, f0, _, y1, f1, _, _ in strata]
@@ -907,13 +928,12 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
         return -d, -h, (b1, ll, abs(d))
 
     _, (b1, ll, gnorm), steps, stop = _newton_root(slope, min(max(start, -bound), bound), -bound, bound, _a_tol)
-    if link in (LinkFunction.IDENTITY, LinkFunction.LOG) and 0.0 < abs(b1) <= 2.0 * _a_tol(b1):
+    if rec.ends and 0.0 < abs(b1) <= 2.0 * _a_tol(b1):
         at = _lp_at(table, link, 0.0)
         if at[0] >= ll:
             b1, ll, gnorm = 0.0, at[0], abs(at[1])
-    lo, hi = _bracket(link, b1)
-    cell, root = _CELL[link], _ROOT.get(link)
-    a = [_stratum_max(cell, root, s, b1, lo, hi)[1] for s in strata]
+    lo, hi = _bracket(rec, b1)
+    a = [_stratum_max(rec, s, b1, lo, hi)[1] for s in strata]
     if stop == "limit":
         raise ConvergenceError(
             f"no profile maximum after {steps} steps (|lp'| {gnorm:.3e})",
@@ -964,11 +984,12 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     no farther from b1hat than the bound on |b1| of _profile_max's range.
     Until it has seen a b1 past the crossing, a step that would leave the
     range between the estimate and the cap doubles the distance from the
-    estimate. The cap is that same bound under the identity link, whose
-    feasible b1 are |b1| < 1, and +-500 (or the estimate +-1) under the
-    others. It stops when a step is at most 5e-13 plus 2 ulp of b1, taking
-    b1 plus that step, or at f's rounding floor (see _newton_root), taking
-    b1; it raises ConvergenceError after _MAX_ITER steps.
+    estimate. The cap is that same bound where both ends of the link's eta
+    range are finite (the identity link, whose feasible b1 are |b1| < 1),
+    and +-500 (or the estimate +-1) under the others. It stops when a step
+    is at most 5e-13 plus 2 ulp of b1, taking b1 plus that step, or at f's
+    rounding floor (see _newton_root), taking b1; it raises
+    ConvergenceError after _MAX_ITER steps.
 
     An endpoint that does not cross before the cap is truncated at the cap
     and flagged. The endpoint toward which b1's estimate runs off to an
@@ -984,7 +1005,8 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     lp_hat, _, curvature = _lp_at(table, link, b1hat)
     # the boundary rule leaves lp(b1hat) short of a closed-form supremum
     l_max = max(lp_hat, restricted.loglik)
-    e_lo, e_hi = _EDGES[link]
+    rec = _LINKS[link]
+    e_lo, e_hi = rec.edges
     bound = e_hi - e_lo
     wald = min(root_q / math.sqrt(-curvature), bound) if 0.0 < -curvature < math.inf else 0.1
     unbounded = _run_off(table, link)
@@ -1010,7 +1032,7 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
             return v, dv, None
 
         x = direction * b1hat
-        cap = max(bound, x) if link is LinkFunction.IDENTITY else max(_B1_SPAN, x + 1.0)
+        cap = max(bound, x) if len(rec.ends) == 2 else max(_B1_SPAN, x + 1.0)
         x, _, steps, stop = _newton_root(
             root, min(x + max(wald, _B1_TOL), cap), x, cap,
             lambda x: 0.5 * _B1_TOL + 2.0 * math.ulp(x), capped=True,
@@ -1021,10 +1043,9 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
 
     lo_b1, lo_trunc = endpoint(-1)
     hi_b1, hi_trunc = endpoint(+1)
-    transform = (lambda b: b) if link is LinkFunction.IDENTITY else math.exp
     return ProfileCI(
-        lower=transform(lo_b1),
-        upper=transform(hi_b1),
+        lower=rec.to_measure(lo_b1),
+        upper=rec.to_measure(hi_b1),
         level=level,
         lower_truncated=lo_trunc,
         upper_truncated=hi_trunc,

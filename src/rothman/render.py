@@ -54,6 +54,10 @@ class Glyph(Enum):
 
 @dataclass(frozen=True)
 class GlyphPoint:
+    """A risk point drawn on a panel: ``point`` is where (unexposed risk on
+    x, exposed risk on y), ``glyph`` how (filled for an observed stratum,
+    open for a fitted one, a cross for the crude point)."""
+
     point: RiskPoint
     glyph: Glyph
 
@@ -73,6 +77,13 @@ def contour_line(level: float, solid: bool) -> ContourLine:
 
 @dataclass(frozen=True)
 class PanelSpec:
+    """One unit-square panel of a diagram. ``measure`` is the measure whose
+    ``contours`` (levels with their line styles) are drawn, and names the
+    panel's SVG class; ``title`` is printed above the panel when not empty;
+    ``points`` are the glyphs drawn on top. ``segment``, when given, is a
+    line between two risk points (a standardized segment), and ``hull``,
+    when it has three or more vertices, is shaded under the contours."""
+
     measure: Measure
     title: str = ""
     contours: tuple[ContourLine, ...] = ()
@@ -83,6 +94,9 @@ class PanelSpec:
 
 @dataclass(frozen=True)
 class DiagramSpec:
+    """One SVG figure: its ``panels``, at least one, laid out two to a row
+    in order (a single panel fills the figure alone)."""
+
     panels: tuple[PanelSpec, ...]
 
     def __post_init__(self):

@@ -181,6 +181,12 @@ def distance_to_hull(p: RiskPoint, hull: StandardizedHull) -> float:
 
 @dataclass(frozen=True)
 class ConfoundingResult:
+    """The geometric confounding test of is_confounded. ``confounded`` is
+    whether the crude point lies off the hull of the stratum points:
+    outside it in exact arithmetic, and farther than 1e-9 from it.
+    ``distance`` is the crude point's Euclidean distance to the stratum
+    hull, 0 when it lies on or inside the hull."""
+
     confounded: bool
     distance: float
 
@@ -461,6 +467,14 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class CollapsibilityReport:
+    """The collapsibility verdict of stratum points on one contour of
+    ``measure``. ``common_value`` is the mean of the stratum values, which
+    agree to the contour rule; ``minimum`` and ``maximum`` are the extremal
+    standardized values over all standard distributions, each with weights
+    that reach it; ``verdict`` says whether those extremes lie on the
+    common contour (collapsible here) or between it and the null value
+    (attenuated toward the null)."""
+
     measure: Measure
     common_value: float
     minimum: ExtremeResult

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from .errors import DomainError, TableParseError
 
 CSV_HEADER = "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total"
+# the largest arm total: the closed-form stratum solves multiply two counts
+# in floats, and a product of two at 10^100 stays far below the largest
+# float (about 1.8e308)
+MAX_TOTAL = 10**100
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,8 @@ class CellCounts:
             raise DomainError(f"total must be an integer, got {self.total!r}")
         if self.total < 1:
             raise DomainError(f"total must be >= 1, got {self.total}")
+        if self.total > MAX_TOTAL:
+            raise DomainError("total must be at most 10^100")
         if not 0 <= self.cases <= self.total:
             raise DomainError(f"cases must satisfy 0 <= cases <= total, got {self.cases}/{self.total}")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -63,12 +64,12 @@ def stratum_evaluations(monkeypatch) -> list:
     calls = []
     cell_calls = [0]
 
-    for link, cell in list(inference._CELL.items()):
-        def counted_cell(y, f, eta, cell=cell):
+    for link, rec in list(inference._LINKS.items()):
+        def counted_cell(y, f, eta, cell=rec.cell):
             cell_calls[0] += 1
             return cell(y, f, eta)
 
-        monkeypatch.setitem(inference._CELL, link, counted_cell)
+        monkeypatch.setitem(inference._LINKS, link, dataclasses.replace(rec, cell=counted_cell))
     original = inference._stratum_max
 
     def counted(*args):

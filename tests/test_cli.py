@@ -700,3 +700,42 @@ def test_fit_cloglog_with_a_cell_near_one_at_a_1e9_total(capsys, tmp_path):
     code, out, err = run(capsys, "fit", "--input", str(path), "--link", "cloglog")
     assert code == 0, err
     assert "95% profile CI: (11.356, 902.524)" in out
+
+
+# arm totals from about 2^53 - 2 up, where a cell's risk or 1 minus its
+# adjusted risk rounds to 1: a risk near 1 at a total of 1e17 with two strata
+# and with one, a full stratum at a total of 2^53 - 2, and risks of 1e-100
+# and 1 - 1e-100 at the largest total, 10^100
+HUGE_TOTAL_CSVS = {
+    "near-one-k2": "a,99999999999999999,100000000000000000,1,2\nb,1,2,1,3",
+    "near-one-k1": "s0,99999999999999999,100000000000000000,500000000,1000000000",
+    "full-stratum": "s0,9007199254740990,9007199254740990,10,10\ns1,2,5,3,9",
+    "largest-total": f"s0,1,{10**100},3,7\ns1,{10**100 - 1},{10**100},2,5",
+}
+
+
+@pytest.mark.parametrize("name", list(HUGE_TOTAL_CSVS))
+def test_every_subcommand_ends_without_a_traceback_at_huge_totals(capsys, tmp_path, name):
+    # each of these raised a math domain error, or refused a valid table as
+    # infeasible, in some fit; every link now fits, and every subcommand
+    # ends with a documented exit code
+    path = tmp_path / "huge.csv"
+    path.write_text(HEADER + "\n" + HUGE_TOTAL_CSVS[name] + "\n")
+    source = ["--input", str(path)]
+    for link in ("identity", "log", "logit", "cloglog", "all"):
+        assert _call(capsys, ["fit", *source, "--link", link]) == 0, link
+    for measure in ("rd", "rr", "or", "chr"):
+        _call(capsys, ["collapse", *source, "--measure", measure])
+    for weights in ("marginal", "uniform"):
+        _call(capsys, ["standardize", *source, "--weights", weights])
+    _call(capsys, ["measures", *source])
+    for figure in sorted(cli.FIGURES):
+        _call(capsys, ["plot", figure, *source])
+
+
+def test_a_total_above_10_to_the_100_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"{HEADER}\ns0,1,{10**100 + 1},3,7\n")
+    for argv in (["measures"], ["fit", "--link", "all"], ["collapse", "--measure", "or"], ["plot", "hull"]):
+        code, _, err = run(capsys, *argv, "--input", str(path))
+        assert code == 3 and "total must be at most 10^100" in err, argv

@@ -1,3 +1,5 @@
+import dataclasses
+import decimal
 import itertools
 import math
 import random
@@ -111,6 +113,71 @@ def test_link_measure_pairing():
     assert measure_for_link(LinkFunction.CLOGLOG) is Measure.CUMULATIVE_HAZARD_RATIO
     for link in ALL_LINKS:
         assert link_for_measure(measure_for_link(link)) is link
+
+
+def test_each_link_has_one_record_and_its_own_measure():
+    records = inference._LINKS
+    assert list(records) == list(LinkFunction)
+    assert all(type(rec) is inference._Link for rec in records.values())
+    assert len({id(rec) for rec in records.values()}) == len(LinkFunction)
+    assert sorted(rec.measure.value for rec in records.values()) == sorted(m.value for m in Measure)
+
+
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_eta_range_ends_are_where_p_is_0_and_1(link):
+    # the low end of the range sends p to 0 and the high end to 1, at a
+    # finite end exactly and at an infinite one in the limit the inverse
+    # reaches; the edges, where p is 1e-13 and 1 - 1e-13, lie inside
+    rec = inference._LINKS[link]
+    lo, hi = rec.eta_range
+    assert rec.inverse(lo)[0] == 0.0 and rec.inverse(hi)[0] == 1.0
+    assert rec.ends == tuple(e for e in (lo, hi) if math.isfinite(e))
+    e_lo, e_hi = rec.edges
+    assert lo < e_lo < e_hi < hi
+    for eta, p in ((e_lo, 1e-13), (e_hi, 1.0 - 1e-13)):
+        assert rec.inverse(eta)[0] == pytest.approx(p, rel=1e-12, abs=0.0)
+
+
+_BRACKET_FORMULAS = {
+    LinkFunction.IDENTITY: lambda b1: (max(0.0, -b1), min(1.0, 1.0 - b1)),
+    LinkFunction.LOG: lambda b1: (-math.inf, min(0.0, -b1)),
+    LinkFunction.LOGIT: lambda b1: (-math.inf, math.inf),
+    LinkFunction.CLOGLOG: lambda b1: (-math.inf, math.inf),
+}
+
+
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_bracket_from_the_eta_range_is_each_links_formula(link):
+    # the bracket of a, derived from the eta range, is each link's own
+    # formula bit for bit (repr tells -0.0 from 0.0), NaN included, and
+    # DomainError exactly where the formula's range is empty
+    for b1 in (0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, 700.0, math.inf, -math.inf, math.nan):
+        want = _BRACKET_FORMULAS[link](b1)
+        if want[0] < want[1]:
+            assert repr(inference._bracket(inference._LINKS[link], b1)) == repr(want), b1
+        else:
+            with pytest.raises(DomainError):
+                inference._bracket(inference._LINKS[link], b1)
+
+
+_RUN_OFF_RULES = {
+    LinkFunction.IDENTITY: lambda empty, full: empty and full,
+    LinkFunction.LOG: lambda empty, full: empty,
+    LinkFunction.LOGIT: lambda empty, full: empty or full,
+    LinkFunction.CLOGLOG: lambda empty, full: empty or full,
+}
+
+
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_run_off_is_each_links_rule(link):
+    # _run_off with the record's rule against each link's rule as the
+    # literature states it (see _run_off), on every one-stratum table whose
+    # cells are empty, interior or full
+    rule = _RUN_OFF_RULES[link]
+    for y0, y1 in itertools.product(range(3), repeat=2):
+        table = StratifiedTable((Stratum("s", CellCounts(y1, 2), CellCounts(y0, 2)),))
+        want = rule(y0 == 0, y1 == 2) - rule(y1 == 0, y0 == 2)
+        assert inference._run_off(table, link) == want, (y0, y1)
 
 
 def test_loglik_single_cell_value():
@@ -603,7 +670,7 @@ def _b1_across_the_range(link):
     under the log and logit links at its ends and out to the CI search's cap
     of +-500. Under the identity link b1 stays 1e-3 inside the range: as
     |b1| -> 1 the exposed cell's 1 - p is left to the last bits of a + b1."""
-    e_lo, e_hi = inference._EDGES[link]
+    e_lo, e_hi = inference._LINKS[link].edges
     bound = e_hi - e_lo
     b1s = [s * bound * f for s in (-1.0, 1.0) for f in (1.0 - 1e-3, 0.5, 1e-3)] + [0.0]
     if link is not LinkFunction.IDENTITY:
@@ -638,15 +705,15 @@ def test_closed_form_solves_take_one_evaluation(link, k, stratum_evaluations, mo
     # cubic's trigonometric form loses digits where two of its roots lie
     # close, and the loop then takes one more evaluation
     roots, etas, at_root = [], [], []
-    root_of, cell_of, solve = inference._ROOT[link], inference._CELL[link], inference._stratum_max
+    rec, solve = inference._LINKS[link], inference._stratum_max
 
     def recorded_root(*args):
-        roots.append(root_of(*args))
+        roots.append(rec.root(*args))
         return roots[-1]
 
     def recorded_cell(y, f, eta):
         etas.append(eta)
-        return cell_of(y, f, eta)
+        return rec.cell(y, f, eta)
 
     def recorded_solve(*args):
         del roots[:], etas[:]
@@ -655,8 +722,7 @@ def test_closed_form_solves_take_one_evaluation(link, k, stratum_evaluations, mo
         at_root.append(bool(roots) and etas[0] == roots[0] == out[1])
         return out
 
-    monkeypatch.setitem(inference._ROOT, link, recorded_root)
-    monkeypatch.setitem(inference._CELL, link, recorded_cell)
+    monkeypatch.setitem(inference._LINKS, link, dataclasses.replace(rec, root=recorded_root, cell=recorded_cell))
     monkeypatch.setattr(inference, "_stratum_max", recorded_solve)
     profile_ci(_table(k), link)
     assert len(at_root) == len(stratum_evaluations) > 0
@@ -1114,7 +1180,7 @@ def test_profile_maximum_of_a_run_off_is_the_end_of_its_range(csv, link):
     # exactly 0
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=False))
-    e_lo, e_hi = inference._EDGES[link]
+    e_lo, e_hi = inference._LINKS[link].edges
     assert result.coefficients[1] == inference._run_off(table, link) * (e_hi - e_lo) != 0.0
     assert result.iterations == 0
     assert result.loglik == _saturated_loglik(table)
@@ -1123,6 +1189,38 @@ def test_profile_maximum_of_a_run_off_is_the_end_of_its_range(csv, link):
             assert p == min(max(cell.cases / cell.total, 1e-13), 1.0 - 1e-13)
     if table.k >= 2:
         assert lr_test_interaction(table, link).statistic == 0.0
+
+
+def _exact_saturated_loglik(table) -> float:
+    """sum of y ln(y/n) + f ln(f/n) over cells in 40-digit decimals, 0 ln 0 = 0"""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        total = sum((decimal.Decimal(k) * (decimal.Decimal(k) / c.total).ln()
+                     for s in table.strata for c in (s.exposed, s.unexposed)
+                     for k in (c.cases, c.total - c.cases) if k), decimal.Decimal(0))
+    return float(total)
+
+
+# a risk of 1 - 1e-17, which rounds to 1: its case term is about -1, not 0
+_NEAR_ONE_K2 = "a,99999999999999999,100000000000000000,1,2\nb,1,2,1,3"
+_NEAR_ONE_K1 = "s0,99999999999999999,100000000000000000,500000000,1000000000"
+
+
+@pytest.mark.parametrize("csv", [_NEAR_ONE_K2, _NEAR_ONE_K1])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_closed_form_loglik_where_a_risk_rounds_to_1(link, csv):
+    # the saturated fit, and the restricted one of one stratum, against the
+    # decimal oracle
+    table = parse_table(CSV_HEADER + csv + "\n")
+    result = fit(table, ModelSpec(link, interaction=table.k > 1))
+    assert result.loglik == pytest.approx(_exact_saturated_loglik(table), rel=1e-14, abs=0.0)
+
+
+def test_lr_statistic_where_a_risk_rounds_to_1():
+    table = parse_table(CSV_HEADER + _NEAR_ONE_K2 + "\n")
+    restricted = fit(table, ModelSpec(LinkFunction.LOGIT, interaction=False))
+    statistic = 2.0 * (_exact_saturated_loglik(table) - restricted.loglik)
+    assert lr_test_interaction(table, LinkFunction.LOGIT).statistic == pytest.approx(statistic, rel=1e-9, abs=1e-12)
 
 
 _K1_CSVS = ["s1,5,50,5,60", "s0,2,3,0,3", "s0,30,30,50,50"]
@@ -1143,8 +1241,8 @@ def test_one_stratum_restricted_fit_is_the_saturated_closed_form(link, csv):
     assert result.fitted_points == (RiskPoint(x, y),)
     assert result.loglik == _saturated_loglik(table)
     assert result.iterations == 0 and result.gradient_norm == 0.0
-    to_eta = inference._LINK_SCALAR[link]
-    e_lo, e_hi = inference._EDGES[link]
+    to_eta = inference._LINKS[link].to_eta
+    e_lo, e_hi = inference._LINKS[link].edges
     direction = inference._run_off(table, link)
     if direction:
         # the unexposed cell runs off, and a keeps the exposed one at its risk

@@ -44,6 +44,9 @@ def test_cell_counts_invariants():
         CellCounts(0, 0)
     with pytest.raises(DomainError):
         CellCounts(1.5, 3)
+    assert CellCounts(10**100, 10**100).total == 10**100
+    with pytest.raises(DomainError, match="at most 10\\^100"):
+        CellCounts(0, 10**100 + 1)
 
 
 def test_risk_point_bounds():
