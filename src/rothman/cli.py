@@ -37,9 +37,6 @@ from .standardize import (
 )
 from .tables import StratifiedTable, crude_point, newcastle_fixture, parse_table, stratum_points
 
-_MEASURES = {m.value: m for m in Measure}
-_LINKS = {l.value: l for l in LinkFunction}
-
 
 class UsageError(Exception):
     """Bad flag combination detected after argparse (exit code 2)."""
@@ -129,14 +126,14 @@ def _fit_report(table: StratifiedTable, link: LinkFunction, level: float) -> dic
 
 def cmd_fit(args: argparse.Namespace):
     table = _load_table(args)
-    links = list(LinkFunction) if args.link == "all" else [_LINKS[args.link]]
+    links = list(LinkFunction) if args.link == "all" else [LinkFunction(args.link)]
     reports = [_fit_report(table, link, args.level) for link in links]
     return {"fits": reports}, _fit_lines(reports)
 
 
 def _fit_lines(reports: list):
     for rep in reports:
-        yield f"measure: {_MEASURES[rep['measure']].label} ({rep['link']} link)"
+        yield f"measure: {Measure(rep['measure']).label} ({rep['link']} link)"
         strata = "  ".join(
             f"{lab}: {'undefined' if v is None else _fmt(v)}"
             for lab, v in rep["stratum_estimates"].items()
@@ -198,7 +195,7 @@ def _extreme(found) -> dict:
 
 def cmd_collapse(args: argparse.Namespace):
     table = _load_table(args)
-    measure = _MEASURES[args.measure]
+    measure = Measure(args.measure)
     points = list(fit(table, ModelSpec(link_for_measure(measure), interaction=False)).fitted_points)
     verdict = collapsibility_verdict(points, measure)
     report = {
@@ -222,7 +219,7 @@ def cmd_collapse(args: argparse.Namespace):
 
 
 def _collapse_lines(report: dict):
-    yield f"measure: {_MEASURES[report['measure']].label}"
+    yield f"measure: {Measure(report['measure']).label}"
     yield f"common stratum value: {_fmt(report['common_value'])}"
     for name in ("minimum", "maximum"):
         weights = ", ".join(f"{w:.3f}" for w in report[name]["weights"])
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reports = [command("measures", cmd_measures, "stratum-specific and crude association measures")]
     p = command("fit", cmd_fit, "GLM fits: stratum estimates, interaction test, common estimate, profile CI")
-    p.add_argument("--link", choices=[*_LINKS, "all"], default="all")
+    p.add_argument("--link", choices=[*(link.value for link in LinkFunction), "all"], default="all")
     p.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
     reports.append(p)
     p = command("standardize", cmd_standardize, "standardized risks and measures for a standard distribution")
@@ -273,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'marginal', 'uniform', or comma-separated weights summing to 1")
     reports.append(p)
     p = command("collapse", cmd_collapse, "collapsibility verdict over the standardized hull")
-    p.add_argument("--measure", choices=list(_MEASURES), default="or")
+    p.add_argument("--measure", choices=[measure.value for measure in Measure], default="or")
     p.add_argument("--grid-oracle", action="store_true",
                    help="verify the optimizer against a brute-force weight grid")
     p.add_argument("--grid-resolution", type=float, default=0.001)

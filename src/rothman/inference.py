@@ -83,16 +83,18 @@ class LinkFunction(Enum):
 @dataclass(frozen=True)
 class _Link:
     """A link, defined once (see _LINKS): its measure, cell function, inverse
-    and link in scalar floats, closed-form stratum root (or None), the
-    (lo, hi) of the etas whose p is in [0, 1], the run-off rule of a
-    stratum (see _run_off) and the map from b1 to the measure. The bracket
-    of a, the constraint ends, lp's kink at b1 = 0 and the CI cap are
-    derived from that eta range."""
+    and link in scalar floats, the closed form's eta of a cell of y cases
+    and f > 0 non-cases whose risk rounds to 1 (see fit), closed-form stratum
+    root (or None), the (lo, hi) of the etas whose p is in [0, 1], the
+    run-off rule of a stratum (see _run_off) and the map from b1 to the
+    measure. The bracket of a, the constraint ends, lp's kink at b1 = 0 and
+    the CI cap are derived from that eta range."""
 
     measure: Measure
     cell: Callable
     inverse: Callable
     to_eta: Callable
+    near_one_eta: Callable[[int, int], float]
     root: Callable | None
     eta_range: tuple[float, float]
     run_off: Callable[[bool, bool], bool]
@@ -352,10 +354,9 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     model reaches the empirical risks:
     - where b1 runs off to an end of its range, decided from the counts
       (see _run_off): b1 is that end, +-(e_hi - e_lo) with e_lo and e_hi
-      the etas of 1e-13 and 1 - 1e-13 (under the identity link
-      +-(1 - 2e-13), which e_hi - e_lo rounds one ulp short of), and each
-      stratum's unexposed eta keeps the cell that does not run off at its
-      observed risk;
+      the etas of 1e-13 and 1 - 1e-13, the end of the range that the
+      profile maximum searches, and each stratum's unexposed eta keeps the
+      cell that does not run off at its observed risk;
     - otherwise with one stratum, where the model is saturated:
       b1 = eta1 - eta0.
     Any other restricted fit is Newton ascent in full steps (see _newton)
@@ -377,7 +378,12 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     reported with the cell at 1e-13 or 1 - 1e-13, and
     ``boundary_warning`` flags any fitted probability within 1e-12 of 0 or
     1. The rule applies to the reported coefficients and fitted points
-    only; ``loglik`` stays the supremum.
+    only; ``loglik`` stays the supremum. In closed form only a risk of
+    exactly 0 or 1 is on the boundary: a risk of 1 - 1e-14 keeps its own
+    eta. A risk that rounds to 1 with non-cases left (a total above 2^53)
+    is reported at 1 - 1e-13, with its eta from the counts under logit
+    (log(y / f)) and cloglog (log(log(n / f))), and both of its logs from
+    the counts.
 
     Fits are memoized: equal tables and specs return the same FitResult
     object, and the last 8 fits (one table's four links times two models)
@@ -416,25 +422,25 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     direction = 0 if spec.interaction else _run_off(table, link)
     if spec.interaction or table.k == 1 or direction:
         # the model reaches the empirical risks: the closed form
-        p, terms = [], []
+        p, eta, terms = [], [], []
         for s in table.strata:
             for c in (s.exposed, s.unexposed):
                 risk, f = c.cases / c.total, c.total - c.cases
-                # where the risk rounds to 1, both logs from the counts
+                # where the risk rounds to 1, both logs and eta from the counts
                 near_one = risk == 1.0 and f
                 if c.cases:
                     terms.append(c.cases * (math.log1p(-f / c.total) if near_one else math.log(risk)))
                 if f:
                     terms.append(f * (math.log(f / c.total) if near_one else math.log1p(-risk)))
-                p.append(min(1.0 - _EPS, max(_EPS, risk)))
-        eta = [rec.to_eta(v) for v in p]
+                # only a risk of 0 or 1 is on the boundary
+                p.append(risk if 0.0 < risk < 1.0 else min(1.0 - _EPS, max(_EPS, risk)))
+                eta.append(rec.near_one_eta(c.cases, f) if near_one else rec.to_eta(p[-1]))
         a, b = eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])]
         if direction:
-            # b1 is e_hi - e_lo, or over a bounded eta range its width less
-            # 2 _EPS, which e_hi - e_lo rounds one ulp short of; each
-            # stratum's a keeps the cell that does not run off at its data
-            (lo, hi), (e_lo, e_hi) = rec.eta_range, rec.edges
-            b1 = direction * (hi - lo - 2.0 * _EPS if len(rec.ends) == 2 else e_hi - e_lo)
+            # b1 is the end of the range _profile_max searches, e_hi - e_lo;
+            # each stratum's a keeps the cell that does not run off at its data
+            e_lo, e_hi = rec.edges
+            b1 = direction * (e_hi - e_lo)
             exposed_off = [s.exposed.cases == (s.exposed.total if direction > 0 else 0) for s in table.strata]
             a = [e0 if off else e1 - b1 for off, e1, e0 in zip(exposed_off, eta[::2], eta[1::2])]
             b = [b1]
@@ -644,20 +650,24 @@ def _log_unexposed(u, c, b1):
 
 
 # looked up at each call, so that tests can count a record's cell and root
-# calls; an inverse gives some p outside (0, 1) at such an eta, NaN at NaN
+# calls; an inverse gives some p outside (0, 1) at such an eta, NaN at NaN.
+# Identity and log, whose eta range ends at p = 1, give a near-one cell the
+# eta of 1 - _EPS, as a full cell has
 _LINKS = {
     LinkFunction.IDENTITY: _Link(
-        Measure.RISK_DIFFERENCE, _identity_cell, lambda eta: (eta, 1.0), lambda p: p, _identity_root, (0.0, 1.0),
-        lambda empty, full: empty and full, lambda b1: b1),
+        Measure.RISK_DIFFERENCE, _identity_cell, lambda eta: (eta, 1.0), lambda p: p, lambda y, f: 1.0 - _EPS,
+        _identity_root, (0.0, 1.0), lambda empty, full: empty and full, lambda b1: b1),
     LinkFunction.LOG: _Link(
-        Measure.RISK_RATIO, _log_cell, lambda eta: (math.exp(min(eta, 1.0)),) * 2, math.log, _log_root,
-        (-math.inf, 0.0), lambda empty, full: empty, math.exp),
+        Measure.RISK_RATIO, _log_cell, lambda eta: (math.exp(min(eta, 1.0)),) * 2, math.log,
+        lambda y, f: math.log(1.0 - _EPS), _log_root, (-math.inf, 0.0), lambda empty, full: empty, math.exp),
     LinkFunction.LOGIT: _Link(
-        Measure.ODDS_RATIO, _logit_cell, _logit_inverse, lambda p: math.log(p) - math.log1p(-p), _logit_root,
-        (-math.inf, math.inf), lambda empty, full: empty or full, math.exp),
+        Measure.ODDS_RATIO, _logit_cell, _logit_inverse, lambda p: math.log(p) - math.log1p(-p),
+        lambda y, f: math.log(y) - math.log(f), _logit_root, (-math.inf, math.inf),
+        lambda empty, full: empty or full, math.exp),
     LinkFunction.CLOGLOG: _Link(
-        Measure.CUMULATIVE_HAZARD_RATIO, _cloglog_cell, _cloglog_inverse, lambda p: math.log(-math.log1p(-p)), None,
-        (-math.inf, math.inf), lambda empty, full: empty or full, math.exp),
+        Measure.CUMULATIVE_HAZARD_RATIO, _cloglog_cell, _cloglog_inverse, lambda p: math.log(-math.log1p(-p)),
+        lambda y, f: math.log(math.log(y + f) - math.log(f)), None, (-math.inf, math.inf),
+        lambda empty, full: empty or full, math.exp),
 }
 _LINK_FOR_MEASURE = {rec.measure: link for link, rec in _LINKS.items()}
 
@@ -812,9 +822,9 @@ def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) 
 def _lp_at(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float, float]:
     """profile_loglik_slope memoized, for lp at a fit's estimate: the
     ascent's fit takes its loglik there, the profile maximum evaluates
-    every step through it, and profile_ci takes its l_max and lp'' from
-    it, so the fit and the CI share one solve. Exact, as profile solves
-    start from the data."""
+    every step through it, and profile_ci takes lp and lp'' at the
+    estimate from it, so the fit and the CI share one solve. Exact, as
+    profile solves start from the data."""
     return profile_loglik_slope(table, link, b1)
 
 
@@ -908,9 +918,10 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
     strata's e1 - e0 weighted by n0 n1 / (n0 + n1), clamped into the
     range. lp is taken through _lp_at, whose memo profile_ci reads at the
     estimate. fit asks for it only where the maximum is finite (a run-off
-    is taken in closed form). Stopping within two steps of b1 = 0, where lp'
-    can jump where the link's eta range has a finite end (the identity and
-    log links), it takes lp(0) if not lower.
+    is taken in closed form). Stopping within two steps of b1 = 0, under
+    every link, it takes lp(0) if not lower: lp' can jump there where the
+    link's eta range has a finite end (the identity and log links), and
+    elsewhere that costs one memoized solve and never lowers lp.
 
     Returns (b1, lp(b1), a, |lp'(b1)|, steps) at the last b1 evaluated, a
     each stratum's maximizer; raises ConvergenceError, with the coefficients
@@ -928,7 +939,7 @@ def _profile_max(table: StratifiedTable, link: LinkFunction):
         return -d, -h, (b1, ll, abs(d))
 
     _, (b1, ll, gnorm), steps, stop = _newton_root(slope, min(max(start, -bound), bound), -bound, bound, _a_tol)
-    if rec.ends and 0.0 < abs(b1) <= 2.0 * _a_tol(b1):
+    if 0.0 < abs(b1) <= 2.0 * _a_tol(b1):
         at = _lp_at(table, link, 0.0)
         if at[0] >= ll:
             b1, ll, gnorm = 0.0, at[0], abs(at[1])
@@ -969,12 +980,12 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     One profile solve at the estimate b1hat gives lp(b1hat) and
     lp''(b1hat), and both endpoint searches share it; a fit not in closed
     form made that same solve, and the two share it through a memo
-    (_lp_at). l_max is the larger of lp(b1hat) and the fit's loglik: where
-    the boundary rule reports a cell at 1e-13 from its bound, lp(b1hat)
-    falls about n 1e-13 short of the closed-form supremum that loglik
-    holds. Each endpoint is the root of the signed root f(b1) = r - sqrt(q),
-    with r = sqrt(2 (l_max - lp(b1))), close to linear in b1, by Halley's
-    method inside the safeguards of _newton_root: with f' = -lp'(b1) / r
+    (_lp_at). l_max is the fit's loglik: the saturated supremum for a fit
+    in closed form, and for any other fit lp(b1hat), read from that same
+    memo entry. Each endpoint is the root of the signed root
+    f(b1) = r - sqrt(q), with r = sqrt(2 (l_max - lp(b1))), close to
+    linear in b1, by Halley's method inside the safeguards of
+    _newton_root: with f' = -lp'(b1) / r
     and f'' = (-lp''(b1) - f'^2) / r, all from one profile solve
     (profile_loglik_slope), the slope passed on is f' - f f'' / (2 f'),
     or f' itself where that would be at most f' / 2 or f' <= 0, and none
@@ -1003,8 +1014,7 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     restricted = fit(table, ModelSpec(link, interaction=False))
     b1hat, root_q = restricted.coefficients[1], math.sqrt(chi2_quantile(level, 1))
     lp_hat, _, curvature = _lp_at(table, link, b1hat)
-    # the boundary rule leaves lp(b1hat) short of a closed-form supremum
-    l_max = max(lp_hat, restricted.loglik)
+    l_max = restricted.loglik
     rec = _LINKS[link]
     e_lo, e_hi = rec.edges
     bound = e_hi - e_lo

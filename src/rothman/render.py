@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .measures import Measure, ContourValue, _contour_raw, _grid, _same_level, evaluate, null_value, valid_x_interval
+from .measures import Measure, ContourValue, _contour_raw, _grid, _same_level, evaluate, is_straight, null_value, valid_x_interval
 from .standardize import StandardizedHull, standardized_hull, marginal_distribution
 from .tables import RiskPoint, StratifiedTable, stratum_points
-from .inference import LinkFunction, ModelSpec, common_measure, fit, link_for_measure
+from .inference import ModelSpec, common_measure, fit, link_for_measure
 
 # --- fixed geometry and style table -----------------------------------------
 PANEL_SIZE = 480.0          # plot viewport, user units
@@ -148,7 +148,7 @@ def _emit_contour(
     c = ContourValue(measure, line.level)
     xs, points = _column_grid(ox, *valid_x_interval(c))
     ys = _contour_raw(c, xs)
-    if measure in (Measure.ODDS_RATIO, Measure.CUMULATIVE_HAZARD_RATIO):
+    if not is_straight(measure):
         kept = [i for i, y in enumerate(ys) if y <= 1.0 - TOP_EDGE_INSET or y >= 1.0]
         if 2 <= len(kept) < len(ys):
             vertices = points.split(" ")
@@ -349,7 +349,7 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
     if table.k != 2:
         raise DomainError("the confounding-by-modification figure needs exactly two strata")
     observed = stratum_points(table)
-    restricted = fit(table, ModelSpec(LinkFunction.LOG, interaction=False))
+    restricted = fit(table, ModelSpec(link_for_measure(Measure.RISK_RATIO), interaction=False))
     fitted = list(restricted.fitted_points)
     marginal = marginal_distribution(table).weights
     exposed_w = [s.exposed.total for s in table.strata]

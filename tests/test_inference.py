@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import itertools
+import json
 import math
 import random
 import types
@@ -471,6 +472,34 @@ def _assert_endpoints_hit_quantile(table, link, level):
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_ci_endpoints_hit_quantile_across_k(link, k):
     _assert_endpoints_hit_quantile(_table(k), link, 0.95)
+
+
+# one non-case among 1e14 (1e17) exposed, half of 1e9 unexposed: the
+# closed form keeps the exposed risk 1 - 1e-14 as data, and takes the eta of
+# 1 - 1e-17, which rounds to 1, from the counts, so b1hat is the data's and
+# each endpoint search has room to cross
+NEAR_ONE_K1_CSVS = [
+    "s0,99999999999999,100000000000000,500000000,1000000000",
+    "s0,99999999999999999,100000000000000000,500000000,1000000000",
+]
+
+
+@pytest.mark.parametrize("csv", NEAR_ONE_K1_CSVS)
+def test_profile_ci_of_one_stratum_with_a_risk_near_1(capsys, tmp_path, csv):
+    # one exposed non-case gives log OR a standard error of about 1, and
+    # log CHR one of about 1 / ln(n / f), about 0.03
+    from rothman import cli
+
+    path = tmp_path / "near-one.csv"
+    path.write_text(CSV_HEADER + csv + "\n")
+    assert cli.main(["fit", "--input", str(path), "--link", "all", "--format", "json"]) == 0
+    fits = {rep["link"]: rep for rep in json.loads(capsys.readouterr().out)["fits"]}
+    assert list(fits) == [link.value for link in ALL_LINKS]
+    for rep in fits.values():
+        assert rep["ci"]["lower"] <= rep["common"] <= rep["ci"]["upper"], rep["link"]
+    width = {link: math.log(fits[link]["ci"]["upper"] / fits[link]["ci"]["lower"]) for link in ("logit", "cloglog")}
+    assert width["logit"] > 0.5
+    assert 0.05 < width["cloglog"] < 0.5
 
 
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.99, 0.9999])
@@ -1138,13 +1167,14 @@ def test_flat_profile_reports_its_supremum_anywhere_on_the_plateau():
 def test_restricted_fit_at_the_end_of_the_identity_range():
     # every exposed cell full and every unexposed one empty: lp rises toward
     # its supremum as b1 -> 1, which the counts decide (see _run_off), and
-    # the fit is the closed form at the end of the range, 1 - 2e-13, which
-    # e_hi - e_lo rounds one ulp short of. Its loglik is the supremum 0.0,
-    # not lp at 1 - 2e-13 (-6.9e-7), so the LR statistic is exactly 0
+    # the fit is the closed form at the end of the range _profile_max
+    # searches, e_hi - e_lo. Its loglik is the supremum 0.0, not lp at
+    # e_hi - e_lo (-6.9e-7), so the LR statistic is exactly 0
     table = parse_table(CSV_HEADER + "s0,7,7,0,116357717\ns1,3453474,3453474,0,642215269\n")
     result = fit(table, ModelSpec(LinkFunction.IDENTITY, interaction=False))
     assert inference._run_off(table, LinkFunction.IDENTITY) == 1
-    assert result.coefficients[1] == 1.0 - 2e-13
+    e_lo, e_hi = inference._LINKS[LinkFunction.IDENTITY].edges
+    assert result.coefficients[1] == e_hi - e_lo
     assert result.loglik == 0.0 and result.iterations == 0
     assert lr_test_interaction(table, LinkFunction.IDENTITY).statistic == 0.0
 
@@ -1214,6 +1244,20 @@ def test_closed_form_loglik_where_a_risk_rounds_to_1(link, csv):
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=table.k > 1))
     assert result.loglik == pytest.approx(_exact_saturated_loglik(table), rel=1e-14, abs=0.0)
+
+
+def test_closed_form_eta_where_a_risk_rounds_to_1():
+    # the K = 1 b1 is eta1 - eta0, the exposed eta from the counts: under
+    # logit log(y / f) and under cloglog log(log(n / f)), not the eta of the
+    # clipped 1 - 1e-13; the unexposed risk is 1/2
+    table = parse_table(CSV_HEADER + _NEAR_ONE_K1 + "\n")
+    y, n = 99999999999999999, 100000000000000000
+    want = {
+        LinkFunction.LOGIT: math.log(y) - math.log(n - y),
+        LinkFunction.CLOGLOG: math.log(math.log(n) - math.log(n - y)) - math.log(math.log(2.0)),
+    }
+    for link, b1 in want.items():
+        assert fit(table, ModelSpec(link, interaction=False)).coefficients[1] == pytest.approx(b1, rel=1e-15)
 
 
 def test_lr_statistic_where_a_risk_rounds_to_1():
