@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Emit all six diagram analogs as SVG files.
+"""Emit all six diagram analogs as SVG files, one per entry of
+rothman.render.FIGURES, in its order, as fig{i}_{name}.svg.
 
-The first five use the embedded Newcastle table; the hull figure needs at
-least three strata, so it runs on a synthetic four-stratum table (the
-four-age-group counts behind the published figure are not public).
+The hull figure needs at least three strata, so it runs on a synthetic
+four-stratum table (the four-age-group counts behind the published figure
+are not public); every other figure uses the embedded Newcastle table.
 
 Usage: python scripts/make_figures.py [output_dir]
 """
@@ -11,15 +12,7 @@ Usage: python scripts/make_figures.py [output_dir]
 import sys
 from pathlib import Path
 
-from rothman.render import (
-    figure_collapsible,
-    figure_contours,
-    figure_hull,
-    figure_modconf,
-    figure_modification,
-    figure_noncollapsible,
-    render_svg,
-)
+from rothman.render import FIGURES, render_svg
 from rothman.tables import CellCounts, StratifiedTable, Stratum, newcastle_fixture
 
 SYNTHETIC_FOUR_STRATA = StratifiedTable(
@@ -35,18 +28,11 @@ SYNTHETIC_FOUR_STRATA = StratifiedTable(
 def main() -> None:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("figures")
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = newcastle_fixture()
-    figures = {
-        "fig1_contours.svg": figure_contours(),
-        "fig2_modification.svg": figure_modification(table),
-        "fig3_modconf.svg": figure_modconf(table),
-        "fig4_collapsible.svg": figure_collapsible(table),
-        "fig5_noncollapsible.svg": figure_noncollapsible(table),
-        "fig6_hull.svg": figure_hull(SYNTHETIC_FOUR_STRATA),
-    }
-    for name, spec in figures.items():
-        path = out_dir / name
-        path.write_text(render_svg(spec), encoding="utf-8")
+    newcastle = newcastle_fixture()
+    for i, (name, build) in enumerate(FIGURES.items(), start=1):
+        path = out_dir / f"fig{i}_{name}.svg"
+        table = SYNTHETIC_FOUR_STRATA if name == "hull" else newcastle
+        path.write_text(render_svg(build(table)), encoding="utf-8")
         print(f"wrote {path}")
 
 

@@ -306,10 +306,8 @@ def _newton(table: StratifiedTable, link: LinkFunction):
 
     theta = [rec.to_eta(_adjusted_risk(y0 + y1, y0 + f0 + y1 + f1)) for y0, f0, y1, f1 in counts]
     theta.append(0.0)
-    state = at(theta)
-    if state is None:
-        raise DomainError("infeasible starting coefficients")
-    ll, cells = state
+    # never None: each inverse maps _adjusted_risk's [2^-52, 1 - 2^-52] inside (_P_FLOOR, 1)
+    ll, cells = at(theta)
     iterations = 0
     for _ in range(_MAX_ITER):
         grad, gnorm = gradient(cells)
@@ -492,9 +490,8 @@ class LRTest:
 
 def lr_test_interaction(table: StratifiedTable, link: LinkFunction) -> LRTest:
     """Likelihood-ratio test of the K-1 exposure-by-stratum interaction
-    terms, from the table's two fits (see fit, whose memo shares them)."""
-    if table.k < 2:
-        raise DomainError("interaction test needs at least two strata")
+    terms, from the table's two fits (see fit, whose memo shares them).
+    On one stratum the saturated fit raises DomainError."""
     restricted = fit(table, ModelSpec(link, interaction=False))
     saturated = fit(table, ModelSpec(link, interaction=True))
     stat = max(0.0, 2.0 * (saturated.loglik - restricted.loglik))
@@ -1112,22 +1109,19 @@ def _chi2_cdf(x: float, df: int) -> float:
     return math.exp(a * math.log(z) - z - math.lgamma(a + 1.0)) * total
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def chi2_quantile(level: float, df: int) -> float:
     """The x with chi2_sf(x, df) = 1 - level: the root of P(x) - level, P
     the chi-square distribution function, whose derivative is the
     chi-square density, by _newton_root from the lower-tail bound
     2 (level Gamma(df/2 + 1))^(2/df), to a step of 1e-13 max(1, x). Below
     level 0.5, P is _chi2_cdf's series; from 0.5 on it is 1 - chi2_sf(x),
-    taken as (1 - level) - chi2_sf(x, df). Quantiles are memoized."""
-    # checked before the memo, as fit is, so df = True or 1.0 never reaches it
+    taken as (1 - level) - chi2_sf(x, df). Quantiles are memoized, keyed
+    by argument type as well, so df = True or 1.0 is checked, and refused,
+    rather than answered as df = 1; a refused call is not memoized."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
     _check_df(df)
-    return _chi2_quantile(level, df)
-
-
-@functools.lru_cache(maxsize=16)
-def _chi2_quantile(level: float, df: int) -> float:
     a = 0.5 * df
 
     def tail(x: float):

@@ -283,19 +283,19 @@ def render_svg(spec: DiagramSpec) -> str:
 # assembling diagrams from analysis results
 # ---------------------------------------------------------------------------
 
-def _dedup_levels(measure: Measure, points) -> list[float]:
-    """The measure's distinct values at the points, in order, one per
-    contour line (measures._same_level); a point where the measure is
-    undefined (a zero or full cell) gives no level."""
-    out: list[float] = []
+def _observed_contours(measure: Measure, points) -> list[ContourLine]:
+    """One dashed contour line, labelled to 3 decimals, per distinct value
+    of the measure at the points, in order (measures._same_level); a point
+    where the measure is undefined (a zero or full cell) gives no line."""
+    levels: list[float] = []
     for p in points:
         try:
             v = evaluate(measure, p)
         except DomainError:
             continue
-        if not any(_same_level(measure, v, u) for u in out):
-            out.append(v)
-    return out
+        if not any(_same_level(measure, v, u) for u in levels):
+            levels.append(v)
+    return [ContourLine(lv, solid=False, label=f"{lv:.3f}") for lv in levels]
 
 
 def analysis_panel(table: StratifiedTable, measure: Measure) -> PanelSpec:
@@ -304,9 +304,7 @@ def analysis_panel(table: StratifiedTable, measure: Measure) -> PanelSpec:
     two or more strata, the no-interaction fit's common contour (solid) with
     fitted points (open circles)."""
     observed = stratum_points(table)
-    contours = [
-        ContourLine(lv, solid=False, label=f"{lv:.3f}") for lv in _dedup_levels(measure, observed)
-    ]
+    contours = _observed_contours(measure, observed)
     glyphs = [GlyphPoint(p, Glyph.FILLED) for p in observed]
     if table.k >= 2:
         restricted = fit(table, ModelSpec(link_for_measure(measure), interaction=False))
@@ -359,12 +357,11 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
 
     def panel(points: list[RiskPoint], weights: tuple, title: str) -> PanelSpec:
         # weights: (exposed, unexposed) standard distributions of the cross
-        levels = _dedup_levels(Measure.RISK_RATIO, points)
         cross = _exposure_specific_crude(points, *weights)
         return PanelSpec(
             measure=Measure.RISK_RATIO,
             title=title,
-            contours=tuple(ContourLine(lv, solid=False, label=f"{lv:.3f}") for lv in levels),
+            contours=tuple(_observed_contours(Measure.RISK_RATIO, points)),
             points=tuple(
                 [GlyphPoint(p, Glyph.FILLED) for p in points] + [GlyphPoint(cross, Glyph.CROSS)]
             ),

@@ -295,6 +295,13 @@ def test_interaction_p_values_match_reference(newcastle, link):
     assert test.p_value == pytest.approx(P_TARGETS[link], abs=1e-3)
 
 
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_lr_test_refuses_one_stratum(link):
+    # the saturated fit's own check, before chi2_sf would refuse df = 0
+    with pytest.raises(DomainError, match="interaction model needs at least two strata"):
+        lr_test_interaction(parse_table(ONE_CASE_K1_CSV), link)
+
+
 def test_lr_test_identical_strata_is_null():
     table = StratifiedTable(
         (
@@ -1581,10 +1588,12 @@ def test_score_matches_finite_differences(link):
 
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_score_vanishes_at_mle(newcastle, link):
-    for interaction in (False, True):
-        result = fit(newcastle, ModelSpec(link, interaction))
-        u = score(newcastle, ModelSpec(link, interaction), result.coefficients)
-        assert np.max(np.abs(u)) < 1e-8
+    for table in (newcastle, *map(_interior_table, (1, 3, 5, 10))):
+        # the saturated model from K = 2
+        for interaction in (False, True)[: table.k]:
+            result = fit(table, ModelSpec(link, interaction))
+            u = score(table, ModelSpec(link, interaction), result.coefficients)
+            assert np.max(np.abs(u)) < 1e-8, (table.k, interaction)
 
 
 def test_score_and_loglik_at_a_tiny_identity_risk():
