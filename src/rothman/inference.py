@@ -1004,12 +1004,12 @@ def profile_ci(table: StratifiedTable, link: LinkFunction, level: float = 0.95) 
     end of its range, decided from the counts as for the fit (see
     _run_off), is truncated at the estimate and flagged.
     The estimate comes from the no-interaction fit (see fit, whose memo
-    shares it).
+    shares it). A level outside (0, 1) is refused by chi2_quantile, before
+    any fit.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    root_q = math.sqrt(chi2_quantile(level, 1))
     restricted = fit(table, ModelSpec(link, interaction=False))
-    b1hat, root_q = restricted.coefficients[1], math.sqrt(chi2_quantile(level, 1))
+    b1hat = restricted.coefficients[1]
     lp_hat, _, curvature = _lp_at(table, link, b1hat)
     l_max = restricted.loglik
     rec = _LINKS[link]

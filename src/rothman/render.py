@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import DomainError
 from .measures import Measure, ContourValue, _contour_raw, _grid, _same_level, evaluate, is_straight, null_value, valid_x_interval
-from .standardize import StandardizedHull, standardized_hull, marginal_distribution
+from .standardize import StandardizedHull, _shares, _weighted_point, marginal_distribution, standardized_hull
 from .tables import RiskPoint, StratifiedTable, stratum_points
 from .inference import ModelSpec, common_measure, fit, link_for_measure
 
@@ -334,12 +334,6 @@ def figure_modification(table: StratifiedTable) -> DiagramSpec:
     return DiagramSpec(tuple(analysis_panel(table, m) for m in Measure))
 
 
-def _exposure_specific_crude(points, exposed_weights, unexposed_weights) -> RiskPoint:
-    x = sum(w * p.x for w, p in zip(unexposed_weights, points))
-    y = sum(w * p.y for w, p in zip(exposed_weights, points))
-    return RiskPoint(x, y)
-
-
 def figure_modconf(table: StratifiedTable) -> DiagramSpec:
     """Four risk-ratio panels showing every combination of confounding
     (marginal point off/on the standardized segment) and modification
@@ -350,14 +344,12 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
     restricted = fit(table, ModelSpec(link_for_measure(Measure.RISK_RATIO), interaction=False))
     fitted = list(restricted.fitted_points)
     marginal = marginal_distribution(table).weights
-    exposed_w = [s.exposed.total for s in table.strata]
-    unexposed_w = [s.unexposed.total for s in table.strata]
-    exposed_w = [w / sum(exposed_w) for w in exposed_w]
-    unexposed_w = [w / sum(unexposed_w) for w in unexposed_w]
+    unexposed_w = _shares([s.unexposed.total for s in table.strata])
+    exposed_w = _shares([s.exposed.total for s in table.strata])
 
     def panel(points: list[RiskPoint], weights: tuple, title: str) -> PanelSpec:
-        # weights: (exposed, unexposed) standard distributions of the cross
-        cross = _exposure_specific_crude(points, *weights)
+        # weights: (unexposed, exposed) distributions of the cross
+        cross = _weighted_point(points, *weights)
         return PanelSpec(
             measure=Measure.RISK_RATIO,
             title=title,
@@ -371,16 +363,17 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
     return DiagramSpec(
         (
             panel(fitted, (marginal, marginal), "no confounding, no modification"),
-            panel(fitted, (exposed_w, unexposed_w), "confounding, no modification"),
+            panel(fitted, (unexposed_w, exposed_w), "confounding, no modification"),
             panel(observed, (marginal, marginal), "no confounding, modification"),
-            panel(observed, (exposed_w, unexposed_w), "confounding, modification"),
+            panel(observed, (unexposed_w, exposed_w), "confounding, modification"),
         )
     )
 
 
-def _common_fit_panel(
-    table: StratifiedTable, measure: Measure, *, shade_hull: bool, title: str
-) -> PanelSpec:
+def _common_fit_figure(table: StratifiedTable, measure: Measure, *, shade_hull: bool, title: str) -> DiagramSpec:
+    """One panel of the no-interaction fit's points with the null contour
+    (solid) and the common contour (dashed), and either the shaded hull of
+    the fitted points or, for two strata, the segment between them."""
     link = link_for_measure(measure)
     restricted = fit(table, ModelSpec(link, interaction=False))
     fitted = list(restricted.fitted_points)
@@ -391,38 +384,25 @@ def _common_fit_panel(
     )
     hull = standardized_hull(fitted) if shade_hull else None
     segment = (fitted[0], fitted[1]) if (not shade_hull and table.k == 2) else None
-    return PanelSpec(
-        measure=measure,
-        title=title,
-        contours=contours,
-        points=tuple(GlyphPoint(p, Glyph.FILLED) for p in fitted),
-        segment=segment,
-        hull=hull,
-    )
+    points = tuple(GlyphPoint(p, Glyph.FILLED) for p in fitted)
+    return DiagramSpec((PanelSpec(measure, title, contours, points, segment, hull),))
 
 
 def figure_collapsible(table: StratifiedTable) -> DiagramSpec:
     """Standardized segment lying along a straight common risk difference contour."""
-    return DiagramSpec(
-        (_common_fit_panel(table, Measure.RISK_DIFFERENCE, shade_hull=False,
-                           title="collapsibility along a straight contour"),)
-    )
+    return _common_fit_figure(table, Measure.RISK_DIFFERENCE, shade_hull=False,
+                              title="collapsibility along a straight contour")
 
 
 def figure_noncollapsible(table: StratifiedTable) -> DiagramSpec:
     """Standardized segment falling inside a curved common odds ratio contour."""
-    return DiagramSpec(
-        (_common_fit_panel(table, Measure.ODDS_RATIO, shade_hull=False,
-                           title="noncollapsibility along a curved contour"),)
-    )
+    return _common_fit_figure(table, Measure.ODDS_RATIO, shade_hull=False,
+                              title="noncollapsibility along a curved contour")
 
 
 def figure_hull(table: StratifiedTable) -> DiagramSpec:
     """Shaded standardized hull of fitted common odds ratio points."""
-    return DiagramSpec(
-        (_common_fit_panel(table, Measure.ODDS_RATIO, shade_hull=True,
-                           title="standardized hull"),)
-    )
+    return _common_fit_figure(table, Measure.ODDS_RATIO, shade_hull=True, title="standardized hull")
 
 
 FIGURES = {

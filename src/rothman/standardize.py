@@ -52,34 +52,46 @@ class StandardDistribution:
 
 
 def uniform_distribution(k: int) -> StandardDistribution:
-    return StandardDistribution(tuple([1.0 / k] * k))
+    return StandardDistribution(tuple(1.0 / k for _ in range(k)))
+
+
+def _shares(sizes) -> tuple[float, ...]:
+    """Each size's share of their total."""
+    grand = sum(sizes)
+    return tuple(n / grand for n in sizes)
 
 
 def marginal_distribution(table: StratifiedTable) -> StandardDistribution:
     """The combined-arms stratum size distribution of the study population."""
-    sizes = [s.exposed.total + s.unexposed.total for s in table.strata]
-    grand = sum(sizes)
-    return StandardDistribution(tuple(n / grand for n in sizes))
+    return StandardDistribution(_shares([s.exposed.total + s.unexposed.total for s in table.strata]))
 
 
-def standardized_risk(table: StratifiedTable, exposed: bool, dist: StandardDistribution) -> float:
-    """Weighted average of stratum-specific risks in one exposure arm."""
-    if len(dist.weights) != table.k:
-        raise DomainError(
-            f"distribution has {len(dist.weights)} weights but the table has {table.k} strata"
-        )
-    return sum(
-        w * ((s.exposed.cases / s.exposed.total) if exposed else (s.unexposed.cases / s.unexposed.total))
-        for w, s in zip(dist.weights, table.strata)
+def _weighted_point(points, x_weights, y_weights) -> RiskPoint:
+    """The point whose x is the x_weights average of the points' x and whose
+    y is the y_weights average of their y: a standardized point when both
+    weights are one standard distribution, the crude point when each is its
+    arm's own size shares."""
+    return RiskPoint(
+        sum(w * p.x for w, p in zip(x_weights, points)),
+        sum(w * p.y for w, p in zip(y_weights, points)),
     )
 
 
 def standardized_point(table: StratifiedTable, dist: StandardDistribution) -> RiskPoint:
-    """Risk point with both arms standardized to the same distribution."""
-    return RiskPoint(
-        standardized_risk(table, exposed=False, dist=dist),
-        standardized_risk(table, exposed=True, dist=dist),
-    )
+    """Risk point with both arms standardized to the same distribution: the
+    weighted average of the stratum points, one weight per stratum."""
+    if len(dist.weights) != table.k:
+        raise DomainError(
+            f"distribution has {len(dist.weights)} weights but the table has {table.k} strata"
+        )
+    return _weighted_point(stratum_points(table), dist.weights, dist.weights)
+
+
+def standardized_risk(table: StratifiedTable, exposed: bool, dist: StandardDistribution) -> float:
+    """Weighted average of stratum-specific risks in one exposure arm: one
+    coordinate of standardized_point."""
+    point = standardized_point(table, dist)
+    return point.y if exposed else point.x
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +318,11 @@ def _extremize_segment(points: list[RiskPoint], measure: Measure, sign: int) -> 
     best: tuple[float, tuple] | None = None
     for w in candidates:
         v = 1.0 - w
-        value = sign * evaluate(measure, RiskPoint(w * x0 + v * x1, w * y0 + v * y1))
+        value = evaluate(measure, RiskPoint(w * x0 + v * x1, w * y0 + v * y1))
         weights = (w, v)
-        if _better(value, weights, best, 1):
+        if _better(value, weights, best, sign):
             best = (value, weights)
-    return ExtremeResult(sign * best[0], best[1])
+    return ExtremeResult(best[0], best[1])
 
 
 def extremize_standardized(points: list[RiskPoint], measure: Measure, objective: str) -> ExtremeResult:

@@ -704,13 +704,17 @@ CLOSED_FORM_LINKS = [LinkFunction.IDENTITY, LinkFunction.LOG, LinkFunction.LOGIT
 def _b1_across_the_range(link):
     """b1 from end to end of _profile_max's range |b1| <= e_hi - e_lo, and
     under the log and logit links at its ends and out to the CI search's cap
-    of +-500. Under the identity link b1 stays 1e-3 inside the range: as
-    |b1| -> 1 the exposed cell's 1 - p is left to the last bits of a + b1."""
+    of +-500, and under logit at +-800, past the underflow of e^-|b1|.
+    Under the identity link b1 stays 1e-3 inside the range: as |b1| -> 1
+    the exposed cell's 1 - p is left to the last bits of a + b1."""
     e_lo, e_hi = inference._LINKS[link].edges
     bound = e_hi - e_lo
     b1s = [s * bound * f for s in (-1.0, 1.0) for f in (1.0 - 1e-3, 0.5, 1e-3)] + [0.0]
     if link is not LinkFunction.IDENTITY:
         b1s += [s * b for s in (-1.0, 1.0) for b in (bound, 500.0)]
+    if link is LinkFunction.LOGIT:
+        # e^-|b1| underflows to 0, and _logit_root gives way to the search
+        b1s += [-800.0, 800.0]
     return b1s
 
 
@@ -1328,9 +1332,13 @@ def test_lr_statistic_is_the_difference_of_suprema(link, csv):
     assert lr_test_interaction(table, link).statistic == pytest.approx(expected, rel=0.0, abs=1e-14 * abs(saturated))
 
 
-def test_profile_ci_level_validation(newcastle):
-    with pytest.raises(DomainError):
-        profile_ci(newcastle, LinkFunction.LOGIT, level=1.0)
+def test_profile_ci_level_validation(newcastle, computed_fits):
+    # chi2_quantile refuses the level, before any fit
+    for level in (1.0, 1.5, 0.0, math.nan):
+        with pytest.raises(DomainError) as info:
+            profile_ci(newcastle, LinkFunction.LOGIT, level=level)
+        assert str(info.value) == f"level must be in (0, 1), got {level}"
+    assert computed_fits() == 0
 
 
 def _fits_fail(monkeypatch):

@@ -315,3 +315,10 @@ def test_midpoint_attenuates_on_curved_contours(measure, m, data):
 def test_one_contour_level_is_decided_on_the_link_scale(measure, u, v, same):
     assert _same_level(measure, u, v) is same
     assert _same_level(measure, v, u) is same
+
+
+@pytest.mark.parametrize("x", [-0.5, 1.5, math.nan])
+def test_contour_y_refuses_an_x_off_the_unit_interval(x):
+    with pytest.raises(DomainError) as info:
+        contour_y(ContourValue(Measure.RISK_RATIO, 2.0), x)
+    assert type(info.value) is DomainError and str(info.value) == f"x must be in [0, 1], got {x}"

@@ -69,8 +69,11 @@ def test_standardized_risk_half_half(newcastle):
 
 
 def test_standardized_risk_misaligned_length(newcastle):
-    with pytest.raises(DomainError):
+    message = "distribution has 1 weights but the table has 2 strata"
+    with pytest.raises(DomainError, match=message):
         standardized_risk(newcastle, exposed=True, dist=StandardDistribution((1.0,)))
+    with pytest.raises(DomainError, match=message):
+        standardized_point(newcastle, StandardDistribution((1.0,)))
 
 
 def test_standardized_point_examples(newcastle):
@@ -93,6 +96,37 @@ def test_standardized_point_inside_hull(raw):
     hull = standardized_hull(stratum_points(table))
     p = standardized_point(table, StandardDistribution(weights))
     assert distance_to_hull(p, hull) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+def test_standardized_point_is_the_exact_weighted_average(k):
+    # each coordinate is K products of a rounded risk and a weight, summed:
+    # at most K + 1 roundings of nonnegative terms, each at most 2^-53 of
+    # the running value
+    rng = random.Random(3300 + k)
+    for _ in range(20):
+        table = random_table(rng, k)
+        raw = [rng.random() for _ in range(k)]
+        dist = StandardDistribution(tuple(w / sum(raw) for w in raw))
+        point = standardized_point(table, dist)
+        for exposed, got in ((False, point.x), (True, point.y)):
+            cells = [s.exposed if exposed else s.unexposed for s in table.strata]
+            exact = sum(Fraction(w) * Fraction(c.cases, c.total) for w, c in zip(dist.weights, cells))
+            assert abs(Fraction(got) - exact) <= (k + 1) * Fraction(1, 2**53) * exact
+            assert standardized_risk(table, exposed, dist) == got
+
+
+@pytest.mark.parametrize("table", sweep_tables(), ids=lambda t: f"k{t.k}")
+def test_crude_point_is_the_weighted_point_under_each_arms_own_sizes(table):
+    # the crude point rounds once; each of the weighted point's K terms
+    # rounds its share, its risk and their product, and the sum adds K - 1
+    # roundings of nonnegative terms: to first order (K + 3) 2^-53 of the value
+    unexposed = standardize._shares([s.unexposed.total for s in table.strata])
+    exposed = standardize._shares([s.exposed.total for s in table.strata])
+    weighted = standardize._weighted_point(stratum_points(table), unexposed, exposed)
+    crude = crude_point(table)
+    for got, want in ((weighted.x, crude.x), (weighted.y, crude.y)):
+        assert abs(got - want) <= (table.k + 3) * 2.0**-53 * want
 
 
 def test_hull_two_points_is_segment():
@@ -870,6 +904,27 @@ def test_confounding_and_modification_are_independent(newcastle):
 
 def test_uniform_distribution():
     assert uniform_distribution(4).weights == (0.25, 0.25, 0.25, 0.25)
+
+
+_ONE_STRATUM = StratifiedTable((Stratum("s0", exposed=CellCounts(1, 2), unexposed=CellCounts(1, 3)),))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StandardDistribution(()), "a standard distribution needs at least one weight"),
+        (lambda: uniform_distribution(0), "a standard distribution needs at least one weight"),
+        (lambda: standardized_hull([]), "need at least one point"),
+        (lambda: is_confounded(_ONE_STRATUM), "confounding analysis needs at least two strata"),
+        (lambda: extremize_standardized([], Measure.ODDS_RATIO, "min"), "need at least one point"),
+        (lambda: collapsibility_verdict([], Measure.ODDS_RATIO), "need at least one point"),
+    ],
+    ids=["empty-distribution", "uniform-0", "hull", "confounding-k1", "extremize", "verdict"],
+)
+def test_empty_inputs_are_refused(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 @pytest.mark.parametrize("measure", [Measure.RISK_RATIO, Measure.CUMULATIVE_HAZARD_RATIO])

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -213,7 +214,30 @@ def test_unpickled_table_hashes_as_one_built_in_its_process():
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
         return subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True).stdout
 
+    # in this process too, where a line trace sees __reduce__ run
+    table = newcastle_fixture()
+    assert table.__reduce__() == (StratifiedTable, (table.strata,))
+    assert hash(pickle.loads(pickle.dumps(table))) == hash(table)
+
     prelude = "import pickle, sys; from rothman.tables import newcastle_fixture; "
     data = run("1", prelude + "sys.stdout.buffer.write(pickle.dumps(newcastle_fixture()))")
     check = "t = pickle.loads(sys.stdin.buffer.read()); print(t == newcastle_fixture() and hash(t) == hash(newcastle_fixture()))"
     assert run("2", prelude + check, data).strip() == b"True"
+
+
+_CELL = CellCounts(1, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CellCounts(1, 2.0), "total must be an integer, got 2.0"),
+        (lambda: Stratum("", exposed=_CELL, unexposed=_CELL), "stratum label must be nonempty"),
+        (lambda: StratifiedTable(()), "a table needs at least one stratum"),
+    ],
+    ids=["non-integer-total", "empty-label", "no-strata"],
+)
+def test_malformed_records_are_refused(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
