@@ -24,13 +24,18 @@ _VALUE_TIE_TOL = 1e-12
 # a crude point this far or less from the hull reads as unconfounded
 _CONFOUNDING_TOL = 1e-9
 _VERTEX_TOL = 1e-9
-# the grid oracle's largest weight array, in entries (80 MB of float64)
+# the most weight vectors one pass of the grid oracle scans: n + 1 at K = 2,
+# and at K >= 3 (n + 1)(n + 2)/2, the length of its two int16 pair tables
+# (20 MB each at the bound), which caps n at 4470
 GRID_MAX_ENTRIES = 10**7
+# the grid oracle evaluates a pass this many weight vectors at a time, so its
+# float64 working set is a few hundred KB however long the pass
+_GRID_TILE = 4096
 # the most weight vectors the grid oracle scans: the largest lattice the
 # tests scan, K = 4 at 0.001, has 1.7e8 and takes 3-5 s on one Xeon core
 GRID_MAX_POINTS = 10**9
 # the most passes of the loop over the first K - 3 weights: each pass scans
-# the last three in 30-50 us on one Xeon core (K = 5-12), so 10^6 passes
+# the last three in 20-45 us on one Xeon core (K = 5-12), so 10^6 passes
 # take under a minute
 _GRID_MAX_HEADS = 10**6
 
@@ -71,9 +76,11 @@ def _weighted_point(points, x_weights, y_weights) -> RiskPoint:
     y is the y_weights average of their y: a standardized point when both
     weights are one standard distribution, the crude point when each is its
     arm's own size shares."""
+    # weights within _WEIGHT_SUM_TOL of summing to 1 can round a sum of risks
+    # of 1 above 1; weights are nonnegative, so no sum goes below 0
     return RiskPoint(
-        sum(w * p.x for w, p in zip(x_weights, points)),
-        sum(w * p.y for w, p in zip(y_weights, points)),
+        min(1.0, sum(w * p.x for w, p in zip(x_weights, points))),
+        min(1.0, sum(w * p.y for w, p in zip(y_weights, points))),
     )
 
 
@@ -378,10 +385,27 @@ def _evaluate_arrays(measure: Measure, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 def _composition_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     # all (a, b) with a + b <= n, ordered by a + b then a, so the prefix of
-    # length C(budget + 2, 2) enumerates exactly the pairs with a + b <= budget
-    s = np.repeat(np.arange(n + 1), np.arange(n + 1) + 1)
-    a = np.concatenate([np.arange(t + 1) for t in range(n + 1)])
-    return a, s - a
+    # length C(budget + 2, 2) enumerates exactly the pairs with a + b <= budget;
+    # int16 holds them, since the entry bound caps n at 4470
+    s = np.repeat(np.arange(n + 1, dtype=np.int16), np.arange(n + 1) + 1)
+    a = np.concatenate([np.arange(t + 1, dtype=np.int16) for t in range(n + 1)])
+    s -= a
+    return a, s
+
+
+def _first_min(values_at, size: int, sign: int) -> tuple[int, float]:
+    """The index that np.argmin(sign * values) picks in the size values that
+    values_at(lo, hi) returns _GRID_TILE at a time (the first minimum, or
+    the first NaN if there is one), and the value there."""
+    best = None
+    for lo in range(0, size, _GRID_TILE):
+        values = values_at(lo, min(lo + _GRID_TILE, size))
+        keys = sign * values
+        j = int(np.argmin(keys))
+        key = float(keys[j])
+        if best is None or key < best[1] or (math.isnan(key) and not math.isnan(best[1])):
+            best = (lo + j, key, float(values[j]))
+    return best[0], best[2]
 
 
 def _heads(xs, ys, depth: int, stop: int, budget: int, head: tuple, head_x, head_y):
@@ -407,11 +431,14 @@ def grid_extremize(
     """Brute-force verification oracle: exhaustive search over the lattice of
     weight vectors with the given spacing, 1/n.
 
-    Its largest array has n + 1 entries at K = 2 and (n + 1)(n + 2)/2 (the
-    pairs scanned for the last three strata) at K >= 3, and it scans
-    C(n + K - 1, K - 1) weight vectors in C(n + K - 3, K - 3) passes of its
-    loop over the first K - 3 weights; a resolution that makes the first
-    exceed GRID_MAX_ENTRIES, the second GRID_MAX_POINTS or the third
+    It scans C(n + K - 1, K - 1) weight vectors in C(n + K - 3, K - 3)
+    passes of its loop over the first K - 3 weights (one pass at K = 2). A
+    pass scans n + 1 weight vectors at K = 2, and up to (n + 1)(n + 2)/2 at
+    K >= 3, one for each pair of weights on the third- and second-last
+    strata in two int16 tables of that length. It evaluates them _GRID_TILE
+    at a time and keeps the first optimum, the one np.argmin over the whole
+    pass would pick. A resolution that makes a pass exceed
+    GRID_MAX_ENTRIES, the weight vectors GRID_MAX_POINTS or the passes
     _GRID_MAX_HEADS raises DomainError before any array is allocated."""
     sign = _check_objective(objective)
     if not 0.0 < resolution <= 1.0:
@@ -426,7 +453,7 @@ def grid_extremize(
     if (n + 1 if k == 2 else (n + 1) * (n + 2) / 2) > GRID_MAX_ENTRIES:
         raise DomainError(
             f"grid resolution {resolution:g} is too fine for {k} strata: the oracle "
-            f"would need an array of more than {GRID_MAX_ENTRIES} entries"
+            f"would scan more than {GRID_MAX_ENTRIES} weight vectors in one pass"
         )
     # n is a finite integer here, so math.comb is exact
     if math.comb(n + k - 1, k - 1) > GRID_MAX_POINTS:
@@ -443,27 +470,33 @@ def grid_extremize(
     ys = np.array([p.y for p in points])
 
     if k == 2:
-        a = np.arange(n + 1)
-        sx = (a * xs[0] + (n - a) * xs[1]) / n
-        sy = (a * ys[0] + (n - a) * ys[1]) / n
-        values = _evaluate_arrays(measure, sx, sy)
-        i = int(np.argmin(sign * values))
-        return ExtremeResult(float(values[i]), (float(a[i]) / n, float(n - a[i]) / n))
+
+        def line(lo, hi):
+            a = np.arange(lo, hi)
+            sx = (a * xs[0] + (n - a) * xs[1]) / n
+            sy = (a * ys[0] + (n - a) * ys[1]) / n
+            return _evaluate_arrays(measure, sx, sy)
+
+        i, value = _first_min(line, n + 1, sign)
+        return ExtremeResult(value, (i / n, (n - i) / n))
 
     pair_a, pair_b = _composition_pairs(n)
     prefix = (np.arange(n + 1) + 1) * (np.arange(n + 1) + 2) // 2
     best: tuple[float, tuple] | None = None
     for budget, head, head_x, head_y in _heads(xs, ys, 0, k - 3, n, (), 0.0, 0.0):
-        m = prefix[budget]
-        a, b = pair_a[:m], pair_b[:m]
-        c = budget - a - b
-        sx = (head_x + a * xs[-3] + b * xs[-2] + c * xs[-1]) / n
-        sy = (head_y + a * ys[-3] + b * ys[-2] + c * ys[-1]) / n
-        values = _evaluate_arrays(measure, sx, sy)
-        i = int(np.argmin(sign * values))
-        w = tuple(h / n for h in head) + (float(a[i]) / n, float(b[i]) / n, float(c[i]) / n)
-        if _better(float(values[i]), w, best, sign):
-            best = (float(values[i]), w)
+
+        def line(lo, hi):
+            a, b = pair_a[lo:hi], pair_b[lo:hi]
+            c = budget - a - b
+            sx = (head_x + a * xs[-3] + b * xs[-2] + c * xs[-1]) / n
+            sy = (head_y + a * ys[-3] + b * ys[-2] + c * ys[-1]) / n
+            return _evaluate_arrays(measure, sx, sy)
+
+        i, value = _first_min(line, prefix[budget], sign)
+        a, b = int(pair_a[i]), int(pair_b[i])
+        w = tuple(h / n for h in head) + (a / n, b / n, (budget - a - b) / n)
+        if _better(value, w, best, sign):
+            best = (value, w)
     return ExtremeResult(best[0], best[1])
 
 

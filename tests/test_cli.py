@@ -162,6 +162,21 @@ def test_standardize_degenerate_weights_is_stratum_report(capsys):
     assert doc["is_hull_vertex"]
 
 
+def test_standardize_weights_within_the_sum_tolerance_on_full_strata(capsys, tmp_path):
+    # the weights sum to 1 + 8e-13, within the tolerance, on strata whose
+    # risks are all 1: both standardized risks are 1, not a point above it
+    path = tmp_path / "full.csv"
+    path.write_text("stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\na,5,5,5,5\nb,3,3,3,3\n")
+    argv = ("standardize", "--input", str(path), "--weights", "0.5000000000004,0.5000000000004")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "standardized risk, unexposed (x): 1.000\nstandardized risk, exposed   (y): 1.000\n" in out
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["standardized_risk_unexposed"] == doc["standardized_risk_exposed"] == 1.0
+
+
 def test_standardize_rejects_bad_weights(capsys):
     for weights, message in (("0.7,0.7", "sum to 1"), ("0.5,nan", "finite and nonnegative")):
         code, _, err = run(capsys, "standardize", "--fixture", "newcastle", "--weights", weights)

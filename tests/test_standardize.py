@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,26 @@ def test_standardized_point_is_the_exact_weighted_average(k):
             exact = sum(Fraction(w) * Fraction(c.cases, c.total) for w, c in zip(dist.weights, cells))
             assert abs(Fraction(got) - exact) <= (k + 1) * Fraction(1, 2**53) * exact
             assert standardized_risk(table, exposed, dist) == got
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_standardized_point_of_weights_within_the_sum_tolerance(k):
+    """Weights within 1e-12 of summing to 1 are accepted, and their
+    standardized point on a valid table lies in the unit square, also where
+    every risk is 1 and the weights sum to more than 1."""
+    rng = random.Random(8000 + k)
+    for i in range(40):
+        table = random_table(rng, k, max_total=6)
+        if i % 2:
+            table = StratifiedTable(tuple(
+                Stratum(s.label, CellCounts(s.exposed.total, s.exposed.total),
+                        CellCounts(s.unexposed.total, s.unexposed.total))
+                for s in table.strata
+            ))
+        raw = [rng.random() for _ in range(k)]
+        scale = (1.0 + rng.uniform(-0.9e-12, 0.9e-12)) / sum(raw)
+        point = standardized_point(table, StandardDistribution(tuple(w * scale for w in raw)))
+        assert 0.0 <= point.x <= 1.0 and 0.0 <= point.y <= 1.0
 
 
 @pytest.mark.parametrize("table", sweep_tables(), ids=lambda t: f"k{t.k}")
@@ -557,7 +578,7 @@ def test_grid_oracle_refuses_a_lattice_over_the_bound(pts, resolution, monkeypat
 @pytest.mark.parametrize("k", [3, 4])
 def test_grid_oracle_frees_its_lattice_without_the_cyclic_gc(k):
     """Reference counting alone frees the oracle's arrays: at 1/300 the two
-    pair arrays hold 727 KB, and none of it may outlive the call. What may
+    pair arrays hold 182 KB, and none of it may outlive the call. What may
     stay is Python's freelist of small tuples (14 KB of heads at K = 4)."""
     measure, pts = _oracle_points(k)
     grid_extremize(pts, measure, "min", 1 / 300)  # numpy's first-call allocations
@@ -571,6 +592,75 @@ def test_grid_oracle_frees_its_lattice_without_the_cyclic_gc(k):
         tracemalloc.stop()
         gc.enable()
     assert after - before < 64 * 1024
+
+
+@pytest.mark.parametrize("k, resolution", [(2, 1e-6), (3, 0.001)])
+def test_grid_oracle_working_set_is_set_by_the_tile(k, resolution):
+    """The oracle's peak traced memory is at most 16 float64 arrays of one
+    tile each, plus at K >= 3 its two int16 pair tables and a third of their
+    length that building them holds for a moment. Evaluating each pass in
+    one piece took 40 MB at K = 2 and 28-32 MB at K = 3."""
+    measure, pts = _oracle_points(k)
+    grid_extremize(pts, measure, "min", 0.1)  # numpy's first-call allocations
+    n = round(1 / resolution)
+    pairs = 0 if k == 2 else (n + 1) * (n + 2) // 2
+    bound = 16 * standardize._GRID_TILE * 8 + 3 * pairs * 2
+    tracemalloc.start()
+    try:
+        grid_extremize(pts, measure, "min", resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64])
+def test_first_min_picks_what_one_argmin_picks(tile, monkeypatch):
+    """Across tiles the first minimum wins, the first NaN wins over every
+    number, and -0.0 ties with 0.0."""
+    monkeypatch.setattr(standardize, "_GRID_TILE", tile)
+    rng = random.Random(35 + tile)
+    choices = [-1.0, -0.0, 0.0, 1.0, 2.0, math.inf, math.nan]
+    for _ in range(300):
+        values = np.array([rng.choice(choices[: rng.randint(2, 7)]) for _ in range(rng.randint(1, 200))])
+        for sign in (1, -1):
+            want = int(np.argmin(sign * values))
+            i, value = standardize._first_min(lambda lo, hi: values[lo:hi], len(values), sign)
+            assert i == want
+            assert repr(value) == repr(float(values[want]))
+
+
+# powers of two: on the dyadic cases below every lattice point is exact
+_TILE_RESOLUTION = {2: 1 / 512, 3: 1 / 32, 4: 1 / 16, 5: 1 / 8, 6: 1 / 8}
+
+
+def _tile_cases(k: int) -> list[list[RiskPoint]]:
+    rng = random.Random(3500 + k)
+    p, q = (RiskPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)) for _ in range(2))
+    return [
+        [RiskPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)) for _ in range(k)],
+        # duplicate strata: weight vectors that differ in which duplicate
+        # they weight can tie
+        [(p, q)[i % 2] for i in range(k)],
+        [RiskPoint(0.25 + 0.125 * (i % 3), 0.5 + 0.125 * (i % 2)) for i in range(k)],
+        # one exact value at every lattice point: each pass's first entry wins
+        [RiskPoint(0.375, 0.625)] * k,
+    ]
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64])
+@pytest.mark.parametrize("k", sorted(_TILE_RESOLUTION))
+def test_grid_oracle_answer_does_not_depend_on_the_tile(k, tile, monkeypatch):
+    """Tiles of 1, 7 or 64 entries split each pass, and its exact ties, at
+    other places than the default tile; value and weights are the same
+    bits."""
+    resolution = _TILE_RESOLUTION[k]
+    cases = [(pts, m, o) for pts in _tile_cases(k) for m in Measure for o in ("min", "max")]
+    want = [grid_extremize(pts, m, o, resolution) for pts, m, o in cases]
+    monkeypatch.setattr(standardize, "_GRID_TILE", tile)
+    for (pts, m, o), expected in zip(cases, want):
+        got = grid_extremize(pts, m, o, resolution)
+        assert got.value == expected.value and got.weights == expected.weights
 
 
 def _log_measure_slope(measure: Measure, p0: RiskPoint, p1: RiskPoint):
