@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ModificationError
 from .measures import Measure, _gradient_xy, _same_level, check_domain, evaluate, null_value
-from .tables import CellCounts, RiskPoint, StratifiedTable, crude_point, stratum_points
+from .tables import RiskPoint, StratifiedTable, _pooled_counts, crude_point, stratum_points
 
 _WEIGHT_SUM_TOL = 1e-12
 _VALUE_TIE_TOL = 1e-12
@@ -47,7 +47,8 @@ class StandardDistribution:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        # + 0.0 maps a -0.0 weight to 0.0 and leaves every other weight's bits
+        object.__setattr__(self, "weights", tuple(float(w) + 0.0 for w in self.weights))
         if len(self.weights) < 1:
             raise DomainError("a standard distribution needs at least one weight")
         if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
@@ -210,31 +211,26 @@ class ConfoundingResult:
     distance: float
 
 
-def _scaled_risks(cells: list[CellCounts]) -> tuple[list[int], int]:
-    """The risk of each of one arm's cells and the arm's pooled risk, each
-    times the least common multiple of the cells' totals and the pooled
-    total: integers."""
-    total = sum(c.total for c in cells)
-    scale = math.lcm(total, *(c.total for c in cells))
-    return [c.cases * (scale // c.total) for c in cells], sum(c.cases for c in cells) * (scale // total)
-
-
 def is_confounded(table: StratifiedTable) -> ConfoundingResult:
     """Whether the crude point lies off the hull of the stratum points.
 
-    Membership is decided in exact rational arithmetic on the counts, so a
-    crude point that is exactly on the hull never reads as confounded: each
-    axis's risks, the strata's and the crude one, are scaled by the least
-    common multiple of that arm's totals, which makes every coordinate an
-    integer, and a positive scaling of each axis keeps hull membership. The
-    diagnostic distance is then computed in floating point, from the
-    correctly rounded risks of stratum_points and crude_point.
+    Membership is decided exactly, on integers, so a crude point that is
+    exactly on the hull never reads as confounded. With C/N and D/M the
+    crude risks, stratum j's point (c_j/n_j, d_j/m_j) becomes the offset
+    ((c_j N - C n_j) m_j, (d_j M - D m_j) n_j): its difference from the
+    crude point times n_j m_j N M, then scaled by diag(1/M, 1/N). Both maps
+    are positive, so the crude point is in the stratum hull exactly when
+    the origin is in the offsets' hull, and no coordinate exceeds K T^3 for
+    T the largest arm total. The diagnostic distance is then computed in
+    floating point, from the correctly rounded risks of stratum_points and
+    crude_point.
     """
     if table.k < 2:
         raise DomainError("confounding analysis needs at least two strata")
-    xs, crude_x = _scaled_risks([s.unexposed for s in table.strata])
-    ys, crude_y = _scaled_risks([s.exposed for s in table.strata])
-    if _hull_contains(_hull_vertices(list(zip(xs, ys))), (crude_x, crude_y)):
+    uc, ut, ec, et = _pooled_counts(table)
+    offsets = [((s.unexposed.cases * ut - uc * s.unexposed.total) * s.exposed.total,
+                (s.exposed.cases * et - ec * s.exposed.total) * s.unexposed.total) for s in table.strata]
+    if _hull_contains(_hull_vertices(offsets), (0, 0)):
         return ConfoundingResult(False, 0.0)
     dist = distance_to_hull(crude_point(table), standardized_hull(stratum_points(table)))
     return ConfoundingResult(dist > _CONFOUNDING_TOL, dist)

@@ -102,12 +102,15 @@ def stratum_points(table: StratifiedTable) -> list[RiskPoint]:
     return [RiskPoint(risk(s.unexposed), risk(s.exposed)) for s in table.strata]
 
 
+def _pooled_counts(table: StratifiedTable) -> tuple[int, int, int, int]:
+    """The collapsed table's unexposed cases and total, then its exposed ones."""
+    return (sum(s.unexposed.cases for s in table.strata), sum(s.unexposed.total for s in table.strata),
+            sum(s.exposed.cases for s in table.strata), sum(s.exposed.total for s in table.strata))
+
+
 def crude_point(table: StratifiedTable) -> RiskPoint:
     """Risk point of the collapsed (marginal) 2x2 table."""
-    ec = sum(s.exposed.cases for s in table.strata)
-    et = sum(s.exposed.total for s in table.strata)
-    uc = sum(s.unexposed.cases for s in table.strata)
-    ut = sum(s.unexposed.total for s in table.strata)
+    uc, ut, ec, et = _pooled_counts(table)
     return RiskPoint(uc / ut, ec / et)
 
 

@@ -162,6 +162,27 @@ def test_standardize_degenerate_weights_is_stratum_report(capsys):
     assert doc["is_hull_vertex"]
 
 
+def test_standardize_negative_zero_weight_reads_as_zero(capsys):
+    # a weight of -0 is the weight 0: the report prints 0, and JSON holds 0.0
+    code, out, err = run(capsys, "standardize", "--fixture", "newcastle", "--weights=-0,1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "weights: 0, 1\n"
+        "standardized risk, unexposed (x): 0.855\n"
+        "standardized risk, exposed   (y): 0.857\n"
+        "  risk difference: 0.002\n"
+        "  risk ratio: 1.003\n"
+        "  odds ratio: 1.018\n"
+        "  cumulative hazard ratio: 1.008\n"
+        "hull vertex: yes\n"
+    )
+    code, out, err = run(capsys, "standardize", "--fixture", "newcastle", "--weights=-0,1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.startswith('{\n  "weights": [\n    0.0,\n    1.0\n  ],\n')
+    assert "-0.0" not in out
+    assert [math.copysign(1.0, w) for w in json.loads(out)["weights"]] == [1.0, 1.0]
+
+
 def test_standardize_weights_within_the_sum_tolerance_on_full_strata(capsys, tmp_path):
     # the weights sum to 1 + 8e-13, within the tolerance, on strata whose
     # risks are all 1: both standardized risks are 1, not a point above it

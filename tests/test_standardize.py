@@ -400,12 +400,33 @@ def _exact_boundary_tables() -> list[StratifiedTable]:
     return tables + off
 
 
+def _huge_table(rng: random.Random, k: int) -> StratifiedTable:
+    """Totals log-uniform up to 10^100, equal in both arms of every stratum in
+    about a third of the tables (the crude point is then in the hull), cells
+    often zero or full, and in about half of the tables a last stratum that
+    repeats the first one's point, at a multiple of its counts where that
+    stays within 10^100."""
+    equal = rng.random() < 0.3
+    rows = []
+    for _ in range(k):
+        et = rng.randint(1, 10 ** rng.randint(1, 100))
+        ut = et if equal else rng.randint(1, 10 ** rng.randint(1, 100))
+        ec, uc = (rng.randint(0, t) if rng.random() < 0.7 else rng.choice((0, t)) for t in (et, ut))
+        rows.append((ec, et, uc, ut))
+    if rng.random() < 0.5:
+        f = rng.randint(1, 1000)
+        f = f if max(rows[0]) * f <= 10**100 else 1
+        rows[-1] = tuple(f * c for c in rows[0])
+    return _table_of(rows)
+
+
 def test_confounding_matches_a_rational_oracle():
     rng = random.Random(2718)
     tables = [_large_table(rng, k) for k in range(2, 11) for _ in range(12)]
     tables += [random_table(rng, k) for k in range(2, 11) for _ in range(4)]
+    huge = [_huge_table(random.Random(k * 100 + i), k) for k in range(2, 11) for i in range(12)]
     boundary = _exact_boundary_tables()
-    for table in tables + boundary:
+    for table in tables + huge + boundary:
         result = is_confounded(table)
         assert (result.confounded, result.distance) == _confounding_oracle(table), table
     exact = boundary[: len(boundary) // 2]
@@ -416,8 +437,36 @@ def test_confounding_matches_a_rational_oracle():
     # point off the hull, at a distance of a few ulps
     rounded = [distance_to_hull(crude_point(t), standardized_hull(stratum_points(t))) for t in exact]
     assert sum(d > 0.0 for d in rounded) >= 3
-    verdicts = [is_confounded(t) for t in tables]
-    assert any(r.confounded for r in verdicts) and not all(r.confounded for r in verdicts)
+    for group in (tables, huge):
+        verdicts = [is_confounded(t) for t in group]
+        assert any(r.confounded for r in verdicts) and not all(r.confounded for r in verdicts)
+
+
+def test_confounding_work_at_a_thousand_strata_with_huge_totals(monkeypatch):
+    """The exact hull test at K = 1000 with totals of 1e90-1e100 hands _cross
+    integers of at most about three totals' length, K T^3, and calls it a
+    few times per stratum."""
+    rng = random.Random(1000)
+    k = 1000
+    rows = []
+    for _ in range(k):
+        et, ut = rng.randint(10**90, 10**100), rng.randint(10**90, 10**100)
+        rows.append((rng.randint(0, et), et, rng.randint(0, ut), ut))
+    table = _table_of(rows)
+    largest = max(max(et, ut) for _, et, _, ut in rows)
+    bound = 3 * largest.bit_length() + k.bit_length() + 1
+    calls = []
+    cross = standardize._cross
+
+    def counted(o, a, b):
+        # checked at each call: integers past the bound fail at the first one
+        calls.append(max(abs(c).bit_length() for point in (o, a, b) for c in point if isinstance(c, int)))
+        assert calls[-1] <= bound, (len(calls), calls[-1], bound)
+        return cross(o, a, b)
+
+    monkeypatch.setattr(standardize, "_cross", counted)
+    is_confounded(table)
+    assert 0 < len(calls) <= 5 * k
 
 
 def test_extremize_newcastle_minimum_standardized_odds_ratio(newcastle):
