@@ -803,7 +803,10 @@ def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) 
     profile_loglik) and the sums of the first and second derivatives in b1
     of the strata's maxima (see _stratum_max). The fit's profile maximum,
     the profile CI and profile_loglik all evaluate lp through this function.
-    Raises DomainError when no coefficients are feasible at this b1."""
+    Raises DomainError for a b1 that is not finite, and when no
+    coefficients are feasible at this b1."""
+    if not math.isfinite(b1):
+        raise DomainError(f"exposure coefficient must be finite, got {b1}")
     rec = _LINKS[link]
     lo, hi = _bracket(rec, b1)
     total = slope = curvature = 0.0
@@ -835,7 +838,8 @@ def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> flo
     solve at another b1, so the profile is a function of b1 alone (see
     _stratum_max).
 
-    Raises DomainError when no coefficients are feasible at this b1."""
+    Raises DomainError for a b1 that is not finite, and when no
+    coefficients are feasible at this b1."""
     return profile_loglik_slope(table, link, b1)[0]
 
 

@@ -437,6 +437,8 @@ def grid_extremize(
     GRID_MAX_ENTRIES, the weight vectors GRID_MAX_POINTS or the passes
     _GRID_MAX_HEADS raises DomainError before any array is allocated."""
     sign = _check_objective(objective)
+    if len(points) < 1:
+        raise DomainError("need at least one point")
     if not 0.0 < resolution <= 1.0:
         raise DomainError(f"resolution must be in (0, 1], got {resolution}")
     for p in points:

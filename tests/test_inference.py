@@ -1,5 +1,4 @@
 import dataclasses
-import decimal
 import itertools
 import json
 import math
@@ -43,6 +42,7 @@ from rothman.tables import (
     stratum_points,
 )
 
+import exact_fit
 from conftest import random_table, sweep_tables, synthetic_four_strata
 
 ALL_LINKS = list(LinkFunction)
@@ -161,24 +161,13 @@ def test_bracket_from_the_eta_range_is_each_links_formula(link):
                 inference._bracket(inference._LINKS[link], b1)
 
 
-_RUN_OFF_RULES = {
-    LinkFunction.IDENTITY: lambda empty, full: empty and full,
-    LinkFunction.LOG: lambda empty, full: empty,
-    LinkFunction.LOGIT: lambda empty, full: empty or full,
-    LinkFunction.CLOGLOG: lambda empty, full: empty or full,
-}
-
-
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_run_off_is_each_links_rule(link):
-    # _run_off with the record's rule against each link's rule as the
-    # literature states it (see _run_off), on every one-stratum table whose
-    # cells are empty, interior or full
-    rule = _RUN_OFF_RULES[link]
+    # _run_off with the record's rule against the exact reference's, on
+    # every one-stratum table whose cells are empty, interior or full
     for y0, y1 in itertools.product(range(3), repeat=2):
         table = StratifiedTable((Stratum("s", CellCounts(y1, 2), CellCounts(y0, 2)),))
-        want = rule(y0 == 0, y1 == 2) - rule(y1 == 0, y0 == 2)
-        assert inference._run_off(table, link) == want, (y0, y1)
+        assert inference._run_off(table, link) == exact_fit.run_off(table, link), (y0, y1)
 
 
 def test_loglik_single_cell_value():
@@ -370,90 +359,8 @@ def _table(k) -> StratifiedTable:
     return parse_table(NAMED_TABLES[k]) if isinstance(k, str) else _interior_table(k)
 
 
-# --- per-stratum profile oracle: scipy's bounded scalar minimizer on each
-# stratum's log-likelihood, written from p in 40-digit mpmath
-
-_ORACLE_SPAN = 60.0  # stands in for the infinite maximizer of a zero or full cell
-
-
-def _oracle_cell(link, cases, noncases, eta):
-    import mpmath
-
-    eta = mpmath.mpf(eta)
-    if link is LinkFunction.IDENTITY:
-        p, q = eta, 1 - eta
-    elif link is LinkFunction.LOG:
-        p, q = mpmath.exp(eta), -mpmath.expm1(eta)
-    elif link is LinkFunction.LOGIT:
-        p, q = 1 / (1 + mpmath.exp(-eta)), 1 / (1 + mpmath.exp(eta))
-    else:
-        p, q = -mpmath.expm1(-mpmath.exp(eta)), mpmath.exp(-mpmath.exp(eta))
-    total = mpmath.mpf(0)
-    for count, prob in ((cases, p), (noncases, q)):
-        if count:
-            total += count * (mpmath.log(prob) if prob > 0 else -mpmath.inf)
-    return total
-
-
-def _oracle_target(link, cell) -> float:
-    """The cell's own maximizing eta."""
-    if cell.cases in (0, cell.total):
-        return math.copysign(_ORACLE_SPAN, cell.cases - 0.5)
-    p = cell.cases / cell.total
-    if link is LinkFunction.IDENTITY:
-        return p
-    if link is LinkFunction.LOG:
-        return math.log(p)
-    if link is LinkFunction.LOGIT:
-        return math.log(p / (1.0 - p))
-    return math.log(-math.log1p(-p))
-
-
-def _oracle_profile_loglik(table, link, b1, polish=False) -> float:
-    """Each stratum's maximum lies between its two cells' own maximizers,
-    clipped into the feasible range of its unexposed eta.
-
-    The bounded search's step tolerance grows as sqrt(eps) |a|, and it
-    cannot resolve a maximum next to a pole of l'. With polish, Newton steps
-    on the 40-digit log-likelihood (mpmath's numerical derivatives), halved
-    back into the range when they would leave it, refine its maximizer, and
-    the largest value seen counts."""
-    import mpmath
-    from scipy.optimize import minimize_scalar
-
-    with mpmath.workdps(40):
-        total = []
-        for s in table.strata:
-            def ll_mp(a, s=s):
-                unexposed = _oracle_cell(link, s.unexposed.cases, s.unexposed.total - s.unexposed.cases, a)
-                return unexposed + _oracle_cell(link, s.exposed.cases, s.exposed.total - s.exposed.cases, a + b1)
-
-            def ll(a, ll_mp=ll_mp):
-                return float(ll_mp(a))
-
-            feasible_lo, feasible_hi = -math.inf, math.inf
-            if link is LinkFunction.IDENTITY:
-                feasible_lo, feasible_hi = max(0.0, -b1), min(1.0, 1.0 - b1)
-            elif link is LinkFunction.LOG:
-                feasible_hi = min(0.0, -b1)
-            targets = sorted((_oracle_target(link, s.unexposed), _oracle_target(link, s.exposed) - b1))
-            lo, hi = (min(max(t, feasible_lo), feasible_hi) for t in targets)
-            best = max(ll(lo), ll(hi))
-            if lo < hi:
-                res = minimize_scalar(lambda a: -ll(a), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-                best = max(best, -res.fun)
-                a = mpmath.mpf(res.x)
-                for _ in range(8 if polish else 0):
-                    _, slope, curvature = mpmath.diffs(ll_mp, a, 2)
-                    if not curvature < 0:
-                        break
-                    step = a - slope / curvature
-                    a, last = (step if lo < step < hi else (a + (lo if step <= lo else hi)) / 2), a
-                    best = max(best, ll(a))
-                    if abs(a - last) <= 1e-25 * max(1, abs(a)):
-                        break
-            total.append(best)
-    return math.fsum(total)
+def _exact_lp(table, link, b1) -> float:
+    return float(exact_fit.profile(table, link, b1)[0])
 
 
 def _assert_endpoints_hit_quantile(table, link, level):
@@ -467,7 +374,7 @@ def _assert_endpoints_hit_quantile(table, link, level):
         if truncated:
             continue
         b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
-        for profile in (profile_loglik, _oracle_profile_loglik):
+        for profile in (profile_loglik, _exact_lp):
             lr = 2.0 * (result.loglik - profile(table, link, b1))
             assert lr == pytest.approx(q, abs=1e-8)
 
@@ -596,18 +503,49 @@ ORACLE_TABLES = ["newcastle", "four-strata", *range(1, 9), "full-cell-10"]
 
 @pytest.mark.parametrize("k", ORACLE_TABLES)
 @pytest.mark.parametrize("link", ALL_LINKS)
-def test_profile_loglik_matches_stratum_oracle(link, k):
+def test_profile_loglik_matches_the_exact_reference(link, k):
     table = _table(k)
     b1s = _b1_inside_and_outside(table, link, fit(table, ModelSpec(link, interaction=False)))
     if k == "full-cell-10":
         # where a whole-model Newton ascent ran out of iterations
         b1s += {LinkFunction.LOG: [-0.70609805], LinkFunction.CLOGLOG: [-2.53356689]}.get(link, [])
     for b1 in b1s:
-        expected = _oracle_profile_loglik(table, link, b1)
-        assert profile_loglik(table, link, b1) == pytest.approx(expected, rel=1e-10)
+        assert profile_loglik(table, link, b1) == pytest.approx(_exact_lp(table, link, b1), rel=1e-10)
     if link is LinkFunction.IDENTITY:
         with pytest.raises(DomainError):
             profile_loglik(table, link, 1.0)
+
+
+@pytest.mark.parametrize("b1", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_profile_refuses_a_b1_that_is_not_finite(newcastle, link, b1):
+    for profile in (profile_loglik, profile_loglik_slope):
+        with pytest.raises(DomainError, match="exposure coefficient must be finite"):
+            profile(newcastle, link, b1)
+
+
+# the largest |b1 - b1_ref| over these tables and links in the census of
+# CHANGES.md, in ulps of b1_ref: the interior K = 9 table's log fit
+B1_ULPS = 2022
+
+
+@pytest.mark.parametrize("k", ["newcastle", "four-strata", *range(1, 11)])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_restricted_b1_lies_within_the_census_ulps_of_the_exact_maximum(link, k):
+    table = _table(k)
+    b1 = fit(table, ModelSpec(link, interaction=False)).coefficients[1]
+    exact = exact_fit.restricted_fit(table, link)[0]
+    assert abs(b1 - exact) <= B1_ULPS * math.ulp(float(exact))
+
+
+def test_the_exact_reference_shares_no_code_with_the_solver():
+    import ast
+    import pathlib
+
+    tree = ast.parse(pathlib.Path(exact_fit.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert all(name == "rothman.tables" or name.split(".")[0] != "rothman" for name in modules), modules
 
 
 @pytest.mark.parametrize(
@@ -722,15 +660,13 @@ def _b1_across_the_range(link):
     "k", [*range(1, 7), "full-stratum", "full-unexposed-2", "zero-exposed-3", *BOUNDARY_CELL_CSVS]
 )
 @pytest.mark.parametrize("link", CLOSED_FORM_LINKS)
-def test_closed_form_solves_match_stratum_oracle(link, k):
+def test_closed_form_solves_match_the_exact_reference(link, k):
     # each stratum solve starts from the closed-form root of l'(a): the
-    # profile must match the per-stratum mpmath oracle across the whole range
-    # of b1, at zero and full cells as well as interior ones
+    # profile must match the exact reference across the whole range of b1,
+    # at zero and full cells as well as interior ones
     table = _table(k)
     for b1 in _b1_across_the_range(link):
-        assert profile_loglik(table, link, b1) == pytest.approx(
-            _oracle_profile_loglik(table, link, b1, polish=True), rel=1.3e-14, abs=0.0
-        )
+        assert profile_loglik(table, link, b1) == pytest.approx(_exact_lp(table, link, b1), rel=1.3e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -932,17 +868,12 @@ def test_restricted_fit_with_a_cell_at_its_bound_is_the_profile_maximum(csv, lin
     # the maximum puts one cell on its bound: p = 0 (identity) or p = 1
     # (log); the Newton ascent raises ConvergenceError on the first two
     # tables and ends short of the maximum on the last two
-    from scipy.optimize import minimize_scalar
-
     table = parse_table(csv)
     result = fit(table, ModelSpec(link, interaction=False))
-    oracle = minimize_scalar(
-        lambda b: -profile_loglik(table, link, b), bounds=(-0.999, 0.999) if link is LinkFunction.IDENTITY
-        else (-10.0, 10.0), method="bounded", options={"xatol": 1e-12},
-    )
-    assert oracle.x == pytest.approx(b1, abs=1e-7) and -oracle.fun == pytest.approx(ll, abs=1e-5)
-    assert result.coefficients[1] == pytest.approx(oracle.x, abs=1e-6)
-    assert result.loglik == pytest.approx(-oracle.fun, rel=1e-10)
+    exact_b1, exact_ll = map(float, exact_fit.restricted_fit(table, link))
+    assert exact_b1 == pytest.approx(b1, abs=1e-7) and exact_ll == pytest.approx(ll, abs=1e-5)
+    assert result.coefficients[1] == pytest.approx(exact_b1, abs=1e-6)
+    assert result.loglik == pytest.approx(exact_ll, rel=1e-10)
     # the cell at its bound is reported 1e-13 inside it
     assert result.boundary_warning
     p = [v for point in result.fitted_points for v in (point.x, point.y)]
@@ -978,34 +909,20 @@ def test_profile_loglik_far_out_on_the_cloglog_tail():
     # at b1 = 459.2 the stratum's maximizer lies near a = -457.8; from the
     # data start every Newton step of its solve was exactly -1 inside a
     # finite bracket, and the solve ran to its step limit
-    import mpmath
-
     table = parse_table(CSV_HEADER + "s0,1,102,403,403\n")
-    b1 = 459.2
-    with mpmath.workdps(60):
-        def slope(a):
-            # each cloglog cell's dl/deta is y t / (e^t - 1) - f t, t = e^eta
-            t0, t1 = mpmath.exp(a), mpmath.exp(a + b1)
-            return 403 * t0 / mpmath.expm1(t0) + t1 / mpmath.expm1(t1) - 101 * t1
-
-        a = mpmath.findroot(slope, (-458.5, -457.0), solver="illinois")
-        expected = float(_oracle_cell(LinkFunction.CLOGLOG, 403, 0, a) + _oracle_cell(LinkFunction.CLOGLOG, 1, 101, a + b1))
-    assert abs(profile_loglik(table, LinkFunction.CLOGLOG, b1) - expected) <= math.ulp(expected)
+    expected = _exact_lp(table, LinkFunction.CLOGLOG, 459.2)
+    assert abs(profile_loglik(table, LinkFunction.CLOGLOG, 459.2) - expected) <= math.ulp(expected)
 
 
 def test_cloglog_fit_with_a_cell_near_one_at_a_1e9_total():
     # lp' carries a bias of about 1e-12 from the stratum solves, above the
     # profile maximum's floor test: its steps of 1e-12 never shrank, and it
-    # ran to its step limit. The fit is checked against a bounded maximum
-    # of the per-stratum profile oracle
-    from scipy.optimize import minimize_scalar
-
+    # ran to its step limit. The fit is checked against the exact reference
     table = parse_table(CSV_HEADER + "s0,999999998,999999999,1,3\ns1,71,71,1,2\n")
     result = fit(table, ModelSpec(LinkFunction.CLOGLOG, interaction=False))
-    oracle = minimize_scalar(lambda b1: -_oracle_profile_loglik(table, LinkFunction.CLOGLOG, b1),
-                             bounds=(3.9, 3.97), method="bounded", options={"xatol": 1e-10})
-    assert result.coefficients[1] == pytest.approx(oracle.x, abs=1e-6)
-    assert result.loglik == pytest.approx(-oracle.fun, rel=1e-15, abs=0.0)
+    exact_b1, exact_ll = map(float, exact_fit.restricted_fit(table, LinkFunction.CLOGLOG))
+    assert result.coefficients[1] == pytest.approx(exact_b1, abs=1e-6)
+    assert result.loglik == pytest.approx(exact_ll, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("link, csv, second", [
@@ -1099,7 +1016,7 @@ def test_profile_ci_stops_at_the_rounding_floor_at_large_totals(profile_loglik_c
     assert not (ci.lower_truncated or ci.upper_truncated)
     q, ulp = chi2.ppf(0.95, 1), math.ulp(result.loglik)
     for endpoint in (ci.lower, ci.upper):
-        for profile in (profile_loglik, _oracle_profile_loglik):
+        for profile in (profile_loglik, _exact_lp):
             lr = 2.0 * (result.loglik - profile(table, link, math.log(endpoint)))
             assert abs(lr - q) <= 4.0 * ulp
 
@@ -1232,16 +1149,6 @@ def test_profile_maximum_of_a_run_off_is_the_end_of_its_range(csv, link):
         assert lr_test_interaction(table, link).statistic == 0.0
 
 
-def _exact_saturated_loglik(table) -> float:
-    """sum of y ln(y/n) + f ln(f/n) over cells in 40-digit decimals, 0 ln 0 = 0"""
-    with decimal.localcontext() as context:
-        context.prec = 40
-        total = sum((decimal.Decimal(k) * (decimal.Decimal(k) / c.total).ln()
-                     for s in table.strata for c in (s.exposed, s.unexposed)
-                     for k in (c.cases, c.total - c.cases) if k), decimal.Decimal(0))
-    return float(total)
-
-
 # a risk of 1 - 1e-17, which rounds to 1: its case term is about -1, not 0
 _NEAR_ONE_K2 = "a,99999999999999999,100000000000000000,1,2\nb,1,2,1,3"
 _NEAR_ONE_K1 = "s0,99999999999999999,100000000000000000,500000000,1000000000"
@@ -1251,10 +1158,10 @@ _NEAR_ONE_K1 = "s0,99999999999999999,100000000000000000,500000000,1000000000"
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_closed_form_loglik_where_a_risk_rounds_to_1(link, csv):
     # the saturated fit, and the restricted one of one stratum, against the
-    # decimal oracle
+    # exact reference
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=table.k > 1))
-    assert result.loglik == pytest.approx(_exact_saturated_loglik(table), rel=1e-14, abs=0.0)
+    assert result.loglik == pytest.approx(float(exact_fit.saturated_loglik(table)), rel=1e-14, abs=0.0)
 
 
 def test_closed_form_eta_where_a_risk_rounds_to_1():
@@ -1274,7 +1181,7 @@ def test_closed_form_eta_where_a_risk_rounds_to_1():
 def test_lr_statistic_where_a_risk_rounds_to_1():
     table = parse_table(CSV_HEADER + _NEAR_ONE_K2 + "\n")
     restricted = fit(table, ModelSpec(LinkFunction.LOGIT, interaction=False))
-    statistic = 2.0 * (_exact_saturated_loglik(table) - restricted.loglik)
+    statistic = 2.0 * (float(exact_fit.saturated_loglik(table)) - restricted.loglik)
     assert lr_test_interaction(table, LinkFunction.LOGIT).statistic == pytest.approx(statistic, rel=1e-9, abs=1e-12)
 
 
@@ -1320,15 +1227,9 @@ def test_lr_statistic_is_the_difference_of_suprema(link, csv):
     # its estimate as its loglik (in the full-stratum table s1 carries no
     # information on b1 under logit and cloglog, and s2 alone is saturated,
     # so the statistic is 0)
-    from scipy.optimize import minimize_scalar
-
     table = parse_table(csv)
-    oracle = minimize_scalar(
-        lambda b: -profile_loglik(table, link, b), bounds=(-0.999, 0.999) if link is LinkFunction.IDENTITY
-        else (-10.0, 10.0), method="bounded", options={"xatol": 1e-12},
-    )
-    saturated = _saturated_loglik(table)
-    expected = 2.0 * (saturated + oracle.fun)
+    saturated = exact_fit.saturated_loglik(table)
+    expected = float(2 * (saturated - exact_fit.restricted_fit(table, link)[1]))
     assert lr_test_interaction(table, link).statistic == pytest.approx(expected, rel=0.0, abs=1e-14 * abs(saturated))
 
 
@@ -1732,73 +1633,6 @@ def test_chi2_quantile_checks_its_arguments_before_its_memo():
             chi2_quantile(level, 1)
 
 
-# --- a library-level oracle property at extreme inputs: a direct profile,
-# written from each link's p and 1 - p, maximized per stratum by bisection
-# on l'(a) and in b1 by scipy's bounded search, sharing no code with fit
-
-
-def _log_pq(link, eta):
-    """log p and log(1 - p) at the array eta, each where it keeps its digits."""
-    if link is LinkFunction.IDENTITY:
-        return np.log(eta), np.log1p(-eta)
-    if link is LinkFunction.LOG:
-        return eta, np.log(-np.expm1(eta))
-    if link is LinkFunction.LOGIT:
-        return -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
-    t = np.exp(eta)
-    return np.log(-np.expm1(-t)), -t
-
-
-def _cloglog_dl_deta(y, f, eta):
-    t = math.exp(eta)
-    return (y * math.exp(-t) / -math.expm1(-t) - f) * t
-
-
-# d/deta of y log p + f log(1 - p), (y / p - f / (1 - p)) dp/deta, at an
-# eta inside the link's range
-_DL_DETA = {
-    LinkFunction.IDENTITY: lambda y, f, eta: y / eta - f / (1.0 - eta),
-    LinkFunction.LOG: lambda y, f, eta: y - f / math.expm1(-eta),
-    LinkFunction.LOGIT: lambda y, f, eta: y - (y + f) / (1.0 + math.exp(-eta)),
-    LinkFunction.CLOGLOG: _cloglog_dl_deta,
-}
-
-
-def _direct_profile(table, link):
-    """lp(b1) from the counts alone: each stratum's maximum over its
-    unexposed eta a, found by bisection on the sign of l'(a) between its
-    cells' own maximizers clipped into the feasible range."""
-    strata = [(c0.cases, c0.total - c0.cases, _oracle_target(link, c0), c1.cases, c1.total - c1.cases,
-               _oracle_target(link, c1)) for c0, c1 in ((s.unexposed, s.exposed) for s in table.strata)]
-    y0, f0, _, y1, f1, _ = (np.array(v, dtype=float) for v in zip(*strata))
-    dl = _DL_DETA[link]
-
-    def lp(b1):
-        b1 = float(b1)
-        feasible = {LinkFunction.IDENTITY: (max(0.0, -b1), min(1.0, 1.0 - b1)),
-                    LinkFunction.LOG: (-math.inf, min(0.0, -b1))}.get(link, (-math.inf, math.inf))
-        a = []
-        for u0, v0, t0, u1, v1, t1 in strata:
-            lo, hi = (min(max(t, feasible[0]), feasible[1]) for t in sorted((t0, t1 - b1)))
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                try:
-                    up = dl(u0, v0, mid) + dl(u1, v1, mid + b1) > 0.0
-                except ZeroDivisionError:  # mid + b1 rounded onto the upper end of its range
-                    up = False
-                lo, hi = (mid, hi) if up else (lo, mid)
-            a.append(0.5 * (lo + hi))
-        a = np.array(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = [np.where(n > 0, n * v, 0.0) for y, f, eta in ((y0, f0, a), (y1, f1, a + b1))
-                     for n, v in zip((y, f), _log_pq(link, eta))]
-        return float(np.sum(terms))
-
-    return lp
-
-
 @st.composite
 def _extreme_tables(draw):
     """K = 1-6, totals log-uniform up to 1e9, cells often forced to 0, n,
@@ -1814,21 +1648,19 @@ def _extreme_tables(draw):
     return StratifiedTable(tuple(strata))
 
 
+# --- a library-level property at extreme inputs, against the exact reference
+
+
 @settings(max_examples=25, deadline=None)
 @given(table=_extreme_tables())
-def test_fits_reach_the_direct_profile_maximum(table):
-    from scipy.optimize import minimize_scalar
-
+def test_fits_reach_the_exact_profile_maximum(table):
     total = sum(c.total for s in table.strata for c in (s.exposed, s.unexposed))
     for link in ALL_LINKS:
         restricted = fit(table, ModelSpec(link, interaction=False))
-        lp = _direct_profile(table, link)
-        span = 1.0 if link is LinkFunction.IDENTITY else _ORACLE_SPAN
-        direct = -minimize_scalar(lambda b: -lp(b), bounds=(-span, span), method="bounded",
-                                  options={"xatol": 1e-12}).fun
+        exact = float(exact_fit.restricted_fit(table, link)[1])
         # rounding of the cells' etas moves lp by up to a few ulps of eta
         # times a stratum total
-        assert restricted.loglik >= direct - 1e-12 * abs(direct) - 1e-14 * total, link
+        assert restricted.loglik >= exact - 1e-12 * abs(exact) - 1e-14 * total, link
         if table.k >= 2:
             statistic = lr_test_interaction(table, link).statistic
             assert statistic >= 0.0
@@ -1840,7 +1672,7 @@ def test_fits_reach_the_direct_profile_maximum(table):
 
 @settings(max_examples=25, deadline=None)
 @given(table=_extreme_tables())
-def test_ci_endpoints_and_loglik_agree_with_direct_oracles(table):
+def test_ci_endpoints_and_loglik_agree_with_the_exact_reference(table):
     from scipy.stats import chi2
 
     q = chi2.ppf(0.95, 1)
@@ -1853,7 +1685,6 @@ def test_ci_endpoints_and_loglik_agree_with_direct_oracles(table):
             bound = 1e-12 * abs(l_max) + 1e-14 * total
             assert gap <= bound, link
         ci = profile_ci(table, link)
-        lp = _direct_profile(table, link)
         for endpoint, truncated in ((ci.lower, ci.lower_truncated), (ci.upper, ci.upper_truncated)):
             if truncated:
                 continue
@@ -1862,7 +1693,7 @@ def test_ci_endpoints_and_loglik_agree_with_direct_oracles(table):
             # rounding of l_max and of lp, as in the fit property, and of
             # b1 within the search's stop step and the measure scale's ulps
             bound = 2.0 * (1e-12 * abs(l_max) + 1e-14 * total) + 2.0 * abs(slope) * (1e-12 + 4.0 * math.ulp(b1))
-            assert abs(2.0 * (l_max - lp(b1)) - q) <= bound, (link, endpoint)
+            assert abs(2.0 * (l_max - _exact_lp(table, link, b1)) - q) <= bound, (link, endpoint)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1056,9 +1056,10 @@ _ONE_STRATUM = StratifiedTable((Stratum("s0", exposed=CellCounts(1, 2), unexpose
         (lambda: standardized_hull([]), "need at least one point"),
         (lambda: is_confounded(_ONE_STRATUM), "confounding analysis needs at least two strata"),
         (lambda: extremize_standardized([], Measure.ODDS_RATIO, "min"), "need at least one point"),
+        (lambda: grid_extremize([], Measure.ODDS_RATIO, "min"), "need at least one point"),
         (lambda: collapsibility_verdict([], Measure.ODDS_RATIO), "need at least one point"),
     ],
-    ids=["empty-distribution", "uniform-0", "hull", "confounding-k1", "extremize", "verdict"],
+    ids=["empty-distribution", "uniform-0", "hull", "confounding-k1", "extremize", "grid", "verdict"],
 )
 def test_empty_inputs_are_refused(call, message):
     with pytest.raises(DomainError) as info:
