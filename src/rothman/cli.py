@@ -1,14 +1,16 @@
 """Command-line front end: ingestion, analysis, and SVG rendering.
 
-Exit codes: 0 success, 2 usage error, 3 data or domain error,
-4 convergence error. Text output rounds to 3 decimals; JSON output keeps
-full precision and always parses back with ``json.loads``.
+Exit codes: 0 success (a closed stdout included), 2 usage error, 3 data,
+domain, input or output error, 4 convergence error. Text output rounds to
+3 decimals; JSON output keeps full precision and always parses back with
+``json.loads``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from .inference import (
 )
 from .render import FIGURES, render_svg
 from .standardize import (
+    GRID_RESOLUTION,
     StandardDistribution,
     collapsibility_verdict,
     grid_extremize,
@@ -42,6 +45,10 @@ class UsageError(Exception):
     """Bad flag combination detected after argparse (exit code 2)."""
 
 
+class InputError(Exception):
+    """An --input file that cannot be read (exit code 3)."""
+
+
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
@@ -53,6 +60,8 @@ def _load_table(args: argparse.Namespace) -> StratifiedTable:
         text = Path(args.input).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise TableParseError(f"{args.input} is not UTF-8 text ({e.reason} at byte {e.start})") from None
+    except OSError as e:
+        raise InputError(e) from None
     return parse_table(text)
 
 
@@ -205,7 +214,7 @@ def cmd_collapse(args: argparse.Namespace):
         "maximum": _extreme(verdict.maximum),
         "verdict": verdict.verdict.value,
     }
-    if args.grid_oracle:
+    if args.grid_resolution is not None:
         gmin = grid_extremize(points, measure, "min", args.grid_resolution)
         gmax = grid_extremize(points, measure, "max", args.grid_resolution)
         report["grid_oracle"] = {
@@ -271,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     reports.append(p)
     p = command("collapse", cmd_collapse, "collapsibility verdict over the standardized hull")
     p.add_argument("--measure", choices=[measure.value for measure in Measure], default="or")
-    p.add_argument("--grid-oracle", action="store_true",
-                   help="verify the optimizer against a brute-force weight grid")
-    p.add_argument("--grid-resolution", type=float, default=0.001)
+    p.add_argument("--grid-oracle", nargs="?", type=float, const=GRID_RESOLUTION, dest="grid_resolution",
+                   metavar="RESOLUTION", help="verify the optimizer against a brute-force weight grid "
+                   "of spacing RESOLUTION (default %(const)g)")
     reports.append(p)
     # each report command prints its report as text or JSON (see main)
     for p in reports:
@@ -295,6 +304,13 @@ def main(argv=None) -> int:
             report, lines = out
             for line in [json.dumps(report, indent=2)] if args.format == "json" else lines:
                 print(line)
+        sys.stdout.flush()  # so that a failed write is caught below
+        return 0
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``) and wants no more: exit
+        # quietly, with stdout on devnull so that the interpreter's flush at
+        # exit has somewhere to write what is left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
@@ -308,8 +324,11 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
+    except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:  # writing stdout or the -o file
+        print(f"output error: {e}", file=sys.stderr)
         return 3
 
 

@@ -195,9 +195,12 @@ def _feasible(p) -> bool:
 def _inverse_at(table: StratifiedTable, spec: ModelSpec, beta):
     """The design matrix, eta, and each cell's p and dp/deta by the link's
     inverse at coefficients beta, as arrays in cell order; DomainError when
-    infeasible."""
+    beta has the wrong length or is infeasible."""
     X = design_matrix(table, spec)
-    eta = X @ np.asarray(beta, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != X.shape[1:]:
+        raise DomainError(f"expected {X.shape[1]} coefficients, got {beta.size}")
+    eta = X @ beta
     p, dp = (np.array(v) for v in zip(*map(_LINKS[spec.link].inverse, eta.tolist())))
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")

@@ -176,8 +176,7 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 def _contour_raw(c: ContourValue, xs: list[float]) -> list[float]:
     """The y of the contour at each x in [0, 1], unclamped: one
     comprehension per measure, not a call per point, then the range check.
-    A y may lie within 1e-15 outside [0, 1]; _contour_at clamps it, and
-    render clamps it as it maps each y to panel units."""
+    A y may lie within 1e-15 outside [0, 1]; _contour_at clamps it."""
     m = c.m
     if c.measure is Measure.RISK_DIFFERENCE:
         ys = [x + m for x in xs]

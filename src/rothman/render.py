@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .measures import Measure, ContourValue, _contour_raw, _grid, _same_level, evaluate, is_straight, null_value, valid_x_interval
+from .measures import Measure, ContourValue, _contour_at, _grid, _same_level, evaluate, is_straight, null_value, valid_x_interval
 from .standardize import StandardizedHull, _shares, _weighted_point, marginal_distribution, standardized_hull
 from .tables import RiskPoint, StratifiedTable, stratum_points
 from .inference import ModelSpec, common_measure, fit, link_for_measure
@@ -142,20 +142,17 @@ def _emit_contour(
     its x interval is one point) with its label. The vertices' x and their
     printed coordinates come from _column_grid, so only the y values are
     formatted, all in one % of its points template; the bytes are those of
-    formatting each (x, y) with _PAIR. Each y is clamped to [0, 1] and
-    mapped to panel units in one pass; the inset rule reads the unclamped
-    y, where y >= 1 is the clamped y == 1."""
+    formatting each (x, y) with _PAIR."""
     c = ContourValue(measure, line.level)
     xs, points = _column_grid(ox, *valid_x_interval(c))
-    ys = _contour_raw(c, xs)
+    ys = _contour_at(c, xs)
     if not is_straight(measure):
-        kept = [i for i, y in enumerate(ys) if y <= 1.0 - TOP_EDGE_INSET or y >= 1.0]
+        kept = [i for i, y in enumerate(ys) if y <= 1.0 - TOP_EDGE_INSET or y == 1.0]
         if 2 <= len(kept) < len(ys):
             vertices = points.split(" ")
             xs, ys = [xs[i] for i in kept], [ys[i] for i in kept]
             points = " ".join([vertices[i] for i in kept])
-    # the clamp of _contour_at, then the panel's y
-    py = [oy + PANEL_SIZE * (1.0 - (y if 0.0 < y < 1.0 else min(1.0, max(0.0, y)))) for y in ys]
+    py = [oy + PANEL_SIZE * (1.0 - y) for y in ys]
     if len(ys) == 1:
         i = 0
         out.append(f'<circle cx="{_fmt(ox + PANEL_SIZE * xs[0])}" cy="{_fmt(py[0])}" r="2" fill="black"/>')

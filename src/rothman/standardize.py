@@ -31,8 +31,10 @@ GRID_MAX_ENTRIES = 10**7
 # the grid oracle evaluates a pass this many weight vectors at a time, so its
 # float64 working set is a few hundred KB however long the pass
 _GRID_TILE = 4096
+# the grid oracle's lattice spacing when none is given (1/n, n = 1000)
+GRID_RESOLUTION = 0.001
 # the most weight vectors the grid oracle scans: the largest lattice the
-# tests scan, K = 4 at 0.001, has 1.7e8 and takes 3-5 s on one Xeon core
+# tests scan, K = 4 at that spacing, has 1.7e8 and takes 3-5 s on one Xeon core
 GRID_MAX_POINTS = 10**9
 # the most passes of the loop over the first K - 3 weights: each pass scans
 # the last three in 20-45 us on one Xeon core (K = 5-12), so 10^6 passes
@@ -422,7 +424,7 @@ def _heads(xs, ys, depth: int, stop: int, budget: int, head: tuple, head_x, head
 
 
 def grid_extremize(
-    points: list[RiskPoint], measure: Measure, objective: str, resolution: float = 0.001
+    points: list[RiskPoint], measure: Measure, objective: str, resolution: float = GRID_RESOLUTION
 ) -> ExtremeResult:
     """Brute-force verification oracle: exhaustive search over the lattice of
     weight vectors with the given spacing, 1/n.

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -199,7 +202,10 @@ def test_standardize_weights_within_the_sum_tolerance_on_full_strata(capsys, tmp
 
 
 def test_standardize_rejects_bad_weights(capsys):
-    for weights, message in (("0.7,0.7", "sum to 1"), ("0.5,nan", "finite and nonnegative")):
+    for weights, message in (
+        ("0.7,0.7", "sum to 1"), ("0.5,nan", "finite and nonnegative"),
+        ("0.5,abc", "weights must be 'marginal', 'uniform', or comma-separated numbers"),
+    ):
         code, _, err = run(capsys, "standardize", "--fixture", "newcastle", "--weights", weights)
         assert code == 3
         assert message in err and "Traceback" not in err
@@ -241,6 +247,7 @@ def test_collapse_grid_oracle(capsys):
     )
     assert code == 0
     doc = json.loads(out)
+    assert doc["grid_oracle"]["resolution"] == 0.001  # bare, the default spacing
     assert doc["grid_oracle"]["min_disagreement"] < 5e-4
 
 
@@ -248,10 +255,19 @@ def test_collapse_grid_oracle(capsys):
 def test_collapse_grid_oracle_rejects_bad_resolution(capsys, resolution):
     code, _, err = run(
         capsys,
-        "collapse", "--fixture", "newcastle", "--grid-oracle", f"--grid-resolution={resolution}",
+        "collapse", "--fixture", "newcastle", f"--grid-oracle={resolution}",
     )
     assert code == 3
     assert "resolution must be in (0, 1]" in err and "Traceback" not in err
+
+
+def test_collapse_has_no_resolution_option_apart_from_the_oracle(capsys):
+    # the resolution is --grid-oracle's value, so no option can be accepted
+    # and then ignored for want of the other
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["collapse", "--fixture", "newcastle", "--grid-resolution", "0"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --grid-resolution 0" in capsys.readouterr().err
 
 
 # --- the JSON schemas: each subcommand's complete key tree, in order, with
@@ -327,7 +343,7 @@ def test_collapse_json_schema(capsys, tmp_path, source):
                 "verdict": "str"}
     _assert_schema(schema, expected)
     # the grid oracle adds one key, last; 0.05 keeps the K = 4 lattice small
-    _, schema = _json_schema(capsys, tmp_path, source, "collapse", "--grid-oracle", "--grid-resolution", "0.05")
+    _, schema = _json_schema(capsys, tmp_path, source, "collapse", "--grid-oracle", "0.05")
     expected["grid_oracle"] = {"resolution": "float", "minimum": extreme, "maximum": extreme,
                                "min_disagreement": "float", "max_disagreement": "float"}
     _assert_schema(schema, expected)
@@ -336,7 +352,7 @@ def test_collapse_json_schema(capsys, tmp_path, source):
 def test_collapse_grid_oracle_rejects_a_lattice_over_the_bound(capsys):
     code, _, err = run(
         capsys,
-        "collapse", "--fixture", "newcastle", "--grid-oracle", "--grid-resolution", "1e-300",
+        "collapse", "--fixture", "newcastle", "--grid-oracle", "1e-300",
     )
     assert code == 3
     assert "too fine" in err and "Traceback" not in err
@@ -360,6 +376,31 @@ def test_plot_contours_to_file(capsys, tmp_path):
     assert code == 0
     root = ET.fromstring(out_path.read_text())
     assert root.tag.endswith("svg")
+
+
+def _cli_process(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "rothman.cli", *argv], env=env, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["fit", "--format", "json"], ["plot", "hull"]])
+def test_a_closed_stdout_ends_the_process_quietly(argv):
+    # a pipe whose reader is gone before the first write, as `| head` leaves
+    # it for the rest of the output: exit 0 with nothing on stderr, not even
+    # the interpreter's "Exception ignored" from its flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli_process([*argv, "--fixture", "newcastle"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_plot_into_a_missing_directory_is_an_output_error(tmp_path):
+    done = _cli_process(["plot", "contours", "-o", str(tmp_path / "missing" / "x.svg")], stdout=subprocess.DEVNULL)
+    assert done.returncode == 3
+    assert done.stderr.startswith("output error: [Errno 2] ") and "Traceback" not in done.stderr
 
 
 def test_plot_noncollapsible_stdout(capsys):
@@ -549,7 +590,7 @@ def test_cli_contract_on_generated_input(capsys, tmp_path, csv, data):
     resolution = data.draw(st.one_of(
         st.sampled_from(RESOLUTION_EDGES), st.floats(1.0 / _finest_grid(k), 1.0).map(repr)
     ))
-    _call(capsys, ["collapse", *source, "--measure", measure, "--grid-oracle", "--grid-resolution", resolution, *fmt])
+    _call(capsys, ["collapse", *source, "--measure", measure, "--grid-oracle", resolution, *fmt])
     for figure in sorted(cli.FIGURES):
         code = _call(capsys, ["plot", figure, *source])
         if well_formed and not (figure == "modconf" and k != 2):
@@ -578,7 +619,7 @@ _PIN_REPORTS = {
     "collapse-rd": ["collapse", "--measure", "rd"],
     "collapse-rr": ["collapse", "--measure", "rr"],
     "collapse-chr": ["collapse", "--measure", "chr"],
-    "collapse-grid": ["collapse", "--grid-oracle", "--grid-resolution", "0.05"],
+    "collapse-grid": ["collapse", "--grid-oracle", "0.05"],
 }
 _PIN_CASES = {
     **{

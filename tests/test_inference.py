@@ -1517,6 +1517,14 @@ def test_score_and_loglik_at_a_tiny_identity_risk():
     assert loglik_at(table, spec, beta) == pytest.approx(expected, rel=1e-15)
 
 
+def test_score_and_loglik_at_refuse_a_coefficient_vector_of_the_wrong_length(newcastle):
+    spec = ModelSpec(LinkFunction.LOGIT, interaction=False)  # 3 coefficients at K = 2
+    for beta in ([0.1, 0.2], [0.1, 0.2, 0.0, 0.0]):
+        for oracle in (score, loglik_at):
+            with pytest.raises(DomainError, match=f"expected 3 coefficients, got {len(beta)}"):
+                oracle(newcastle, spec, beta)
+
+
 def test_common_measure_between_stratum_values():
     """Regression guard: the common estimate stays inside the interval
     spanned by the stratum-specific values, expanded by 1e-6."""

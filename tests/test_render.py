@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from rothman.errors import DomainError, RothmanError
-from rothman import render
+from rothman import measures, render
 from rothman.measures import ContourValue, Measure, contour_y, evaluate, in_domain, valid_x_interval
 from rothman.render import (
     _PAIR,
@@ -223,8 +223,8 @@ def test_contour_emission_matches_the_vertex_oracle(measure, nudge, monkeypatch)
     def shift(i, y):
         return nudged.get(i, y)
 
-    raw = render._contour_raw
-    monkeypatch.setattr(render, "_contour_raw", lambda c, xs: [shift(i, y) for i, y in enumerate(raw(c, xs))])
+    raw = measures._contour_raw
+    monkeypatch.setattr(measures, "_contour_raw", lambda c, xs: [shift(i, y) for i, y in enumerate(raw(c, xs))])
     sizes = set()
     for index, level in enumerate(CONTOUR_BYTE_LEVELS[measure]):
         line = ContourLine(level, solid=index % 2 == 0, label=f"{level:.3f}")
