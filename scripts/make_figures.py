@@ -13,16 +13,7 @@ import sys
 from pathlib import Path
 
 from rothman.render import FIGURES, render_svg
-from rothman.tables import CellCounts, StratifiedTable, Stratum, newcastle_fixture
-
-SYNTHETIC_FOUR_STRATA = StratifiedTable(
-    (
-        Stratum("18-44", exposed=CellCounts(31, 412), unexposed=CellCounts(19, 377)),
-        Stratum("45-54", exposed=CellCounts(44, 310), unexposed=CellCounts(33, 335)),
-        Stratum("55-64", exposed=CellCounts(63, 245), unexposed=CellCounts(52, 270)),
-        Stratum("65+", exposed=CellCounts(42, 49), unexposed=CellCounts(165, 193)),
-    )
-)
+from rothman.tables import four_strata_fixture, newcastle_fixture
 
 
 def main() -> None:
@@ -31,7 +22,7 @@ def main() -> None:
     newcastle = newcastle_fixture()
     for i, (name, build) in enumerate(FIGURES.items(), start=1):
         path = out_dir / f"fig{i}_{name}.svg"
-        table = SYNTHETIC_FOUR_STRATA if name == "hull" else newcastle
+        table = four_strata_fixture() if name == "hull" else newcastle
         path.write_text(render_svg(build(table)), encoding="utf-8")
         print(f"wrote {path}")
 

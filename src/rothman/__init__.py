@@ -16,6 +16,7 @@ from .tables import (
     StratifiedTable,
     Stratum,
     crude_point,
+    four_strata_fixture,
     newcastle_fixture,
     parse_table,
     risk,

@@ -84,7 +84,7 @@ class LinkFunction(Enum):
 class _Link:
     """A link, defined once (see _LINKS): its measure, cell function, inverse
     and link in scalar floats, the closed form's eta of a cell of y cases
-    and f > 0 non-cases whose risk rounds to 1 (see fit), closed-form stratum
+    and f > 0 non-cases from the counts (see fit), closed-form stratum
     root (or None), the (lo, hi) of the etas whose p is in [0, 1], the
     run-off rule of a stratum (see _run_off) and the map from b1 to the
     measure. The bracket of a, the constraint ends, lp's kink at b1 = 0 and
@@ -178,7 +178,8 @@ def loglik(table: StratifiedTable, probs) -> float:
     p = np.asarray(probs, dtype=float)
     if p.shape != cases.shape:
         raise DomainError(f"expected {cases.size} cell probabilities, got {p.size}")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    # NaN fails both comparisons
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise DomainError("cell probabilities must lie strictly inside (0, 1)")
     return float(cases @ np.log(p) + (totals - cases) @ np.log1p(-p))
 
@@ -382,9 +383,11 @@ def fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
     only; ``loglik`` stays the supremum. In closed form only a risk of
     exactly 0 or 1 is on the boundary: a risk of 1 - 1e-14 keeps its own
     eta. A risk that rounds to 1 with non-cases left (a total above 2^53)
-    is reported at 1 - 1e-13, with its eta from the counts under logit
-    (log(y / f)) and cloglog (log(log(n / f))), and both of its logs from
-    the counts.
+    is reported at 1 - 1e-13, with both of its logs from the counts. Under
+    logit and cloglog, whose eta has no upper end, every cell with more
+    cases than non-cases (0 < f < y) takes its eta from the counts,
+    log(y / f) and log(log(n / f)), which keeps the digits that the eta of
+    a risk near 1 would lose.
 
     Fits are memoized: equal tables and specs return the same FitResult
     object, and the last 8 fits (one table's four links times two models)
@@ -427,7 +430,8 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
         for s in table.strata:
             for c in (s.exposed, s.unexposed):
                 risk, f = c.cases / c.total, c.total - c.cases
-                # where the risk rounds to 1, both logs and eta from the counts
+                # where the risk rounds to 1, both logs and eta from the counts;
+                # eta also where cases outnumber non-cases and eta has no upper end
                 near_one = risk == 1.0 and f
                 if c.cases:
                     terms.append(c.cases * (math.log1p(-f / c.total) if near_one else math.log(risk)))
@@ -435,7 +439,8 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
                     terms.append(f * (math.log(f / c.total) if near_one else math.log1p(-risk)))
                 # only a risk of 0 or 1 is on the boundary
                 p.append(risk if 0.0 < risk < 1.0 else min(1.0 - _EPS, max(_EPS, risk)))
-                eta.append(rec.near_one_eta(c.cases, f) if near_one else rec.to_eta(p[-1]))
+                from_counts = near_one or (0 < f < c.cases and rec.eta_range[1] == math.inf)
+                eta.append(rec.near_one_eta(c.cases, f) if from_counts else rec.to_eta(p[-1]))
         a, b = eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])]
         if direction:
             # b1 is the end of the range _profile_max searches, e_hi - e_lo;
@@ -476,7 +481,7 @@ def common_measure(result: FitResult) -> float:
     """The common association measure implied by a no-interaction fit: b1
     for the identity link, exp(b1) otherwise."""
     if result.spec.interaction:
-        raise ValueError("common_measure requires a no-interaction fit")
+        raise DomainError("common_measure requires a no-interaction fit")
     return _LINKS[result.spec.link].to_measure(result.coefficients[1])
 
 
@@ -662,11 +667,11 @@ _LINKS = {
         lambda y, f: math.log(1.0 - _EPS), _log_root, (-math.inf, 0.0), lambda empty, full: empty, math.exp),
     LinkFunction.LOGIT: _Link(
         Measure.ODDS_RATIO, _logit_cell, _logit_inverse, lambda p: math.log(p) - math.log1p(-p),
-        lambda y, f: math.log(y) - math.log(f), _logit_root, (-math.inf, math.inf),
+        lambda y, f: math.log(y / f), _logit_root, (-math.inf, math.inf),
         lambda empty, full: empty or full, math.exp),
     LinkFunction.CLOGLOG: _Link(
         Measure.CUMULATIVE_HAZARD_RATIO, _cloglog_cell, _cloglog_inverse, lambda p: math.log(-math.log1p(-p)),
-        lambda y, f: math.log(math.log(y + f) - math.log(f)), None, (-math.inf, math.inf),
+        lambda y, f: math.log(math.log((y + f) / f)), None, (-math.inf, math.inf),
         lambda empty, full: empty or full, math.exp),
 }
 _LINK_FOR_MEASURE = {rec.measure: link for link, rec in _LINKS.items()}

@@ -295,6 +295,13 @@ def _observed_contours(measure: Measure, points) -> list[ContourLine]:
     return [ContourLine(lv, solid=False, label=f"{lv:.3f}") for lv in levels]
 
 
+def _common_fit(table: StratifiedTable, measure: Measure, solid: bool = False) -> tuple[list[RiskPoint], ContourLine]:
+    """The no-interaction fit's points and its common contour, labelled to 3 decimals."""
+    restricted = fit(table, ModelSpec(link_for_measure(measure), interaction=False))
+    common = common_measure(restricted)
+    return list(restricted.fitted_points), ContourLine(level=common, solid=solid, label=f"{common:.3f}")
+
+
 def analysis_panel(table: StratifiedTable, measure: Measure) -> PanelSpec:
     """One panel with observed stratum points, their measure contours
     (dashed; none for a stratum where the measure is undefined), and, for
@@ -304,10 +311,9 @@ def analysis_panel(table: StratifiedTable, measure: Measure) -> PanelSpec:
     contours = _observed_contours(measure, observed)
     glyphs = [GlyphPoint(p, Glyph.FILLED) for p in observed]
     if table.k >= 2:
-        restricted = fit(table, ModelSpec(link_for_measure(measure), interaction=False))
-        common = common_measure(restricted)
-        contours.append(ContourLine(level=common, solid=True, label=f"{common:.3f}"))
-        glyphs += [GlyphPoint(p, Glyph.OPEN) for p in restricted.fitted_points]
+        fitted, common = _common_fit(table, measure, solid=True)
+        contours.append(common)
+        glyphs += [GlyphPoint(p, Glyph.OPEN) for p in fitted]
     return PanelSpec(measure=measure, title=measure.label, contours=tuple(contours), points=tuple(glyphs))
 
 
@@ -338,8 +344,7 @@ def figure_modconf(table: StratifiedTable) -> DiagramSpec:
     if table.k != 2:
         raise DomainError("the confounding-by-modification figure needs exactly two strata")
     observed = stratum_points(table)
-    restricted = fit(table, ModelSpec(link_for_measure(Measure.RISK_RATIO), interaction=False))
-    fitted = list(restricted.fitted_points)
+    fitted, _ = _common_fit(table, Measure.RISK_RATIO)
     marginal = marginal_distribution(table).weights
     unexposed_w = _shares([s.unexposed.total for s in table.strata])
     exposed_w = _shares([s.exposed.total for s in table.strata])
@@ -371,14 +376,8 @@ def _common_fit_figure(table: StratifiedTable, measure: Measure, *, shade_hull: 
     """One panel of the no-interaction fit's points with the null contour
     (solid) and the common contour (dashed), and either the shaded hull of
     the fitted points or, for two strata, the segment between them."""
-    link = link_for_measure(measure)
-    restricted = fit(table, ModelSpec(link, interaction=False))
-    fitted = list(restricted.fitted_points)
-    common = common_measure(restricted)
-    contours = (
-        contour_line(null_value(measure), True),
-        ContourLine(level=common, solid=False, label=f"{common:.3f}"),
-    )
+    fitted, common = _common_fit(table, measure)
+    contours = (contour_line(null_value(measure), True), common)
     hull = standardized_hull(fitted) if shade_hull else None
     segment = (fitted[0], fitted[1]) if (not shade_hull and table.k == 2) else None
     points = tuple(GlyphPoint(p, Glyph.FILLED) for p in fitted)

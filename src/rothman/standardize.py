@@ -171,9 +171,17 @@ class StandardizedHull:
         )
 
 
-def standardized_hull(points: list[RiskPoint]) -> StandardizedHull:
+def _check_points(points: list[RiskPoint], measure: Measure | None = None) -> None:
+    """Refuse an empty point list and, given a measure, a point outside its domain."""
     if len(points) < 1:
         raise DomainError("need at least one point")
+    if measure is not None:
+        for p in points:
+            check_domain(measure, p)
+
+
+def standardized_hull(points: list[RiskPoint]) -> StandardizedHull:
+    _check_points(points)
     verts = _hull_vertices([(p.x, p.y) for p in points])
     return StandardizedHull(tuple(RiskPoint(x, y) for x, y in verts))
 
@@ -354,10 +362,7 @@ def extremize_standardized(points: list[RiskPoint], measure: Measure, objective:
     straight null line, where M = 1, is monotone.
     """
     sign = _check_objective(objective)
-    if len(points) < 1:
-        raise DomainError("need at least one point")
-    for p in points:
-        check_domain(measure, p)
+    _check_points(points, measure)
     index = {(p.x, p.y): i for i, p in enumerate(points)}
     hull = [index[v] for v in _hull_vertices(list(index))]
     edges = {tuple(sorted((hull[t], hull[t - 1]))) for t in range(len(hull))}
@@ -439,12 +444,9 @@ def grid_extremize(
     GRID_MAX_ENTRIES, the weight vectors GRID_MAX_POINTS or the passes
     _GRID_MAX_HEADS raises DomainError before any array is allocated."""
     sign = _check_objective(objective)
-    if len(points) < 1:
-        raise DomainError("need at least one point")
+    _check_points(points, measure)
     if not 0.0 < resolution <= 1.0:
         raise DomainError(f"resolution must be in (0, 1], got {resolution}")
-    for p in points:
-        check_domain(measure, p)
     k = len(points)
     if k == 1:
         return ExtremeResult(evaluate(measure, points[0]), (1.0,))
@@ -534,8 +536,8 @@ def collapsibility_verdict(points: list[RiskPoint], measure: Measure) -> Collaps
 
     Refuses to run when the points are on different contours.
     """
-    if len(points) < 1:
-        raise DomainError("need at least one point")
+    # evaluate checks each point's domain
+    _check_points(points)
     values = tuple(evaluate(measure, p) for p in points)
     if not _same_level(measure, min(values), max(values)):
         raise ModificationError(

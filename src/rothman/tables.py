@@ -164,3 +164,16 @@ def newcastle_fixture() -> StratifiedTable:
             Stratum("65+", exposed=CellCounts(42, 49), unexposed=CellCounts(165, 193)),
         )
     )
+
+
+def four_strata_fixture() -> StratifiedTable:
+    """A synthetic four-stratum table with interior risks, for the hull figure,
+    whose published four-age-group counts are not public."""
+    return StratifiedTable(
+        (
+            Stratum("18-44", exposed=CellCounts(31, 412), unexposed=CellCounts(19, 377)),
+            Stratum("45-54", exposed=CellCounts(44, 310), unexposed=CellCounts(33, 335)),
+            Stratum("55-64", exposed=CellCounts(63, 245), unexposed=CellCounts(52, 270)),
+            Stratum("65+", exposed=CellCounts(42, 49), unexposed=CellCounts(165, 193)),
+        )
+    )

@@ -161,15 +161,3 @@ def points_on_contour(
             xs.append(x)
     return [RiskPoint(x, contour_y(c, x)) for x in sorted(xs)]
 
-
-def synthetic_four_strata() -> StratifiedTable:
-    """Deterministic four-stratum table with interior risks, used where the
-    multi-stratum code paths need a concrete example."""
-    return StratifiedTable(
-        (
-            Stratum("18-44", exposed=CellCounts(31, 412), unexposed=CellCounts(19, 377)),
-            Stratum("45-54", exposed=CellCounts(44, 310), unexposed=CellCounts(33, 335)),
-            Stratum("55-64", exposed=CellCounts(63, 245), unexposed=CellCounts(52, 270)),
-            Stratum("65+", exposed=CellCounts(42, 49), unexposed=CellCounts(165, 193)),
-        )
-    )

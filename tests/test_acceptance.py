@@ -41,9 +41,9 @@ from rothman.render import (
     render_svg,
 )
 from rothman.standardize import extremize_standardized, grid_extremize, is_confounded
-from rothman.tables import RiskPoint, crude_point, newcastle_fixture, stratum_points
+from rothman.tables import RiskPoint, crude_point, four_strata_fixture, newcastle_fixture, stratum_points
 
-from conftest import points_on_contour, random_table, synthetic_four_strata
+from conftest import points_on_contour, random_table
 
 ALL_LINKS = (LinkFunction.IDENTITY, LinkFunction.LOGIT, LinkFunction.LOG, LinkFunction.CLOGLOG)
 
@@ -306,7 +306,7 @@ def test_criterion_10_rendering():
             figure_modconf(table),
             figure_collapsible(table),
             figure_noncollapsible(table),
-            figure_hull(synthetic_four_strata()),
+            figure_hull(four_strata_fixture()),
         ]
         for spec in figures:
             _check_figure(spec)

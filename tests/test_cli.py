@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from rothman import cli
 from rothman.errors import ConvergenceError
-from rothman.tables import newcastle_fixture, serialize_table
-
-from conftest import synthetic_four_strata
+from rothman.tables import four_strata_fixture, newcastle_fixture, serialize_table
 
 BAD_CSV = "stratum,exposed_cases,exposed_total,unexposed_cases,unexposed_total\nA,5,4,1,10\n"
 
@@ -88,7 +86,7 @@ def test_fit_all_links_json(capsys):
 
 def test_fit_all_links_json_four_strata(capsys, tmp_path):
     path = tmp_path / "four_strata.csv"
-    path.write_text(serialize_table(synthetic_four_strata()))
+    path.write_text(serialize_table(four_strata_fixture()))
     code, out, err = run(capsys, "fit", "--input", str(path), "--link", "all", "--format", "json")
     assert code == 0, err
     doc = json.loads(out)
@@ -288,7 +286,7 @@ def _json_schema(capsys, tmp_path, source, *argv):
     if source == "newcastle":
         labels, args = ["18-64", "65+"], ["--fixture", "newcastle"]
     else:
-        table = synthetic_four_strata()
+        table = four_strata_fixture()
         path = tmp_path / "four.csv"
         path.write_text(serialize_table(table))
         labels, args = [s.label for s in table.strata], ["--input", str(path)]
@@ -378,9 +376,9 @@ def test_plot_contours_to_file(capsys, tmp_path):
     assert root.tag.endswith("svg")
 
 
-def _cli_process(argv, **kwargs):
+def _cli_process(argv, text=True, **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run([sys.executable, "-m", "rothman.cli", *argv], env=env, stderr=subprocess.PIPE, text=True, **kwargs)
+    return subprocess.run([sys.executable, "-m", "rothman.cli", *argv], env=env, stderr=subprocess.PIPE, text=text, **kwargs)
 
 
 @pytest.mark.parametrize("argv", [["fit", "--format", "json"], ["plot", "hull"]])
@@ -401,6 +399,21 @@ def test_plot_into_a_missing_directory_is_an_output_error(tmp_path):
     done = _cli_process(["plot", "contours", "-o", str(tmp_path / "missing" / "x.svg")], stdout=subprocess.DEVNULL)
     assert done.returncode == 3
     assert done.stderr.startswith("output error: [Errno 2] ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["fit", "--format", "json"], ["collapse", "--grid-oracle", "--format", "json"], ["plot", "modification"]]
+)
+def test_one_blas_thread_changes_no_output(monkeypatch, argv):
+    # OPENBLAS_NUM_THREADS=1 spares a cold process numpy's BLAS worker
+    # thread (README, "Command line"); the output stays byte for byte
+    argv = [*argv, "--fixture", "newcastle"]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    default = _cli_process(argv, text=False, stdout=subprocess.PIPE)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    one_thread = _cli_process(argv, text=False, stdout=subprocess.PIPE)
+    assert default.returncode == one_thread.returncode == 0
+    assert one_thread.stdout == default.stdout
 
 
 def test_plot_noncollapsible_stdout(capsys):
@@ -745,7 +758,7 @@ CLI_SHA256 = {
 
 @pytest.mark.parametrize("case", list(CLI_SHA256))
 def test_cli_output_digest(capsys, tmp_path, monkeypatch, case):
-    (tmp_path / "four.csv").write_text(serialize_table(synthetic_four_strata()))
+    (tmp_path / "four.csv").write_text(serialize_table(four_strata_fixture()))
     (tmp_path / "zero.csv").write_text(ZERO_CELLS_CSV)
     (tmp_path / "bad.csv").write_text(BAD_CSV)
     monkeypatch.chdir(tmp_path)

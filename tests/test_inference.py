@@ -37,13 +37,14 @@ from rothman.tables import (
     RiskPoint,
     StratifiedTable,
     Stratum,
+    four_strata_fixture,
     newcastle_fixture,
     parse_table,
     stratum_points,
 )
 
 import exact_fit
-from conftest import random_table, sweep_tables, synthetic_four_strata
+from conftest import random_table, sweep_tables
 
 ALL_LINKS = list(LinkFunction)
 
@@ -199,6 +200,8 @@ def test_loglik_rejects_boundary_probabilities(newcastle):
         loglik(newcastle, (0.0, 0.5, 0.5, 0.5))
     with pytest.raises(DomainError):
         loglik(newcastle, (0.5, 0.5, 0.5))
+    with pytest.raises(DomainError, match="strictly inside"):
+        loglik(newcastle, (math.nan, 0.5, 0.5, 0.5))
 
 
 @pytest.mark.parametrize("link", ALL_LINKS)
@@ -259,7 +262,7 @@ def test_common_estimates_match_reference(newcastle, link):
 
 def test_common_measure_requires_restricted_fit(newcastle):
     saturated = fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=True))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         common_measure(saturated)
 
 
@@ -353,7 +356,7 @@ def _table(k) -> StratifiedTable:
     if k == "newcastle":
         return newcastle_fixture()
     if k == "four-strata":
-        return synthetic_four_strata()
+        return four_strata_fixture()
     if k in BOUNDARY_CELL_CSVS:
         return parse_table(CSV_HEADER + k + "\n")
     return parse_table(NAMED_TABLES[k]) if isinstance(k, str) else _interior_table(k)
@@ -1164,18 +1167,21 @@ def test_closed_form_loglik_where_a_risk_rounds_to_1(link, csv):
     assert result.loglik == pytest.approx(float(exact_fit.saturated_loglik(table)), rel=1e-14, abs=0.0)
 
 
-def test_closed_form_eta_where_a_risk_rounds_to_1():
-    # the K = 1 b1 is eta1 - eta0, the exposed eta from the counts: under
-    # logit log(y / f) and under cloglog log(log(n / f)), not the eta of the
-    # clipped 1 - 1e-13; the unexposed risk is 1/2
-    table = parse_table(CSV_HEADER + _NEAR_ONE_K1 + "\n")
-    y, n = 99999999999999999, 100000000000000000
-    want = {
-        LinkFunction.LOGIT: math.log(y) - math.log(n - y),
-        LinkFunction.CLOGLOG: math.log(math.log(n) - math.log(n - y)) - math.log(math.log(2.0)),
-    }
-    for link, b1 in want.items():
-        assert fit(table, ModelSpec(link, interaction=False)).coefficients[1] == pytest.approx(b1, rel=1e-15)
+# an exposed risk of 1 - 1.6e-9, which does not round to 1: its eta from
+# the float risk would lose about 9 digits
+_NEAR_ONE_UNROUNDED_K1 = "s0,616951044,616951045,2168,7615"
+
+
+@pytest.mark.parametrize("csv", [_NEAR_ONE_K1, _NEAR_ONE_UNROUNDED_K1])
+@pytest.mark.parametrize("link", [LinkFunction.LOGIT, LinkFunction.CLOGLOG])
+def test_closed_form_eta_where_a_risk_rounds_to_1(link, csv):
+    # the K = 1 b1 is eta1 - eta0 with the exposed eta from the counts,
+    # log(y / f) under logit and log(log(n / f)) under cloglog: not the eta
+    # of the clipped 1 - 1e-13, nor of the float risk
+    table = parse_table(CSV_HEADER + csv + "\n")
+    b1 = fit(table, ModelSpec(link, interaction=False)).coefficients[1]
+    exact = float(exact_fit.restricted_fit(table, link)[0])
+    assert abs(b1 - exact) <= 2 * math.ulp(exact)
 
 
 def test_lr_statistic_where_a_risk_rounds_to_1():

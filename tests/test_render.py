@@ -37,12 +37,13 @@ from rothman.render import (
 )
 from rothman.tables import (
     RiskPoint,
+    four_strata_fixture,
     newcastle_fixture,
     parse_table,
     stratum_points,
 )
 
-from conftest import sweep_tables, synthetic_four_strata
+from conftest import sweep_tables
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -117,7 +118,7 @@ def test_every_contour_vertex_reevaluates_to_its_level():
         figure_modconf(table),
         figure_collapsible(table),
         figure_noncollapsible(table),
-        figure_hull(synthetic_four_strata()),
+        figure_hull(four_strata_fixture()),
     ]
     for spec in cases:
         svg = render_svg(spec)
@@ -299,7 +300,7 @@ def test_modification_single_stratum_draws_no_fit():
 
 
 def test_hull_figure_shades_polygon_for_four_strata():
-    svg = render_svg(figure_hull(synthetic_four_strata()))
+    svg = render_svg(figure_hull(four_strata_fixture()))
     _, panels = _panels(svg)
     polygons = panels[0].findall("svg:polygon", NS)
     assert len(polygons) == 1
@@ -392,7 +393,7 @@ FIGURE_SHA256 = {
 }
 GOLDEN_TABLES = {
     "newcastle": newcastle_fixture,
-    "four": synthetic_four_strata,
+    "four": four_strata_fixture,
     "k1": lambda: parse_table(CSV_HEADER + "s1,5,50,5,60\n"),
     "zero": lambda: parse_table(CSV_HEADER + "s1,0,50,5,60\ns2,3,40,0,30\n"),
     "k3": lambda: parse_table(CSV_HEADER + "a,31,412,19,377\nb,63,245,52,270\nc,42,49,165,193\n"),
