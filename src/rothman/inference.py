@@ -55,8 +55,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 from .measures import Measure
 from .tables import RiskPoint, StratifiedTable
@@ -70,7 +68,7 @@ _BOUNDARY_TOL = 1e-12
 # bound, so boundary_warning flags it
 _EPS = 1e-13
 _MAX_ITER = 200
-_LN2 = math.log(2.0)  # where the cloglog log p changes formula
+_LN2 = math.log(2.0)  # where the log link's log(1 - p) and cloglog's log p change formula
 
 
 class LinkFunction(Enum):
@@ -147,16 +145,16 @@ class FitResult:
     gradient_norm: float
 
 
-def cell_counts(table: StratifiedTable) -> tuple[np.ndarray, np.ndarray]:
-    """(cases, totals) arrays in cell order: exposed then unexposed per stratum."""
+def cell_counts(table: StratifiedTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cases, totals) in cell order: exposed then unexposed per stratum."""
     cases, totals = [], []
     for s in table.strata:
         cases.extend([s.exposed.cases, s.unexposed.cases])
         totals.extend([s.exposed.total, s.unexposed.total])
-    return np.array(cases, dtype=float), np.array(totals, dtype=float)
+    return tuple(cases), tuple(totals)
 
 
-def design_matrix(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
+def design_matrix(table: StratifiedTable, spec: ModelSpec) -> tuple[tuple[float, ...], ...]:
     """Reference-cell design: intercept, exposure, K-1 stratum indicators,
     and K-1 exposure-by-stratum columns when interaction is requested."""
     k = table.k
@@ -167,21 +165,27 @@ def design_matrix(table: StratifiedTable, spec: ModelSpec) -> np.ndarray:
             row += [1.0 if j == i else 0.0 for i in range(1, k)]
             if spec.interaction:
                 row += [x if j == i else 0.0 for i in range(1, k)]
-            rows.append(row)
-    return np.array(rows, dtype=float)
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _binomial_loglik(table: StratifiedTable, logs) -> float:
+    """sum y log p + (n - y) log(1 - p) over the cells, from each cell's
+    (log p, log(1 - p)) in cell order, by math.fsum."""
+    cases, totals = cell_counts(table)
+    return math.fsum(t for y, n, (log_p, log_q) in zip(cases, totals, logs) for t in (y * log_p, (n - y) * log_q))
 
 
 def loglik(table: StratifiedTable, probs) -> float:
     """Grouped binomial log-likelihood at per-cell probabilities (binomial
     coefficients omitted). Cell order: exposed then unexposed per stratum."""
-    cases, totals = cell_counts(table)
-    p = np.asarray(probs, dtype=float)
-    if p.shape != cases.shape:
-        raise DomainError(f"expected {cases.size} cell probabilities, got {p.size}")
+    p = [float(v) for v in probs]
+    if len(p) != 2 * table.k:
+        raise DomainError(f"expected {2 * table.k} cell probabilities, got {len(p)}")
     # NaN fails both comparisons
-    if not np.all((0.0 < p) & (p < 1.0)):
+    if not all(0.0 < v < 1.0 for v in p):
         raise DomainError("cell probabilities must lie strictly inside (0, 1)")
-    return float(cases @ np.log(p) + (totals - cases) @ np.log1p(-p))
+    return _binomial_loglik(table, ((math.log(v), math.log1p(-v)) for v in p))
 
 
 _P_FLOOR = 1e-300  # subnormal probabilities break Fisher scoring arithmetic
@@ -195,26 +199,29 @@ def _feasible(p) -> bool:
 
 def _inverse_at(table: StratifiedTable, spec: ModelSpec, beta):
     """The design matrix, eta, and each cell's p and dp/deta by the link's
-    inverse at coefficients beta, as arrays in cell order; DomainError when
+    inverse at coefficients beta, as tuples in cell order; DomainError when
     beta has the wrong length or is infeasible."""
     X = design_matrix(table, spec)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != X.shape[1:]:
-        raise DomainError(f"expected {X.shape[1]} coefficients, got {beta.size}")
-    eta = X @ beta
-    p, dp = (np.array(v) for v in zip(*map(_LINKS[spec.link].inverse, eta.tolist())))
+    beta = [float(b) for b in beta]
+    if len(beta) != len(X[0]):
+        raise DomainError(f"expected {len(X[0])} coefficients, got {len(beta)}")
+    # a plain sum, not math.fsum: a non-finite or overflowing beta then gives
+    # a NaN or infinite eta, whose p _feasible refuses, rather than raising
+    eta = tuple(sum(x * b for x, b in zip(row, beta)) for row in X)
+    p, dp = zip(*map(_LINKS[spec.link].inverse, eta))
     if not _feasible(p):
         raise DomainError("coefficients give cell probabilities outside (0, 1)")
     return X, eta, p, dp
 
 
-def score(table: StratifiedTable, spec: ModelSpec, beta) -> np.ndarray:
+def score(table: StratifiedTable, spec: ModelSpec, beta) -> tuple[float, ...]:
     """Analytic score (gradient of the log-likelihood) at feasible
     coefficients, the binomial score sum_i x_i (y_i - n_i p_i) dp_i /
     (p_i (1 - p_i)), from p rather than from the cell functions below."""
     X, _, p, dp = _inverse_at(table, spec, beta)
     cases, totals = cell_counts(table)
-    return X.T @ ((cases - totals * p) / (p * (1.0 - p)) * dp)
+    u = [(y - n * pi) / (pi * (1.0 - pi)) * d for y, n, pi, d in zip(cases, totals, p, dp)]
+    return tuple(math.fsum(x * ui for x, ui in zip(column, u)) for column in zip(*X))
 
 
 def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
@@ -222,20 +229,22 @@ def loglik_at(table: StratifiedTable, spec: ModelSpec, beta) -> float:
     computed from eta as the profile's cell functions compute them (log p
     of a p rounded near 1 would lose digits); DomainError when infeasible."""
     _, eta, _, _ = _inverse_at(table, spec, beta)
-    cases, totals = cell_counts(table)
-    link = spec.link
-    if link is LinkFunction.IDENTITY:
-        log_p, log_q = np.log(eta), np.log1p(-eta)
-    elif link is LinkFunction.LOG:
-        log_p, log_q = eta, np.log(-np.expm1(eta))
-    elif link is LinkFunction.LOGIT:
-        log_p, log_q = -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
-    else:
-        # log p as _cloglog_cell takes it
-        t = np.exp(eta)
-        log_p, log_q, big = np.log(-np.expm1(-t)), -t, t > _LN2
-        log_p[big] = np.log1p(-np.exp(-t[big]))
-    return float(cases @ log_p + (totals - cases) @ log_q)
+    link, logs = spec.link, []
+    for e in eta:
+        if link is LinkFunction.IDENTITY:
+            logs.append((math.log(e), math.log1p(-e)))
+        elif link is LinkFunction.LOG:
+            # log(1 - p) as _log_cell takes it
+            logs.append((e, math.log1p(-math.exp(e)) if e < -_LN2 else math.log(-math.expm1(e))))
+        elif link is LinkFunction.LOGIT:
+            # log p = -softplus(-eta), log(1 - p) = -softplus(eta)
+            s = math.log1p(math.exp(-abs(e)))
+            logs.append((-max(-e, 0.0) - s, -max(e, 0.0) - s))
+        else:
+            # log p as _cloglog_cell takes it
+            t = math.exp(e)
+            logs.append((math.log1p(-math.exp(-t)) if t > _LN2 else math.log(-math.expm1(-t)), -t))
+    return _binomial_loglik(table, logs)
 
 
 def _arrowhead(w0, w1, g):
@@ -537,13 +546,15 @@ def _identity_cell(y, f, eta):
 
 
 def _log_cell(y, f, eta):
-    # log p = eta, log(1 - p) = log(-expm1(eta))
+    # log p = eta, and log(1 - p) taken as log1p(-p) below eta = -ln 2 and
+    # log(-expm1(eta)) above, each where it keeps its digits (as in
+    # _cloglog_cell); log of a q rounded next to 1 would keep only its last bits
     l, d, h = y * eta, float(y), 0.0
     if f:
         if eta >= 0.0:
             return -math.inf, -math.inf, -math.inf
         p, q = math.exp(eta), -math.expm1(eta)
-        l += f * math.log(q)
+        l += f * (math.log1p(-p) if eta < -_LN2 else math.log(q))
         d -= f * p / q
         h -= f * p / (q * q)
     return l, d, h

@@ -668,11 +668,11 @@ CLI_SHA256 = {
     "measures-zero-text": "abbfd63e68c6a63417147f5d64190fdb544c2329887c256e0369302b447d732b",
     "measures-zero-json": "e05efa253fedfd87555e51d5dabf7e9bb56ec0f5c610ab9078ca9d71d6bf1ff3",
     "fit-newcastle-text": "6c93b6190d95ea67a51b9c1abf66f0adf5124d5fc701e2570cf943f164dff6c6",
-    "fit-newcastle-json": "8febd22c3751decd3d3e2dccf7f54ddeab770f9684bc7ec53942028c93d27c54",
+    "fit-newcastle-json": "00373fcb03530f0ca00c5a1ae59f8993a8f70751596ccc9109713dc6adc498f0",
     "fit-four-text": "aaf79e3ffd97ceae3a476ab0cac0a2cac9f59e433f9ff48877ce0868379a7b49",
     "fit-four-json": "b227601fe42479b3b6f59ab379e572fe9650e189c909c91a8091c14ce10c9131",
     "fit-zero-text": "8d6e6252eed80be4fd7ccf9d70fa6b188c528e2b502a5234b165f9480ccfef0b",
-    "fit-zero-json": "26e92189a6f0d44c24b26dc1ea656e1a06928e49d190bcdaec2d41803a752761",
+    "fit-zero-json": "cbac2bf9c1d9b5b58c0f655a95839fe85d2f889638fd45e32de06f42359d8042",
     "fit-logit-90-newcastle-text": "000dca453e11009cc7b2b22d9e5c44c8d4e3f632d2ff03ee9e9c6e42063e9005",
     "fit-logit-90-newcastle-json": "0cceb44dde284146b0702bd80e7948a5927022ef18604f272173bd936a09e16f",
     "fit-logit-90-four-text": "ad7868daa8ba2b74eca8182a3d09165aac30d8f70427842077a42a7722795afd",

@@ -541,14 +541,25 @@ def test_restricted_b1_lies_within_the_census_ulps_of_the_exact_maximum(link, k)
     assert abs(b1 - exact) <= B1_ULPS * math.ulp(float(exact))
 
 
-def test_the_exact_reference_shares_no_code_with_the_solver():
+def _imported_modules(module):
+    """The names a module's source imports, read with ast."""
     import ast
     import pathlib
 
-    tree = ast.parse(pathlib.Path(exact_fit.__file__).read_text())
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
-    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    return modules + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+
+
+def test_the_exact_reference_shares_no_code_with_the_solver():
+    modules = _imported_modules(exact_fit)
     assert all(name == "rothman.tables" or name.split(".")[0] != "rothman" for name in modules), modules
+
+
+def test_inference_imports_no_numpy():
+    # every fit, solve and oracle in inference runs on plain floats
+    modules = _imported_modules(inference)
+    assert modules and all(name.split(".")[0] != "numpy" for name in modules), modules
 
 
 @pytest.mark.parametrize(
@@ -599,6 +610,25 @@ def test_cloglog_log_p_keeps_its_digits_near_p_1():
     spec = ModelSpec(LinkFunction.CLOGLOG, interaction=False)
     for a, b1 in [(-3.0, 0.5), (0.0, 1.5), (1.0, 2.5), (-20.0, 23.5)]:
         cells = [inference._cloglog_cell(7, 2, a + b1), inference._cloglog_cell(5, 3, a)]
+        assert loglik_at(table, spec, [a, b1]) == pytest.approx(cells[0][0] + cells[1][0], rel=1e-15)
+
+
+def test_log_link_log_q_keeps_its_digits_for_small_p():
+    # log(1 - p) = log(1 - e^eta), against 60-digit mpmath at the same eta;
+    # taken from q = -expm1(eta) rounded next to 1 it was 2.0e-8 off at
+    # eta = -20 and 0 at eta = -40, where it is -4.2e-18
+    import mpmath
+
+    with mpmath.workdps(60):
+        for i in range(-400, 0):
+            eta = i / 10.0
+            exact = mpmath.log1p(-mpmath.exp(mpmath.mpf(eta)))
+            assert inference._log_cell(0, 1, eta)[0] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+    # loglik_at takes log(1 - p) the same way
+    table = parse_table(CSV_HEADER + "s1,7,9,5,8\n")
+    spec = ModelSpec(LinkFunction.LOG, interaction=False)
+    for a, b1 in [(-3.0, 0.5), (-0.9, 0.5), (-0.5, -0.1), (-20.0, 2.5), (-40.0, 1.0)]:
+        cells = [inference._log_cell(7, 2, a + b1), inference._log_cell(5, 3, a)]
         assert loglik_at(table, spec, [a, b1]) == pytest.approx(cells[0][0] + cells[1][0], rel=1e-15)
 
 
@@ -890,6 +920,7 @@ def test_restricted_fit_with_a_cell_at_its_bound_is_the_profile_maximum(csv, lin
         ("a,2,100,46823601,46823602", LinkFunction.LOGIT),
         ("a,906039261,906039263,70,100", LinkFunction.IDENTITY),
         ("s0,0,655918747,3,129\ns1,0,2,0,7489\ns2,1,1,0,3", LinkFunction.LOG),
+        ("s0,67,67,0,105532\ns1,16329,16329,1,640981276", LinkFunction.LOG),
     ],
 )
 def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
@@ -898,14 +929,16 @@ def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
     # and the profile maximum stopped short of the maximum or crawled on the
     # noise (the estimates are near -0.6, -21.554 and 0.3). The K = 3 log
     # table's ascent passes its gradient test after 24 iterations at
-    # b1 = -16.1427, where lp' = -2.2e-16 and lp'' = -0.67; the grid point
-    # 3.4e-4 away reads 1.4e-8 higher only by rounding of f log q
-    # (f about 6.6e8) in lp
+    # b1 = -16.1427, where lp' = -2.2e-16 and lp'' = -0.67. The log tables'
+    # loglik was 1.0e-9 and 6.4e-10 from the reference while log(1 - p) of a
+    # small p was taken from q = 1 - p rounded next to 1
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=False))
     half = 999 if link is LinkFunction.IDENTITY else 30000
     grid = max(profile_loglik(table, link, 0.001 * i) for i in range(-half, half + 1))
     assert result.loglik >= grid - 1e-9 * abs(grid)
+    exact_ll = float(exact_fit.restricted_fit(table, link)[1])
+    assert result.loglik == pytest.approx(exact_ll, rel=1e-9, abs=0.0)
 
 
 def test_profile_loglik_far_out_on_the_cloglog_tail():
@@ -1518,9 +1551,22 @@ def test_score_and_loglik_at_a_tiny_identity_risk():
     spec = ModelSpec(LinkFunction.IDENTITY, interaction=False)
     beta = [1e-200, 0.25]
     exposed = 7.0 / 0.25 - 2.0 / 0.75
-    assert score(table, spec, beta).tolist() == pytest.approx([exposed + 5e200, exposed], rel=1e-15)
+    assert score(table, spec, beta) == pytest.approx([exposed + 5e200, exposed], rel=1e-15)
     expected = 7.0 * math.log(0.25) + 2.0 * math.log(0.75) + 5.0 * math.log(1e-200)
     assert loglik_at(table, spec, beta) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [[math.inf, -math.inf, 0.0], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0]])
+@pytest.mark.parametrize("link", ALL_LINKS)
+def test_score_and_loglik_at_refuse_non_finite_coefficients(newcastle, link, beta):
+    # a NaN or infinite eta gives an infeasible p under every link: a
+    # DomainError, with no RuntimeWarning, OverflowError or bare ValueError
+    spec = ModelSpec(link, interaction=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for oracle in (score, loglik_at):
+            with pytest.raises(DomainError, match="outside"):
+                oracle(newcastle, spec, beta)
 
 
 def test_score_and_loglik_at_refuse_a_coefficient_vector_of_the_wrong_length(newcastle):
@@ -1546,8 +1592,9 @@ def test_common_measure_between_stratum_values():
 
 
 def test_design_matrix_shape(newcastle):
-    assert design_matrix(newcastle, ModelSpec(LinkFunction.LOGIT, False)).shape == (4, 3)
-    assert design_matrix(newcastle, ModelSpec(LinkFunction.LOGIT, True)).shape == (4, 4)
+    for interaction, columns in ((False, 3), (True, 4)):
+        X = design_matrix(newcastle, ModelSpec(LinkFunction.LOGIT, interaction))
+        assert (len(X), len(X[0])) == (4, columns)
 
 
 # --- chi-square tail ---------------------------------------------------------
