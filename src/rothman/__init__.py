@@ -49,7 +49,6 @@ from .standardize import (
     marginal_distribution,
     standardized_hull,
     standardized_point,
-    standardized_risk,
     uniform_distribution,
 )
 from .inference import (
@@ -67,7 +66,6 @@ from .inference import (
     lr_test_interaction,
     measure_for_link,
     profile_ci,
-    profile_loglik,
     profile_loglik_slope,
     score,
 )

@@ -243,10 +243,12 @@ def _collapse_lines(report: dict):
 
 
 def cmd_plot(args: argparse.Namespace) -> None:
-    needs_table = args.figure != "contours"
-    if needs_table and not (args.input or args.fixture):
+    given = bool(args.input or args.fixture)
+    if not given and args.figure != "contours":
         raise UsageError("this figure needs --input or --fixture")
-    svg = render_svg(FIGURES[args.figure](_load_table(args) if needs_table else None))
+    # a table that is given is read, and refused as under every subcommand,
+    # also by the contours figure, which draws none of it
+    svg = render_svg(FIGURES[args.figure](_load_table(args) if given else None))
     if args.output == "-":
         sys.stdout.write(svg)
     else:

@@ -818,10 +818,19 @@ def _bracket(rec: _Link, b1: float) -> tuple[float, float]:
 
 
 def profile_loglik_slope(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float, float, float]:
-    """(lp(b1), lp'(b1), lp''(b1)): the profile log-likelihood (see
-    profile_loglik) and the sums of the first and second derivatives in b1
-    of the strata's maxima (see _stratum_max). The fit's profile maximum,
-    the profile CI and profile_loglik all evaluate lp through this function.
+    """(lp(b1), lp'(b1), lp''(b1)): the profile log-likelihood, the
+    log-likelihood of the no-interaction model maximized over all
+    coefficients except the exposure coefficient, held at b1, and its first
+    and second derivatives in b1.
+
+    The maximum is the sum over strata of one concave maximization each in
+    the stratum's unexposed linear predictor a, over its exact feasible
+    bracket (see _bracket), and the derivatives are the sums of the strata's
+    (see _stratum_max). Each starts from the stratum's data, not from a
+    solve at another b1, so the profile is a function of b1 alone. The
+    fit's profile maximum and the profile CI evaluate lp through this
+    function.
+
     Raises DomainError for a b1 that is not finite, and when no
     coefficients are feasible at this b1."""
     if not math.isfinite(b1):
@@ -845,21 +854,6 @@ def _lp_at(table: StratifiedTable, link: LinkFunction, b1: float) -> tuple[float
     estimate from it, so the fit and the CI share one solve. Exact, as
     profile solves start from the data."""
     return profile_loglik_slope(table, link, b1)
-
-
-def profile_loglik(table: StratifiedTable, link: LinkFunction, b1: float) -> float:
-    """Log-likelihood of the no-interaction model maximized over all
-    coefficients except the exposure coefficient, held at b1.
-
-    The maximum is the sum over strata of one concave maximization each in
-    the stratum's unexposed linear predictor a, over its exact feasible
-    bracket (see _bracket). Each starts from the stratum's data, not from a
-    solve at another b1, so the profile is a function of b1 alone (see
-    _stratum_max).
-
-    Raises DomainError for a b1 that is not finite, and when no
-    coefficients are feasible at this b1."""
-    return profile_loglik_slope(table, link, b1)[0]
 
 
 def _newton_root(func, x: float, lo: float, hi: float, tol, capped: bool = False, first=None):

@@ -97,13 +97,6 @@ def standardized_point(table: StratifiedTable, dist: StandardDistribution) -> Ri
     return _weighted_point(stratum_points(table), dist.weights, dist.weights)
 
 
-def standardized_risk(table: StratifiedTable, exposed: bool, dist: StandardDistribution) -> float:
-    """Weighted average of stratum-specific risks in one exposure arm: one
-    coordinate of standardized_point."""
-    point = standardized_point(table, dist)
-    return point.y if exposed else point.x
-
-
 # ---------------------------------------------------------------------------
 # hull geometry
 #
@@ -529,17 +522,53 @@ class CollapsibilityReport:
     verdict: Verdict
 
 
+# how many of its rounding bounds (see _rounding) a point's value may stray
+# from a common contour level: each bound is at least 2 eps, and the
+# multiple also covers the rounding of each cell's eta, about |eta| eps
+# with |eta| < 30 between the fit's clips at 1e-13 and 1 - 1e-13
+_ROUNDING_MULTIPLE = 32.0
+
+
+def _rounding(measure: Measure, p: RiskPoint) -> float:
+    """A bound on the rounding that the measure's value at p carries from
+    the rounding of p's risks, on the scale of _same_level: 2 eps, absolute
+    for the risk difference and relative for the risk ratio; for the odds
+    ratio and the cumulative hazard ratio, relative, eps (1 / (1 - y) +
+    1 / (1 - x)), as each 1 - p keeps only the digits of p next to 1."""
+    eps = math.ulp(1.0)
+    if measure in (Measure.RISK_DIFFERENCE, Measure.RISK_RATIO):
+        return 2.0 * eps
+    return eps * (1.0 / (1.0 - p.y) + 1.0 / (1.0 - p.x))
+
+
+def _share_a_level(measure: Measure, points: list[RiskPoint], values) -> bool:
+    """Whether one contour level lies within each value's tolerance: the
+    larger of half of _same_level's 1e-9 and _ROUNDING_MULTIPLE times its
+    point's rounding bound, relative for the ratios and absolute for the
+    risk difference. One level does exactly when each two values differ by
+    at most the sum of their tolerances."""
+    ratio = measure is not Measure.RISK_DIFFERENCE
+    widths = [
+        max(0.5e-9, _ROUNDING_MULTIPLE * _rounding(measure, p)) * (abs(v) if ratio else 1.0)
+        for p, v in zip(points, values)
+    ]
+    return max(v - w for v, w in zip(values, widths)) <= min(v + w for v, w in zip(values, widths))
+
+
 def collapsibility_verdict(points: list[RiskPoint], measure: Measure) -> CollapsibilityReport:
     """Classify how standardized values behave when every stratum point sits
     on one contour: either they all equal the common value (straight contour)
     or the interior of the hull is strictly attenuated toward the null.
 
-    Refuses to run when the points are on different contours.
+    Refuses to run when the points are on different contours, beyond the
+    rounding that their values carry from the points' own (see
+    _share_a_level): near a risk of 1, the odds ratios of a no-interaction
+    fit's rounded points spread by up to about 1e-4 relative.
     """
     # evaluate checks each point's domain
     _check_points(points)
     values = tuple(evaluate(measure, p) for p in points)
-    if not _same_level(measure, min(values), max(values)):
+    if not _share_a_level(measure, points, values):
         raise ModificationError(
             f"stratum {measure.label} values differ: "
             + ", ".join(f"{v:.6g}" for v in values)
@@ -552,13 +581,15 @@ def collapsibility_verdict(points: list[RiskPoint], measure: Measure) -> Collaps
     if _same_level(measure, minimum.value, maximum.value):
         verdict = Verdict.COLLAPSIBLE_HERE
     else:
+        # the interval between the null and the stratum values, which
+        # spread by their rounding about the common value m
         null = null_value(measure)
-        lo, hi = min(null, m), max(null, m)
+        lo, hi = min(null, *values), max(null, *values)
         below = minimum.value < lo and not _same_level(measure, minimum.value, lo)
         if below or (maximum.value > hi and not _same_level(measure, maximum.value, hi)):
             raise DomainError(
                 f"standardized {measure.label} range [{minimum.value}, {maximum.value}] "
-                f"escapes the interval between null and {m}"
+                f"escapes the interval between null and the stratum values [{min(values)}, {max(values)}]"
             )
         verdict = Verdict.ATTENUATED_TOWARD_NULL
     return CollapsibilityReport(measure, m, minimum, maximum, verdict)

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from rothman import cli, inference, standardize
 from rothman.measures import ContourValue, Measure, contour_y
@@ -113,6 +115,21 @@ def random_table(rng: random.Random, k: int = 2, max_total: int = 400, interior:
             lo, hi = (1, total - 1) if interior else (0, total)
             cells.append(CellCounts(rng.randint(lo, hi), total))
         strata.append(Stratum(f"s{i}", exposed=cells[0], unexposed=cells[1]))
+    return StratifiedTable(tuple(strata))
+
+
+@st.composite
+def extreme_tables(draw):
+    """K = 1-6, totals log-uniform up to 1e9, cells often forced to 0, n,
+    1 or n - 1."""
+    strata = []
+    for j in range(draw(st.integers(1, 6))):
+        cells = []
+        for _ in range(2):
+            n = max(1, round(math.exp(draw(st.floats(0.0, math.log(1e9))))))
+            cases = draw(st.one_of(st.sampled_from([0, n, 1, n - 1]), st.integers(0, n)))
+            cells.append(CellCounts(cases, n))
+        strata.append(Stratum(f"s{j}", exposed=cells[0], unexposed=cells[1]))
     return StratifiedTable(tuple(strata))
 
 

@@ -376,6 +376,14 @@ def test_plot_contours_to_file(capsys, tmp_path):
     assert root.tag.endswith("svg")
 
 
+def test_plot_contours_reads_a_table_it_is_given(capsys, tmp_path):
+    # the figure draws no table, but one that is given is read and refused
+    # as under every other subcommand
+    code, out, err = run(capsys, "plot", "contours", "--input", str(tmp_path / "missing.csv"))
+    assert (code, out) == (3, "")
+    assert err.startswith("input error: [Errno 2] ")
+
+
 def _cli_process(argv, text=True, **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run([sys.executable, "-m", "rothman.cli", *argv], env=env, stderr=subprocess.PIPE, text=text, **kwargs)
@@ -752,7 +760,7 @@ CLI_SHA256 = {
     "fit-bad-csv-json": "d258a17a230b941981b9eee0938240f871464fe93a6a7ea863f0b4ce8fedee02",
     "collapse-missing-file": "11a015d6462a97cd508b8fdbd60d3237526e947a3d5dc10161125f333047d6d7",
     "plot-modification-no-input": "78f447754d7153a0194b1730b929a4ac4e98d4db9e0ed60585c171ee9d178b55",
-    "plot-contours-bad-csv": "4f206bd6d559e3e76f928b762c60a8b44a47748787ecebd8be735526245a6e7b",
+    "plot-contours-bad-csv": "d258a17a230b941981b9eee0938240f871464fe93a6a7ea863f0b4ce8fedee02",
 }
 
 

@@ -27,7 +27,6 @@ from rothman.inference import (
     lr_test_interaction,
     measure_for_link,
     profile_ci,
-    profile_loglik,
     profile_loglik_slope,
     score,
 )
@@ -44,7 +43,7 @@ from rothman.tables import (
 )
 
 import exact_fit
-from conftest import random_table, sweep_tables
+from conftest import extreme_tables, random_table, sweep_tables
 
 ALL_LINKS = list(LinkFunction)
 
@@ -324,7 +323,7 @@ def test_profile_ci_brackets_mle_and_hits_quantile(newcastle, link):
     q = chi2_quantile(0.95, 1)
     for endpoint in (ci.lower, ci.upper):
         b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
-        lr = 2.0 * (result.loglik - profile_loglik(newcastle, link, b1))
+        lr = 2.0 * (result.loglik - profile_loglik_slope(newcastle, link, b1)[0])
         assert lr == pytest.approx(q, abs=1e-6)
 
 
@@ -377,8 +376,8 @@ def _assert_endpoints_hit_quantile(table, link, level):
         if truncated:
             continue
         b1 = endpoint if link is LinkFunction.IDENTITY else math.log(endpoint)
-        for profile in (profile_loglik, _exact_lp):
-            lr = 2.0 * (result.loglik - profile(table, link, b1))
+        for lp in (profile_loglik_slope(table, link, b1)[0], _exact_lp(table, link, b1)):
+            lr = 2.0 * (result.loglik - lp)
             assert lr == pytest.approx(q, abs=1e-8)
 
 
@@ -513,18 +512,17 @@ def test_profile_loglik_matches_the_exact_reference(link, k):
         # where a whole-model Newton ascent ran out of iterations
         b1s += {LinkFunction.LOG: [-0.70609805], LinkFunction.CLOGLOG: [-2.53356689]}.get(link, [])
     for b1 in b1s:
-        assert profile_loglik(table, link, b1) == pytest.approx(_exact_lp(table, link, b1), rel=1e-10)
+        assert profile_loglik_slope(table, link, b1)[0] == pytest.approx(_exact_lp(table, link, b1), rel=1e-10)
     if link is LinkFunction.IDENTITY:
         with pytest.raises(DomainError):
-            profile_loglik(table, link, 1.0)
+            profile_loglik_slope(table, link, 1.0)
 
 
 @pytest.mark.parametrize("b1", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("link", ALL_LINKS)
 def test_profile_refuses_a_b1_that_is_not_finite(newcastle, link, b1):
-    for profile in (profile_loglik, profile_loglik_slope):
-        with pytest.raises(DomainError, match="exposure coefficient must be finite"):
-            profile(newcastle, link, b1)
+    with pytest.raises(DomainError, match="exposure coefficient must be finite"):
+        profile_loglik_slope(newcastle, link, b1)
 
 
 # the largest |b1 - b1_ref| over these tables and links in the census of
@@ -539,6 +537,20 @@ def test_restricted_b1_lies_within_the_census_ulps_of_the_exact_maximum(link, k)
     b1 = fit(table, ModelSpec(link, interaction=False)).coefficients[1]
     exact = exact_fit.restricted_fit(table, link)[0]
     assert abs(b1 - exact) <= B1_ULPS * math.ulp(float(exact))
+
+
+def test_census_runs_on_the_example_tables():
+    # tests/census.py, the accuracy census run by hand over the benchmark's
+    # plans, kept working on Newcastle and the four-stratum table
+    import census
+
+    report = census.census([newcastle_fixture(), four_strata_fixture()])
+    for link in ALL_LINKS:
+        row = report[link.value]
+        assert (row["fits"], row["kinks"], row["flat"], row["errors"]) == (2, 0, 0, {}), link
+        assert 0.0 <= row["b1_ulps_median"] <= row["b1_ulps_max"] <= B1_ULPS
+        assert max(row["loglik_gap_max"], row["saturated_gap_max"]) <= 1e-15
+        assert row["lr_abs_max"] <= 1e-12
 
 
 def _imported_modules(module):
@@ -585,7 +597,7 @@ def test_profile_loglik_slope_is_the_derivative(link, k):
             # estimate sits on it)
             continue
         ll, slope, curvature = profile_loglik_slope(table, link, b1)
-        assert ll == profile_loglik(table, link, b1)
+        assert ll == profile_loglik_slope(table, link, b1)[0]
         up, down = profile_loglik_slope(table, link, b1 + h), profile_loglik_slope(table, link, b1 - h)
         # each difference carries rounding of about ulp(lp) / h or ulp(lp') / h
         difference = (up[0] - down[0]) / (2.0 * h)
@@ -642,7 +654,7 @@ def test_profile_loglik_is_a_supremum(link, k):
     rng = random.Random(17)
     checked = 0
     for b1 in _b1_inside_and_outside(table, link, restricted):
-        ll = profile_loglik(table, link, b1)
+        ll = profile_loglik_slope(table, link, b1)[0]
         for i in range(6):
             beta = [b + (rng.gauss(0.0, 0.05) if i else 0.0) for b in restricted.coefficients]
             beta[1] = b1
@@ -699,7 +711,8 @@ def test_closed_form_solves_match_the_exact_reference(link, k):
     # at zero and full cells as well as interior ones
     table = _table(k)
     for b1 in _b1_across_the_range(link):
-        assert profile_loglik(table, link, b1) == pytest.approx(_exact_lp(table, link, b1), rel=1.3e-14, abs=0.0)
+        lp = profile_loglik_slope(table, link, b1)[0]
+        assert lp == pytest.approx(_exact_lp(table, link, b1), rel=1.3e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -806,7 +819,7 @@ def test_profile_ci_full_exposed_cell(csv, link, lower):
     ci = profile_ci(table, link)
     assert not ci.lower_truncated
     assert ci.lower == pytest.approx(lower, abs=0.01)
-    lr = 2.0 * (result.loglik - profile_loglik(table, link, math.log(ci.lower)))
+    lr = 2.0 * (result.loglik - profile_loglik_slope(table, link, math.log(ci.lower))[0])
     assert lr == pytest.approx(chi2.ppf(0.95, 1), abs=1e-8)
     # the exposed risk is 1, so b1's estimate runs off to +inf and the true
     # upper bound is infinite: the upper endpoint stops at the estimate
@@ -851,10 +864,10 @@ def test_profile_ci_at_a_boundary_estimate_crosses_from_the_supremum():
     restricted = fit(table, ModelSpec(link, interaction=False))
     q = chi2_quantile(0.95, 1)
     lo, hi = restricted.coefficients[1], 0.0
-    assert restricted.loglik > profile_loglik(table, link, lo)
+    assert restricted.loglik > profile_loglik_slope(table, link, lo)[0]
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if 2.0 * (restricted.loglik - profile_loglik(table, link, mid)) < q:
+        if 2.0 * (restricted.loglik - profile_loglik_slope(table, link, mid)[0]) < q:
             lo = mid
         else:
             hi = mid
@@ -935,7 +948,7 @@ def test_restricted_fit_at_large_totals_is_the_profile_maximum(csv, link):
     table = parse_table(CSV_HEADER + csv + "\n")
     result = fit(table, ModelSpec(link, interaction=False))
     half = 999 if link is LinkFunction.IDENTITY else 30000
-    grid = max(profile_loglik(table, link, 0.001 * i) for i in range(-half, half + 1))
+    grid = max(profile_loglik_slope(table, link, 0.001 * i)[0] for i in range(-half, half + 1))
     assert result.loglik >= grid - 1e-9 * abs(grid)
     exact_ll = float(exact_fit.restricted_fit(table, link)[1])
     assert result.loglik == pytest.approx(exact_ll, rel=1e-9, abs=0.0)
@@ -947,7 +960,7 @@ def test_profile_loglik_far_out_on_the_cloglog_tail():
     # finite bracket, and the solve ran to its step limit
     table = parse_table(CSV_HEADER + "s0,1,102,403,403\n")
     expected = _exact_lp(table, LinkFunction.CLOGLOG, 459.2)
-    assert abs(profile_loglik(table, LinkFunction.CLOGLOG, 459.2) - expected) <= math.ulp(expected)
+    assert abs(profile_loglik_slope(table, LinkFunction.CLOGLOG, 459.2)[0] - expected) <= math.ulp(expected)
 
 
 def test_cloglog_fit_with_a_cell_near_one_at_a_1e9_total():
@@ -1000,7 +1013,7 @@ def test_restricted_fit_at_a_kink_of_lp_is_the_kink(link, name):
     table = KINK_TABLES[name]
     result = fit(table, ModelSpec(link, interaction=False))
     assert result.coefficients[1] == 0.0
-    assert result.loglik == profile_loglik(table, link, 0.0)
+    assert result.loglik == profile_loglik_slope(table, link, 0.0)[0]
 
 
 @pytest.mark.parametrize(
@@ -1052,9 +1065,9 @@ def test_profile_ci_stops_at_the_rounding_floor_at_large_totals(profile_loglik_c
     assert not (ci.lower_truncated or ci.upper_truncated)
     q, ulp = chi2.ppf(0.95, 1), math.ulp(result.loglik)
     for endpoint in (ci.lower, ci.upper):
-        for profile in (profile_loglik, _exact_lp):
-            lr = 2.0 * (result.loglik - profile(table, link, math.log(endpoint)))
-            assert abs(lr - q) <= 4.0 * ulp
+        b1 = math.log(endpoint)
+        for lp in (profile_loglik_slope(table, link, b1)[0], _exact_lp(table, link, b1)):
+            assert abs(2.0 * (result.loglik - lp) - q) <= 4.0 * ulp
 
 
 @pytest.mark.parametrize("csv, endpoints", [
@@ -1123,7 +1136,7 @@ def test_flat_profile_reports_its_supremum_anywhere_on_the_plateau():
     table, link = parse_table(FLAT_PROFILE_CSV), LinkFunction.LOG
     result = fit(table, ModelSpec(link, interaction=False))
     for b1 in (-0.30, -0.25, -0.2, -0.1, -0.01, 0.0):
-        assert abs(profile_loglik(table, link, b1) - result.loglik) <= math.ulp(result.loglik)
+        assert abs(profile_loglik_slope(table, link, b1)[0] - result.loglik) <= math.ulp(result.loglik)
     ci = profile_ci(table, link)
     assert ci.lower <= math.exp(-0.30) and math.exp(0.0) <= ci.upper
 
@@ -1694,26 +1707,11 @@ def test_chi2_quantile_checks_its_arguments_before_its_memo():
             chi2_quantile(level, 1)
 
 
-@st.composite
-def _extreme_tables(draw):
-    """K = 1-6, totals log-uniform up to 1e9, cells often forced to 0, n,
-    1 or n - 1."""
-    strata = []
-    for j in range(draw(st.integers(1, 6))):
-        cells = []
-        for _ in range(2):
-            n = max(1, round(math.exp(draw(st.floats(0.0, math.log(1e9))))))
-            cases = draw(st.one_of(st.sampled_from([0, n, 1, n - 1]), st.integers(0, n)))
-            cells.append(CellCounts(cases, n))
-        strata.append(Stratum(f"s{j}", exposed=cells[0], unexposed=cells[1]))
-    return StratifiedTable(tuple(strata))
-
-
 # --- a library-level property at extreme inputs, against the exact reference
 
 
 @settings(max_examples=25, deadline=None)
-@given(table=_extreme_tables())
+@given(table=extreme_tables())
 def test_fits_reach_the_exact_profile_maximum(table):
     total = sum(c.total for s in table.strata for c in (s.exposed, s.unexposed))
     for link in ALL_LINKS:
@@ -1732,7 +1730,7 @@ def test_fits_reach_the_exact_profile_maximum(table):
 
 
 @settings(max_examples=25, deadline=None)
-@given(table=_extreme_tables())
+@given(table=extreme_tables())
 def test_ci_endpoints_and_loglik_agree_with_the_exact_reference(table):
     from scipy.stats import chi2
 
@@ -1758,7 +1756,7 @@ def test_ci_endpoints_and_loglik_agree_with_the_exact_reference(table):
 
 
 @settings(max_examples=25, deadline=None)
-@given(table=_extreme_tables())
+@given(table=extreme_tables())
 def test_restricted_fits_satisfy_the_score_conditions_of_a_maximum(table):
     # score is the binomial score from p and dp/deta, sharing no code with
     # the solver. In the profile's coordinates, each stratum's unexposed eta
@@ -1787,7 +1785,7 @@ def test_restricted_fits_satisfy_the_score_conditions_of_a_maximum(table):
 
 
 @settings(max_examples=25, deadline=None)
-@given(table=_extreme_tables())
+@given(table=extreme_tables())
 def test_extremes_of_fitted_points_agree_with_their_values_and_the_grid(table):
     from rothman import measures, standardize
 
