@@ -81,18 +81,19 @@ class LinkFunction(Enum):
 @dataclass(frozen=True)
 class _Link:
     """A link, defined once (see _LINKS): its measure, cell function, inverse
-    and link in scalar floats, the closed form's eta of a cell of y cases
-    and f > 0 non-cases from the counts (see fit), closed-form stratum
-    root (or None), the (lo, hi) of the etas whose p is in [0, 1], the
-    run-off rule of a stratum (see _run_off) and the map from b1 to the
-    measure. The bracket of a, the constraint ends, lp's kink at b1 = 0 and
-    the CI cap are derived from that eta range."""
+    and link in scalar floats, the closed form's eta of a cell of y > f > 0
+    cases and non-cases from the counts (see fit; None where eta's range
+    has an upper end), closed-form stratum root (or None), the (lo, hi) of
+    the etas whose p is in [0, 1], the run-off rule of a stratum (see
+    _run_off) and the map from b1 to the measure. The bracket of a, the
+    constraint ends, lp's kink at b1 = 0 and the CI cap are derived from
+    that eta range."""
 
     measure: Measure
     cell: Callable
     inverse: Callable
     to_eta: Callable
-    near_one_eta: Callable[[int, int], float]
+    near_one_eta: Callable[[int, int], float] | None
     root: Callable | None
     eta_range: tuple[float, float]
     run_off: Callable[[bool, bool], bool]
@@ -439,8 +440,9 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
         for s in table.strata:
             for c in (s.exposed, s.unexposed):
                 risk, f = c.cases / c.total, c.total - c.cases
-                # where the risk rounds to 1, both logs and eta from the counts;
-                # eta also where cases outnumber non-cases and eta has no upper end
+                # where the risk rounds to 1, both logs from the counts; eta from
+                # the counts where cases outnumber non-cases and eta has no upper
+                # end (where it has one, such a cell takes the eta of 1 - _EPS)
                 near_one = risk == 1.0 and f
                 if c.cases:
                     terms.append(c.cases * (math.log1p(-f / c.total) if near_one else math.log(risk)))
@@ -448,7 +450,7 @@ def _fit(table: StratifiedTable, spec: ModelSpec) -> FitResult:
                     terms.append(f * (math.log(f / c.total) if near_one else math.log1p(-risk)))
                 # only a risk of 0 or 1 is on the boundary
                 p.append(risk if 0.0 < risk < 1.0 else min(1.0 - _EPS, max(_EPS, risk)))
-                from_counts = near_one or (0 < f < c.cases and rec.eta_range[1] == math.inf)
+                from_counts = 0 < f < c.cases and rec.eta_range[1] == math.inf
                 eta.append(rec.near_one_eta(c.cases, f) if from_counts else rec.to_eta(p[-1]))
         a, b = eta[1::2], [e1 - e0 for e1, e0 in zip(eta[::2], eta[1::2])]
         if direction:
@@ -666,16 +668,14 @@ def _log_unexposed(u, c, b1):
 
 
 # looked up at each call, so that tests can count a record's cell and root
-# calls; an inverse gives some p outside (0, 1) at such an eta, NaN at NaN.
-# Identity and log, whose eta range ends at p = 1, give a near-one cell the
-# eta of 1 - _EPS, as a full cell has
+# calls; an inverse gives some p outside (0, 1) at such an eta, NaN at NaN
 _LINKS = {
     LinkFunction.IDENTITY: _Link(
-        Measure.RISK_DIFFERENCE, _identity_cell, lambda eta: (eta, 1.0), lambda p: p, lambda y, f: 1.0 - _EPS,
+        Measure.RISK_DIFFERENCE, _identity_cell, lambda eta: (eta, 1.0), lambda p: p, None,
         _identity_root, (0.0, 1.0), lambda empty, full: empty and full, lambda b1: b1),
     LinkFunction.LOG: _Link(
         Measure.RISK_RATIO, _log_cell, lambda eta: (math.exp(min(eta, 1.0)),) * 2, math.log,
-        lambda y, f: math.log(1.0 - _EPS), _log_root, (-math.inf, 0.0), lambda empty, full: empty, math.exp),
+        None, _log_root, (-math.inf, 0.0), lambda empty, full: empty, math.exp),
     LinkFunction.LOGIT: _Link(
         Measure.ODDS_RATIO, _logit_cell, _logit_inverse, lambda p: math.log(p) - math.log1p(-p),
         lambda y, f: math.log(y / f), _logit_root, (-math.inf, math.inf),

@@ -118,6 +118,30 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _at(ox: float, oy: float, x: float, y: float) -> tuple[float, float]:
+    """The point (x, y) of the unit square in the units of the panel at
+    (ox, oy): x to the right, y up from the panel's bottom edge."""
+    return ox + PANEL_SIZE * x, oy + PANEL_SIZE * (1.0 - y)
+
+
+# the writers of the three elements drawn at panel points; each returns
+# one element's markup, with a width or radius printed as given (2 as "2",
+# 2.0 as "2.0")
+def _line(x1: float, y1: float, x2: float, y2: float, width: float) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="black" stroke-width="{width}"/>'
+    )
+
+
+def _text(x: float, y: float, anchor: str, content: str, size: int = FONT_SIZE, extra: str = "") -> str:
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" text-anchor="{anchor}"{extra}>{content}</text>'
+
+
+def _circle(x: float, y: float, r: float, paint: str) -> str:
+    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" {paint}/>'
+
+
 # one vertex of a polyline's points template: x printed, a %-placeholder for y
 _VERTEX = _F + "," + _F.replace("%", "%%")
 
@@ -152,12 +176,11 @@ def _emit_contour(
             vertices = points.split(" ")
             xs, ys = [xs[i] for i in kept], [ys[i] for i in kept]
             points = " ".join([vertices[i] for i in kept])
-    py = [oy + PANEL_SIZE * (1.0 - y) for y in ys]
     if len(ys) == 1:
-        i = 0
-        out.append(f'<circle cx="{_fmt(ox + PANEL_SIZE * xs[0])}" cy="{_fmt(py[0])}" r="2" fill="black"/>')
+        x, y = _at(ox, oy, xs[0], ys[0])
+        out.append(_circle(x, y, 2, 'fill="black"'))
     else:
-        coords = points % tuple(py)
+        coords = points % tuple([oy + PANEL_SIZE * (1.0 - y) for y in ys])
         dash = "" if line.solid else f' stroke-dasharray="{DASH_PATTERN}"'
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="black" '
@@ -165,27 +188,19 @@ def _emit_contour(
         )
         fraction = LABEL_ANCHORS[index % len(LABEL_ANCHORS)]
         i = round(fraction * (len(ys) - 1))
-    out.append(
-        f'<text x="{_fmt(ox + PANEL_SIZE * xs[i] - 4.0)}" y="{_fmt(py[i] - 6.0)}" '
-        f'font-size="{FONT_SIZE}" text-anchor="end">{_esc(line.label)}</text>'
-    )
+        x, y = _at(ox, oy, xs[i], ys[i])
+    out.append(_text(x - 4.0, y - 6.0, "end", _esc(line.label)))
 
 
 def _emit_glyph(out: list[str], ox: float, oy: float, gp: GlyphPoint) -> None:
-    cx, cy = ox + PANEL_SIZE * gp.point.x, oy + PANEL_SIZE * (1.0 - gp.point.y)
+    cx, cy = _at(ox, oy, gp.point.x, gp.point.y)
     if gp.glyph is Glyph.FILLED:
-        out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{POINT_RADIUS}" fill="black"/>')
+        out.append(_circle(cx, cy, POINT_RADIUS, 'fill="black"'))
     elif gp.glyph is Glyph.OPEN:
-        out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{POINT_RADIUS}" '
-            f'fill="white" stroke="black" stroke-width="1.5"/>'
-        )
+        out.append(_circle(cx, cy, POINT_RADIUS, 'fill="white" stroke="black" stroke-width="1.5"'))
     else:
         for dx, dy in ((CROSS_ARM, 0.0), (0.0, CROSS_ARM)):
-            out.append(
-                f'<line x1="{_fmt(cx - dx)}" y1="{_fmt(cy - dy)}" '
-                f'x2="{_fmt(cx + dx)}" y2="{_fmt(cy + dy)}" stroke="black" stroke-width="2"/>'
-            )
+            out.append(_line(cx - dx, cy - dy, cx + dx, cy + dy, 2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -198,61 +213,38 @@ def _frame(ox: float, oy: float) -> tuple[str, ...]:
         f'height="{_fmt(PANEL_SIZE)}" fill="none" stroke="black" stroke-width="{FRAME_WIDTH}"/>'
     ]
     for t in (0.0, 0.5, 1.0):
-        tx, ty = ox + PANEL_SIZE * t, oy + PANEL_SIZE * (1.0 - t)
-        bottom = oy + PANEL_SIZE
-        out.append(
-            f'<line x1="{_fmt(tx)}" y1="{_fmt(bottom)}" x2="{_fmt(tx)}" '
-            f'y2="{_fmt(bottom + TICK_LEN)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(tx)}" y="{_fmt(bottom + 20.0)}" font-size="{FONT_SIZE}" '
-            f'text-anchor="middle">{t:g}</text>'
-        )
-        out.append(
-            f'<line x1="{_fmt(ox - TICK_LEN)}" y1="{_fmt(ty)}" x2="{_fmt(ox)}" '
-            f'y2="{_fmt(ty)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(ox - 10.0)}" y="{_fmt(ty + 4.0)}" font-size="{FONT_SIZE}" '
-            f'text-anchor="end">{t:g}</text>'
-        )
-    cx = ox + PANEL_SIZE / 2.0
-    out.append(
-        f'<text x="{_fmt(cx)}" y="{_fmt(oy + PANEL_SIZE + 44.0)}" font-size="{FONT_SIZE}" '
-        f'text-anchor="middle">{X_LABEL}</text>'
-    )
-    cy = oy + PANEL_SIZE / 2.0
-    out.append(
-        f'<text x="{_fmt(ox - 40.0)}" y="{_fmt(cy)}" font-size="{FONT_SIZE}" text-anchor="middle" '
-        f'transform="rotate(-90 {_fmt(ox - 40.0)} {_fmt(cy)})">{Y_LABEL}</text>'
-    )
+        tx, bottom = _at(ox, oy, t, 0.0)
+        left, ty = _at(ox, oy, 0.0, t)
+        out += [
+            _line(tx, bottom, tx, bottom + TICK_LEN, 1),
+            _text(tx, bottom + 20.0, "middle", f"{t:g}"),
+            _line(left - TICK_LEN, ty, left, ty, 1),
+            _text(left - 10.0, ty + 4.0, "end", f"{t:g}"),
+        ]
+    x, bottom = _at(ox, oy, 0.5, 0.0)
+    out.append(_text(x, bottom + 44.0, "middle", X_LABEL))
+    left, y = _at(ox, oy, 0.0, 0.5)
+    rotate = f' transform="rotate(-90 {_fmt(left - 40.0)} {_fmt(y)})"'
+    out.append(_text(left - 40.0, y, "middle", Y_LABEL, extra=rotate))
     return tuple(out)
 
 
 def _emit_panel(out: list[str], spec: PanelSpec, ox: float, oy: float) -> None:
     out.append(f'<g class="panel panel-{spec.measure.value}">')
     if spec.hull is not None and len(spec.hull.vertices) >= 3:
-        coords = " ".join(
-            _PAIR % (ox + PANEL_SIZE * v.x, oy + PANEL_SIZE * (1.0 - v.y)) for v in spec.hull.vertices
-        )
+        coords = " ".join(_PAIR % _at(ox, oy, v.x, v.y) for v in spec.hull.vertices)
         out.append(f'<polygon points="{coords}" fill="{HULL_FILL}" stroke="none"/>')
     for i, line in enumerate(spec.contours):
         _emit_contour(out, ox, oy, spec.measure, line, i)
     if spec.segment is not None:
         a, b = spec.segment
-        out.append(
-            f'<line x1="{_fmt(ox + PANEL_SIZE * a.x)}" y1="{_fmt(oy + PANEL_SIZE * (1.0 - a.y))}" '
-            f'x2="{_fmt(ox + PANEL_SIZE * b.x)}" y2="{_fmt(oy + PANEL_SIZE * (1.0 - b.y))}" '
-            f'stroke="black" stroke-width="{SEGMENT_WIDTH}"/>'
-        )
+        out.append(_line(*_at(ox, oy, a.x, a.y), *_at(ox, oy, b.x, b.y), SEGMENT_WIDTH))
     for gp in spec.points:
         _emit_glyph(out, ox, oy, gp)
     out.extend(_frame(ox, oy))
     if spec.title:
-        out.append(
-            f'<text x="{_fmt(ox + PANEL_SIZE / 2.0)}" y="{_fmt(oy - 28.0)}" font-size="{FONT_SIZE + 2}" '
-            f'text-anchor="middle">{_esc(spec.title)}</text>'
-        )
+        x, top = _at(ox, oy, 0.5, 1.0)
+        out.append(_text(x, top - 28.0, "middle", _esc(spec.title), size=FONT_SIZE + 2))
     out.append("</g>")
 
 

@@ -43,6 +43,19 @@ def computed_fits():
 
 
 @pytest.fixture
+def one_step_solves(monkeypatch):
+    """Every solver of ``rothman.inference`` limited to one step, with the fit
+    and lp memos cleared before and after, so that nothing computed under the
+    limit is reused."""
+    monkeypatch.setattr(inference, "_MAX_ITER", 1)
+    inference._fit.cache_clear()
+    inference._lp_at.cache_clear()
+    yield
+    inference._fit.cache_clear()
+    inference._lp_at.cache_clear()
+
+
+@pytest.fixture
 def profile_loglik_calls(monkeypatch) -> list:
     """b1 values of the profile solves made through
     ``rothman.inference.profile_loglik_slope``, which ``profile_ci`` looks

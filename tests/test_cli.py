@@ -490,6 +490,15 @@ def test_convergence_error_exit_code(capsys, monkeypatch):
     assert "iterations: 200" in err
 
 
+def test_stratum_solve_out_of_steps_exit_code(capsys, one_step_solves):
+    # the refusal of a stratum solve at its step limit (see
+    # test_stratum_solve_out_of_steps_raises in test_inference.py)
+    code, out, err = run(capsys, "fit", "--fixture", "newcastle", "--link", "cloglog")
+    assert code == 4
+    assert err.startswith("convergence error: profile solve of a stratum did not converge at exposure coefficient ")
+    assert len(err.splitlines()) == 1
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "fit", "--fixture", "newcastle")
     _, second, _ = run(capsys, "fit", "--fixture", "newcastle")

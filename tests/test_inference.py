@@ -1312,6 +1312,14 @@ def test_fit_convergence_error_carries_last_iterate(newcastle, computed_fits, mo
     assert math.isfinite(err.loglik)
 
 
+def test_stratum_solve_out_of_steps_raises(newcastle, one_step_solves):
+    # cloglog has no closed-form stratum root, so its stratum solve runs
+    # _newton_root, which stops at the one-step limit short of the root
+    with pytest.raises(ConvergenceError) as exc:
+        profile_loglik_slope(newcastle, LinkFunction.CLOGLOG, 0.3)
+    assert str(exc.value) == "profile solve of a stratum did not converge at exposure coefficient 0.3"
+
+
 def _fit_link_all(table):
     # the library path of `rothman fit --link all`, without passing fits along
     for link in ALL_LINKS:

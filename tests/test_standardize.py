@@ -927,6 +927,20 @@ def test_collapsibility_verdicts_digest():
     assert digest.hexdigest() == VERDICT_SHA256
 
 
+def test_verdict_refuses_a_standardized_range_outside_null_and_strata(newcastle, monkeypatch):
+    # every standardized value lies between the null and the stratum values,
+    # so an extremum outside that interval is refused, not classified
+    fitted = fit(newcastle, ModelSpec(LinkFunction.LOGIT, interaction=False)).fitted_points
+    values = {"min": 0.5, "max": 2.0}
+    monkeypatch.setattr(
+        standardize,
+        "extremize_standardized",
+        lambda points, measure, objective: standardize.ExtremeResult(values[objective], (1.0, 0.0)),
+    )
+    with pytest.raises(DomainError, match=r"^standardized odds ratio range \[0\.5, 2\.0\] escapes the interval"):
+        collapsibility_verdict(list(fitted), Measure.ODDS_RATIO)
+
+
 @settings(max_examples=50, deadline=None)
 @given(table=extreme_tables())
 def test_no_interaction_fits_near_the_bounds_get_a_verdict(table):
